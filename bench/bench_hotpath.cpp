@@ -94,6 +94,7 @@
 #include "ir/IRBuilder.h"
 #include "runtime/Interpreter.h"
 #include "support/Metrics.h"
+#include "support/TempPath.h"
 #include "workloads/Workloads.h"
 
 #include <atomic>
@@ -586,8 +587,11 @@ int main(int argc, char **argv) {
     Reps = Smoke ? 1 : 3;
 
   struct Recorded {
+    explicit Recorded(const std::string &Name)
+        : Name(Name), Path("hotpath-" + Name) {}
+
     std::string Name;
-    std::string Path;
+    TempPath Path;
     uint64_t Events = 0;
     uint64_t Bytes = 0;
     DetectorPlan Plan;             ///< pre-sizing for the "serial+plan" A/B
@@ -600,9 +604,9 @@ int main(int argc, char **argv) {
     RefParams P;
     if (Smoke)
       P.Rounds = 150;
-    std::string Path = "/tmp/herd_hotpath_refhot.trace";
+    Recorded R("refhot");
     TraceWriter Writer;
-    if (TraceResult TR = Writer.open(Path); !TR.Ok) {
+    if (TraceResult TR = Writer.open(R.Path); !TR.Ok) {
       std::fprintf(stderr, "refhot: %s\n", TR.Error.c_str());
       return 1;
     }
@@ -611,9 +615,6 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "refhot: %s\n", TR.Error.c_str());
       return 1;
     }
-    Recorded R;
-    R.Name = "refhot";
-    R.Path = Path;
     R.Events = Writer.recordsWritten();
     R.Bytes = Writer.bytesWritten();
     R.Plan = refhotPlan(P);
@@ -629,9 +630,9 @@ int main(int argc, char **argv) {
   // filter's speedup is actually measurable.
   Workloads.push_back(buildHotField(Smoke ? 1 : 4));
   for (Workload &W : Workloads) {
-    std::string Path = "/tmp/herd_hotpath_" + W.Name + ".trace";
+    Recorded Rec(W.Name);
     TraceWriter Writer;
-    if (TraceResult TR = Writer.open(Path); !TR.Ok) {
+    if (TraceResult TR = Writer.open(Rec.Path); !TR.Ok) {
       std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), TR.Error.c_str());
       return 1;
     }
@@ -644,9 +645,6 @@ int main(int argc, char **argv) {
                    R.Error.c_str(), TR.Error.c_str());
       return 1;
     }
-    Recorded Rec;
-    Rec.Name = W.Name;
-    Rec.Path = Path;
     Rec.Events = Writer.recordsWritten();
     Rec.Bytes = Writer.bytesWritten();
     // The analysis-driven plan — the same computation `--plan=auto` runs
@@ -1043,7 +1041,6 @@ int main(int argc, char **argv) {
                 Report.Agreement ? "yes" : "NO!");
     AllAgree = AllAgree && Report.Agreement;
     Reports.push_back(std::move(Report));
-    std::remove(T.Path.c_str());
   }
 
   if (!OutPath.empty()) {

@@ -19,11 +19,13 @@
 #include "detect/ShardedRuntime.h"
 #include "detect/TraceFile.h"
 #include "runtime/Interpreter.h"
+#include "support/TempPath.h"
 #include "workloads/Workloads.h"
 
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace herd;
@@ -45,13 +47,13 @@ int main() {
   const uint32_t ReplayShardCounts[] = {1, 2, 4};
   struct Recorded {
     std::string Name;
-    std::string Path;
+    TempPath Path;
     uint64_t Records;
   };
   std::vector<Recorded> Traces;
 
   for (Workload &W : buildAllWorkloads(4)) {
-    std::string Path = "/tmp/herd_bench_" + W.Name + ".trace";
+    TempPath Path("bench-" + W.Name);
     TraceWriter Writer;
     if (TraceResult TR = Writer.open(Path); !TR.Ok) {
       std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), TR.Error.c_str());
@@ -77,7 +79,7 @@ int main() {
                         : 0.0,
                 WriteSeconds > 0 ? double(Records) / WriteSeconds : 0.0,
                 WriteSeconds);
-    Traces.push_back({W.Name, Path, Records});
+    Traces.push_back({W.Name, std::move(Path), Records});
   }
 
   std::printf("\nReplay detection throughput (events/s) and agreement\n\n");
@@ -128,7 +130,6 @@ int main() {
                                  Serial.reporter().reportedLocations();
     }
     std::printf("%12s\n", AllAgree ? "yes" : "NO!");
-    std::remove(T.Path.c_str());
   }
 
   std::printf("\nEvery byte of a trace costs 40B/event on disk but nothing\n"

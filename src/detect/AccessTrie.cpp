@@ -10,14 +10,6 @@
 
 using namespace herd;
 
-AccessTrie::~AccessTrie() {
-  // Tries on a shared store give their slots back so the arena's live()
-  // count (the Detector's trie-node stat) stays exact even if a trie dies
-  // before the store does.  A privately-owned store dies with the trie.
-  if (!Owned && Store && Root != None)
-    releaseSubtree();
-}
-
 AccessTrie::AccessTrie(AccessTrie &&Other) noexcept
     : Owned(std::move(Other.Owned)), Store(Other.Store), Root(Other.Root),
       NumNodes(Other.NumNodes) {
@@ -29,8 +21,11 @@ AccessTrie::AccessTrie(AccessTrie &&Other) noexcept
 
 AccessTrie &AccessTrie::operator=(AccessTrie &&Other) noexcept {
   if (this != &Other) {
-    if (!Owned && Store && Root != None)
-      releaseSubtree();
+    // Nothing to release: a shared store's nodes go with the store, so a
+    // populated trie on one must not be overwritten (its nodes would stay
+    // counted in the arena's live() total until the store dies).
+    assert((Owned || Root == None) &&
+           "a populated trie on a shared store cannot be overwritten");
     Owned = std::move(Other.Owned);
     Store = Other.Store;
     Root = Other.Root;
@@ -41,24 +36,6 @@ AccessTrie &AccessTrie::operator=(AccessTrie &&Other) noexcept {
     Other.NumNodes = 0;
   }
   return *this;
-}
-
-void AccessTrie::releaseSubtree() {
-  std::vector<uint32_t> Stack = {Root};
-  while (!Stack.empty()) {
-    uint32_t N = Stack.back();
-    Stack.pop_back();
-    TrieNode &Node = Store->Nodes[N];
-    if (Node.Edges != TrieEdgePool::None) {
-      const TrieEdge *E = Store->Edges.at(Node.Edges);
-      for (uint32_t I = 0; I != Node.EdgeCount; ++I)
-        Stack.push_back(E[I].Child);
-      Store->Edges.release(Node.Edges, Node.EdgeClass);
-    }
-    Store->Nodes.release(N);
-  }
-  Root = None;
-  NumNodes = 0;
 }
 
 bool AccessTrie::findWeaker(uint32_t NIdx, const std::vector<LockId> &Locks,

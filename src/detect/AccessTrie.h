@@ -29,7 +29,10 @@
 /// through free lists, so the steady-state hot path allocates nothing,
 /// and a whole Detector's tries share one TrieStore (hence one per shard
 /// in the sharded runtime, keeping shards off the global allocator).  A
-/// default-constructed trie owns a private store for standalone use.
+/// trie on a shared store frees nothing when it dies: the store's chunks
+/// go in one piece with the store, so tearing down a Detector costs one
+/// free per chunk, not a walk over every node.  A default-constructed
+/// trie owns a private store for standalone use.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -203,7 +206,8 @@ public:
   /// Trie whose nodes live in \p Shared; the store must outlive the trie.
   explicit AccessTrie(TrieStore &Shared) : Store(&Shared) {}
 
-  ~AccessTrie();
+  /// Frees nothing on a shared store: its nodes go when the store does.
+  ~AccessTrie() = default;
   AccessTrie(AccessTrie &&Other) noexcept;
   AccessTrie &operator=(AccessTrie &&Other) noexcept;
 
@@ -246,8 +250,6 @@ private:
   void pruneStronger(uint32_t N, const std::vector<LockId> &Locks,
                      size_t Matched, ThreadLattice Thread, AccessKind Access,
                      uint32_t Keep);
-
-  void releaseSubtree();
 
   std::unique_ptr<TrieStore> Owned; ///< set iff default-constructed
   TrieStore *Store = nullptr;       ///< &*Owned, or the Detector's store

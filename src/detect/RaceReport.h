@@ -33,8 +33,10 @@
 #define HERD_DETECT_RACEREPORT_H
 
 #include "detect/AccessEvent.h"
+#include "support/FlatTable.h"
 
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -141,8 +143,7 @@ public:
       // location/object sets stay exact (a known fingerprint does not
       // imply a known location — fingerprints drop the object index),
       // so reportedLocations() still matches the unbounded oracle.
-      Locations.insert(Record.Location);
-      Objects.insert(Record.Location.object());
+      noteLocation(Record.Location);
       auto It = GroupIndex.find(Record.Fingerprint);
       if (It != GroupIndex.end())
         ++Groups[It->second].Count; // known bug, full record dropped
@@ -162,7 +163,8 @@ public:
     Groups.clear();
     GroupIndex.clear();
     Locations.clear();
-    Objects.clear();
+    LocationIndex = LocationTable<bool>();
+    ObjectCount = 0;
     Folded = 0;
     Dropped = 0;
     TotalReported = 0;
@@ -178,7 +180,7 @@ public:
   /// ("here we count only the number of distinct objects mentioned").
   size_t countDistinctObjects() const {
     fold();
-    return Objects.size();
+    return ObjectCount;
   }
 
   /// The distinct locations reported, for set-equality tests against the
@@ -233,8 +235,8 @@ public:
       else
         Dropped += Excess;
     }
-    Locations.insert(Other.Locations.begin(), Other.Locations.end());
-    Objects.insert(Other.Objects.begin(), Other.Objects.end());
+    for (LocationKey Location : Other.Locations)
+      noteLocation(Location);
     Dropped += Other.Dropped;
     TotalReported += Other.TotalReported;
   }
@@ -260,9 +262,31 @@ private:
         GroupIndex.emplace(Record.Fingerprint, uint32_t(Groups.size()));
         Groups.push_back(Group{Record.Fingerprint, uint32_t(Folded), 1});
       }
-      Locations.insert(Record.Location);
-      Objects.insert(Record.Location.object());
+      noteLocation(Record.Location);
     }
+  }
+
+  /// Adds \p Location to the distinct location set and object count.  The
+  /// flat index answers "seen before?" in one probe, so only a new location
+  /// pays for the sorted set.  The all-ones key is the index's empty-slot
+  /// sentinel and goes straight to the set.
+  void noteLocation(LocationKey Location) const {
+    if (Location != LocationKey() &&
+        !LocationIndex.tryEmplace(Location).second)
+      return;
+    auto [It, Inserted] = Locations.insert(Location);
+    if (!Inserted)
+      return;
+    // The object is a key's high word, so an object's keys are adjacent in
+    // the set: the location is a new object's iff neither neighbour shares
+    // its object.
+    ObjectId Object = Location.object();
+    bool Known = (It != Locations.begin() &&
+                  std::prev(It)->object() == Object) ||
+                 (std::next(It) != Locations.end() &&
+                  std::next(It)->object() == Object);
+    if (!Known)
+      ++ObjectCount;
   }
 
   size_t Capacity;
@@ -270,7 +294,8 @@ private:
   mutable std::vector<Group> Groups;
   mutable std::unordered_map<uint64_t, uint32_t> GroupIndex;
   mutable std::set<LocationKey> Locations;
-  mutable std::set<ObjectId> Objects;
+  mutable LocationTable<bool> LocationIndex; ///< membership of Locations
+  mutable size_t ObjectCount = 0;            ///< distinct objects in Locations
   mutable size_t Folded = 0;
   uint64_t Dropped = 0;
   uint64_t TotalReported = 0;

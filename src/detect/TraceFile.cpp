@@ -129,6 +129,7 @@ void TraceReader::close() {
 TraceResult TraceReader::open(const std::string &FromPath) {
   close();
   Records = 0;
+  KindCounts.fill(0);
   File = std::fopen(FromPath.c_str(), "rb");
   if (!File)
     return TraceResult::failure(errnoMessage("cannot open trace", FromPath));
@@ -165,6 +166,7 @@ TraceResult TraceReader::replayInto(RuntimeHooks &Sink) {
                                     Res.Error);
       R.dispatch(Sink);
       ++Records;
+      ++KindCounts[size_t(R.Kind)];
     }
   }
   if (std::ferror(File))

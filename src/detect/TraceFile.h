@@ -30,6 +30,7 @@
 #include "detect/TraceFormat.h"
 #include "runtime/Hooks.h"
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -110,12 +111,18 @@ public:
 
   uint64_t recordsRead() const { return Records; }
 
+  /// Records of \p Kind replayed since open().
+  uint64_t recordsOfKind(EventLog::RecordKind Kind) const {
+    return KindCounts[size_t(Kind)];
+  }
+
   void close();
 
 private:
   std::FILE *File = nullptr;
   std::string Path;
   uint64_t Records = 0;
+  std::array<uint64_t, size_t(EventLog::RecordKind::Access) + 1> KindCounts{};
 };
 
 /// Writes \p Log to \p Path in one call (streamed through TraceWriter).

@@ -13,8 +13,12 @@
 #include "support/Metrics.h"
 
 #include <cassert>
+#include <charconv>
 #include <chrono>
+#include <initializer_list>
 #include <optional>
+#include <string_view>
+#include <utility>
 
 using namespace herd;
 
@@ -154,69 +158,96 @@ void appendProvenanceDetail(std::string &Out, const Program &P,
   }
 }
 
+/// A decimal number rendered on the stack, as a piece for concat().
+class Decimal {
+public:
+  explicit Decimal(uint64_t Value)
+      : Len(size_t(std::to_chars(Buf, Buf + sizeof(Buf), Value).ptr - Buf)) {}
+  operator std::string_view() const { return {Buf, Len}; }
+
+private:
+  char Buf[20]; // 2^64 - 1 has 20 digits
+  size_t Len;
+};
+
+/// Joins \p Pieces with one allocation.
+std::string concat(std::initializer_list<std::string_view> Pieces) {
+  size_t Size = 0;
+  for (std::string_view Piece : Pieces)
+    Size += Piece.size();
+  std::string Out;
+  Out.reserve(Size);
+  for (std::string_view Piece : Pieces)
+    Out += Piece;
+  return Out;
+}
+
+/// The pieces of a race line's location part: "<kind> #<object>", then
+/// " field <name>" when the location is a declared field.  The kind comes
+/// from the final heap when there is one (the object's class name);
+/// replay runs have no heap — the trace carries only event ids — so
+/// objects are then reported by index alone.
+struct LocationText {
+  LocationText(const Program &P, const Heap *TheHeap, LocationKey Location)
+      : Object(Location.object().index()) {
+    ObjectId Obj = Location.object();
+    if (TheHeap && Obj.index() < TheHeap->size()) {
+      const HeapObject &H = TheHeap->object(Obj);
+      if (H.IsArray)
+        Kind = "array";
+      else if (H.IsClassStatics)
+        Kind = "statics";
+      else if (H.Class.isValid())
+        Kind = P.Names.text(P.classDecl(H.Class).Name);
+    }
+    uint32_t FieldBits = uint32_t(Location.raw() & 0xFFFFFFFF);
+    if (FieldBits < P.numFields()) {
+      FieldPrefix = " field ";
+      Field = P.Names.text(P.field(FieldId(FieldBits)).Name);
+    }
+  }
+
+  std::string_view Kind = "object";
+  Decimal Object;
+  std::string_view FieldPrefix;
+  std::string_view Field;
+};
+
+std::string_view accessName(AccessKind Access) {
+  return Access == AccessKind::Write ? "write" : "read";
+}
+
 /// Renders one race record using program metadata and, when available, the
-/// final heap (for object class names).  Replay runs have no heap — the
-/// trace carries only event ids — so \p TheHeap may be null, in which case
-/// objects are reported by index alone.
+/// final heap (for object class names), in one allocation.
 std::string formatRace(const Program &P, const Heap *TheHeap,
                        const RaceRecord &Rec) {
-  std::string Out = "race on ";
-  ObjectId Obj = Rec.Location.object();
-  if (TheHeap && Obj.index() < TheHeap->size()) {
-    const HeapObject &H = TheHeap->object(Obj);
-    if (H.IsArray) {
-      Out += "array";
-    } else if (H.IsClassStatics) {
-      Out += "statics";
-    } else if (H.Class.isValid()) {
-      Out += P.Names.text(P.classDecl(H.Class).Name);
-    } else {
-      Out += "object";
-    }
-  } else {
-    Out += "object";
-  }
-  Out += " #";
-  Out += std::to_string(Obj.index());
-
-  uint32_t FieldBits = uint32_t(Rec.Location.raw() & 0xFFFFFFFF);
-  if (FieldBits < P.numFields()) {
-    Out += " field ";
-    Out += P.Names.text(P.field(FieldId(FieldBits)).Name);
-  }
-
-  Out += ": ";
-  Out += Rec.CurrentAccess == AccessKind::Write ? "write" : "read";
-  Out += " by thread ";
-  Out += std::to_string(Rec.CurrentThread.index());
-  if (Rec.CurrentSite.isValid()) {
-    Out += " at ";
-    Out += P.Names.text(P.site(Rec.CurrentSite).Label);
-  }
-  Out += " conflicts with earlier ";
-  Out += Rec.PriorAccess == AccessKind::Write ? "write" : "read";
-  if (Rec.PriorThreadKnown) {
-    Out += " by thread ";
-    Out += std::to_string(Rec.PriorThread.index());
-  } else {
-    Out += " (thread unknown: multiple earlier threads)";
-  }
+  LocationText L(P, TheHeap, Rec.Location);
+  std::string_view Site;
+  if (Rec.CurrentSite.isValid())
+    Site = P.Names.text(P.site(Rec.CurrentSite).Label);
   // Dummy join locks (Section 2.3) are an implementation device; report
   // only program locks, but surface the join ordering when present.
   size_t RealLocks = 0;
   bool HasDummy = false;
-  for (LockId L : Rec.PriorLocks) {
-    if (L.index() >= (1u << 30))
+  for (LockId Lock : Rec.PriorLocks) {
+    if (Lock.index() >= (1u << 30))
       HasDummy = true;
     else
       ++RealLocks;
   }
-  Out += " holding ";
-  Out += std::to_string(RealLocks);
-  Out += " lock(s)";
-  if (HasDummy)
-    Out += " (+join ordering)";
-  return Out;
+  Decimal PriorThread(Rec.PriorThread.index());
+  return concat(
+      {"race on ", L.Kind, " #", L.Object, L.FieldPrefix, L.Field, ": ",
+       accessName(Rec.CurrentAccess), " by thread ",
+       Decimal(Rec.CurrentThread.index()),
+       Rec.CurrentSite.isValid() ? " at " : "", Site,
+       " conflicts with earlier ", accessName(Rec.PriorAccess),
+       Rec.PriorThreadKnown ? " by thread "
+                            : " (thread unknown: multiple earlier threads)",
+       Rec.PriorThreadKnown ? std::string_view(PriorThread)
+                            : std::string_view(),
+       " holding ", Decimal(RealLocks), " lock(s)",
+       HasDummy ? " (+join ordering)" : ""});
 }
 
 /// Renders one racy location the way formatRace renders its location part.
@@ -224,30 +255,8 @@ std::string formatRace(const Program &P, const Heap *TheHeap,
 /// carry no thread/site attribution.
 std::string formatRacyLocation(const Program &P, const Heap *TheHeap,
                                LocationKey Location) {
-  std::string Out = "race on ";
-  ObjectId Obj = Location.object();
-  if (TheHeap && Obj.index() < TheHeap->size()) {
-    const HeapObject &H = TheHeap->object(Obj);
-    if (H.IsArray) {
-      Out += "array";
-    } else if (H.IsClassStatics) {
-      Out += "statics";
-    } else if (H.Class.isValid()) {
-      Out += P.Names.text(P.classDecl(H.Class).Name);
-    } else {
-      Out += "object";
-    }
-  } else {
-    Out += "object";
-  }
-  Out += " #";
-  Out += std::to_string(Obj.index());
-  uint32_t FieldBits = uint32_t(Location.raw() & 0xFFFFFFFF);
-  if (FieldBits < P.numFields()) {
-    Out += " field ";
-    Out += P.Names.text(P.field(FieldId(FieldBits)).Name);
-  }
-  return Out;
+  LocationText L(P, TheHeap, Location);
+  return concat({"race on ", L.Kind, " #", L.Object, L.FieldPrefix, L.Field});
 }
 
 /// Stable identity of a deadlock cycle: the canonicalized lock sequence
@@ -428,6 +437,8 @@ void formatRaceResults(const Program &P, const Heap *TheHeap,
       Result.Entries.push_back(std::move(Entry));
     }
   }
+  Result.FormattedRaces.reserve(Result.FormattedRaces.size() +
+                                Result.Reports.records().size());
   for (const RaceRecord &Rec : Result.Reports.records()) {
     std::string Line = formatRace(P, TheHeap, Rec);
     if (Prov)
@@ -447,6 +458,37 @@ void formatRaceResults(const Program &P, const Heap *TheHeap,
     Entry.PriorLine = siteLine(P, Rec.PriorSite);
     Result.Entries.push_back(std::move(Entry));
   }
+}
+
+/// Moves the drained runtime's statistics and reports into \p Result.  The
+/// serial runtime is discarded right after, so its reporter — up to 2^16
+/// records on a saturated stream — is moved out rather than copied; it is
+/// left an empty reporter, not a moved-from one.
+void collectDetection(RaceRuntime *Serial, ShardedRuntime *Sharded,
+                      EpochDetector *Epoch, PipelineResult &Result) {
+  if (Sharded) {
+    Result.Stats = Sharded->stats();
+    Result.Reports = Sharded->reporter();
+    Result.ShardBreakdown = Sharded->shardStats();
+  } else if (Serial) {
+    Result.Stats = Serial->stats();
+    Result.Reports = std::exchange(Serial->reporter(), RaceReporter());
+  } else {
+    Result.EpochBackend = true;
+    Result.Epoch = Epoch->stats();
+  }
+}
+
+/// Records the run.* counters.  Live and replay runs record the same set;
+/// a replay interprets nothing, so its instructions and context switches
+/// are 0.
+void recordRunCounters(MetricsRegistry *Metrics, const PipelineResult &Result) {
+  if (!Metrics)
+    return;
+  Metrics->counter("run.instructions").add(Result.Run.InstructionsExecuted);
+  Metrics->counter("run.access_events").add(Result.Run.AccessEvents);
+  Metrics->counter("run.context_switches").add(Result.Run.ContextSwitches);
+  Metrics->counter("run.races").add(Result.FormattedRaces.size());
 }
 
 } // namespace
@@ -586,18 +628,9 @@ PipelineResult herd::runPipeline(const Program &Input,
 
   {
     Span DrainSpan(Metrics, "detect-drain");
-    if (Sharded) {
+    if (Sharded)
       Sharded->finish();
-      Result.Stats = Sharded->stats();
-      Result.Reports = Sharded->reporter();
-      Result.ShardBreakdown = Sharded->shardStats();
-    } else if (Serial) {
-      Result.Stats = Serial->stats();
-      Result.Reports = Serial->reporter();
-    } else {
-      Result.EpochBackend = true;
-      Result.Epoch = Epoch->stats();
-    }
+    collectDetection(Serial.get(), Sharded.get(), Epoch.get(), Result);
   }
   {
     Span FormatSpan(Metrics, "format-reports");
@@ -608,12 +641,7 @@ PipelineResult herd::runPipeline(const Program &Input,
     Result.ProvenanceOn = true;
     Result.Provenance = std::move(*Prov);
   }
-  if (Metrics) {
-    Metrics->counter("run.instructions").add(Result.Run.InstructionsExecuted);
-    Metrics->counter("run.access_events").add(Result.Run.AccessEvents);
-    Metrics->counter("run.context_switches").add(Result.Run.ContextSwitches);
-    Metrics->counter("run.races").add(Result.FormattedRaces.size());
-  }
+  recordRunCounters(Metrics, Result);
 
   if (Writer.isOpen()) {
     TraceResult Closed = Writer.close();
@@ -688,19 +716,14 @@ PipelineResult herd::replayTracePipeline(const Program &Input,
     Result.Run.Error = "trace replay failed: " + Result.Trace.Error;
     return Result;
   }
-  Result.Run.AccessEvents = Result.TraceRecords;
+  // The trace's access and thread-create records are what the live run
+  // counted; its sync records are neither.
+  Result.Run.AccessEvents =
+      Reader.recordsOfKind(EventLog::RecordKind::Access);
+  Result.Run.ThreadsCreated =
+      uint32_t(Reader.recordsOfKind(EventLog::RecordKind::ThreadCreate));
 
-  if (Sharded) {
-    Result.Stats = Sharded->stats();
-    Result.Reports = Sharded->reporter();
-    Result.ShardBreakdown = Sharded->shardStats();
-  } else if (Serial) {
-    Result.Stats = Serial->stats();
-    Result.Reports = Serial->reporter();
-  } else {
-    Result.EpochBackend = true;
-    Result.Epoch = Epoch->stats();
-  }
+  collectDetection(Serial.get(), Sharded.get(), Epoch.get(), Result);
   // No heap exists in a replay run; formatRace degrades to object indices.
   {
     Span FormatSpan(Metrics, "format-reports");
@@ -711,6 +734,7 @@ PipelineResult herd::replayTracePipeline(const Program &Input,
     Result.ProvenanceOn = true;
     Result.Provenance = std::move(*Prov);
   }
+  recordRunCounters(Metrics, Result);
 
   if (Config.DetectDeadlocks)
     collectDeadlockResults(Input, Deadlocks, Result);

@@ -20,6 +20,7 @@
 #include "detect/ShardedRuntime.h"
 #include "detect/TraceFile.h"
 #include "support/ByteRle.h"
+#include "support/TempPath.h"
 
 #include "gtest/gtest.h"
 
@@ -73,8 +74,9 @@ bool readFile(const std::string &Path, std::vector<uint8_t> &Out) {
   return Read == Out.size();
 }
 
-/// Decompresses one corpus entry to a temp trace file; returns its path.
-std::string inflateToTemp(const CorpusEntry &E) {
+/// Decompresses one corpus entry to a scratch trace file, removed when the
+/// returned path dies.
+TempPath inflateToTemp(const CorpusEntry &E) {
   std::vector<uint8_t> Packed;
   EXPECT_TRUE(
       readFile(std::string(HERD_CORPUS_DIR) + "/" + E.File, Packed))
@@ -83,8 +85,8 @@ std::string inflateToTemp(const CorpusEntry &E) {
   std::vector<uint8_t> Raw;
   EXPECT_TRUE(rleDecompress(Packed, Raw)) << E.File;
   EXPECT_EQ(Raw.size(), E.RawBytes) << E.File;
-  std::string Path = "/tmp/herd_corpus_test_" + E.Workload + ".trace";
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  TempPath Path("corpus-test-" + E.Workload);
+  std::FILE *F = std::fopen(Path.str().c_str(), "wb");
   EXPECT_NE(F, nullptr);
   if (F) {
     EXPECT_EQ(std::fwrite(Raw.data(), 1, Raw.size(), F), Raw.size());
@@ -117,7 +119,7 @@ TEST(TraceCorpus, ManifestPresent) {
 TEST(TraceCorpus, SerialAndShardedAgreeWithManifest) {
   for (const CorpusEntry &E : readManifest()) {
     SCOPED_TRACE(E.Workload);
-    std::string Path = inflateToTemp(E);
+    TempPath Path = inflateToTemp(E);
 
     RaceRuntime Serial;
     ASSERT_TRUE(replay(Path, Serial));
@@ -134,7 +136,6 @@ TEST(TraceCorpus, SerialAndShardedAgreeWithManifest) {
       EXPECT_EQ(Sharded.reporter().reportedLocations(), SerialRacy)
           << Shards << " shards";
     }
-    std::remove(Path.c_str());
   }
 }
 
@@ -145,7 +146,7 @@ TEST(TraceCorpus, EpochAndVectorClockAgreeAtScale) {
   // and fuzz_test.cpp pin on small traces.
   for (const CorpusEntry &E : readManifest()) {
     SCOPED_TRACE(E.Workload);
-    std::string Path = inflateToTemp(E);
+    TempPath Path = inflateToTemp(E);
 
     VectorClockDetector VC;
     ASSERT_TRUE(replay(Path, VC));
@@ -157,7 +158,6 @@ TEST(TraceCorpus, EpochAndVectorClockAgreeAtScale) {
     EpochStats S = Epoch.stats();
     EXPECT_EQ(S.Events, S.Reads + S.Writes);
     EXPECT_GT(S.SameEpochReads + S.SameEpochWrites, 0u);
-    std::remove(Path.c_str());
   }
 }
 

@@ -31,6 +31,7 @@
 #include "detect/AccessCache.h"
 #include "detect/AccessFilter.h"
 #include "herd/Pipeline.h"
+#include "support/TempPath.h"
 
 #include <gtest/gtest.h>
 
@@ -343,22 +344,20 @@ TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
   // event travels the fanout path and the recorded bytes are identical
   // with the filter on and off.
   for (auto &[Name, P] : namedCorpus()) {
-    std::string OnPath =
-        ::testing::TempDir() + "herd_hookfilter_on_" + Name + ".trace";
-    std::string OffPath =
-        ::testing::TempDir() + "herd_hookfilter_off_" + Name + ".trace";
+    TempPath OnPath("hookfilter-on-" + Name);
+    TempPath OffPath("hookfilter-off-" + Name);
 
     ToolConfig Rec = ToolConfig::full();
     Rec.Seed = 21;
     Rec.HookFilter = true;
-    Rec.RecordTracePath = OnPath;
+    Rec.RecordTracePath = OnPath.str();
     PipelineResult On = runPipeline(P, Rec);
     ASSERT_TRUE(On.Run.Ok && On.Trace.Ok) << On.Run.Error << On.Trace.Error;
     EXPECT_EQ(On.Stats.Hook.FilterHits, 0u)
         << "recording must disable the L0 filter so the trace is complete";
 
     Rec.HookFilter = false;
-    Rec.RecordTracePath = OffPath;
+    Rec.RecordTracePath = OffPath.str();
     PipelineResult Off = runPipeline(P, Rec);
     ASSERT_TRUE(Off.Run.Ok && Off.Trace.Ok);
 
@@ -386,8 +385,6 @@ TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
           << Name << ": replay must reproduce the live run's races";
       EXPECT_EQ(RefReplay.FormattedRaces.size(), On.FormattedRaces.size());
     }
-    std::remove(OnPath.c_str());
-    std::remove(OffPath.c_str());
   }
 }
 

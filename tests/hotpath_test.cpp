@@ -24,6 +24,7 @@
 #include "support/Arena.h"
 #include "support/LockSetInterner.h"
 #include "support/Rng.h"
+#include "support/TempPath.h"
 
 #include <gtest/gtest.h>
 
@@ -328,8 +329,8 @@ std::vector<RecordKey> keysOf(const RaceReporter &Reporter) {
 /// same order); the sharded runtimes must produce the same multiset of
 /// records (shards interleave report emission, but each location's
 /// detector sees the identical ordered event sequence).
-void checkDifferential(const Program &P, uint64_t Seed,
-                       const std::string &TracePath) {
+void checkDifferential(const Program &P, uint64_t Seed) {
+  TempPath TracePath("hotpath-diff");
   RaceRuntime Live;
   TraceWriter Writer;
   ASSERT_TRUE(Writer.open(TracePath).Ok);
@@ -370,27 +371,20 @@ void checkDifferential(const Program &P, uint64_t Seed,
     EXPECT_EQ(Keys, SortedLive)
         << "sharded replay (" << Shards << " shards) diverged";
   }
-
-  std::remove(TracePath.c_str());
 }
 
 TEST(HotPathDifferential, HandWrittenPrograms) {
   // Figure 2 in both flavours (distinct locks = racy, same lock = clean)
   // and the Figure 3 loop.
-  checkDifferential(testprogs::buildFigure2(/*SamePQ=*/false), 1,
-                    "/tmp/herd_hotpath_diff_fig2racy.trace");
-  checkDifferential(testprogs::buildFigure2(/*SamePQ=*/true), 1,
-                    "/tmp/herd_hotpath_diff_fig2clean.trace");
-  checkDifferential(testprogs::buildFig3Loop(16), 1,
-                    "/tmp/herd_hotpath_diff_fig3.trace");
+  checkDifferential(testprogs::buildFigure2(/*SamePQ=*/false), 1);
+  checkDifferential(testprogs::buildFigure2(/*SamePQ=*/true), 1);
+  checkDifferential(testprogs::buildFig3Loop(16), 1);
 }
 
 TEST(HotPathDifferential, FuzzedPrograms) {
   for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
     Program P = fuzzprogs::generateProgram(Seed);
-    checkDifferential(P, Seed,
-                      "/tmp/herd_hotpath_diff_fuzz" + std::to_string(Seed) +
-                          ".trace");
+    checkDifferential(P, Seed);
   }
 }
 

@@ -27,6 +27,7 @@
 #include "herd/Pipeline.h"
 #include "support/Arena.h"
 #include "support/FlatTable.h"
+#include "support/TempPath.h"
 #include "workloads/Workloads.h"
 
 #include "gtest/gtest.h"
@@ -110,9 +111,9 @@ TEST(PlanEquivalence, ReplayHonorsExplicitPlan) {
   // explicit plan: identical reports.  Replay has no analysis results, so
   // Auto degrades to no plan there — also checked.
   Program P = buildFigure2(/*SamePQ=*/true);
-  std::string Path = "/tmp/herd_plan_test.trace";
+  TempPath Path("plan-test");
   ToolConfig Config = ToolConfig::full();
-  Config.RecordTracePath = Path;
+  Config.RecordTracePath = Path.str();
   PipelineResult Live = runPipeline(P, Config);
   ASSERT_TRUE(Live.Run.Ok) << Live.Run.Error;
   ASSERT_TRUE(Live.Trace.Ok) << Live.Trace.Error;
@@ -140,7 +141,6 @@ TEST(PlanEquivalence, ReplayHonorsExplicitPlan) {
     ASSERT_TRUE(Explicit.Run.Ok) << Explicit.Run.Error;
     EXPECT_EQ(Explicit.FormattedRaces, Off.FormattedRaces);
   }
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===

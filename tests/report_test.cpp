@@ -29,6 +29,8 @@
 #include "herd/Pipeline.h"
 #include "herd/ReportExport.h"
 #include "runtime/Interpreter.h"
+#include "support/Rng.h"
+#include "support/TempPath.h"
 
 #include <gtest/gtest.h>
 
@@ -41,10 +43,6 @@
 using namespace herd;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + Name;
-}
 
 /// Sorted fingerprint multiset of every retained record — the structural
 /// race-set identity the differentials compare.
@@ -262,6 +260,168 @@ TEST(RaceReporterTest, CountingQueriesAndClear) {
 }
 
 //===----------------------------------------------------------------------===
+// The reporter against a brute-force model, at several caps.
+//===----------------------------------------------------------------------===
+
+/// RaceReporter's documented semantics recomputed with plain containers and
+/// linear scans: no lazy fold, no fingerprint or location index.
+struct ModelReporter {
+  explicit ModelReporter(size_t Capacity) : Capacity(Capacity) {}
+
+  RaceReporter::Group *find(uint64_t Fingerprint) {
+    for (RaceReporter::Group &G : Groups)
+      if (G.Fingerprint == Fingerprint)
+        return &G;
+    return nullptr;
+  }
+
+  /// One occurrence of \p Rec: retained while there is room, else counted
+  /// against its group or as dropped.
+  void deliver(const RaceRecord &Rec) {
+    RaceReporter::Group *G = find(Rec.Fingerprint);
+    if (Records.size() < Capacity) {
+      if (G)
+        ++G->Count;
+      else
+        Groups.push_back({Rec.Fingerprint, uint32_t(Records.size()), 1});
+      Records.push_back(Rec);
+    } else if (G) {
+      ++G->Count;
+    } else {
+      ++Dropped;
+    }
+  }
+
+  void report(RaceRecord Rec) {
+    Rec.Fingerprint = raceFingerprint(Rec);
+    ++Total;
+    Locations.insert(Rec.Location);
+    deliver(Rec);
+  }
+
+  void merge(const ModelReporter &Other) {
+    for (const RaceRecord &Rec : Other.Records)
+      deliver(Rec);
+    // Occurrences the other reporter counted past its cap ride along as
+    // count excess over the records it kept.
+    for (const RaceReporter::Group &G : Other.Groups) {
+      uint64_t Kept = 0;
+      for (const RaceRecord &Rec : Other.Records)
+        Kept += Rec.Fingerprint == G.Fingerprint;
+      if (RaceReporter::Group *Mine = find(G.Fingerprint))
+        Mine->Count += G.Count - Kept;
+      else
+        Dropped += G.Count - Kept;
+    }
+    Locations.insert(Other.Locations.begin(), Other.Locations.end());
+    Dropped += Other.Dropped;
+    Total += Other.Total;
+  }
+
+  size_t Capacity;
+  std::vector<RaceRecord> Records;
+  std::vector<RaceReporter::Group> Groups;
+  std::set<LocationKey> Locations;
+  uint64_t Dropped = 0;
+  uint64_t Total = 0;
+};
+
+void expectMatchesModel(const RaceReporter &Real, const ModelReporter &Model,
+                        const std::string &What) {
+  SCOPED_TRACE(What);
+  EXPECT_EQ(Real.reportedLocations(), Model.Locations);
+  EXPECT_EQ(Real.countDistinctLocations(), Model.Locations.size());
+  std::set<ObjectId> Objects;
+  for (LocationKey Location : Model.Locations)
+    Objects.insert(Location.object());
+  EXPECT_EQ(Real.countDistinctObjects(), Objects.size());
+  ASSERT_EQ(Real.size(), Model.Records.size());
+  for (size_t I = 0; I != Model.Records.size(); ++I) {
+    EXPECT_EQ(Real.records()[I].Location, Model.Records[I].Location);
+    EXPECT_EQ(Real.records()[I].Fingerprint, Model.Records[I].Fingerprint);
+  }
+  ASSERT_EQ(Real.groups().size(), Model.Groups.size());
+  for (size_t I = 0; I != Model.Groups.size(); ++I) {
+    EXPECT_EQ(Real.groups()[I].Fingerprint, Model.Groups[I].Fingerprint);
+    EXPECT_EQ(Real.groups()[I].FirstRecord, Model.Groups[I].FirstRecord);
+    EXPECT_EQ(Real.groups()[I].Count, Model.Groups[I].Count);
+  }
+  EXPECT_EQ(Real.droppedRecords(), Model.Dropped);
+  EXPECT_EQ(Real.totalReported(), Model.Total);
+}
+
+/// A seeded report stream over hundreds of locations: 120 objects with
+/// gaps between their ids (0 included), five fields each plus the whole
+/// array, interleaved across objects, and now and then the all-ones key
+/// next to a real key of its object.  Few sites, so fingerprints repeat.
+std::vector<RaceRecord> randomStream(uint64_t Seed, size_t Length) {
+  Rng R(Seed);
+  std::vector<RaceRecord> Out;
+  for (size_t I = 0; I != Length; ++I) {
+    ObjectId Object(uint32_t(R.nextBelow(120) * 3));
+    LocationKey Location =
+        R.nextChance(1, 8)
+            ? LocationKey::forArray(Object)
+            : LocationKey::forField(Object, FieldId(uint32_t(R.nextBelow(5))));
+    if (R.nextChance(1, 100))
+      Location = R.nextChance(1, 2)
+                     ? LocationKey()
+                     : LocationKey::forField(ObjectId(0xFFFFFFFF), FieldId(3));
+    uint32_t CurSite = uint32_t(R.nextBelow(6));
+    AccessKind CurKind = R.nextChance(1, 2) ? AccessKind::Write
+                                            : AccessKind::Read;
+    uint32_t PriorSite = uint32_t(R.nextBelow(6));
+    AccessKind PriorKind = R.nextChance(1, 2) ? AccessKind::Write
+                                              : AccessKind::Read;
+    Out.push_back(
+        makeRecord(Location, CurSite, CurKind, PriorSite, PriorKind));
+  }
+  return Out;
+}
+
+class ReporterOracleTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ReporterOracleTest, CountsGroupsAndMergesMatchBruteForce) {
+  const size_t Cap = GetParam();
+  std::vector<RaceReporter> Reporters;
+  std::vector<ModelReporter> Models;
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    RaceReporter Real(Cap);
+    ModelReporter Model(Cap);
+    std::vector<RaceRecord> Stream = randomStream(Seed, 1000 + 500 * Seed);
+    for (size_t I = 0; I != Stream.size(); ++I) {
+      Real.report(Stream[I]);
+      Model.report(Stream[I]);
+      if (I % 97 == 0) // fold part of the stream early
+        (void)Real.countDistinctObjects();
+    }
+    ASSERT_GE(Model.Locations.size(), 300u) << "seed " << Seed;
+    expectMatchesModel(Real, Model, "seed " + std::to_string(Seed));
+    Reporters.push_back(std::move(Real));
+    Models.push_back(std::move(Model));
+  }
+  // Merge two and then three of them, into a reporter of the same cap and
+  // into a roomy one.
+  for (size_t DestCap : {Cap, RaceReporter::DefaultCapacity}) {
+    for (size_t Sources : {2u, 3u}) {
+      RaceReporter Real(DestCap);
+      ModelReporter Model(DestCap);
+      for (size_t I = 0; I != Sources; ++I) {
+        Real.merge(Reporters[I]);
+        Model.merge(Models[I]);
+      }
+      expectMatchesModel(Real, Model,
+                         "merge of " + std::to_string(Sources) +
+                             " into cap " + std::to_string(DestCap));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Caps, ReporterOracleTest,
+                         ::testing::Values(size_t(1), size_t(16),
+                                           RaceReporter::DefaultCapacity));
+
+//===----------------------------------------------------------------------===
 // Fingerprint stability across pipeline configurations.
 //===----------------------------------------------------------------------===
 
@@ -284,11 +444,11 @@ TEST(FingerprintDifferentialTest, StableAcrossDispatchShardsAndHookFilter) {
                    ToolConfig::noPeeling()});
 
   for (const Case &C : Cases) {
-    std::string Path = tempPath("herd_report_" + C.Name + ".trace");
+    TempPath Path("report-" + C.Name);
     ToolConfig Base = C.Cfg;
     Base.Seed = 7;
     Base.Dispatch = DispatchMode::Threaded;
-    Base.RecordTracePath = Path;
+    Base.RecordTracePath = Path.str();
     PipelineResult Want = runPipeline(C.P, Base);
     ASSERT_TRUE(Want.Run.Ok) << C.Name << ": " << Want.Run.Error;
     ASSERT_TRUE(Want.Trace.Ok) << Want.Trace.Error;
@@ -322,8 +482,6 @@ TEST(FingerprintDifferentialTest, StableAcrossDispatchShardsAndHookFilter) {
     PipelineResult Replayed = replayTracePipeline(C.P, Replay, Path);
     ASSERT_TRUE(Replayed.Trace.Ok) << Replayed.Trace.Error;
     expectSame("replay", Replayed);
-
-    std::remove(Path.c_str());
   }
 }
 
@@ -423,7 +581,7 @@ TEST(ProvenanceDifferentialTest, VectorClockReplayIdenticalWithStore) {
   // Third backend family: a vector-clock baseline consuming a recorded
   // trace with and without a ProvenanceStore fanned out next to it.
   Program P = testprogs::buildCounter(/*Locked=*/false, 25).P;
-  std::string Path = tempPath("herd_report_vc.trace");
+  TempPath Path("report-vc");
   {
     TraceWriter Writer;
     ASSERT_TRUE(Writer.open(Path).Ok);
@@ -455,17 +613,16 @@ TEST(ProvenanceDifferentialTest, VectorClockReplayIdenticalWithStore) {
       << "need a racy trace for the comparison to mean anything";
   EXPECT_EQ(Alone.reportedLocations(), WithStore.reportedLocations());
   EXPECT_GT(Prov.accessesObserved(), 0u);
-  std::remove(Path.c_str());
 }
 
 TEST(ProvenanceDifferentialTest, ReplayPipelineCarriesProvenance) {
   // v1 traces record sites on every record, so provenance works offline:
   // a replayed run with --provenance=on enriches from the trace alone.
   Program P = testprogs::buildFigure2(/*SamePQ=*/false);
-  std::string Path = tempPath("herd_report_replay_prov.trace");
+  TempPath Path("report-replay-prov");
   ToolConfig Rec = ToolConfig::full();
   Rec.Seed = 5;
-  Rec.RecordTracePath = Path;
+  Rec.RecordTracePath = Path.str();
   PipelineResult Live = runPipeline(P, Rec);
   ASSERT_TRUE(Live.Run.Ok);
   ASSERT_TRUE(Live.Trace.Ok) << Live.Trace.Error;
@@ -481,7 +638,6 @@ TEST(ProvenanceDifferentialTest, ReplayPipelineCarriesProvenance) {
   EXPECT_TRUE(ROn.ProvenanceOn);
   EXPECT_GT(ROn.Provenance.accessesObserved(), 0u);
   EXPECT_EQ(fingerprints(ROff.Reports), fingerprints(ROn.Reports));
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===

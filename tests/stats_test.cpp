@@ -26,11 +26,14 @@
 #include "herd/StatsJson.h"
 #include "runtime/InterpProfiler.h"
 #include "support/Metrics.h"
+#include "support/TempPath.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -606,6 +609,57 @@ TEST(ObservabilityTest, PipelinePhaseSpansAllPresent) {
         "sync-analysis", "escape", "race-pairs", "plan", "instrument",
         "fuse", "execute", "detect-drain", "format-reports"})
     EXPECT_TRUE(Names.count(Phase)) << Phase;
+}
+
+TEST(ObservabilityTest, ReplayRunStatsMatchTheRecordedLiveRun) {
+  // A replay knows from the trace how many accesses and thread creations
+  // the live run had; sync records count as neither.  It records the same
+  // run.* counters, with instructions and context switches 0 (nothing is
+  // interpreted).
+  struct Case {
+    const char *Name;
+    Program P;
+  };
+  Case Cases[] = {{"mtrt", buildMtrt().P},
+                  {"figure2", testprogs::buildFigure2(/*SamePQ=*/false)}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    TempPath Path(std::string("stats-parity-") + C.Name);
+    MetricsRegistry LiveReg;
+    ToolConfig Live = ToolConfig::full();
+    Live.Metrics = &LiveReg;
+    Live.RecordTracePath = Path.str();
+    PipelineResult L = runPipeline(C.P, Live);
+    ASSERT_TRUE(L.Run.Ok && L.Trace.Ok) << L.Run.Error << L.Trace.Error;
+
+    MetricsRegistry ReplayReg;
+    ToolConfig Replay = ToolConfig::full();
+    Replay.Metrics = &ReplayReg;
+    PipelineResult R = replayTracePipeline(C.P, Replay, Path);
+    ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
+
+    EXPECT_GT(L.TraceRecords, L.Run.AccessEvents) << "sync records expected";
+    EXPECT_EQ(R.Run.AccessEvents, L.Run.AccessEvents);
+    EXPECT_EQ(R.Run.ThreadsCreated, L.Run.ThreadsCreated);
+    EXPECT_GT(R.Run.ThreadsCreated, 1u);
+    EXPECT_EQ(R.Run.InstructionsExecuted, 0u);
+    EXPECT_EQ(R.Run.ContextSwitches, 0u);
+
+    std::map<std::string, uint64_t> LiveRun, ReplayRun;
+    for (const auto &[Name, Value] : LiveReg.counterValues())
+      if (Name.rfind("run.", 0) == 0)
+        LiveRun[Name] = Value;
+    for (const auto &[Name, Value] : ReplayReg.counterValues())
+      if (Name.rfind("run.", 0) == 0)
+        ReplayRun[Name] = Value;
+    ASSERT_EQ(ReplayRun.size(), 4u);
+    ASSERT_EQ(LiveRun.size(), 4u);
+    EXPECT_EQ(ReplayRun["run.access_events"], LiveRun["run.access_events"]);
+    EXPECT_EQ(ReplayRun["run.races"], LiveRun["run.races"]);
+    EXPECT_GT(ReplayRun["run.races"], 0u);
+    EXPECT_EQ(ReplayRun["run.instructions"], 0u);
+    EXPECT_EQ(ReplayRun["run.context_switches"], 0u);
+  }
 }
 
 } // namespace

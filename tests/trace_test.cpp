@@ -21,10 +21,10 @@
 #include "detect/TraceFile.h"
 #include "herd/Pipeline.h"
 #include "runtime/Interpreter.h"
+#include "support/TempPath.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -34,10 +34,6 @@
 using namespace herd;
 
 namespace {
-
-std::string tempPath(const std::string &Name) {
-  return ::testing::TempDir() + Name;
-}
 
 std::vector<uint8_t> readAll(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
@@ -101,12 +97,10 @@ TEST(TracePipelineTest, ReplayMatchesLiveAcrossRuntimesAndSeeds) {
   // of replay.
   for (const NamedProgram &Prog : tracePrograms()) {
     for (uint64_t Seed : {1ull, 2ull, 3ull}) {
-      std::string Path =
-          tempPath("herd_" + Prog.Name + "_s" + std::to_string(Seed) +
-                   ".trace");
+      TempPath Path(Prog.Name + "-s" + std::to_string(Seed));
       ToolConfig Cfg = ToolConfig::full();
       Cfg.Seed = Seed;
-      Cfg.RecordTracePath = Path;
+      Cfg.RecordTracePath = Path.str();
       PipelineResult Live = runPipeline(Prog.P, Cfg);
       ASSERT_TRUE(Live.Run.Ok)
           << Prog.Name << " seed " << Seed << ": " << Live.Run.Error;
@@ -130,7 +124,6 @@ TEST(TracePipelineTest, ReplayMatchesLiveAcrossRuntimesAndSeeds) {
         EXPECT_EQ(Want, canonicalRecords(Replayed.Reports))
             << Prog.Name << " seed " << Seed << " shards " << Shards;
       }
-      std::remove(Path.c_str());
     }
   }
 }
@@ -138,7 +131,7 @@ TEST(TracePipelineTest, ReplayMatchesLiveAcrossRuntimesAndSeeds) {
 TEST(TracePipelineTest, RecordingDoesNotPerturbDetection) {
   // The trace writer is a passive fanout sink: a recorded run must report
   // exactly what the same run without recording reports.
-  std::string Path = tempPath("herd_perturb.trace");
+  TempPath Path("perturb");
   for (const NamedProgram &Prog : tracePrograms()) {
     ToolConfig Plain = ToolConfig::full();
     Plain.Seed = 7;
@@ -146,7 +139,7 @@ TEST(TracePipelineTest, RecordingDoesNotPerturbDetection) {
     ASSERT_TRUE(Bare.Run.Ok) << Bare.Run.Error;
 
     ToolConfig Rec = Plain;
-    Rec.RecordTracePath = Path;
+    Rec.RecordTracePath = Path.str();
     PipelineResult Recorded = runPipeline(Prog.P, Rec);
     ASSERT_TRUE(Recorded.Run.Ok) << Recorded.Run.Error;
     ASSERT_TRUE(Recorded.Trace.Ok) << Recorded.Trace.Error;
@@ -158,7 +151,6 @@ TEST(TracePipelineTest, RecordingDoesNotPerturbDetection) {
               canonicalRecords(Recorded.Reports))
         << Prog.Name;
   }
-  std::remove(Path.c_str());
 }
 
 TEST(TraceBaselineTest, BaselineReplayMatchesLiveBaseline) {
@@ -167,8 +159,7 @@ TEST(TraceBaselineTest, BaselineReplayMatchesLiveBaseline) {
   // instance, compare reported locations.
   Program P = testprogs::buildCounter(/*Locked=*/false, 25).P;
   for (uint64_t Seed : {1ull, 2ull, 3ull}) {
-    std::string Path =
-        tempPath("herd_baseline_s" + std::to_string(Seed) + ".trace");
+    TempPath Path("baseline-s" + std::to_string(Seed));
     EraserDetector LiveEraser;
     VectorClockDetector LiveVC;
     TraceWriter Writer;
@@ -200,7 +191,6 @@ TEST(TraceBaselineTest, BaselineReplayMatchesLiveBaseline) {
         << "seed " << Seed;
     EXPECT_FALSE(LiveEraser.reportedLocations().empty())
         << "need a racy recording for the comparison to mean anything";
-    std::remove(Path.c_str());
   }
 }
 
@@ -212,7 +202,7 @@ TEST(TraceFileTest, WriterStreamsExactlySerializeBytes) {
   // The streaming writer and EventLog::serialize are two encoders of one
   // format; their output must be byte-identical.
   Program P = testprogs::buildFigure2(/*SamePQ=*/false);
-  std::string Path = tempPath("herd_stream.trace");
+  TempPath Path("stream");
 
   EventLog Log;
   TraceWriter Writer;
@@ -228,7 +218,6 @@ TEST(TraceFileTest, WriterStreamsExactlySerializeBytes) {
   EXPECT_EQ(FromFile, Log.serialize());
   EXPECT_EQ(Writer.bytesWritten(), FromFile.size());
   EXPECT_EQ(Writer.recordsWritten(), Log.size());
-  std::remove(Path.c_str());
 }
 
 TEST(TraceFileTest, WriteReadRoundTrip) {
@@ -240,12 +229,11 @@ TEST(TraceFileTest, WriteReadRoundTrip) {
   ASSERT_TRUE(Interp.run().Ok);
   ASSERT_GT(Log.size(), 0u);
 
-  std::string Path = tempPath("herd_roundtrip.trace");
+  TempPath Path("roundtrip");
   ASSERT_TRUE(writeTraceFile(Path, Log).Ok);
   EventLog Restored;
   ASSERT_TRUE(readTraceFile(Path, Restored).Ok);
   EXPECT_EQ(Restored.serialize(), Log.serialize());
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===
@@ -262,7 +250,7 @@ TEST(TraceFileTest, CorruptTracesAreRejectedWithDiagnostics) {
                AccessKind::Write, SiteId(3));
   Log.onMonitorExit(ThreadId(0), LockId(1), false);
   std::vector<uint8_t> Good = Log.serialize();
-  std::string Path = tempPath("herd_corrupt.trace");
+  TempPath Path("corrupt");
 
   auto expectRejected = [&](std::vector<uint8_t> Bytes, const char *What) {
     writeAll(Path, Bytes);
@@ -326,22 +314,21 @@ TEST(TraceFileTest, CorruptTracesAreRejectedWithDiagnostics) {
   EventLog Out;
   EXPECT_TRUE(readTraceFile(Path, Out).Ok);
   EXPECT_EQ(Out.serialize(), Good);
-  std::remove(Path.c_str());
 }
 
 TEST(TracePipelineTest, ReplayErrorsSurfaceDiagnostics) {
   Program P = testprogs::buildFigure2(/*SamePQ=*/false);
 
   // Nonexistent file.
-  PipelineResult Missing = replayTracePipeline(
-      P, ToolConfig::full(), tempPath("herd_does_not_exist.trace"));
+  PipelineResult Missing = replayTracePipeline(P, ToolConfig::full(),
+                                               TempPath("does-not-exist"));
   EXPECT_FALSE(Missing.Trace.Ok);
   EXPECT_FALSE(Missing.Run.Ok);
   EXPECT_FALSE(Missing.Trace.Error.empty());
 
   // Corrupt file, through the sharded runtime: workers must still shut
   // down cleanly when the replay aborts partway.
-  std::string Path = tempPath("herd_replay_corrupt.trace");
+  TempPath Path("replay-corrupt");
   EventLog Log;
   Log.onThreadCreate(ThreadId(0), ThreadId::invalid(), ObjectId(0));
   Log.onAccess(ThreadId(0), LocationKey::forField(ObjectId(1), FieldId(0)),
@@ -356,7 +343,6 @@ TEST(TracePipelineTest, ReplayErrorsSurfaceDiagnostics) {
   EXPECT_FALSE(Corrupt.Trace.Ok);
   EXPECT_FALSE(Corrupt.Run.Ok);
   EXPECT_NE(Corrupt.Run.Error.find("trace"), std::string::npos);
-  std::remove(Path.c_str());
 }
 
 TEST(TraceFileTest, WriterReportsUnopenablePath) {

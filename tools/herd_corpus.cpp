@@ -24,6 +24,7 @@
 #include "detect/TraceFile.h"
 #include "runtime/Interpreter.h"
 #include "support/ByteRle.h"
+#include "support/TempPath.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>
@@ -78,7 +79,7 @@ int main(int argc, char **argv) {
 
   std::string Manifest;
   for (Workload &W : buildAllWorkloads(Scale)) {
-    std::string RawPath = "/tmp/herd_corpus_" + W.Name + ".trace";
+    TempPath RawPath("corpus-" + W.Name);
     TraceWriter Writer;
     if (TraceResult TR = Writer.open(RawPath); !TR.Ok) {
       std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), TR.Error.c_str());
@@ -111,7 +112,7 @@ int main(int argc, char **argv) {
     std::vector<uint8_t> Raw;
     if (!readFile(RawPath, Raw)) {
       std::fprintf(stderr, "%s: cannot re-read %s\n", W.Name.c_str(),
-                   RawPath.c_str());
+                   RawPath.str().c_str());
       return 1;
     }
     std::vector<uint8_t> Packed = rleCompress(Raw);
@@ -121,7 +122,6 @@ int main(int argc, char **argv) {
                    Dir.c_str(), File.c_str());
       return 1;
     }
-    std::remove(RawPath.c_str());
 
     char Line[256];
     std::snprintf(Line, sizeof(Line), "%s %s %u %llu %zu %zu %zu\n",
