@@ -6,199 +6,24 @@
 
 #include "detect/RaceRuntime.h"
 
-#include <cassert>
-
 using namespace herd;
 
+template class herd::AccessFrontEnd<RaceRuntime>;
+
 RaceRuntime::RaceRuntime(RaceRuntimeOptions Opts)
-    : Opts(Opts), FilterOn(Opts.HookFilter && Opts.UseCache),
-      // Field merging is applied here (before the cache) so that the cache
-      // and the detector index the same keys; the detector's own option
-      // stays off to avoid re-merging.
+    : AccessFrontEnd(Opts),
+      // The front end merges fields before the cache, so the detector's
+      // own option stays off to avoid re-merging.
       Det(Reporter, Detector::Options{Opts.UseOwnership, /*FieldsMerged=*/false},
           &Interner) {
   Det.applyPlan(Opts.Plan);
-  if (uint64_t N = Opts.Plan.clamped().ExpectedThreads)
-    Threads.reserve(size_t(N) + 1); // +1: thread ids are 1-based, slot 0 main
-  Det.setOnShared([this](LocationKey Key) {
-    if (!this->Opts.UseCache)
-      return;
-    // Section 7.2: a location entering the shared state must leave every
-    // thread's cache, otherwise a cache hit could suppress the first
-    // post-sharing access.  The L0 filter mirrors the caches, so it must
-    // drop the key everywhere too (docs/HOOKPATH.md).
-    for (auto &T : Threads) {
-      if (!T)
-        continue;
-      T->ReadCache.evictKey(Key);
-      T->WriteCache.evictKey(Key);
-      if (FilterOn)
-        T->Filter.invalidateKey(Key);
-    }
-  });
+  Det.setOnShared([this](LocationKey Key) { evictShared(Key); });
 }
 
 RaceRuntime::~RaceRuntime() = default;
 
-RaceRuntime::PerThread &RaceRuntime::threadState(ThreadId Thread) {
-  size_t Index = Thread.index();
-  if (Index >= Threads.size())
-    Threads.resize(Index + 1);
-  if (!Threads[Index])
-    Threads[Index] = std::make_unique<PerThread>(Opts.CacheEntries);
-  return *Threads[Index];
-}
-
-const LockSet &RaceRuntime::lockSetOf(ThreadId Thread) const {
-  static const LockSet Empty;
-  size_t Index = Thread.index();
-  if (Index >= Threads.size() || !Threads[Index])
-    return Empty;
-  return Threads[Index]->Locks;
-}
-
-void RaceRuntime::onThreadCreate(ThreadId Child, ThreadId Parent,
-                                 ObjectId ThreadObj, SiteId Site) {
-  (void)Parent;
-  (void)ThreadObj;
-  (void)Site;
-  PerThread &T = threadState(Child);
-  if (Opts.ModelJoin) {
-    // A dummy mon-enter(S_child) at the start of the child's execution
-    // (Section 2.3).  The dummy lock is not releasable during the thread's
-    // life, so it is not tagged for cache eviction (see AccessCache docs).
-    T.Locks.insert(dummyLockOf(Child));
-    T.LocksDirty = true;
-    if (FilterOn)
-      T.Filter.bumpEpoch();
-  }
-}
-
-void RaceRuntime::onThreadExit(ThreadId Dying) {
-  if (!Opts.ModelJoin)
-    return;
-  // The dummy mon-exit(S_dying) at the end of the thread's execution.
-  PerThread &T = threadState(Dying);
-  T.Locks.erase(dummyLockOf(Dying));
-  T.LocksDirty = true;
-  if (FilterOn)
-    T.Filter.bumpEpoch();
-}
-
-void RaceRuntime::onThreadJoin(ThreadId Joiner, ThreadId Joined) {
-  if (!Opts.ModelJoin)
-    return;
-  // A dummy mon-enter(S_joined) after the join completes: everything the
-  // joiner does from now on is ordered after the joined thread, which held
-  // S_joined for its entire execution.  The dummy lock is held forever.
-  PerThread &T = threadState(Joiner);
-  T.Locks.insert(dummyLockOf(Joined));
-  T.LocksDirty = true;
-  if (FilterOn)
-    T.Filter.bumpEpoch();
-}
-
-void RaceRuntime::onMonitorEnter(ThreadId Thread, LockId Lock,
-                                 bool Recursive, SiteId Site) {
-  (void)Site;
-  if (Recursive)
-    return; // nested acquisitions are invisible to the detector (Sec 4.2)
-  PerThread &T = threadState(Thread);
-  T.Locks.insert(Lock);
-  T.LocksDirty = true;
-  T.RealStack.push_back(Lock);
-  if (FilterOn)
-    T.Filter.bumpEpoch();
-}
-
-void RaceRuntime::onMonitorExit(ThreadId Thread, LockId Lock,
-                                bool StillHeld) {
-  if (StillHeld)
-    return; // only the final monitorexit releases (Section 4.2)
-  PerThread &T = threadState(Thread);
-  T.Locks.erase(Lock);
-  T.LocksDirty = true;
-  assert(!T.RealStack.empty() && T.RealStack.back() == Lock &&
-         "monitor releases must be LIFO (Java structured locking)");
-  T.RealStack.pop_back();
-  if (Opts.UseCache) {
-    T.ReadCache.evictLock(Lock);
-    T.WriteCache.evictLock(Lock);
-  }
-  if (FilterOn)
-    T.Filter.bumpEpoch();
-}
-
-void RaceRuntime::onAccess(ThreadId Thread, LocationKey Location,
-                           AccessKind Access, SiteId Site) {
-  ++EventsSeen;
-  PerThread &T = threadState(Thread);
-  LocationKey Key =
-      Opts.FieldsMerged ? Location.withFieldsMerged() : Location;
-
-  AccessCache *Cache = nullptr;
-  if (Opts.UseCache) {
-    Cache = Access == AccessKind::Read ? &T.ReadCache : &T.WriteCache;
-    if (Cache->lookup(Key)) {
-      // Guaranteed redundant: a weaker access is already recorded.  Seed
-      // the L0 filter so the next same-epoch repeat short-circuits at the
-      // instrumentation site (the hit is backed by this cache entry).
-      if (FilterOn)
-        T.Filter.insert(Key, Access);
-      return;
-    }
-  }
-
-  if (T.LocksDirty) {
-    T.LocksId = Interner.intern(T.Locks);
-    T.LocksDirty = false;
-  }
-
-  DetectorEvent Event;
-  Event.Location = Key;
-  Event.Thread = Thread;
-  Event.Locks = T.LocksId;
-  Event.Access = Access;
-  Event.Site = Site;
-  Det.handleEvent(Event);
-
-  if (Cache) {
-    LockId Innermost =
-        T.RealStack.empty() ? LockId::invalid() : T.RealStack.back();
-    std::optional<LocationKey> Displaced = Cache->insert(Key, Innermost);
-    if (FilterOn) {
-      // A conflict eviction removed another key's backing cache entry; the
-      // L0 filter must not keep proving that key redundant.
-      if (Displaced)
-        T.Filter.invalidateKey(*Displaced);
-      T.Filter.insert(Key, Access);
-    }
-  }
-}
-
 RaceRuntimeStats RaceRuntime::stats() const {
-  RaceRuntimeStats S;
-  S.EventsSeen = EventsSeen;
-  S.Hook.FilterEnabled = FilterOn;
-  for (size_t Index = 0; Index < Threads.size(); ++Index) {
-    const auto &T = Threads[Index];
-    if (!T)
-      continue;
-    S.CacheHits += T->ReadCache.hits() + T->WriteCache.hits();
-    S.CacheMisses += T->ReadCache.misses() + T->WriteCache.misses();
-    S.CacheEvictions += T->ReadCache.evictions() + T->WriteCache.evictions();
-    S.Hook.FilterHits += T->Filter.hits();
-    S.Hook.FilterMisses += T->Filter.misses();
-    S.Hook.EpochBumps += T->Filter.epochBumps();
-    S.Hook.KeyInvalidations += T->Filter.keyInvalidations();
-    ThreadCacheStats TC;
-    TC.Thread = uint32_t(Index);
-    TC.ReadHits = T->ReadCache.hits();
-    TC.ReadMisses = T->ReadCache.misses();
-    TC.WriteHits = T->WriteCache.hits();
-    TC.WriteMisses = T->WriteCache.misses();
-    S.PerThreadCache.push_back(TC);
-  }
+  RaceRuntimeStats S = frontEndStats();
   S.Detector = Det.stats();
   return S;
 }

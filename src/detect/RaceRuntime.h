@@ -11,8 +11,9 @@
 ///   access event -> per-thread cache (Section 4) -> ownership filter and
 ///   trie detector (Sections 3 and 7).
 ///
-/// It maintains each thread's lockset, models join ordering with per-thread
-/// dummy locks S_j (Section 2.3), and wires the ownership-to-shared
+/// The per-thread half (locksets with dummy join locks, caches, the L0
+/// filter) is detect/AccessFrontEnd.h, shared with ShardedRuntime; this
+/// runtime adds the in-line Detector and wires its ownership-to-shared
 /// transition to cache eviction (the Section 7.2 soundness fix).
 ///
 //===----------------------------------------------------------------------===//
@@ -20,169 +21,39 @@
 #ifndef HERD_DETECT_RACERUNTIME_H
 #define HERD_DETECT_RACERUNTIME_H
 
-#include "detect/AccessCache.h"
-#include "detect/AccessFilter.h"
+#include "detect/AccessFrontEnd.h"
 #include "detect/Detector.h"
-#include "detect/DetectorStats.h"
 #include "detect/RaceReport.h"
-#include "runtime/Hooks.h"
-#include "support/LockSetInterner.h"
-
-#include <cassert>
-#include <memory>
-#include <vector>
 
 namespace herd {
 
-/// Configuration for the runtime half of the pipeline; each flag maps to an
-/// ablation of the paper's experiments.
-struct RaceRuntimeOptions {
-  /// Per-thread read/write caches ("NoCache" disables; Table 2).
-  bool UseCache = true;
-
-  /// Ownership filter ("NoOwnership" disables; Table 3).
-  bool UseOwnership = true;
-
-  /// Object-granularity locations ("FieldsMerged"; Table 3).
-  bool FieldsMerged = false;
-
-  /// Model join ordering with dummy locks S_j (Section 2.3).  Disabling
-  /// reproduces Eraser's behaviour on the mtrt join idiom (Section 8.3).
-  bool ModelJoin = true;
-
-  /// Entries per (thread, kind) access cache; must be a power of two
-  /// (`herd --cache-size=N`).  The paper's experiments use 256.
-  uint32_t CacheEntries = 256;
-
-  /// Enable the hook-path L0 filter consulted by onAccessFast
-  /// (`herd --hook-filter=on|off`, docs/HOOKPATH.md).  Only effective
-  /// together with UseCache: the filter's differential oracle is the
-  /// detector-side cache, so without it the fast path stays off.
-  bool HookFilter = false;
-
-  /// Capacity hints from static analysis (`herd --plan=auto|off|N`).
-  /// Applied to the detector and thread table at construction; an empty
-  /// plan means on-demand growth exactly as before.
-  DetectorPlan Plan;
-};
-
-/// The runtime detection pipeline.
-class RaceRuntime : public RuntimeHooks {
+/// The runtime detection pipeline: the shared per-thread front end
+/// delivering each cache miss in line to one trie Detector.
+class RaceRuntime : public AccessFrontEnd<RaceRuntime> {
 public:
   explicit RaceRuntime(RaceRuntimeOptions Opts = {});
   ~RaceRuntime() override;
-
-  void onThreadCreate(ThreadId Child, ThreadId Parent, ObjectId ThreadObj,
-                      SiteId Site = SiteId::invalid()) override;
-  void onThreadExit(ThreadId Dying) override;
-  void onThreadJoin(ThreadId Joiner, ThreadId Joined) override;
-  void onMonitorEnter(ThreadId Thread, LockId Lock, bool Recursive,
-                      SiteId Site = SiteId::invalid()) override;
-  void onMonitorExit(ThreadId Thread, LockId Lock, bool StillHeld) override;
-  void onAccess(ThreadId Thread, LocationKey Location, AccessKind Access,
-                SiteId Site) override;
-
-  /// The devirtualized hook-path entry (docs/HOOKPATH.md): probes the
-  /// thread's L0 filter inline and only falls through to the full onAccess
-  /// path on a miss.  The interpreter calls this through a concrete
-  /// RaceRuntime pointer when the single-detector fast path is active, so
-  /// the probe inlines into the dispatch loop with no virtual hop.
-  void onAccessFast(ThreadId Thread, LocationKey Location, AccessKind Access,
-                    SiteId Site) {
-    if (FilterOn) {
-      // Thread state is fetched with an inline bounds-checked load rather
-      // than the out-of-line threadState(): a null slot (first event from
-      // this thread) falls through to onAccess, which creates it.
-      size_t Index = Thread.index();
-      PerThread *T = Index < Threads.size() ? Threads[Index].get() : nullptr;
-      if (T) {
-        LocationKey Key =
-            Opts.FieldsMerged ? Location.withFieldsMerged() : Location;
-        if (T->Filter.probe(Key, Access)) {
-          // The differential oracle: an L0 hit must be backed by a resident
-          // detector-side cache entry, i.e. the full path would have proven
-          // the same access redundant (see docs/HOOKPATH.md).
-          assert((Access == AccessKind::Read ? T->ReadCache : T->WriteCache)
-                     .provesRedundant(Key) &&
-                 "L0 filter hit not backed by the detector-side cache");
-          return;
-        }
-      }
-    }
-    RaceRuntime::onAccess(Thread, Location, Access, Site);
-  }
-
-  /// The interpreter's per-quantum probe handle (docs/HOOKPATH.md): the
-  /// running thread's L0 filter, hoisted into the dispatch loop so the
-  /// per-access probe is one register-resident pointer instead of a walk
-  /// through the runtime's thread table.  Null when the probe cannot be
-  /// hoisted — filter off, or FieldsMerged, whose key transform the
-  /// onAccessFast fallback performs.  Creates the thread's state on first
-  /// use; the returned address is stable for the thread's lifetime (state
-  /// is heap-allocated) and every invalidation channel mutates the
-  /// pointed-to filter in place.
-  AccessFilter *filterHandle(ThreadId Thread) {
-    if (!FilterOn || Opts.FieldsMerged)
-      return nullptr;
-    return &threadState(Thread).Filter;
-  }
-
-  /// The differential oracle behind the interpreter-side inline probe
-  /// (debug builds assert this on every hoisted L0 hit): the detector-side
-  /// cache must prove the same access redundant.
-  bool oracleHolds(ThreadId Thread, LocationKey Key,
-                   AccessKind Access) const {
-    size_t Index = Thread.index();
-    if (Index >= Threads.size() || !Threads[Index])
-      return false;
-    const PerThread &T = *Threads[Index];
-    return (Access == AccessKind::Read ? T.ReadCache : T.WriteCache)
-        .provesRedundant(Key);
-  }
 
   RaceReporter &reporter() { return Reporter; }
   const RaceReporter &reporter() const { return Reporter; }
 
   RaceRuntimeStats stats() const;
 
-  /// The current lockset of \p Thread (dummy join locks included); exposed
-  /// for tests.
-  const LockSet &lockSetOf(ThreadId Thread) const;
-
-  /// The dummy lock S_j modelling ordering with thread \p Thread.  Dummy
-  /// lock ids live above any heap object's lock id.
-  static LockId dummyLockOf(ThreadId Thread) {
-    return LockId((1u << 30) + Thread.index());
-  }
-
 private:
-  struct PerThread {
-    explicit PerThread(uint32_t CacheEntries)
-        : ReadCache(CacheEntries), WriteCache(CacheEntries) {}
+  friend class AccessFrontEnd<RaceRuntime>;
 
-    LockSet Locks;                    ///< held locks incl. dummy join locks
-    std::vector<LockId> RealStack;    ///< releasable locks, outer to inner
-    AccessCache ReadCache;
-    AccessCache WriteCache;
-    AccessFilter Filter;              ///< hook-path L0 filter (HookFilter)
+  void deliver(PerThread &T, ThreadId Thread, LocationKey Key,
+               AccessKind Access, SiteId Site) {
+    Det.handleEvent(eventFor(T, Interner, Thread, Key, Access, Site));
+  }
+  void syncPoint(bool /*Join*/) {}
 
-    /// Interned id of Locks, refreshed lazily: locksets only change at
-    /// monitor/thread events, so the per-access cost is a dirty-bit test
-    /// instead of a SortedIdSet copy.
-    LockSetId LocksId = LockSetInterner::emptySet();
-    bool LocksDirty = false;
-  };
-
-  PerThread &threadState(ThreadId Thread);
-
-  RaceRuntimeOptions Opts;
-  bool FilterOn; ///< Opts.HookFilter gated on Opts.UseCache (the oracle)
   RaceReporter Reporter;
   LockSetInterner Interner; ///< declared before Det, which resolves into it
   Detector Det;
-  std::vector<std::unique_ptr<PerThread>> Threads;
-  uint64_t EventsSeen = 0;
 };
+
+extern template class AccessFrontEnd<RaceRuntime>;
 
 } // namespace herd
 

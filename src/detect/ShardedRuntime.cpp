@@ -6,7 +6,6 @@
 
 #include "detect/ShardedRuntime.h"
 
-#include "detect/RaceRuntime.h"
 #include "support/Compiler.h"
 #include "support/Metrics.h"
 
@@ -174,178 +173,45 @@ DetectorStats ShardPool::aggregateDetectorStats() const {
 // ShardedRuntime
 //===----------------------------------------------------------------------===
 
+template class herd::AccessFrontEnd<ShardedRuntime>;
+
 ShardedRuntime::ShardedRuntime(ShardedRuntimeOptions Opts)
-    : Opts(Opts), FastOn(Opts.HookFilter),
-      FilterOn(Opts.HookFilter && Opts.UseCache),
+    : AccessFrontEnd(Opts), FastOn(Opts.HookFilter),
+      StageCapacity(Opts.BatchCapacity == 0 ? 1 : Opts.BatchCapacity),
       Pool(Opts.NumShards, Opts.BatchCapacity, Opts.QueueDepthBatches,
            /*Locksets=*/nullptr, Opts.Plan, Opts.Metrics) {
-  DetectorPlan Plan = Opts.Plan.clamped();
-  Ownership.reserve(Plan.ExpectedLocations);
-  if (Plan.ExpectedThreads)
-    Threads.reserve(size_t(Plan.ExpectedThreads) + 1); // ids are 1-based
+  Ownership.reserve(Opts.Plan.clamped().ExpectedLocations);
   if (FastOn)
-    Staged.Events.reserve(Opts.BatchCapacity == 0 ? 1 : Opts.BatchCapacity);
-  Ownership.setOnShared([this](LocationKey Key) {
-    if (!this->Opts.UseCache)
-      return;
-    // Section 7.2: a location entering the shared state must leave every
-    // thread's cache, otherwise a cache hit could suppress the first
-    // post-sharing access.  Ownership runs on the producer thread, so this
-    // eviction is synchronous with ingest exactly as in the serial runtime.
-    // The L0 filter mirrors the caches, so it drops the key everywhere too.
-    for (auto &T : Threads) {
-      if (!T)
-        continue;
-      T->ReadCache.evictKey(Key);
-      T->WriteCache.evictKey(Key);
-      if (FilterOn)
-        T->Filter.invalidateKey(Key);
-    }
-  });
+    Staged.Events.reserve(StageCapacity);
+  // Ownership runs on the producer thread, so the Section 7.2 eviction is
+  // synchronous with ingest exactly as in the serial runtime.
+  Ownership.setOnShared([this](LocationKey Key) { evictShared(Key); });
 }
 
 ShardedRuntime::~ShardedRuntime() { finish(); }
 
-ShardedRuntime::PerThread &ShardedRuntime::threadState(ThreadId Thread) {
-  size_t Index = Thread.index();
-  if (Index >= Threads.size())
-    Threads.resize(Index + 1);
-  if (!Threads[Index])
-    Threads[Index] = std::make_unique<PerThread>(Opts.CacheEntries);
-  return *Threads[Index];
-}
-
-void ShardedRuntime::onThreadCreate(ThreadId Child, ThreadId Parent,
-                                    ObjectId ThreadObj, SiteId Site) {
-  (void)Parent;
-  (void)ThreadObj;
-  (void)Site;
-  PerThread &T = threadState(Child);
-  if (Opts.ModelJoin) {
-    T.Locks.insert(RaceRuntime::dummyLockOf(Child));
-    T.LocksDirty = true;
-    if (FilterOn)
-      T.Filter.bumpEpoch();
-  }
-  if (FastOn)
-    flushStaged(); // sync operations are batch flush points
-}
-
-void ShardedRuntime::onThreadExit(ThreadId Dying) {
-  if (FastOn)
-    flushStaged();
-  if (!Opts.ModelJoin)
-    return;
-  PerThread &T = threadState(Dying);
-  T.Locks.erase(RaceRuntime::dummyLockOf(Dying));
-  T.LocksDirty = true;
-  if (FilterOn)
-    T.Filter.bumpEpoch();
-}
-
-void ShardedRuntime::onThreadJoin(ThreadId Joiner, ThreadId Joined) {
-  if (Opts.ModelJoin) {
-    PerThread &T = threadState(Joiner);
-    T.Locks.insert(RaceRuntime::dummyLockOf(Joined));
-    T.LocksDirty = true;
-    if (FilterOn)
-      T.Filter.bumpEpoch();
-  }
+void ShardedRuntime::syncPoint(bool Join) {
   // Join points are drain barriers: every event from before the join is
   // fully processed before execution continues, which bounds queue skew
   // and makes mid-run statistics snapshots deterministic.  drain() flushes
   // the staging batch first.
-  drain();
-}
-
-void ShardedRuntime::onMonitorEnter(ThreadId Thread, LockId Lock,
-                                    bool Recursive, SiteId Site) {
-  (void)Site;
-  if (Recursive)
-    return; // nested acquisitions are invisible to the detector (Sec 4.2)
-  PerThread &T = threadState(Thread);
-  T.Locks.insert(Lock);
-  T.LocksDirty = true;
-  T.RealStack.push_back(Lock);
-  if (FilterOn)
-    T.Filter.bumpEpoch();
-  if (FastOn)
+  if (Join)
+    drain();
+  else if (FastOn)
     flushStaged();
 }
 
-void ShardedRuntime::onMonitorExit(ThreadId Thread, LockId Lock,
-                                   bool StillHeld) {
-  if (StillHeld)
-    return; // only the final monitorexit releases (Section 4.2)
-  PerThread &T = threadState(Thread);
-  T.Locks.erase(Lock);
-  T.LocksDirty = true;
-  assert(!T.RealStack.empty() && T.RealStack.back() == Lock &&
-         "monitor releases must be LIFO (Java structured locking)");
-  T.RealStack.pop_back();
-  if (Opts.UseCache) {
-    T.ReadCache.evictLock(Lock);
-    T.WriteCache.evictLock(Lock);
-  }
-  if (FilterOn)
-    T.Filter.bumpEpoch();
-  if (FastOn)
-    flushStaged();
-}
-
-void ShardedRuntime::onAccess(ThreadId Thread, LocationKey Location,
-                              AccessKind Access, SiteId Site) {
-  ++EventsSeen;
+void ShardedRuntime::deliver(PerThread &T, ThreadId Thread, LocationKey Key,
+                             AccessKind Access, SiteId Site) {
   MergedValid = false;
-  PerThread &T = threadState(Thread);
-  LocationKey Key =
-      Opts.FieldsMerged ? Location.withFieldsMerged() : Location;
-
-  AccessCache *Cache = nullptr;
-  if (Opts.UseCache) {
-    Cache = Access == AccessKind::Read ? &T.ReadCache : &T.WriteCache;
-    if (Cache->lookup(Key)) {
-      // Guaranteed redundant: a weaker access is already recorded.  Seed
-      // the L0 filter so the next same-epoch repeat short-circuits at the
-      // instrumentation site (the hit is backed by this cache entry).
-      if (FilterOn)
-        T.Filter.insert(Key, Access);
-      return;
-    }
-  }
-
   ++EventsToDetector;
-  // The ownership filter runs before the cache insert, mirroring the
-  // serial runtime where the shared-transition eviction precedes it.
-  if (!Opts.UseOwnership || Ownership.passes(Thread, Key)) {
-    if (T.LocksDirty) {
-      T.LocksId = Pool.interner().intern(T.Locks);
-      T.LocksDirty = false;
-    }
-    DetectorEvent Event;
-    Event.Location = Key;
-    Event.Thread = Thread;
-    Event.Locks = T.LocksId;
-    Event.Access = Access;
-    Event.Site = Site;
-    if (FastOn)
-      stage(Event);
-    else
-      Pool.submit(Event);
-  }
-
-  if (Cache) {
-    LockId Innermost =
-        T.RealStack.empty() ? LockId::invalid() : T.RealStack.back();
-    std::optional<LocationKey> Displaced = Cache->insert(Key, Innermost);
-    if (FilterOn) {
-      // A conflict eviction removed another key's backing cache entry; the
-      // L0 filter must not keep proving that key redundant.
-      if (Displaced)
-        T.Filter.invalidateKey(*Displaced);
-      T.Filter.insert(Key, Access);
-    }
-  }
+  if (Opts.UseOwnership && !Ownership.passes(Thread, Key))
+    return;
+  DetectorEvent Event = eventFor(T, Pool.interner(), Thread, Key, Access, Site);
+  if (FastOn)
+    stage(Event);
+  else
+    Pool.submit(Event);
 }
 
 void ShardedRuntime::stage(const DetectorEvent &Event) {
@@ -353,8 +219,7 @@ void ShardedRuntime::stage(const DetectorEvent &Event) {
     flushStaged(); // thread switch: keep the global submit order exact
   StagedThread = Event.Thread;
   Staged.Events.push_back(Event);
-  if (Staged.Events.size() >= (Opts.BatchCapacity == 0 ? 1
-                                                       : Opts.BatchCapacity))
+  if (Staged.Events.size() >= StageCapacity)
     flushStaged();
 }
 
@@ -368,8 +233,7 @@ void ShardedRuntime::flushStaged() {
   Staged.Events.clear();
 }
 
-void ShardedRuntime::onQuantumEnd(ThreadId Thread) {
-  (void)Thread;
+void ShardedRuntime::onQuantumEnd(ThreadId /*Thread*/) {
   if (FastOn)
     flushStaged();
 }
@@ -404,30 +268,9 @@ const RaceReporter &ShardedRuntime::reporter() {
 
 RaceRuntimeStats ShardedRuntime::stats() {
   drain();
-  RaceRuntimeStats S;
-  S.EventsSeen = EventsSeen;
-  S.Hook.FilterEnabled = FilterOn;
+  RaceRuntimeStats S = frontEndStats();
   S.Hook.BatchFlushes = BatchFlushes;
   S.Hook.BatchedEvents = BatchedEvents;
-  for (size_t Index = 0; Index < Threads.size(); ++Index) {
-    const auto &T = Threads[Index];
-    if (!T)
-      continue;
-    S.CacheHits += T->ReadCache.hits() + T->WriteCache.hits();
-    S.CacheMisses += T->ReadCache.misses() + T->WriteCache.misses();
-    S.CacheEvictions += T->ReadCache.evictions() + T->WriteCache.evictions();
-    S.Hook.FilterHits += T->Filter.hits();
-    S.Hook.FilterMisses += T->Filter.misses();
-    S.Hook.EpochBumps += T->Filter.epochBumps();
-    S.Hook.KeyInvalidations += T->Filter.keyInvalidations();
-    ThreadCacheStats TC;
-    TC.Thread = uint32_t(Index);
-    TC.ReadHits = T->ReadCache.hits();
-    TC.ReadMisses = T->ReadCache.misses();
-    TC.WriteHits = T->WriteCache.hits();
-    TC.WriteMisses = T->WriteCache.misses();
-    S.PerThreadCache.push_back(TC);
-  }
   DetectorStats Agg = Pool.aggregateDetectorStats();
   S.Detector.EventsIn = EventsToDetector;
   S.Detector.WeakerFiltered = Agg.WeakerFiltered;

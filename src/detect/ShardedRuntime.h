@@ -11,10 +11,11 @@
 /// (see docs/SHARDING.md).
 ///
 /// Division of labour:
-///   - producer (the interpreter's hook thread): per-thread locksets and
-///     dummy join locks, the per-thread read/write caches, field merging,
-///     and the ownership filter — everything whose outcome the next event
-///     depends on stays synchronous;
+///   - producer (the interpreter's hook thread): the per-thread front end
+///     shared with RaceRuntime (detect/AccessFrontEnd.h: locksets and
+///     dummy join locks, read/write caches, field merging) and the
+///     ownership filter — everything whose outcome the next event depends
+///     on stays synchronous;
 ///   - shard workers: the access-history tries and race reporting — the
 ///     per-event cost the paper's measurements show dominates detection.
 ///
@@ -30,17 +31,12 @@
 #ifndef HERD_DETECT_SHARDEDRUNTIME_H
 #define HERD_DETECT_SHARDEDRUNTIME_H
 
-#include "detect/AccessCache.h"
-#include "detect/AccessFilter.h"
+#include "detect/AccessFrontEnd.h"
 #include "detect/Detector.h"
-#include "detect/DetectorStats.h"
 #include "detect/EventBatch.h"
 #include "detect/OwnershipFilter.h"
 #include "detect/RaceReport.h"
-#include "runtime/Hooks.h"
-#include "support/LockSetInterner.h"
 
-#include <cassert>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -49,33 +45,16 @@ namespace herd {
 
 class MetricsRegistry;
 
-/// Configuration of the sharded runtime.  The detection flags mirror
-/// RaceRuntimeOptions so every ablation runs sharded as well.
-struct ShardedRuntimeOptions {
+/// Configuration of the sharded runtime: every RaceRuntimeOptions
+/// detection flag, so each ablation runs sharded as well, plus the shard
+/// engine's own knobs.  HookFilter additionally stages events in a
+/// per-thread batch flushed at sync operations, quantum ends and run end
+/// (docs/HOOKPATH.md), and the Plan's location-scaled fields are sliced
+/// per shard, with the shared interner planned once at pool level.
+struct ShardedRuntimeOptions : RaceRuntimeOptions {
   uint32_t NumShards = 4;      ///< shard (and worker-thread) count
   size_t BatchCapacity = EventBatch::DefaultCapacity;
   size_t QueueDepthBatches = 16; ///< backpressure bound per shard
-
-  bool UseCache = true;
-  bool UseOwnership = true;
-  bool FieldsMerged = false;
-  bool ModelJoin = true;
-
-  /// Entries per (thread, kind) access cache; must be a power of two
-  /// (`herd --cache-size=N`).  The paper's experiments use 256.
-  uint32_t CacheEntries = 256;
-
-  /// Enable the hook-path fast path (`herd --hook-filter=on|off`,
-  /// docs/HOOKPATH.md): the per-thread L0 filter consulted by onAccessFast
-  /// (effective only with UseCache, whose entries back the filter's hits)
-  /// and per-thread staged event batches flushed at sync operations,
-  /// quantum ends and run end.
-  bool HookFilter = false;
-
-  /// Capacity hints from static analysis (`herd --plan=auto|off|N`).
-  /// Location-scaled fields are sliced per shard; the shared interner is
-  /// planned once at pool level.
-  DetectorPlan Plan;
 
   /// Observability sink (`herd --trace-json`): per-shard batch spans and
   /// queue-depth samples land here.  Null (the default) records nothing
@@ -200,71 +179,16 @@ private:
 };
 
 /// The sharded detection runtime: a drop-in alternative to RaceRuntime
-/// behind the same RuntimeHooks interface.
-class ShardedRuntime : public RuntimeHooks {
+/// behind the same RuntimeHooks interface and the same per-thread front
+/// end.  It adds the producer-side ownership filter, staging and shard
+/// submission, and flushes or drains the shards at sync points.
+class ShardedRuntime : public AccessFrontEnd<ShardedRuntime> {
 public:
   explicit ShardedRuntime(ShardedRuntimeOptions Opts = {});
   ~ShardedRuntime() override;
 
-  void onThreadCreate(ThreadId Child, ThreadId Parent, ObjectId ThreadObj,
-                      SiteId Site = SiteId::invalid()) override;
-  void onThreadExit(ThreadId Dying) override;
-  void onThreadJoin(ThreadId Joiner, ThreadId Joined) override;
-  void onMonitorEnter(ThreadId Thread, LockId Lock, bool Recursive,
-                      SiteId Site = SiteId::invalid()) override;
-  void onMonitorExit(ThreadId Thread, LockId Lock, bool StillHeld) override;
-  void onAccess(ThreadId Thread, LocationKey Location, AccessKind Access,
-                SiteId Site) override;
   void onQuantumEnd(ThreadId Thread) override;
   void onRunEnd() override;
-
-  /// The devirtualized hook-path entry (docs/HOOKPATH.md): probes the
-  /// thread's L0 filter inline and only falls through to the full onAccess
-  /// path on a miss.  The interpreter calls this through a concrete
-  /// ShardedRuntime pointer when the single-detector fast path is active.
-  void onAccessFast(ThreadId Thread, LocationKey Location, AccessKind Access,
-                    SiteId Site) {
-    if (FilterOn) {
-      // Inline bounds-checked thread-state load (see RaceRuntime's twin):
-      // a null slot falls through to onAccess, which creates it.
-      size_t Index = Thread.index();
-      PerThread *T = Index < Threads.size() ? Threads[Index].get() : nullptr;
-      if (T) {
-        LocationKey Key =
-            Opts.FieldsMerged ? Location.withFieldsMerged() : Location;
-        if (T->Filter.probe(Key, Access)) {
-          // The differential oracle: an L0 hit must be backed by a resident
-          // detector-side cache entry (see docs/HOOKPATH.md).
-          assert((Access == AccessKind::Read ? T->ReadCache : T->WriteCache)
-                     .provesRedundant(Key) &&
-                 "L0 filter hit not backed by the detector-side cache");
-          return;
-        }
-      }
-    }
-    ShardedRuntime::onAccess(Thread, Location, Access, Site);
-  }
-
-  /// The interpreter's per-quantum probe handle (see RaceRuntime's twin
-  /// and docs/HOOKPATH.md): null when the inline probe cannot be hoisted
-  /// (filter off, or FieldsMerged).
-  AccessFilter *filterHandle(ThreadId Thread) {
-    if (!FilterOn || Opts.FieldsMerged)
-      return nullptr;
-    return &threadState(Thread).Filter;
-  }
-
-  /// The differential oracle behind the interpreter-side inline probe
-  /// (debug builds assert this on every hoisted L0 hit).
-  bool oracleHolds(ThreadId Thread, LocationKey Key,
-                   AccessKind Access) const {
-    size_t Index = Thread.index();
-    if (Index >= Threads.size() || !Threads[Index])
-      return false;
-    const PerThread &T = *Threads[Index];
-    return (Access == AccessKind::Read ? T.ReadCache : T.WriteCache)
-        .provesRedundant(Key);
-  }
 
   /// Drains the shards and returns the merged reporter (shard order, then
   /// per-shard program order).
@@ -283,23 +207,12 @@ public:
   void finish();
 
 private:
-  struct PerThread {
-    explicit PerThread(uint32_t CacheEntries)
-        : ReadCache(CacheEntries), WriteCache(CacheEntries) {}
+  friend class AccessFrontEnd<ShardedRuntime>;
 
-    LockSet Locks;                 ///< held locks incl. dummy join locks
-    std::vector<LockId> RealStack; ///< releasable locks, outer to inner
-    AccessCache ReadCache;
-    AccessCache WriteCache;
-    AccessFilter Filter;           ///< hook-path L0 filter (HookFilter)
-
-    /// Interned id of Locks, refreshed lazily on the first access after a
-    /// lockset change (see RaceRuntime::PerThread).
-    LockSetId LocksId = LockSetInterner::emptySet();
-    bool LocksDirty = false;
-  };
-
-  PerThread &threadState(ThreadId Thread);
+  void deliver(PerThread &T, ThreadId Thread, LocationKey Key,
+               AccessKind Access, SiteId Site);
+  /// Sync operations are batch flush points; joins are drain barriers.
+  void syncPoint(bool Join);
   void drain();
 
   /// Staged-batch submission (HookFilter): appends to the staging batch,
@@ -308,15 +221,12 @@ private:
   void stage(const DetectorEvent &Event);
   void flushStaged();
 
-  ShardedRuntimeOptions Opts;
-  bool FastOn;   ///< Opts.HookFilter: staged batching + devirt lane
-  bool FilterOn; ///< FastOn gated on Opts.UseCache (the filter's oracle)
+  bool FastOn;          ///< Opts.HookFilter: staged batching + devirt lane
+  size_t StageCapacity; ///< events per staging batch (BatchCapacity, >= 1)
   ShardPool Pool;
   OwnershipFilter Ownership;
-  std::vector<std::unique_ptr<PerThread>> Threads;
   RaceReporter Merged;
   bool MergedValid = false;
-  uint64_t EventsSeen = 0;
   uint64_t EventsToDetector = 0; ///< post-cache events (EventsIn serially)
 
   // The per-thread staging batch (docs/HOOKPATH.md).  One buffer suffices:
@@ -328,6 +238,8 @@ private:
   uint64_t BatchFlushes = 0;
   uint64_t BatchedEvents = 0;
 };
+
+extern template class AccessFrontEnd<ShardedRuntime>;
 
 } // namespace herd
 

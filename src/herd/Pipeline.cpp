@@ -222,8 +222,12 @@ std::string_view accessName(AccessKind Access) {
 std::string formatRace(const Program &P, const Heap *TheHeap,
                        const RaceRecord &Rec) {
   LocationText L(P, TheHeap, Rec.Location);
+  // A replayed trace may name sites the program does not declare; those
+  // print like an unknown site.
+  bool KnownSite =
+      Rec.CurrentSite.isValid() && Rec.CurrentSite.index() < P.numSites();
   std::string_view Site;
-  if (Rec.CurrentSite.isValid())
+  if (KnownSite)
     Site = P.Names.text(P.site(Rec.CurrentSite).Label);
   // Dummy join locks (Section 2.3) are an implementation device; report
   // only program locks, but surface the join ordering when present.
@@ -240,7 +244,7 @@ std::string formatRace(const Program &P, const Heap *TheHeap,
       {"race on ", L.Kind, " #", L.Object, L.FieldPrefix, L.Field, ": ",
        accessName(Rec.CurrentAccess), " by thread ",
        Decimal(Rec.CurrentThread.index()),
-       Rec.CurrentSite.isValid() ? " at " : "", Site,
+       KnownSite ? " at " : "", Site,
        " conflicts with earlier ", accessName(Rec.PriorAccess),
        Rec.PriorThreadKnown ? " by thread "
                             : " (thread unknown: multiple earlier threads)",
@@ -359,48 +363,6 @@ void collectDeadlockResults(const Program &Input, DeadlockDetector &Deadlocks,
   }
 }
 
-/// Builds the detection runtime \p Config asks for (serial RaceRuntime,
-/// ShardedRuntime, or the epoch backend) into whichever of \p Serial /
-/// \p Sharded / \p Epoch applies and returns the active one as a
-/// RuntimeHooks sink.  \p Plan carries the capacity hints the caller
-/// resolved for this run (empty = no pre-sizing).
-RuntimeHooks *makeDetectionRuntime(const ToolConfig &Config,
-                                   const DetectorPlan &Plan,
-                                   std::unique_ptr<RaceRuntime> &Serial,
-                                   std::unique_ptr<ShardedRuntime> &Sharded,
-                                   std::unique_ptr<EpochDetector> &Epoch) {
-  if (Config.Backend == ToolConfig::DetectorBackend::Epoch) {
-    // Serial only (HerdOptions rejects epoch + --shards); the plan's
-    // capacity hints pre-size the clock store and location table.
-    Epoch = std::make_unique<EpochDetector>(Plan);
-    return Epoch.get();
-  }
-  if (Config.Shards >= 1) {
-    ShardedRuntimeOptions SOpts;
-    SOpts.NumShards = Config.Shards;
-    SOpts.UseCache = Config.UseCache;
-    SOpts.CacheEntries = Config.CacheEntries;
-    SOpts.UseOwnership = Config.UseOwnership;
-    SOpts.FieldsMerged = Config.FieldsMerged;
-    SOpts.ModelJoin = Config.ModelJoin;
-    SOpts.HookFilter = Config.HookFilter;
-    SOpts.Plan = Plan;
-    SOpts.Metrics = Config.Metrics;
-    Sharded = std::make_unique<ShardedRuntime>(SOpts);
-    return Sharded.get();
-  }
-  RaceRuntimeOptions RTOpts;
-  RTOpts.UseCache = Config.UseCache;
-  RTOpts.CacheEntries = Config.CacheEntries;
-  RTOpts.UseOwnership = Config.UseOwnership;
-  RTOpts.FieldsMerged = Config.FieldsMerged;
-  RTOpts.ModelJoin = Config.ModelJoin;
-  RTOpts.HookFilter = Config.HookFilter;
-  RTOpts.Plan = Plan;
-  Serial = std::make_unique<RaceRuntime>(RTOpts);
-  return Serial.get();
-}
-
 /// Resolves the plan the non-Auto modes can provide without analysis
 /// results: Explicit sizes from the CLI; Off and (analysis-less) Auto are
 /// empty.  runPipeline overrides Auto with planDetector when the static
@@ -460,36 +422,137 @@ void formatRaceResults(const Program &P, const Heap *TheHeap,
   }
 }
 
-/// Moves the drained runtime's statistics and reports into \p Result.  The
-/// serial runtime is discarded right after, so its reporter — up to 2^16
-/// records on a saturated stream — is moved out rather than copied; it is
-/// left an empty reporter, not a moved-from one.
-void collectDetection(RaceRuntime *Serial, ShardedRuntime *Sharded,
-                      EpochDetector *Epoch, PipelineResult &Result) {
-  if (Sharded) {
-    Result.Stats = Sharded->stats();
-    Result.Reports = Sharded->reporter();
-    Result.ShardBreakdown = Sharded->shardStats();
-  } else if (Serial) {
-    Result.Stats = Serial->stats();
-    Result.Reports = std::exchange(Serial->reporter(), RaceReporter());
-  } else {
-    Result.EpochBackend = true;
-    Result.Epoch = Epoch->stats();
+/// The detection core live runs and trace replay share.  It builds the
+/// runtime \p Config asks for (serial RaceRuntime, ShardedRuntime, or the
+/// epoch backend) and the sinks around it: the detector, provenance, the
+/// deadlock detector and, on a live run, the trace recorder.  Once the
+/// event source has run, finish() does everything else.
+class DetectionCore {
+public:
+  /// \p Plan carries the capacity hints resolved for this run (empty = no
+  /// pre-sizing).  \p Watch is false on an uninstrumented live ("Base")
+  /// run, which produces no access events and skips sync tracking too.
+  DetectionCore(const ToolConfig &Config, const DetectorPlan &Plan,
+                bool Watch, TraceWriter *Recorder)
+      : Config(Config) {
+    RaceRuntimeOptions RTOpts;
+    RTOpts.UseCache = Config.UseCache;
+    RTOpts.CacheEntries = Config.CacheEntries;
+    RTOpts.UseOwnership = Config.UseOwnership;
+    RTOpts.FieldsMerged = Config.FieldsMerged;
+    RTOpts.ModelJoin = Config.ModelJoin;
+    RTOpts.HookFilter = Config.HookFilter;
+    RTOpts.Plan = Plan;
+    if (Config.Backend == ToolConfig::DetectorBackend::Epoch) {
+      // Serial only (HerdOptions rejects epoch + --shards); the plan's
+      // capacity hints pre-size the clock store and location table.
+      Epoch = std::make_unique<EpochDetector>(Plan);
+      Detect = Epoch.get();
+    } else if (Config.Shards >= 1) {
+      ShardedRuntimeOptions SOpts;
+      static_cast<RaceRuntimeOptions &>(SOpts) = RTOpts;
+      SOpts.NumShards = Config.Shards;
+      SOpts.Metrics = Config.Metrics;
+      Sharded = std::make_unique<ShardedRuntime>(SOpts);
+      Detect = Sharded.get();
+    } else {
+      Serial = std::make_unique<RaceRuntime>(RTOpts);
+      Detect = Serial.get();
+    }
+    if (Watch)
+      Sinks.push_back(Detect);
+    // Provenance is a pure listener next to the detector: present only
+    // when asked for (zero-cost-when-off), and a second sink by design —
+    // which disables the devirtualized delivery lane, never the race set.
+    if (Config.Provenance && Watch) {
+      Prov.emplace();
+      Sinks.push_back(&*Prov);
+    }
+    if (Config.DetectDeadlocks)
+      Sinks.push_back(&Deadlocks);
+    if (Recorder)
+      Sinks.push_back(Recorder);
+    // FanoutHooks is only materialized when several sinks actually watch
+    // the run; a single sink is passed directly and pays no forwarding.
+    if (Sinks.size() > 1)
+      Fanout.emplace(Sinks);
   }
-}
+  DetectionCore(const DetectionCore &) = delete; // the sinks point inside
+  DetectionCore &operator=(const DetectionCore &) = delete;
 
-/// Records the run.* counters.  Live and replay runs record the same set;
-/// a replay interprets nothing, so its instructions and context switches
-/// are 0.
-void recordRunCounters(MetricsRegistry *Metrics, const PipelineResult &Result) {
-  if (!Metrics)
-    return;
-  Metrics->counter("run.instructions").add(Result.Run.InstructionsExecuted);
-  Metrics->counter("run.access_events").add(Result.Run.AccessEvents);
-  Metrics->counter("run.context_switches").add(Result.Run.ContextSwitches);
-  Metrics->counter("run.races").add(Result.FormattedRaces.size());
-}
+  /// What the event source feeds; null when nothing watches the run.
+  RuntimeHooks *hooks() {
+    if (Fanout)
+      return &*Fanout;
+    return Sinks.empty() ? nullptr : Sinks.front();
+  }
+
+  /// True when the detection runtime is the only sink, so the interpreter
+  /// may deliver accesses to it directly.
+  bool detectorOnly() const {
+    return Sinks.size() == 1 && Sinks.front() == Detect;
+  }
+  RaceRuntime *serial() const { return Serial.get(); }
+  ShardedRuntime *sharded() const { return Sharded.get(); }
+
+  /// After the event source's span, which includes onRunEnd: drains and
+  /// collects the detector (detect-drain), formats the reports
+  /// (format-reports), then hands off provenance, the run.* counters and
+  /// the deadlock results.  \p P names sites and fields, \p TheHeap (null
+  /// on replay, which has no heap) names object classes, and \p Input is
+  /// the unmodified program for the static deadlock half.
+  void finish(const Program &P, const Heap *TheHeap, const Program &Input,
+              PipelineResult &Result) {
+    MetricsRegistry *Metrics = Config.Metrics;
+    {
+      Span DrainSpan(Metrics, "detect-drain");
+      if (Sharded) {
+        Sharded->finish();
+        Result.Stats = Sharded->stats();
+        Result.Reports = Sharded->reporter();
+        Result.ShardBreakdown = Sharded->shardStats();
+      } else if (Serial) {
+        // The runtime is discarded right after, so its reporter — up to
+        // 2^16 records on a saturated stream — is moved out, not copied.
+        Result.Stats = Serial->stats();
+        Result.Reports = std::exchange(Serial->reporter(), RaceReporter());
+      } else {
+        Result.EpochBackend = true;
+        Result.Epoch = Epoch->stats();
+      }
+    }
+    {
+      Span FormatSpan(Metrics, "format-reports");
+      formatRaceResults(P, TheHeap, Epoch.get(), Prov ? &*Prov : nullptr,
+                        Result);
+    }
+    if (Prov) {
+      Result.ProvenanceOn = true;
+      Result.Provenance = std::move(*Prov);
+    }
+    // Live and replay runs record the same set; a replay interprets
+    // nothing, so its instructions and context switches are 0.
+    if (Metrics) {
+      Metrics->counter("run.instructions").add(Result.Run.InstructionsExecuted);
+      Metrics->counter("run.access_events").add(Result.Run.AccessEvents);
+      Metrics->counter("run.context_switches").add(Result.Run.ContextSwitches);
+      Metrics->counter("run.races").add(Result.FormattedRaces.size());
+    }
+    if (Config.DetectDeadlocks)
+      collectDeadlockResults(Input, Deadlocks, Result);
+  }
+
+private:
+  const ToolConfig &Config;
+  std::unique_ptr<RaceRuntime> Serial;
+  std::unique_ptr<ShardedRuntime> Sharded;
+  std::unique_ptr<EpochDetector> Epoch;
+  RuntimeHooks *Detect = nullptr;
+  std::optional<ProvenanceStore> Prov;
+  DeadlockDetector Deadlocks;
+  std::vector<RuntimeHooks *> Sinks;
+  std::optional<FanoutHooks> Fanout;
+};
 
 } // namespace
 
@@ -550,16 +613,6 @@ PipelineResult herd::runPipeline(const Program &Input,
   Result.AnalysisSeconds =
       std::chrono::duration<double>(Clock::now() - T0).count();
 
-  // Phase 3+4: execution with the runtime optimizer and detector.  The
-  // detection runtime is either the serial RaceRuntime or, with
-  // Config.Shards >= 1, the sharded batched runtime (docs/SHARDING.md) —
-  // both produce the identical race-report set for the same schedule.
-  std::unique_ptr<RaceRuntime> Serial;
-  std::unique_ptr<ShardedRuntime> Sharded;
-  std::unique_ptr<EpochDetector> Epoch;
-  RuntimeHooks *Detect =
-      makeDetectionRuntime(Config, Plan, Serial, Sharded, Epoch);
-  DeadlockDetector Deadlocks;
   TraceWriter Writer;
   if (!Config.RecordTracePath.empty()) {
     Result.Trace = Writer.open(Config.RecordTracePath);
@@ -568,36 +621,14 @@ PipelineResult herd::runPipeline(const Program &Input,
       return Result;
     }
   }
-  // The interpreter gets whichever sinks this configuration wants: the
-  // race detector (only when the program is instrumented — "Base" runs
-  // produce no access events anyway but also skip sync tracking), the
-  // deadlock detector, and the trace recorder.
-  std::vector<RuntimeHooks *> SinkList;
-  if (Config.Instrument)
-    SinkList.push_back(Detect);
-  // Provenance is a pure listener next to the detector: present only when
-  // asked for (zero-cost-when-off), and a second sink by design — which
-  // disables the devirtualized delivery lane below, never the race set.
-  std::optional<ProvenanceStore> Prov;
-  if (Config.Provenance && Config.Instrument) {
-    Prov.emplace();
-    SinkList.push_back(&*Prov);
-  }
-  if (Config.DetectDeadlocks)
-    SinkList.push_back(&Deadlocks);
-  if (Writer.isOpen())
-    SinkList.push_back(&Writer);
-  // FanoutHooks is only materialized when several sinks actually watch the
-  // run; the common single-sink configuration passes the sink directly and
-  // pays no forwarding loop.
-  std::optional<FanoutHooks> Fanout;
-  RuntimeHooks *Hooks = nullptr;
-  if (SinkList.size() == 1) {
-    Hooks = SinkList.front();
-  } else if (SinkList.size() > 1) {
-    Fanout.emplace(SinkList);
-    Hooks = &*Fanout;
-  }
+  // Phase 3+4: execution with the runtime optimizer and detector.  The
+  // detection runtime is either the serial RaceRuntime or, with
+  // Config.Shards >= 1, the sharded batched runtime (docs/SHARDING.md) —
+  // both produce the identical race-report set for the same schedule.
+  // The detector and provenance watch only instrumented runs ("Base" runs
+  // produce no access events anyway but also skip sync tracking).
+  DetectionCore Core(Config, Plan, Config.Instrument,
+                     Writer.isOpen() ? &Writer : nullptr);
 
   InterpOptions IOpts;
   IOpts.Seed = Config.Seed;
@@ -611,12 +642,11 @@ PipelineResult herd::runPipeline(const Program &Input,
   // profiler wants to time hook calls, the interpreter delivers access
   // events straight to the concrete runtime (inline L0 filter included).
   // Any extra sink disables it so recorded traces keep every event.
-  if (Config.HookFilter && !Config.Profiler && SinkList.size() == 1 &&
-      Hooks == Detect) {
-    IOpts.SerialSink = Serial.get();
-    IOpts.ShardedSink = Sharded.get();
+  if (Config.HookFilter && !Config.Profiler && Core.detectorOnly()) {
+    IOpts.SerialSink = Core.serial();
+    IOpts.ShardedSink = Core.sharded();
   }
-  Interpreter Interp(P, Hooks, IOpts);
+  Interpreter Interp(P, Core.hooks(), IOpts);
 
   Clock::time_point T1 = Clock::now();
   {
@@ -626,23 +656,7 @@ PipelineResult herd::runPipeline(const Program &Input,
   Result.ExecSeconds =
       std::chrono::duration<double>(Clock::now() - T1).count();
 
-  {
-    Span DrainSpan(Metrics, "detect-drain");
-    if (Sharded)
-      Sharded->finish();
-    collectDetection(Serial.get(), Sharded.get(), Epoch.get(), Result);
-  }
-  {
-    Span FormatSpan(Metrics, "format-reports");
-    formatRaceResults(P, &Interp.heap(), Epoch.get(),
-                      Prov ? &*Prov : nullptr, Result);
-  }
-  if (Prov) {
-    Result.ProvenanceOn = true;
-    Result.Provenance = std::move(*Prov);
-  }
-  recordRunCounters(Metrics, Result);
-
+  Core.finish(P, &Interp.heap(), Input, Result);
   if (Writer.isOpen()) {
     TraceResult Closed = Writer.close();
     if (Result.Trace.Ok && !Closed.Ok)
@@ -650,9 +664,6 @@ PipelineResult herd::runPipeline(const Program &Input,
     Result.TraceRecords = Writer.recordsWritten();
     Result.TraceBytes = Writer.bytesWritten();
   }
-
-  if (Config.DetectDeadlocks)
-    collectDeadlockResults(Input, Deadlocks, Result);
   return Result;
 }
 
@@ -662,48 +673,25 @@ PipelineResult herd::replayTracePipeline(const Program &Input,
   using Clock = std::chrono::steady_clock;
   PipelineResult Result;
 
-  // Build the same detection runtime a live run with this Config would
-  // use; the trace replaces the interpreter as the event source, so the
+  // The same detection core a live run with this Config would use; the
+  // trace replaces the interpreter as the event source, so the
   // compile-time phases are skipped entirely.  Auto planning needs those
-  // phases, so replay only honours an Explicit plan (`--plan=N`).
-  std::unique_ptr<RaceRuntime> Serial;
-  std::unique_ptr<ShardedRuntime> Sharded;
-  std::unique_ptr<EpochDetector> Epoch;
-  RuntimeHooks *Detect = makeDetectionRuntime(Config, configuredPlan(Config),
-                                              Serial, Sharded, Epoch);
-  DeadlockDetector Deadlocks;
-  std::vector<RuntimeHooks *> SinkList{Detect};
-  // v1 traces carry sites on monitor-enter / thread-create records, so
-  // replayed runs can capture the same provenance a live run would.
-  std::optional<ProvenanceStore> Prov;
-  if (Config.Provenance) {
-    Prov.emplace();
-    SinkList.push_back(&*Prov);
-  }
-  if (Config.DetectDeadlocks)
-    SinkList.push_back(&Deadlocks);
-  std::optional<FanoutHooks> Fanout;
-  RuntimeHooks *Sink = SinkList.front();
-  if (SinkList.size() > 1) {
-    Fanout.emplace(SinkList);
-    Sink = &*Fanout;
-  }
-
-  MetricsRegistry *Metrics = Config.Metrics;
+  // phases, so replay only honours an Explicit plan (`--plan=N`).  v1
+  // traces carry sites on monitor-enter / thread-create records, so
+  // replayed runs capture the same provenance a live run would.
+  DetectionCore Core(Config, configuredPlan(Config), /*Watch=*/true,
+                     /*Recorder=*/nullptr);
   Result.Dispatch = Config.Dispatch; // no interpretation: fusion stays zero
   TraceReader Reader;
   Result.Trace = Reader.open(TracePath);
   if (Result.Trace.Ok) {
     Clock::time_point T0 = Clock::now();
     {
-      Span ReplaySpan(Metrics, "replay");
-      Result.Trace = Reader.replayInto(*Sink);
-    }
-    // Always close out the detectors — a sharded runtime must drain and
-    // join its workers even when the trace turned out to be malformed.
-    {
-      Span DrainSpan(Metrics, "detect-drain");
-      Sink->onRunEnd();
+      Span ReplaySpan(Config.Metrics, "replay");
+      Result.Trace = Reader.replayInto(*Core.hooks());
+      // Always end the run, as the interpreter does — a sharded runtime
+      // must drain even when the trace turned out to be malformed.
+      Core.hooks()->onRunEnd();
     }
     Result.ExecSeconds =
         std::chrono::duration<double>(Clock::now() - T0).count();
@@ -722,21 +710,6 @@ PipelineResult herd::replayTracePipeline(const Program &Input,
       Reader.recordsOfKind(EventLog::RecordKind::Access);
   Result.Run.ThreadsCreated =
       uint32_t(Reader.recordsOfKind(EventLog::RecordKind::ThreadCreate));
-
-  collectDetection(Serial.get(), Sharded.get(), Epoch.get(), Result);
-  // No heap exists in a replay run; formatRace degrades to object indices.
-  {
-    Span FormatSpan(Metrics, "format-reports");
-    formatRaceResults(Input, nullptr, Epoch.get(), Prov ? &*Prov : nullptr,
-                      Result);
-  }
-  if (Prov) {
-    Result.ProvenanceOn = true;
-    Result.Provenance = std::move(*Prov);
-  }
-  recordRunCounters(Metrics, Result);
-
-  if (Config.DetectDeadlocks)
-    collectDeadlockResults(Input, Deadlocks, Result);
+  Core.finish(Input, nullptr, Input, Result);
   return Result;
 }

@@ -17,8 +17,11 @@
 #include "baselines/NaiveDetector.h"
 #include "detect/EventLog.h"
 #include "detect/RaceRuntime.h"
+#include "herd/Pipeline.h"
+#include "herd/ReportExport.h"
 #include "runtime/Interpreter.h"
 #include "support/Rng.h"
+#include "support/TempPath.h"
 #include "workloads/Workloads.h"
 #include "TestPrograms.h"
 
@@ -231,6 +234,46 @@ TEST(ReplayTest, TruncatedTraceStopsEarlyWithoutError) {
   InterpResult R = Replayer.run();
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_LT(R.InstructionsExecuted, Full.InstructionsExecuted);
+}
+
+TEST(ReplayTest, TraceSitesTheProgramLacksPrintAsUnknown) {
+  // A trace names the sites of the program it was recorded from.  Replayed
+  // against a program that declares none, every race must still be
+  // reported, printed without a site, in every output form.
+  TempPath Path("replay-undeclared-sites");
+  ToolConfig Live = ToolConfig::full();
+  Live.RecordTracePath = Path.str();
+  PipelineResult L = runPipeline(buildFigure2(/*SamePQ=*/false), Live);
+  ASSERT_TRUE(L.Run.Ok && L.Trace.Ok) << L.Run.Error << L.Trace.Error;
+  ASSERT_FALSE(L.FormattedRaces.empty());
+  const std::string &First = L.FormattedRaces.front();
+  ASSERT_NE(First.substr(0, First.find(" conflicts")).find(" at "),
+            std::string::npos);
+
+  Program Empty;
+  IRBuilder B(Empty);
+  B.startMain();
+  B.emitReturn();
+  ASSERT_EQ(Empty.numSites(), 0u);
+  for (uint32_t Shards : {0u, 2u}) {
+    for (bool Detail : {false, true}) {
+      SCOPED_TRACE(std::to_string(Shards) + " shards, provenance " +
+                   std::to_string(Detail));
+      ToolConfig Replay = ToolConfig::full();
+      Replay.Shards = Shards;
+      Replay.Provenance = Detail;
+      Replay.DetectDeadlocks = Detail;
+      PipelineResult R = replayTracePipeline(Empty, Replay, Path);
+      ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
+      ASSERT_EQ(R.FormattedRaces.size(), L.FormattedRaces.size());
+      for (const std::string &Line : R.FormattedRaces)
+        EXPECT_EQ(Line.substr(0, Line.find(" conflicts")).find(" at "),
+                  std::string::npos)
+            << Line;
+      EXPECT_FALSE(renderReportJson(Empty, R).empty());
+      EXPECT_FALSE(renderReportSarif(Empty, R).empty());
+    }
+  }
 }
 
 } // namespace

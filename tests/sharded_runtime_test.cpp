@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "FuzzPrograms.h"
+#include "RaceRecords.h"
 #include "TestPrograms.h"
 #include "detect/Detector.h"
 #include "detect/EventBatch.h"
@@ -27,36 +28,13 @@
 #include <atomic>
 #include <chrono>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 
 using namespace herd;
+using testprogs::canonicalRecords;
 
 namespace {
-
-/// Canonical, order-independent encoding of a race record: every field
-/// that reaches a user-visible report.
-std::string encode(const RaceRecord &Rec) {
-  std::ostringstream Out;
-  Out << Rec.Location.raw() << '|' << Rec.CurrentThread.index() << '|'
-      << int(Rec.CurrentAccess) << '|' << Rec.CurrentSite.index() << '|';
-  for (LockId L : Rec.CurrentLocks)
-    Out << L.index() << ',';
-  Out << '|' << Rec.PriorThreadKnown << '|'
-      << (Rec.PriorThreadKnown ? Rec.PriorThread.index() : 0) << '|'
-      << int(Rec.PriorAccess) << '|';
-  for (LockId L : Rec.PriorLocks)
-    Out << L.index() << ',';
-  return Out.str();
-}
-
-std::multiset<std::string> canonicalRecords(const RaceReporter &Reporter) {
-  std::multiset<std::string> Out;
-  for (const RaceRecord &Rec : Reporter.records())
-    Out.insert(encode(Rec));
-  return Out;
-}
 
 struct NamedProgram {
   std::string Name;

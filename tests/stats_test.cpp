@@ -19,6 +19,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "FuzzPrograms.h"
+#include "RaceRecords.h"
 #include "TestPrograms.h"
 #include "detect/RaceRuntime.h"
 #include "detect/ShardedRuntime.h"
@@ -31,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -39,6 +42,7 @@
 #include <string>
 
 using namespace herd;
+using testprogs::canonicalRecords;
 
 namespace {
 
@@ -151,6 +155,49 @@ TEST(StatsTest, CountersMonotonicAsTraceGrows) {
   EXPECT_EQ(Prev.EventsSeen, 20u);
 }
 
+/// expectEqualStats plus everything else both runtimes count the same way:
+/// the lockset memo, the hook-path filter and the per-thread caches.  Only
+/// the sharded runtime's staging counters (BatchFlushes, BatchedEvents)
+/// have no serial counterpart.
+void expectSameFrontEndStats(const RaceRuntimeStats &A,
+                             const RaceRuntimeStats &B) {
+  expectEqualStats(A, B);
+  EXPECT_EQ(A.Detector.LocksetMemoHits, B.Detector.LocksetMemoHits);
+  EXPECT_EQ(A.Detector.LocksetMemoMisses, B.Detector.LocksetMemoMisses);
+  EXPECT_EQ(A.Detector.LocksetMemoEvictions, B.Detector.LocksetMemoEvictions);
+  EXPECT_EQ(A.Hook.FilterEnabled, B.Hook.FilterEnabled);
+  EXPECT_EQ(A.Hook.FilterHits, B.Hook.FilterHits);
+  EXPECT_EQ(A.Hook.FilterMisses, B.Hook.FilterMisses);
+  EXPECT_EQ(A.Hook.EpochBumps, B.Hook.EpochBumps);
+  EXPECT_EQ(A.Hook.KeyInvalidations, B.Hook.KeyInvalidations);
+  ASSERT_EQ(A.PerThreadCache.size(), B.PerThreadCache.size());
+  for (size_t I = 0; I != A.PerThreadCache.size(); ++I) {
+    const ThreadCacheStats &X = A.PerThreadCache[I], &Y = B.PerThreadCache[I];
+    EXPECT_EQ(X.Thread, Y.Thread);
+    EXPECT_EQ(X.ReadHits, Y.ReadHits);
+    EXPECT_EQ(X.ReadMisses, Y.ReadMisses);
+    EXPECT_EQ(X.WriteHits, Y.WriteHits);
+    EXPECT_EQ(X.WriteMisses, Y.WriteMisses);
+  }
+}
+
+/// The per-shard breakdown must be consistent with the aggregate.
+void expectBreakdownAddsUp(const PipelineResult &R, uint32_t Shards) {
+  ASSERT_EQ(R.ShardBreakdown.size(), size_t(Shards));
+  uint64_t Ingested = 0, Races = 0;
+  size_t TrieNodes = 0;
+  for (const ShardStats &S : R.ShardBreakdown) {
+    Ingested += S.EventsIngested;
+    Races += S.Detector.RacesReported;
+    TrieNodes += S.Detector.TrieNodes;
+  }
+  EXPECT_EQ(Ingested,
+            R.Stats.Detector.EventsIn - R.Stats.Detector.OwnedFiltered);
+  EXPECT_EQ(Races, R.Stats.Detector.RacesReported);
+  EXPECT_EQ(TrieNodes, R.Stats.Detector.TrieNodes);
+  EXPECT_EQ(Races, R.Reports.size());
+}
+
 TEST(StatsTest, PipelineStatsAgreeAcrossShardCounts) {
   Program P = testprogs::buildCounter(/*Locked=*/false, 25).P;
   ToolConfig SerialCfg = ToolConfig::full();
@@ -164,23 +211,43 @@ TEST(StatsTest, PipelineStatsAgreeAcrossShardCounts) {
     Cfg.Shards = Shards;
     PipelineResult R = runPipeline(P, Cfg);
     ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
-    expectEqualStats(Serial.Stats, R.Stats);
+    expectSameFrontEndStats(Serial.Stats, R.Stats);
     EXPECT_EQ(Serial.Reports.size(), R.Reports.size());
+    expectBreakdownAddsUp(R, Shards);
+  }
 
-    // The per-shard breakdown must be consistent with the aggregate.
-    ASSERT_EQ(R.ShardBreakdown.size(), size_t(Shards));
-    uint64_t Ingested = 0, Races = 0;
-    size_t TrieNodes = 0;
-    for (const ShardStats &S : R.ShardBreakdown) {
-      Ingested += S.EventsIngested;
-      Races += S.Detector.RacesReported;
-      TrieNodes += S.Detector.TrieNodes;
+  // Every runtime-knob combination, with and without the static phase, on
+  // programs that exercise locks, joins, loops and field merging: the
+  // serial and sharded runtimes share one per-thread front end, so every
+  // front-end counter and the race-record set must agree exactly.
+  std::vector<std::pair<std::string, Program>> Programs;
+  Programs.emplace_back("figure2", testprogs::buildFigure2(/*SamePQ=*/false));
+  Programs.emplace_back("counter", std::move(P));
+  Programs.emplace_back("fig3-loop", testprogs::buildFig3Loop(40));
+  for (uint64_t Seed : {2u, 5u, 11u})
+    Programs.emplace_back("fuzz" + std::to_string(Seed),
+                          fuzzprogs::generateProgram(Seed));
+  for (const auto &[Name, Prog] : Programs) {
+    for (bool NoStatic : {false, true}) {
+      for (unsigned Knobs = 0; Knobs != 32; ++Knobs) {
+        ToolConfig Cfg = NoStatic ? ToolConfig::noStatic() : ToolConfig::full();
+        Cfg.Seed = 5;
+        Cfg.UseCache = Knobs & 1;
+        Cfg.UseOwnership = Knobs & 2;
+        Cfg.FieldsMerged = Knobs & 4;
+        Cfg.ModelJoin = Knobs & 8;
+        Cfg.HookFilter = Knobs & 16;
+        SCOPED_TRACE(Name + (NoStatic ? " nostatic" : " full") + " knobs " +
+                     std::to_string(Knobs));
+        PipelineResult S = runPipeline(Prog, Cfg);
+        Cfg.Shards = 3;
+        PipelineResult R = runPipeline(Prog, Cfg);
+        ASSERT_TRUE(S.Run.Ok && R.Run.Ok) << S.Run.Error << R.Run.Error;
+        EXPECT_EQ(canonicalRecords(S.Reports), canonicalRecords(R.Reports));
+        expectSameFrontEndStats(S.Stats, R.Stats);
+        expectBreakdownAddsUp(R, 3);
+      }
     }
-    EXPECT_EQ(Ingested,
-              R.Stats.Detector.EventsIn - R.Stats.Detector.OwnedFiltered);
-    EXPECT_EQ(Races, R.Stats.Detector.RacesReported);
-    EXPECT_EQ(TrieNodes, R.Stats.Detector.TrieNodes);
-    EXPECT_EQ(Races, R.Reports.size());
   }
 }
 
@@ -609,6 +676,39 @@ TEST(ObservabilityTest, PipelinePhaseSpansAllPresent) {
         "sync-analysis", "escape", "race-pairs", "plan", "instrument",
         "fuse", "execute", "detect-drain", "format-reports"})
     EXPECT_TRUE(Names.count(Phase)) << Phase;
+
+  // A replay runs the same detection core after its own source span: on
+  // the pipeline row, replay, detect-drain and format-reports follow one
+  // another without overlapping, serial and sharded alike.
+  TempPath Path("phase-spans");
+  ToolConfig Record = ToolConfig::full();
+  Record.RecordTracePath = Path.str();
+  ASSERT_TRUE(runPipeline(P, Record).Trace.Ok);
+  for (uint32_t Shards : {0u, 3u}) {
+    SCOPED_TRACE(std::to_string(Shards) + " shards");
+    MetricsRegistry ReplayReg;
+    ToolConfig Replay = ToolConfig::full();
+    Replay.Metrics = &ReplayReg;
+    Replay.Shards = Shards;
+    ASSERT_TRUE(replayTracePipeline(P, Replay, Path).Run.Ok);
+    std::vector<TraceEvent> Row;
+    for (const TraceEvent &E : ReplayReg.traceEvents())
+      if (E.Phase == 'X' && E.Tid == 0)
+        Row.push_back(E);
+    std::sort(Row.begin(), Row.end(),
+              [](const TraceEvent &A, const TraceEvent &B) {
+                return A.StartNanos < B.StartNanos;
+              });
+    std::vector<std::string> Order;
+    for (const TraceEvent &E : Row)
+      Order.push_back(E.Name);
+    EXPECT_EQ(Order, (std::vector<std::string>{"replay", "detect-drain",
+                                               "format-reports"}));
+    for (size_t I = 1; I < Row.size(); ++I)
+      EXPECT_LE(Row[I - 1].StartNanos + Row[I - 1].DurNanos,
+                Row[I].StartNanos)
+          << Row[I - 1].Name << " overlaps " << Row[I].Name;
+  }
 }
 
 TEST(ObservabilityTest, ReplayRunStatsMatchTheRecordedLiveRun) {

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "FuzzPrograms.h"
+#include "RaceRecords.h"
 #include "TestPrograms.h"
 #include "baselines/EraserDetector.h"
 #include "baselines/VectorClockDetector.h"
@@ -27,11 +28,11 @@
 
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 using namespace herd;
+using testprogs::canonicalRecords;
 
 namespace {
 
@@ -47,29 +48,6 @@ void writeAll(const std::string &Path, const std::vector<uint8_t> &Bytes) {
   ASSERT_TRUE(Out.good()) << Path;
   Out.write(reinterpret_cast<const char *>(Bytes.data()),
             std::streamsize(Bytes.size()));
-}
-
-/// Canonical, order-independent encoding of a race record (the same shape
-/// the sharded-runtime differential oracle uses).
-std::string encode(const RaceRecord &Rec) {
-  std::ostringstream Out;
-  Out << Rec.Location.raw() << '|' << Rec.CurrentThread.index() << '|'
-      << int(Rec.CurrentAccess) << '|' << Rec.CurrentSite.index() << '|';
-  for (LockId L : Rec.CurrentLocks)
-    Out << L.index() << ',';
-  Out << '|' << Rec.PriorThreadKnown << '|'
-      << (Rec.PriorThreadKnown ? Rec.PriorThread.index() : 0) << '|'
-      << int(Rec.PriorAccess) << '|';
-  for (LockId L : Rec.PriorLocks)
-    Out << L.index() << ',';
-  return Out.str();
-}
-
-std::multiset<std::string> canonicalRecords(const RaceReporter &Reporter) {
-  std::multiset<std::string> Out;
-  for (const RaceRecord &Rec : Reporter.records())
-    Out.insert(encode(Rec));
-  return Out;
 }
 
 struct NamedProgram {

@@ -228,6 +228,61 @@ bool writeTraceJson(const MetricsRegistry &Registry,
   return true;
 }
 
+/// Prints a finished run, live or replay: the trace JSON, then the stats
+/// JSON, the report document, or the human report and `--stats`.  Only
+/// the human header line differs between live and replay runs.  Returns
+/// the exit code.
+int printResult(const HerdOptions &Opts, const Program &P,
+                const PipelineResult &R, const MetricsRegistry &Registry,
+                const InterpProfiler *Prof) {
+  if (!Opts.TraceJsonPath.empty() &&
+      !writeTraceJson(Registry, Opts.TraceJsonPath))
+    return 2;
+  int Exit = R.FormattedRaces.empty() && R.FormattedDeadlocks.empty() ? 0 : 1;
+  if (Opts.StatsJson) {
+    // JSON-only stdout: scripts pipe this straight into a parser.
+    std::printf("%s", renderStatsJson(R, &Registry, Prof).c_str());
+    return Exit;
+  }
+  if (Opts.Report != "human") {
+    // Document-only stdout, like --stats=json: scripts parse this.
+    std::printf("%s", Opts.Report == "sarif"
+                          ? renderReportSarif(P, R).c_str()
+                          : renderReportJson(P, R).c_str());
+    return Exit;
+  }
+  if (!Opts.ReplayPath.empty())
+    std::printf("replayed %llu trace records%s\n",
+                (unsigned long long)R.TraceRecords,
+                Opts.Detector == "epoch" ? " through epoch" : "");
+  else if (!Opts.RecordPath.empty())
+    std::printf("recorded %llu trace records (%llu bytes) to %s\n",
+                (unsigned long long)R.TraceRecords,
+                (unsigned long long)R.TraceBytes, Opts.RecordPath.c_str());
+  if (!R.Run.Output.empty()) {
+    std::printf("-- program output --\n");
+    for (int64_t V : R.Run.Output)
+      std::printf("%lld\n", (long long)V);
+  }
+  if (R.FormattedRaces.empty()) {
+    std::printf("no dataraces reported\n");
+  } else {
+    std::printf("-- dataraces --\n");
+    for (const std::string &Line : R.FormattedRaces)
+      std::printf("%s\n", Line.c_str());
+  }
+  if (!R.FormattedDeadlocks.empty()) {
+    std::printf("-- potential deadlocks --\n");
+    for (const std::string &Line : R.FormattedDeadlocks)
+      std::printf("%s\n", Line.c_str());
+  }
+  if (Opts.Stats)
+    printStats(R);
+  if (Prof)
+    std::printf("%s", renderProfileTable(*Prof).c_str());
+  return Exit;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -310,42 +365,7 @@ int main(int argc, char **argv) {
                    R.Trace.Error.c_str());
       return 2;
     }
-    if (!Opts.TraceJsonPath.empty() &&
-        !writeTraceJson(Registry, Opts.TraceJsonPath))
-      return 2;
-    bool Clean = R.FormattedRaces.empty() && R.FormattedDeadlocks.empty();
-    if (Opts.StatsJson) {
-      std::printf("%s", renderStatsJson(R, Metrics, Prof).c_str());
-      return Clean ? 0 : 1;
-    }
-    if (Opts.Report != "human") {
-      // Document-only stdout, like --stats=json: scripts parse this.
-      std::printf("%s", Opts.Report == "sarif"
-                            ? renderReportSarif(Compiled.P, R).c_str()
-                            : renderReportJson(Compiled.P, R).c_str());
-      return Clean ? 0 : 1;
-    }
-    if (Opts.Detector == "epoch")
-      std::printf("replayed %llu trace records through epoch\n",
-                  (unsigned long long)R.TraceRecords);
-    else
-      std::printf("replayed %llu trace records\n",
-                  (unsigned long long)R.TraceRecords);
-    if (R.FormattedRaces.empty()) {
-      std::printf("no dataraces reported\n");
-    } else {
-      std::printf("-- dataraces --\n");
-      for (const std::string &Line : R.FormattedRaces)
-        std::printf("%s\n", Line.c_str());
-    }
-    if (!R.FormattedDeadlocks.empty()) {
-      std::printf("-- potential deadlocks --\n");
-      for (const std::string &Line : R.FormattedDeadlocks)
-        std::printf("%s\n", Line.c_str());
-    }
-    if (Opts.Stats)
-      printStats(R);
-    return Clean ? 0 : 1;
+    return printResult(Opts, Compiled.P, R, Registry, Prof);
   }
 
   if (Opts.Sweep > 0) {
@@ -380,46 +400,5 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "herd: runtime error: %s\n", R.Run.Error.c_str());
     return 1;
   }
-  if (!Opts.TraceJsonPath.empty() &&
-      !writeTraceJson(Registry, Opts.TraceJsonPath))
-    return 2;
-  bool Clean = R.FormattedRaces.empty() && R.FormattedDeadlocks.empty();
-  if (Opts.StatsJson) {
-    // JSON-only stdout: scripts pipe this straight into a parser.
-    std::printf("%s", renderStatsJson(R, Metrics, Prof).c_str());
-    return Clean ? 0 : 1;
-  }
-  if (Opts.Report != "human") {
-    // Document-only stdout, like --stats=json: scripts parse this.
-    std::printf("%s", Opts.Report == "sarif"
-                          ? renderReportSarif(Compiled.P, R).c_str()
-                          : renderReportJson(Compiled.P, R).c_str());
-    return Clean ? 0 : 1;
-  }
-  if (!Opts.RecordPath.empty())
-    std::printf("recorded %llu trace records (%llu bytes) to %s\n",
-                (unsigned long long)R.TraceRecords,
-                (unsigned long long)R.TraceBytes, Opts.RecordPath.c_str());
-  if (!R.Run.Output.empty()) {
-    std::printf("-- program output --\n");
-    for (int64_t V : R.Run.Output)
-      std::printf("%lld\n", (long long)V);
-  }
-  if (R.FormattedRaces.empty()) {
-    std::printf("no dataraces reported\n");
-  } else {
-    std::printf("-- dataraces --\n");
-    for (const std::string &Line : R.FormattedRaces)
-      std::printf("%s\n", Line.c_str());
-  }
-  if (!R.FormattedDeadlocks.empty()) {
-    std::printf("-- potential deadlocks --\n");
-    for (const std::string &Line : R.FormattedDeadlocks)
-      std::printf("%s\n", Line.c_str());
-  }
-  if (Opts.Stats)
-    printStats(R);
-  if (Prof)
-    std::printf("%s", renderProfileTable(Profiler).c_str());
-  return Clean ? 0 : 1;
+  return printResult(Opts, Compiled.P, R, Registry, Prof);
 }
