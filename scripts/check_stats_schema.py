@@ -151,8 +151,19 @@ def check_stats(doc):
                            {"const_binop": int, "const_putfield": int,
                             "get_binop_put": int, "binop_branch": int,
                             "getfield_binop": int, "binop_putfield": int,
-                            "binop_move": int, "total": int},
+                            "binop_move": int, "access_trace": int,
+                            "total": int},
                            f"dispatch.{sub}")
+        # Every fused access+trace execution delivered one access event.
+        fused_exec = dispatch.get("fused_exec")
+        run = doc.get("run")
+        if (isinstance(fused_exec, dict) and isinstance(run, dict)
+                and isinstance(fused_exec.get("access_trace"), int)
+                and isinstance(run.get("access_events"), int)
+                and fused_exec["access_trace"] > run["access_events"]):
+            fail(f"dispatch.fused_exec.access_trace "
+                 f"({fused_exec['access_trace']}) exceeds run.access_events "
+                 f"({run['access_events']})")
         if isinstance(dispatch.get("batch_retirement"), dict):
             check_keys(dispatch["batch_retirement"],
                        {"planned_blocks": int, "planned_steps": int,

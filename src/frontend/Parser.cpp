@@ -35,6 +35,10 @@ bool Parser::accept(TokenKind K) {
 }
 
 void Parser::error(const std::string &Message) {
+  // Past the nesting limit the parse is abandoned at end of file, and
+  // every enclosing level would only report the missing closers.
+  if (Abandoned)
+    return;
   Diagnostic D;
   D.Line = cur().Line;
   D.Column = cur().Column;
@@ -53,6 +57,26 @@ bool Parser::expect(TokenKind K, const char *Context) {
   Message += tokenKindName(cur().Kind);
   error(Message);
   return false;
+}
+
+bool Parser::tooDeep(unsigned Depth, const char *What) {
+  if (Depth <= MaxNestingDepth)
+    return false;
+  std::string Message = What;
+  Message += " nesting exceeds the limit of ";
+  Message += std::to_string(MaxNestingDepth);
+  Message += " levels";
+  error(Message);
+  Abandoned = true;
+  Index = Tokens.size() - 1; // the EndOfFile token: every loop stops
+  return true;
+}
+
+bool Parser::deepenExpr() {
+  if (tooDeep(ExprDepth, "expression"))
+    return false;
+  ++ExprDepth;
+  return true;
 }
 
 void Parser::recoverToStatementBoundary() {
@@ -198,7 +222,24 @@ std::vector<StmtPtr> Parser::parseBlock() {
   return Body;
 }
 
+namespace {
+
+/// Puts a nesting counter back to its value on entry when the parse call
+/// that deepened it returns.
+struct RestoreDepth {
+  explicit RestoreDepth(unsigned &Depth) : Depth(Depth), Saved(Depth) {}
+  ~RestoreDepth() { Depth = Saved; }
+  unsigned &Depth;
+  unsigned Saved;
+};
+
+} // namespace
+
 StmtPtr Parser::parseStatement() {
+  if (tooDeep(StmtDepth, "statement"))
+    return nullptr;
+  RestoreDepth Restore(StmtDepth);
+  ++StmtDepth;
   uint32_t Line = cur().Line;
 
   if (accept(TokenKind::KwVar)) {
@@ -308,7 +349,14 @@ StmtPtr Parser::parseStatement() {
   return S;
 }
 
-ExprPtr Parser::parseExpr() { return parseOr(); }
+ExprPtr Parser::parseExpr() {
+  // An expression nested in another starts one level deeper, and the
+  // links its own chains add (deepenExpr) are released when it returns.
+  RestoreDepth Restore(ExprDepth);
+  if (!deepenExpr())
+    return nullptr;
+  return parseOr();
+}
 
 namespace {
 
@@ -325,6 +373,8 @@ ExprPtr makeBinary(std::string Op, ExprPtr L, ExprPtr R, uint32_t Line) {
 ExprPtr Parser::parseOr() {
   ExprPtr L = parseAnd();
   while (check(TokenKind::PipePipe)) {
+    if (!deepenExpr())
+      return nullptr;
     uint32_t Line = consume().Line;
     L = makeBinary("||", std::move(L), parseAnd(), Line);
   }
@@ -334,6 +384,8 @@ ExprPtr Parser::parseOr() {
 ExprPtr Parser::parseAnd() {
   ExprPtr L = parseEquality();
   while (check(TokenKind::AmpAmp)) {
+    if (!deepenExpr())
+      return nullptr;
     uint32_t Line = consume().Line;
     L = makeBinary("&&", std::move(L), parseEquality(), Line);
   }
@@ -343,6 +395,8 @@ ExprPtr Parser::parseAnd() {
 ExprPtr Parser::parseEquality() {
   ExprPtr L = parseRelational();
   while (check(TokenKind::EqEq) || check(TokenKind::BangEq)) {
+    if (!deepenExpr())
+      return nullptr;
     Token T = consume();
     L = makeBinary(T.is(TokenKind::EqEq) ? "==" : "!=", std::move(L),
                    parseRelational(), T.Line);
@@ -354,6 +408,8 @@ ExprPtr Parser::parseRelational() {
   ExprPtr L = parseAdditive();
   while (check(TokenKind::Less) || check(TokenKind::LessEq) ||
          check(TokenKind::Greater) || check(TokenKind::GreaterEq)) {
+    if (!deepenExpr())
+      return nullptr;
     Token T = consume();
     const char *Op = T.is(TokenKind::Less)      ? "<"
                      : T.is(TokenKind::LessEq)  ? "<="
@@ -367,6 +423,8 @@ ExprPtr Parser::parseRelational() {
 ExprPtr Parser::parseAdditive() {
   ExprPtr L = parseMultiplicative();
   while (check(TokenKind::Plus) || check(TokenKind::Minus)) {
+    if (!deepenExpr())
+      return nullptr;
     Token T = consume();
     L = makeBinary(T.is(TokenKind::Plus) ? "+" : "-", std::move(L),
                    parseMultiplicative(), T.Line);
@@ -378,6 +436,8 @@ ExprPtr Parser::parseMultiplicative() {
   ExprPtr L = parseUnary();
   while (check(TokenKind::Star) || check(TokenKind::Slash) ||
          check(TokenKind::Percent)) {
+    if (!deepenExpr())
+      return nullptr;
     Token T = consume();
     const char *Op = T.is(TokenKind::Star)    ? "*"
                      : T.is(TokenKind::Slash) ? "/"
@@ -389,6 +449,8 @@ ExprPtr Parser::parseMultiplicative() {
 
 ExprPtr Parser::parseUnary() {
   if (check(TokenKind::Bang) || check(TokenKind::Minus)) {
+    if (!deepenExpr())
+      return nullptr;
     Token T = consume();
     auto E = std::make_unique<Expr>(Expr::Kind::Unary, T.Line);
     E->OpText = T.is(TokenKind::Bang) ? "!" : "-";
@@ -400,7 +462,9 @@ ExprPtr Parser::parseUnary() {
 
 ExprPtr Parser::parsePostfix() {
   ExprPtr E = parsePrimary();
-  while (E) {
+  while (E && (check(TokenKind::Dot) || check(TokenKind::LBracket))) {
+    if (!deepenExpr())
+      return nullptr;
     if (accept(TokenKind::Dot)) {
       if (!check(TokenKind::Identifier)) {
         error("expected a member name after '.'");
@@ -421,16 +485,12 @@ ExprPtr Parser::parsePostfix() {
       }
       continue;
     }
-    if (check(TokenKind::LBracket)) {
-      uint32_t Line = consume().Line;
-      auto Idx = std::make_unique<Expr>(Expr::Kind::Index, Line);
-      Idx->LHS = std::move(E);
-      Idx->RHS = parseExpr();
-      expect(TokenKind::RBracket, "to close the index");
-      E = std::move(Idx);
-      continue;
-    }
-    break;
+    uint32_t Line = consume().Line; // the '['
+    auto Idx = std::make_unique<Expr>(Expr::Kind::Index, Line);
+    Idx->LHS = std::move(E);
+    Idx->RHS = parseExpr();
+    expect(TokenKind::RBracket, "to close the index");
+    E = std::move(Idx);
   }
   return E;
 }

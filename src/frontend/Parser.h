@@ -33,6 +33,11 @@
 /// on an array is the length operator.  Errors are collected with panic
 /// recovery to the next ';' or '}'.
 ///
+/// Nesting is bounded (Parser::MaxNestingDepth), so no source text can
+/// exhaust the stack of the parser, of lowering, or of the AST's
+/// destructors: past the limit the parse stops with one diagnostic and
+/// lowering never runs.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HERD_FRONTEND_PARSER_H
@@ -48,6 +53,15 @@ namespace herd {
 
 class Parser {
 public:
+  /// The deepest nesting accepted, for expressions and statements alike.
+  /// A statement's depth is the number of statements enclosing it (an
+  /// `if`, `while` or `synchronized` body, or an `else if`).  An
+  /// expression's depth is the number of expressions enclosing it
+  /// (parentheses, indices, arguments, array sizes, unary operands) plus
+  /// the operator and postfix links already parsed in them, each of which
+  /// deepens the AST by one: `((1))` and `1 + 1 + 1` both reach depth 2.
+  static constexpr unsigned MaxNestingDepth = 256;
+
   Parser(std::string_view Source, std::vector<Diagnostic> &Diags);
 
   /// Parses a whole program; check \p Diags for errors afterwards.
@@ -64,6 +78,13 @@ private:
   bool expect(TokenKind K, const char *Context);
   void error(const std::string &Message);
   void recoverToStatementBoundary();
+  /// True when a construct at nesting depth \p Depth is past
+  /// MaxNestingDepth; the first time, reports \p What's nesting and
+  /// abandons the parse (skips to the end, silences later diagnostics).
+  bool tooDeep(unsigned Depth, const char *What);
+  /// Deepens the current expression by one level, or returns false past
+  /// the limit.  The level is held until the enclosing parseExpr returns.
+  bool deepenExpr();
 
   ClassAst parseClass();
   FieldAst parseField(bool IsStatic);
@@ -86,6 +107,9 @@ private:
   std::vector<Token> Tokens;
   size_t Index = 0;
   std::vector<Diagnostic> &Diags;
+  unsigned ExprDepth = 0; ///< see MaxNestingDepth
+  unsigned StmtDepth = 0;
+  bool Abandoned = false; ///< nesting limit hit; the parse is over
 };
 
 } // namespace herd

@@ -200,6 +200,7 @@ std::string herd::renderStatsJson(const PipelineResult &Result,
   W.member("getfield_binop", Result.Fusion.GetFieldBinOpSites);
   W.member("binop_putfield", Result.Fusion.BinOpPutFieldSites);
   W.member("binop_move", Result.Fusion.BinOpMoveSites);
+  W.member("access_trace", Result.Fusion.AccessTraceSites);
   W.member("total", Result.Fusion.sites());
   W.endObject();
   W.key("fused_exec");
@@ -211,6 +212,7 @@ std::string herd::renderStatsJson(const PipelineResult &Result,
   W.member("getfield_binop", Result.Run.Fused.GetFieldBinOp);
   W.member("binop_putfield", Result.Run.Fused.BinOpPutField);
   W.member("binop_move", Result.Run.Fused.BinOpMove);
+  W.member("access_trace", Result.Run.Fused.AccessTrace);
   W.member("total", Result.Run.Fused.total());
   W.endObject();
   W.key("batch_retirement");

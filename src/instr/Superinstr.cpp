@@ -28,11 +28,63 @@ bool accessIsInstrumented(const std::vector<Instr> &Instrs, size_t Idx) {
   return Idx + 1 < Instrs.size() && Instrs[Idx + 1].Op == Opcode::Trace;
 }
 
+/// True for the six heap-access opcodes.  One whose following Trace marks
+/// it as instrumented retires per step, so the hook event lands at exactly
+/// the per-step accounting point.
+bool isHeapAccess(Opcode Op) {
+  switch (Op) {
+  case Opcode::GetField:
+  case Opcode::PutField:
+  case Opcode::GetStatic:
+  case Opcode::PutStatic:
+  case Opcode::ALoad:
+  case Opcode::AStore:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// True when \p T is a Trace observing exactly the location heap access
+/// \p A touches: same base register (or class), field and access kind.
+/// The fused handler builds the trace's key from what the access resolved,
+/// so it relies on this mirror (instr/TraceInsertion.cpp makeTraceFor).
+bool tracesAccess(const Instr &A, const Instr &T) {
+  if (T.Op != Opcode::Trace)
+    return false;
+  bool Write = A.Op == Opcode::PutField || A.Op == Opcode::PutStatic ||
+               A.Op == Opcode::AStore;
+  if (T.Access != (Write ? AccessKind::Write : AccessKind::Read))
+    return false;
+  switch (A.Op) {
+  case Opcode::GetField:
+  case Opcode::PutField:
+    return T.TraceWhat == TraceWhatKind::Field && T.A == A.A &&
+           T.Field == A.Field;
+  case Opcode::GetStatic:
+  case Opcode::PutStatic:
+    return T.TraceWhat == TraceWhatKind::Static && T.Class == A.Class &&
+           T.Field == A.Field;
+  default: // ALoad, AStore
+    return T.TraceWhat == TraceWhatKind::Array && T.A == A.A;
+  }
+}
+
 /// Tries to match a fusible sequence headed at \p Idx; returns the fused
 /// opcode and sets \p Len, or Opcode::Trace (sentinel: never a valid head
 /// rewrite) when nothing matches.
 Opcode matchAt(const std::vector<Instr> &Instrs, size_t Idx, uint32_t &Len) {
   const Instr &A = Instrs[Idx];
+
+  // Access, Trace — an instrumented heap access and the trace observing
+  // it, one unit.  No other pattern may claim either of them: the access
+  // heads no other sequence (its successor is the Trace) and ends none
+  // (the accessIsInstrumented guards below).
+  if (isHeapAccess(A.Op) && Idx + 1 < Instrs.size() &&
+      tracesAccess(A, Instrs[Idx + 1])) {
+    Len = 2;
+    return accessTraceOpcode(A.Op);
+  }
 
   // GetField, BinOp, PutField — the read-modify-write triple.
   if (A.Op == Opcode::GetField && Idx + 2 < Instrs.size()) {
@@ -97,23 +149,6 @@ Opcode matchAt(const std::vector<Instr> &Instrs, size_t Idx, uint32_t &Len) {
   return Opcode::Trace;
 }
 
-/// True for a heap access whose following Trace (if any) marks it as
-/// instrumented — instrumented accesses retire per step so the hook event
-/// lands at exactly the per-step accounting point.
-bool isHeapAccess(Opcode Op) {
-  switch (Op) {
-  case Opcode::GetField:
-  case Opcode::PutField:
-  case Opcode::GetStatic:
-  case Opcode::PutStatic:
-  case Opcode::ALoad:
-  case Opcode::AStore:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// True when one dynamic execution of \p Op always advances the pc by one
 /// and can only Continue or Fault — never block, yield, finish, or
 /// transfer control.  Only such instructions may join a retirement batch:
@@ -144,10 +179,13 @@ bool isBatchable(Opcode Op) {
 }
 
 /// True when every constituent of the fused opcode is batchable.
-/// FusedBinOpBranch carries a control transfer in its tail, so it can
-/// never join a batch; every other superinstruction's constituents are
-/// straight-line and uninstrumented by the fusion rules.
-bool fusedIsBatchable(Opcode Op) { return Op != OpFusedBinOpBranch; }
+/// FusedBinOpBranch carries a control transfer in its tail, and an
+/// access+trace head is an instrumented access, so neither can join a
+/// batch; every other superinstruction's constituents are straight-line
+/// and uninstrumented by the fusion rules.
+bool fusedIsBatchable(Opcode Op) {
+  return Op != OpFusedBinOpBranch && !isAccessTraceOpcode(Op);
+}
 
 /// Length of the block's batchable prefix (see ThreadedCode::BatchLens).
 /// Prefixes shorter than \p MinLen are reported as 0: derived accounting
@@ -209,8 +247,10 @@ ThreadedCode herd::buildThreadedCode(const Program &P,
             ++TC.Stats.GetFieldBinOpSites;
           else if (Fused == OpFusedBinOpPutField)
             ++TC.Stats.BinOpPutFieldSites;
-          else
+          else if (Fused == OpFusedBinOpMove)
             ++TC.Stats.BinOpMoveSites;
+          else
+            ++TC.Stats.AccessTraceSites;
           // Constituents can never also head another sequence:
           // overlapping superinstructions would execute shared
           // constituents twice.

@@ -19,10 +19,16 @@
 ///   GetField, BinOp               -> FusedGetFieldBinOp   (len 2)
 ///   BinOp, PutField               -> FusedBinOpPutField   (len 2)
 ///   BinOp, Move                   -> FusedBinOpMove       (len 2)
+///   <access>, Trace               -> Fused<access>Trace   (len 2)
 ///
-/// The greedy matcher tries longer patterns first at each head (the
-/// GetField triple before the GetField pair) and never lets sequences
-/// overlap, so each constituent executes exactly once.
+/// where <access> is any of GetField, PutField, GetStatic, PutStatic,
+/// ALoad and AStore, and the Trace observes exactly that access (the
+/// access+trace family, counted as one in FusionStats::AccessTraceSites).
+///
+/// The greedy matcher tries the access+trace pair first, then longer
+/// patterns before shorter ones at each head (the GetField triple before
+/// the GetField pair), and never lets sequences overlap, so each
+/// constituent executes exactly once.
 ///
 /// Fusion rules (pinned by tests/instr_test.cpp):
 ///
@@ -38,12 +44,13 @@
 ///    threaded interpreter executes constituents sequentially with full
 ///    per-instruction accounting, so a mid-sequence fault leaves exactly
 ///    the state the unfused code would.
-///  * Instrumented-access boundary: a sequence whose trailing heap access
-///    is followed by a Trace instruction is left unfused.  The Trace is
-///    the instrumentation for that access (Section 6.1 inserts traces
-///    AFTER the access); keeping the access unfused keeps the
-///    instrumented pair intact as the unit every event-order invariant
-///    was written against.
+///  * Instrumented-access boundary: an access and its Trace fuse as one
+///    unit, and nothing else fuses across them.  The Trace is the
+///    instrumentation for that access (Section 6.1 inserts traces AFTER
+///    the access); the pair keeps both constituents' per-step
+///    accounting, so the hook event lands exactly where the unfused pair
+///    delivers it, and no other sequence may end at an instrumented
+///    access.
 ///
 /// The pass also plans *batched quantum retirement*: for every shadow
 /// block it records the length of the leading straight-line run the
@@ -51,9 +58,9 @@
 /// skipping the per-step quantum test until the prefix ends
 /// (ThreadedCode::BatchLens).  Instructions that can end a
 /// slice or transfer control, Trace instructions, and accesses a Trace
-/// instruments are never part of a batch, so per-step accounting — and
-/// with it the byte-identical schedule — is preserved exactly where it
-/// is observable.
+/// instruments (fused with it or not) are never part of a batch, so
+/// per-step accounting — and with it the byte-identical schedule — is
+/// preserved exactly where it is observable.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -121,9 +121,8 @@ bool Interpreter::requireInt(const Value &V, int64_t &Out,
   return true;
 }
 
-void Interpreter::emitAccess(ThreadId Thread, LocationKey Loc,
-                             AccessKind Kind, SiteId Site) {
-  ++Result.AccessEvents;
+inline void Interpreter::deliverHoisted(ThreadId Thread, LocationKey Loc,
+                                        AccessKind Kind, SiteId Site) {
   // Hoisted L0 probe (docs/HOOKPATH.md): CurFilter is the running
   // thread's filter, refreshed at quantum start, so the common case — a
   // guaranteed-redundant access — costs one hash and one slot compare
@@ -131,20 +130,26 @@ void Interpreter::emitAccess(ThreadId Thread, LocationKey Loc,
   // detector-side cache (the differential oracle, asserted in debug
   // builds); a miss falls through to the full delivery path, which is
   // what seeds the filter.
+  if (CurFilter->probe(Loc, Kind)) {
+    assert((SerialSink ? SerialSink->oracleHolds(Thread, Loc, Kind)
+                       : ShardedSink->oracleHolds(Thread, Loc, Kind)) &&
+           "hoisted L0 filter hit not backed by the detector-side cache");
+    return;
+  }
+  // Qualified calls: the sink type is concrete, so the miss path stays
+  // devirtualized too.
+  if (SerialSink) {
+    SerialSink->RaceRuntime::onAccess(Thread, Loc, Kind, Site);
+    return;
+  }
+  ShardedSink->ShardedRuntime::onAccess(Thread, Loc, Kind, Site);
+}
+
+void Interpreter::emitAccess(ThreadId Thread, LocationKey Loc,
+                             AccessKind Kind, SiteId Site) {
+  ++Result.AccessEvents;
   if (CurFilter) {
-    if (CurFilter->probe(Loc, Kind)) {
-      assert((SerialSink ? SerialSink->oracleHolds(Thread, Loc, Kind)
-                         : ShardedSink->oracleHolds(Thread, Loc, Kind)) &&
-             "hoisted L0 filter hit not backed by the detector-side cache");
-      return;
-    }
-    // Qualified calls: the sink type is concrete, so the miss path stays
-    // devirtualized too.
-    if (SerialSink) {
-      SerialSink->RaceRuntime::onAccess(Thread, Loc, Kind, Site);
-      return;
-    }
-    ShardedSink->ShardedRuntime::onAccess(Thread, Loc, Kind, Site);
+    deliverHoisted(Thread, Loc, Kind, Site);
     return;
   }
   // Devirtualized delivery without a hoistable filter (filter off, or
@@ -379,23 +384,29 @@ Interpreter::StepResult Interpreter::execPutField(SimThread &Thread,
 
 Interpreter::StepResult Interpreter::execGetStatic(SimThread &Thread,
                                                    Value *Regs, const Instr &I,
-                                                   bool EmitAll) {
+                                                   bool EmitAll,
+                                                   ObjectId *Resolved) {
   ObjectId Statics = TheHeap.classStatics(I.Class);
   rg(Regs, I.Dst) = TheHeap.object(Statics).Slots[P.field(I.Field).SlotIndex];
   if (EmitAll)
     emitAccess(Thread.Id, LocationKey::forStatic(Statics, I.Field),
                AccessKind::Read, I.Site);
+  if (Resolved)
+    *Resolved = Statics;
   return StepResult::Continue;
 }
 
 Interpreter::StepResult Interpreter::execPutStatic(SimThread &Thread,
                                                    Value *Regs, const Instr &I,
-                                                   bool EmitAll) {
+                                                   bool EmitAll,
+                                                   ObjectId *Resolved) {
   ObjectId Statics = TheHeap.classStatics(I.Class);
   TheHeap.object(Statics).Slots[P.field(I.Field).SlotIndex] = rg(Regs, I.A);
   if (EmitAll)
     emitAccess(Thread.Id, LocationKey::forStatic(Statics, I.Field),
                AccessKind::Write, I.Site);
+  if (Resolved)
+    *Resolved = Statics;
   return StepResult::Continue;
 }
 
@@ -889,6 +900,11 @@ void Interpreter::runSliceThreaded(SimThread &Thread, uint64_t Quantum,
   uint64_t BatchFloor = 0;
   uint64_t BatchHits = 0, BatchSteps = 0; // stats, committed at slice end
   StepResult R = StepResult::Continue;
+  // The access+trace family's hand-off from the access to the inline
+  // Trace: the statics object a static access resolved, and the location
+  // the Trace observes.
+  ObjectId TraceStatics;
+  LocationKey TraceLoc;
 
   // Derived accounting (see the header comment): the instruction budget
   // folds into the slice's effective quantum, so the loop keeps ONE hot
@@ -931,7 +947,10 @@ void Interpreter::runSliceThreaded(SimThread &Thread, uint64_t Quantum,
       &&Lbl_Yield,        &&Lbl_Trace,        &&Lbl_FusedConstBinOp,
       &&Lbl_FusedConstPutField,  &&Lbl_FusedGetBinPut,
       &&Lbl_FusedBinOpBranch,    &&Lbl_FusedGetFieldBinOp,
-      &&Lbl_FusedBinOpPutField,  &&Lbl_FusedBinOpMove};
+      &&Lbl_FusedBinOpPutField,  &&Lbl_FusedBinOpMove,
+      &&Lbl_FusedGetFieldTrace,  &&Lbl_FusedPutFieldTrace,
+      &&Lbl_FusedGetStaticTrace, &&Lbl_FusedPutStaticTrace,
+      &&Lbl_FusedALoadTrace,     &&Lbl_FusedAStoreTrace};
 #endif
 
   // A slice begins like a step that may first have to enter a
@@ -1049,35 +1068,40 @@ PlainGetField : {
     goto NextStep;
   }
 
-  HERD_OP(PutField) {
+  HERD_OP(PutField)
+PlainPutField : {
     HERD_EXEC(PutField, execPutField(Thread, Regs, *I, EmitAll));
     HERD_FINISH_STEP();
     ++Ip;
     goto NextStep;
   }
 
-  HERD_OP(GetStatic) {
+  HERD_OP(GetStatic)
+PlainGetStatic : {
     HERD_EXEC(GetStatic, execGetStatic(Thread, Regs, *I, EmitAll));
     HERD_FINISH_STEP();
     ++Ip;
     goto NextStep;
   }
 
-  HERD_OP(PutStatic) {
+  HERD_OP(PutStatic)
+PlainPutStatic : {
     HERD_EXEC(PutStatic, execPutStatic(Thread, Regs, *I, EmitAll));
     HERD_FINISH_STEP();
     ++Ip;
     goto NextStep;
   }
 
-  HERD_OP(ALoad) {
+  HERD_OP(ALoad)
+PlainALoad : {
     HERD_EXEC(ALoad, execALoad(Thread, Regs, *I, EmitAll));
     HERD_FINISH_STEP();
     ++Ip;
     goto NextStep;
   }
 
-  HERD_OP(AStore) {
+  HERD_OP(AStore)
+PlainAStore : {
     HERD_EXEC(AStore, execAStore(Thread, Regs, *I, EmitAll));
     HERD_FINISH_STEP();
     ++Ip;
@@ -1292,6 +1316,126 @@ PlainGetField : {
     ++Ip;
     goto NextStep;
   }
+
+  // --- The access+trace family: an instrumented access and its Trace ---
+  // The access runs through its executor (the only copy of access
+  // semantics); the Trace then runs inline in the shared tails below,
+  // which build its location key and probe the hoisted filter.  The pair
+  // is never part of a batch (instr/Superinstr.cpp fusedIsBatchable), so
+  // no BatchFloor is active, and both constituents charge the quantum:
+  // with fewer than two steps left the plain access runs alone and the
+  // Trace waits for the thread's next slice.
+
+  HERD_FUSED_OP(FusedGetFieldTrace) {
+    if constexpr (Profiled)
+      HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
+    assert(BatchFloor == 0 && "instrumented access inside a batch");
+    if (HERD_UNLIKELY(Remaining < 2))
+      goto PlainGetField;
+    R = execGetField(Thread, Regs, *I, EmitAll);
+    HERD_FINISH_STEP();
+    goto TraceObjectTail;
+  }
+
+  HERD_FUSED_OP(FusedPutFieldTrace) {
+    if constexpr (Profiled)
+      HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
+    assert(BatchFloor == 0 && "instrumented access inside a batch");
+    if (HERD_UNLIKELY(Remaining < 2))
+      goto PlainPutField;
+    R = execPutField(Thread, Regs, *I, EmitAll);
+    HERD_FINISH_STEP();
+    goto TraceObjectTail;
+  }
+
+  HERD_FUSED_OP(FusedALoadTrace) {
+    if constexpr (Profiled)
+      HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
+    assert(BatchFloor == 0 && "instrumented access inside a batch");
+    if (HERD_UNLIKELY(Remaining < 2))
+      goto PlainALoad;
+    R = execALoad(Thread, Regs, *I, EmitAll);
+    HERD_FINISH_STEP();
+    goto TraceObjectTail;
+  }
+
+  HERD_FUSED_OP(FusedAStoreTrace) {
+    if constexpr (Profiled)
+      HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
+    assert(BatchFloor == 0 && "instrumented access inside a batch");
+    if (HERD_UNLIKELY(Remaining < 2))
+      goto PlainAStore;
+    R = execAStore(Thread, Regs, *I, EmitAll);
+    HERD_FINISH_STEP();
+    goto TraceObjectTail;
+  }
+
+  HERD_FUSED_OP(FusedGetStaticTrace) {
+    if constexpr (Profiled)
+      HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
+    assert(BatchFloor == 0 && "instrumented access inside a batch");
+    if (HERD_UNLIKELY(Remaining < 2))
+      goto PlainGetStatic;
+    R = execGetStatic(Thread, Regs, *I, EmitAll, &TraceStatics);
+    HERD_FINISH_STEP();
+    goto TraceStaticTail;
+  }
+
+  HERD_FUSED_OP(FusedPutStaticTrace) {
+    if constexpr (Profiled)
+      HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
+    assert(BatchFloor == 0 && "instrumented access inside a batch");
+    if (HERD_UNLIKELY(Remaining < 2))
+      goto PlainPutStatic;
+    R = execPutStatic(Thread, Regs, *I, EmitAll, &TraceStatics);
+    HERD_FINISH_STEP();
+    goto TraceStaticTail;
+  }
+
+TraceObjectTail : {
+    // A field or array Trace reads its base register after the access,
+    // exactly like execTrace: normally the object the access just
+    // resolved, but a load whose destination is that register has
+    // overwritten it, so re-read it.  A value that is no reference takes
+    // execTrace, which faults as the unfused Trace would.
+    ++Ip;
+    I = CodeBase + Ip;
+    const Value &Base = rg(Regs, I->A);
+    if (HERD_UNLIKELY(!Base.isRef() || Base.isNull())) {
+      R = execTrace(Thread, Regs, *I);
+      goto AccessTraceTail;
+    }
+    TraceLoc = I->TraceWhat == TraceWhatKind::Array
+                   ? LocationKey::forArray(Base.asRef())
+                   : LocationKey::forField(Base.asRef(), I->Field);
+    goto TraceDeliver;
+  }
+
+TraceStaticTail:
+  // A static Trace's location is the statics object the access resolved.
+  ++Ip;
+  I = CodeBase + Ip;
+  TraceLoc = LocationKey::forStatic(TraceStatics, I->Field);
+  // Fallthrough.
+
+TraceDeliver:
+  // The Trace proper, the rest of execTrace inline: count the event,
+  // probe the hoisted L0 filter, and deliver a miss to the concrete
+  // runtime.  Without a hoisted filter (recording, provenance, deadlock
+  // detection, `--hook-filter=off`) the key goes through emitAccess.
+  if (HERD_LIKELY(CurFilter != nullptr)) {
+    ++Result.AccessEvents;
+    deliverHoisted(Thread.Id, TraceLoc, I->Access, I->Site);
+  } else {
+    emitAccess(Thread.Id, TraceLoc, I->Access, I->Site);
+  }
+  // Fallthrough.
+
+AccessTraceTail:
+  HERD_FINISH_STEP();
+  ++Result.Fused.AccessTrace;
+  ++Ip;
+  goto NextStep;
 
 #if !HERD_COMPUTED_GOTO
   default:

@@ -210,7 +210,10 @@ private:
   //
   // Heap-access executors take EmitAll (= TraceEveryAccess) as a plain
   // parameter; the threaded loop passes a template constant so the
-  // no-hook instantiations compile the hook plumbing out entirely.
+  // no-hook instantiations compile the hook plumbing out entirely.  The
+  // static-field executors also hand back the statics object they
+  // resolved (\p Resolved), which the fused access+trace handler keys
+  // its inline Trace on.
   StepResult execConst(Value *Regs, const Instr &I);
   StepResult execMove(Value *Regs, const Instr &I);
   StepResult execBinOp(Value *Regs, const Instr &I);
@@ -222,9 +225,9 @@ private:
   StepResult execPutField(SimThread &Thread, Value *Regs, const Instr &I,
                           bool EmitAll);
   StepResult execGetStatic(SimThread &Thread, Value *Regs, const Instr &I,
-                           bool EmitAll);
+                           bool EmitAll, ObjectId *Resolved = nullptr);
   StepResult execPutStatic(SimThread &Thread, Value *Regs, const Instr &I,
-                           bool EmitAll);
+                           bool EmitAll, ObjectId *Resolved = nullptr);
   StepResult execALoad(SimThread &Thread, Value *Regs, const Instr &I,
                        bool EmitAll);
   StepResult execAStore(SimThread &Thread, Value *Regs, const Instr &I,
@@ -268,6 +271,11 @@ private:
   void fault(const std::string &Message);
   void emitAccess(ThreadId Thread, LocationKey Loc, AccessKind Kind,
                   SiteId Site);
+  /// The hoisted L0 probe and its devirtualized miss delivery (requires
+  /// CurFilter); shared by emitAccess and the fused access+trace handler,
+  /// which inlines it into the threaded loop.
+  void deliverHoisted(ThreadId Thread, LocationKey Loc, AccessKind Kind,
+                      SiteId Site);
 
   bool requireRef(const Value &V, ObjectId &Out, const char *What);
   bool requireInt(const Value &V, int64_t &Out, const char *What);
@@ -279,8 +287,9 @@ private:
   ShardedRuntime *ShardedSink;
   /// The running thread's L0 filter, refreshed at each quantum start from
   /// the active sink's filterHandle (docs/HOOKPATH.md).  Non-null only on
-  /// the devirtualized path with the filter hoistable; emitAccess probes
-  /// it through this one pointer before any call into the runtime.
+  /// the devirtualized path with the filter hoistable; emitAccess and the
+  /// fused access+trace handler probe it through this one pointer before
+  /// any call into the runtime.
   AccessFilter *CurFilter = nullptr;
   InterpOptions Opts;
   Heap TheHeap;

@@ -58,13 +58,39 @@ constexpr Opcode OpFusedBinOpPutField = Opcode(uint8_t(Opcode::Trace) + 6);
 /// BinOp feeding a Move (`x = a + b` into a named local).
 constexpr Opcode OpFusedBinOpMove = Opcode(uint8_t(Opcode::Trace) + 7);
 
+/// The access+trace family: an instrumented heap access and the Trace
+/// observing it (Section 6.1's trace(o, f, L, a) right after the access).
+/// One head opcode per access kind, in Opcode order, so the threaded loop
+/// reaches each kind's executor without a second dispatch.
+constexpr Opcode OpFusedGetFieldTrace = Opcode(uint8_t(Opcode::Trace) + 8);
+constexpr Opcode OpFusedPutFieldTrace = Opcode(uint8_t(Opcode::Trace) + 9);
+constexpr Opcode OpFusedGetStaticTrace = Opcode(uint8_t(Opcode::Trace) + 10);
+constexpr Opcode OpFusedPutStaticTrace = Opcode(uint8_t(Opcode::Trace) + 11);
+constexpr Opcode OpFusedALoadTrace = Opcode(uint8_t(Opcode::Trace) + 12);
+constexpr Opcode OpFusedAStoreTrace = Opcode(uint8_t(Opcode::Trace) + 13);
+static_assert(uint8_t(Opcode::AStore) - uint8_t(Opcode::GetField) == 5,
+              "the access+trace heads mirror the six heap-access opcodes");
+
 /// Size of the threaded dispatch table: all real opcodes plus the seven
-/// fused pseudo-opcodes.
-constexpr size_t NumDispatchOpcodes = size_t(Opcode::Trace) + 8;
+/// fused pairs and the six access+trace heads.
+constexpr size_t NumDispatchOpcodes = size_t(Opcode::Trace) + 14;
 
 /// Returns true for a fused pseudo-opcode (shadow code only).
 constexpr bool isFusedOpcode(Opcode Op) {
   return uint8_t(Op) > uint8_t(Opcode::Trace);
+}
+
+/// Returns true for a head of the access+trace family.
+constexpr bool isAccessTraceOpcode(Opcode Op) {
+  return uint8_t(Op) >= uint8_t(OpFusedGetFieldTrace) &&
+         uint8_t(Op) <= uint8_t(OpFusedAStoreTrace);
+}
+
+/// The access+trace head for heap-access opcode \p Access (GetField ..
+/// AStore).
+constexpr Opcode accessTraceOpcode(Opcode Access) {
+  return Opcode(uint8_t(OpFusedGetFieldTrace) +
+                (uint8_t(Access) - uint8_t(Opcode::GetField)));
 }
 
 /// How many constituent instructions a fused opcode covers.
@@ -88,6 +114,18 @@ inline const char *fusedOpcodeName(Opcode Op) {
     return "fused.binop+putfield";
   if (Op == OpFusedBinOpMove)
     return "fused.binop+move";
+  if (Op == OpFusedGetFieldTrace)
+    return "fused.getfield+trace";
+  if (Op == OpFusedPutFieldTrace)
+    return "fused.putfield+trace";
+  if (Op == OpFusedGetStaticTrace)
+    return "fused.getstatic+trace";
+  if (Op == OpFusedPutStaticTrace)
+    return "fused.putstatic+trace";
+  if (Op == OpFusedALoadTrace)
+    return "fused.aload+trace";
+  if (Op == OpFusedAStoreTrace)
+    return "fused.astore+trace";
   return "?";
 }
 
@@ -103,6 +141,8 @@ struct FusionStats {
   uint64_t GetFieldBinOpSites = 0;
   uint64_t BinOpPutFieldSites = 0;
   uint64_t BinOpMoveSites = 0;
+  /// Instrumented accesses fused with their Trace (all six access kinds).
+  uint64_t AccessTraceSites = 0;
 
   /// Blocks whose leading straight-line run qualifies for batched quantum
   /// retirement (length >= SuperinstrOptions::MinBatchLen; see
@@ -114,7 +154,7 @@ struct FusionStats {
   uint64_t sites() const {
     return ConstBinOpSites + ConstPutFieldSites + GetBinPutSites +
            BinOpBranchSites + GetFieldBinOpSites + BinOpPutFieldSites +
-           BinOpMoveSites;
+           BinOpMoveSites + AccessTraceSites;
   }
 };
 
@@ -130,10 +170,13 @@ struct FusedExecCounts {
   uint64_t GetFieldBinOp = 0;
   uint64_t BinOpPutField = 0;
   uint64_t BinOpMove = 0;
+  /// Access+trace pairs run in one dispatch.  Each one delivered exactly
+  /// one access event, so this never exceeds InterpResult::AccessEvents.
+  uint64_t AccessTrace = 0;
 
   uint64_t total() const {
     return ConstBinOp + ConstPutField + GetBinPut + BinOpBranch +
-           GetFieldBinOp + BinOpPutField + BinOpMove;
+           GetFieldBinOp + BinOpPutField + BinOpMove + AccessTrace;
   }
 };
 
@@ -152,8 +195,9 @@ struct ThreadedCode {
   /// (docs/INTERPRETER.md).  The prefix stops at the first instruction
   /// that can end a slice or transfer control (calls, branches,
   /// monitors, thread ops, Yield), at any Trace, and at any heap access
-  /// a Trace instruments — those always retire per step, so schedules
-  /// stay byte-identical.  A fused head counts all its constituents.
+  /// a Trace instruments, fused with it or not — those always retire per
+  /// step, so schedules stay byte-identical.  A fused head counts all its
+  /// constituents.
   /// Prefixes shorter than SuperinstrOptions::MinBatchLen are reported
   /// as zero; zero means "no batch for this block".
   std::vector<std::vector<uint32_t>> BatchLens; ///< [method][block]

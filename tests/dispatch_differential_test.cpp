@@ -16,6 +16,13 @@
 /// schedule seeds.  Record/replay must also interoperate: a schedule
 /// recorded under one mode replays exactly under the other.
 ///
+/// The access+trace family (an instrumented access fused with its Trace,
+/// which probes the hoisted L0 filter inline) gets its own lockdown at the
+/// end: fusion on, fusion off and switch dispatch on the five replicas and
+/// per access kind, at quantum edges, serial and sharded, with recording
+/// on (no filter hoisted) — schedules, reports, traces and access-event
+/// counts must match.
+///
 //===----------------------------------------------------------------------===//
 
 #include "FuzzPrograms.h"
@@ -23,10 +30,14 @@
 #include "herd/Pipeline.h"
 #include "instr/Instrumenter.h"
 #include "instr/Superinstr.h"
+#include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "support/TempPath.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,26 +91,57 @@ void expectSameRun(const PipelineResult &Ref, const PipelineResult &Got,
   EXPECT_EQ(Ref.Stats.Detector.EventsIn, Got.Stats.Detector.EventsIn);
   EXPECT_EQ(Ref.Stats.Detector.RacesReported,
             Got.Stats.Detector.RacesReported);
+  EXPECT_EQ(Ref.Stats.Hook.FilterHits, Got.Stats.Hook.FilterHits);
+  EXPECT_EQ(Ref.TraceRecords, Got.TraceRecords);
+}
+
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
 }
 
 /// Runs \p P under switch and threaded dispatch with otherwise-identical
 /// configs and asserts equivalence; also pins that fusion itself is
-/// transparent (threaded with Superinstructions off matches too).
-void runBothModes(const Program &P, ToolConfig Config,
-                  const std::string &What) {
+/// transparent (threaded with Superinstructions off matches too).  With
+/// \p Record, each run also records a trace, and the three recordings
+/// must be byte-identical.  Returns the threaded run with fusion on.
+PipelineResult runBothModes(const Program &P, ToolConfig Config,
+                            const std::string &What, bool Record = false) {
+  TempPath RefTrace("dispatch-switch"), ThrTrace("dispatch-threaded"),
+      NoFuseTrace("dispatch-nofuse");
   Config.Dispatch = DispatchMode::Switch;
+  if (Record)
+    Config.RecordTracePath = RefTrace.str();
   PipelineResult Ref = runPipeline(P, Config);
 
   Config.Dispatch = DispatchMode::Threaded;
+  if (Record)
+    Config.RecordTracePath = ThrTrace.str();
   PipelineResult Thr = runPipeline(P, Config);
   expectSameRun(Ref, Thr, What + " [threaded]");
   EXPECT_EQ(Thr.Dispatch, DispatchMode::Threaded);
 
   Config.Superinstructions = false;
+  if (Record)
+    Config.RecordTracePath = NoFuseTrace.str();
   PipelineResult NoFuse = runPipeline(P, Config);
   expectSameRun(Ref, NoFuse, What + " [threaded, no fusion]");
   EXPECT_EQ(NoFuse.Fusion.sites(), 0u);
   EXPECT_EQ(NoFuse.Run.Fused.total(), 0u);
+
+  if (Record) {
+    EXPECT_TRUE(Ref.Trace.Ok && Thr.Trace.Ok && NoFuse.Trace.Ok) << What;
+    std::string RefBytes = slurp(RefTrace.str());
+    EXPECT_FALSE(RefBytes.empty()) << What;
+    EXPECT_EQ(RefBytes, slurp(ThrTrace.str())) << What << " [threaded]";
+    EXPECT_EQ(RefBytes, slurp(NoFuseTrace.str()))
+        << What << " [threaded, no fusion]";
+  }
+  // Each fused access+trace execution delivered one access event.
+  EXPECT_LE(Thr.Run.Fused.AccessTrace, Thr.Run.AccessEvents) << What;
+  return Thr;
 }
 
 TEST(DispatchDifferentialTest, NamedProgramsAllConfigs) {
@@ -418,6 +460,391 @@ TEST(DispatchDifferentialTest, FusionActuallyFires) {
   RawRun Ref = runRaw(P, DispatchMode::Switch, 1,
                       /*TraceEveryAccess=*/false, &TC);
   EXPECT_EQ(Ref.R.Fused.total(), 0u);
+}
+
+//===----------------------------------------------------------------------===
+// The access+trace family: fusion on vs off vs switch dispatch
+//===----------------------------------------------------------------------===
+
+/// The named corpus plus the five replicas, where instrumented accesses
+/// recur and the inline L0 probe actually hits.
+std::vector<std::pair<std::string, Program>> replicaCorpus() {
+  std::vector<std::pair<std::string, Program>> Out = namedCorpus();
+  for (Workload &W : buildAllWorkloads())
+    Out.emplace_back(W.Name, std::move(W.P));
+  return Out;
+}
+
+/// Every access instrumented and every in-loop trace kept, so the same
+/// instrumented access recurs and the L0 filter hits it.
+ToolConfig everyTraceKept() {
+  ToolConfig Config = ToolConfig::noStatic();
+  Config.StaticWeakerThan = false;
+  Config.LoopPeeling = false;
+  return Config;
+}
+
+TEST(AccessTraceFusionTest, ReplicasAgreeThreeWays) {
+  // Fusion on, fusion off and switch dispatch, on the production config
+  // and on the every-trace config, serial and with two shards, at the
+  // quantum edges where a pair splits across slices (MaxQuantum 1 and 2)
+  // and at the default quantum.
+  uint64_t FusedExecs = 0, FilterHits = 0;
+  for (auto &[Name, P] : replicaCorpus()) {
+    for (bool Full : {true, false}) {
+      for (uint32_t MaxQ : {1u, 2u, 40u}) {
+        for (uint32_t Shards : {0u, 2u}) {
+          ToolConfig Config = Full ? ToolConfig::full() : everyTraceKept();
+          Config.Seed = MaxQ == 40 ? 1 : 13;
+          Config.MaxQuantum = MaxQ;
+          Config.Shards = Shards;
+          PipelineResult Thr = runBothModes(
+              P, Config,
+              Name + (Full ? " full" : " every-trace") +
+                  " maxq=" + std::to_string(MaxQ) +
+                  " shards=" + std::to_string(Shards));
+          FusedExecs += Thr.Run.Fused.AccessTrace;
+          FilterHits += Thr.Stats.Hook.FilterHits;
+        }
+      }
+    }
+  }
+  EXPECT_GT(FusedExecs, 0u) << "no access+trace pair ever ran fused";
+  EXPECT_GT(FilterHits, 0u) << "the inline L0 probe never hit";
+}
+
+TEST(AccessTraceFusionTest, RecordingHoistsNoFilterAndAgrees) {
+  // With a recorder attached the runtime is not the sole sink, so no
+  // filter is hoisted and every fused Trace takes emitAccess; the
+  // recorded traces must still match byte for byte.
+  uint64_t FusedExecs = 0;
+  for (auto &[Name, P] : replicaCorpus()) {
+    for (uint32_t MaxQ : {2u, 40u}) {
+      ToolConfig Config = ToolConfig::full();
+      Config.Seed = 21;
+      Config.MaxQuantum = MaxQ;
+      PipelineResult Thr =
+          runBothModes(P, Config,
+                       Name + " record maxq=" + std::to_string(MaxQ),
+                       /*Record=*/true);
+      EXPECT_EQ(Thr.Stats.Hook.FilterHits, 0u);
+      FusedExecs += Thr.Run.Fused.AccessTrace;
+    }
+  }
+  EXPECT_GT(FusedExecs, 0u);
+}
+
+TEST_P(DispatchFuzzTest, AccessTraceFusionAgreesAtQuantumEdges) {
+  Program P = generateProgram(GetParam());
+  for (uint32_t MaxQ : {1u, 2u}) {
+    for (uint32_t Shards : {0u, 2u}) {
+      ToolConfig Config = everyTraceKept();
+      Config.Seed = 13;
+      Config.MaxQuantum = MaxQ;
+      Config.Shards = Shards;
+      runBothModes(P, Config,
+                   "fuzz maxq=" + std::to_string(MaxQ) +
+                       " shards=" + std::to_string(Shards));
+    }
+  }
+}
+
+/// A raw run with the serial runtime as the devirtualized sink, the
+/// configuration that hoists the L0 filter: threaded dispatch over fused
+/// shadow code then runs every fused Trace's probe inline.
+struct SinkRun {
+  InterpResult R;
+  ScheduleTrace Schedule;
+  RaceRuntimeStats Stats;
+};
+
+SinkRun runWithSink(const Program &P, DispatchMode Mode,
+                    const ThreadedCode *Shadow, uint64_t Seed,
+                    uint32_t MaxQuantum) {
+  SinkRun Out;
+  RaceRuntimeOptions ROpts;
+  ROpts.HookFilter = true;
+  RaceRuntime Runtime(ROpts);
+  InterpOptions Opts;
+  Opts.Seed = Seed;
+  Opts.MaxQuantum = MaxQuantum;
+  Opts.Dispatch = Mode;
+  Opts.Fused = Mode == DispatchMode::Threaded ? Shadow : nullptr;
+  Opts.Record = &Out.Schedule;
+  Opts.SerialSink = &Runtime;
+  Interpreter Interp(P, &Runtime, Opts);
+  Out.R = Interp.run();
+  Out.Stats = Runtime.stats();
+  return Out;
+}
+
+void expectSameSinkRun(const SinkRun &Ref, const SinkRun &Got,
+                       const std::string &What) {
+  SCOPED_TRACE(What);
+  ASSERT_EQ(Ref.R.Ok, Got.R.Ok) << Got.R.Error;
+  EXPECT_EQ(Ref.R.Error, Got.R.Error);
+  EXPECT_EQ(Ref.R.Output, Got.R.Output);
+  EXPECT_EQ(Ref.R.InstructionsExecuted, Got.R.InstructionsExecuted);
+  EXPECT_EQ(Ref.R.AccessEvents, Got.R.AccessEvents);
+  EXPECT_EQ(Ref.R.ContextSwitches, Got.R.ContextSwitches);
+  EXPECT_EQ(Ref.Stats.EventsSeen, Got.Stats.EventsSeen);
+  EXPECT_EQ(Ref.Stats.Hook.FilterHits, Got.Stats.Hook.FilterHits);
+  EXPECT_EQ(Ref.Stats.Detector.EventsIn, Got.Stats.Detector.EventsIn);
+  EXPECT_EQ(Ref.Stats.Detector.RacesReported,
+            Got.Stats.Detector.RacesReported);
+  ASSERT_EQ(Ref.Schedule.Slices.size(), Got.Schedule.Slices.size());
+  for (size_t I = 0; I != Ref.Schedule.Slices.size(); ++I) {
+    EXPECT_EQ(Ref.Schedule.Slices[I].ThreadIndex,
+              Got.Schedule.Slices[I].ThreadIndex)
+        << "slice " << I;
+    EXPECT_EQ(Ref.Schedule.Slices[I].Steps, Got.Schedule.Slices[I].Steps)
+        << "slice " << I;
+  }
+}
+
+/// Runs an instrumented program three ways with the serial sink and
+/// asserts identical schedules and counts; returns the fused run.
+SinkRun expectSinkRunsAgree(const Program &Instrumented, uint64_t Seed,
+                            uint32_t MaxQuantum, const std::string &What) {
+  ThreadedCode Fused = buildThreadedCode(Instrumented);
+  SuperinstrOptions NoFuseOpts;
+  NoFuseOpts.Fuse = false;
+  ThreadedCode Unfused = buildThreadedCode(Instrumented, NoFuseOpts);
+  SinkRun Ref = runWithSink(Instrumented, DispatchMode::Switch, nullptr,
+                            Seed, MaxQuantum);
+  SinkRun Thr = runWithSink(Instrumented, DispatchMode::Threaded, &Fused,
+                            Seed, MaxQuantum);
+  SinkRun NoFuse = runWithSink(Instrumented, DispatchMode::Threaded,
+                               &Unfused, Seed, MaxQuantum);
+  expectSameSinkRun(Ref, Thr, What + " [threaded]");
+  expectSameSinkRun(Ref, NoFuse, What + " [threaded, no fusion]");
+  EXPECT_EQ(NoFuse.R.Fused.total(), 0u);
+  EXPECT_LE(Thr.R.Fused.AccessTrace, Thr.R.AccessEvents);
+  return Thr;
+}
+
+/// Instruments every access of a copy of \p P and keeps the in-loop
+/// traces (no weaker-than elimination, no peeling).
+Program instrumentEveryAccess(const Program &P) {
+  Program Out = P;
+  InstrumenterOptions IOpts;
+  IOpts.UseStaticRaceSet = false;
+  IOpts.StaticWeakerThan = false;
+  IOpts.LoopPeeling = false;
+  instrumentProgram(Out, IOpts, nullptr);
+  EXPECT_TRUE(verifyProgram(Out).empty());
+  return Out;
+}
+
+TEST(AccessTraceFusionTest, ReplicaSchedulesAgreeWithTheFilterHoisted) {
+  uint64_t FusedExecs = 0, FilterHits = 0;
+  for (auto &[Name, P] : replicaCorpus()) {
+    Program Instrumented = instrumentEveryAccess(P);
+    for (uint32_t MaxQ : {1u, 2u, 5u, 40u}) {
+      for (uint64_t Seed : {1u, 13u}) {
+        SinkRun Thr = expectSinkRunsAgree(
+            Instrumented, Seed, MaxQ,
+            Name + " maxq=" + std::to_string(MaxQ) +
+                " seed=" + std::to_string(Seed));
+        FusedExecs += Thr.R.Fused.AccessTrace;
+        FilterHits += Thr.Stats.Hook.FilterHits;
+      }
+    }
+  }
+  EXPECT_GT(FusedExecs, 0u);
+  EXPECT_GT(FilterHits, 0u);
+}
+
+/// Two workers each run one heap access of kind \p Kind on shared state
+/// six times in a loop, so the L0 filter hits from the second iteration
+/// on.  Loads feed Print so their values are observable.
+Program buildAccessLoop(Opcode Kind) {
+  Program P;
+  IRBuilder B(P);
+  ClassId Shared = B.makeClass("Shared");
+  FieldId F = B.makeField(Shared, "f");
+  FieldId S = B.makeStaticField(Shared, "s");
+  FieldId Arr = B.makeField(Shared, "arr");
+  ClassId Worker = B.makeClass("Worker");
+  FieldId Target = B.makeField(Worker, "target");
+
+  B.startMethod(Worker, "run", 1);
+  RegId Obj = B.emitGetField(B.thisReg(), Target);
+  RegId Array = B.emitGetField(Obj, Arr);
+  RegId Zero = B.emitConst(0);
+  B.forLoop(0, B.emitConst(6), 1, [&](RegId I) {
+    switch (Kind) {
+    case Opcode::GetField:
+      B.emitPrint(B.emitGetField(Obj, F));
+      break;
+    case Opcode::PutField:
+      B.emitPutField(Obj, F, I);
+      break;
+    case Opcode::GetStatic:
+      B.emitPrint(B.emitGetStatic(S));
+      break;
+    case Opcode::PutStatic:
+      B.emitPutStatic(S, I);
+      break;
+    case Opcode::ALoad:
+      B.emitPrint(B.emitALoad(Array, Zero));
+      break;
+    default:
+      B.emitAStore(Array, Zero, I);
+      break;
+    }
+  });
+  B.emitReturn();
+
+  B.startMain();
+  RegId SharedObj = B.emitNew(Shared);
+  B.emitPutField(SharedObj, Arr, B.emitNewArray(B.emitConst(1)));
+  RegId W1 = B.emitNew(Worker);
+  RegId W2 = B.emitNew(Worker);
+  B.emitPutField(W1, Target, SharedObj);
+  B.emitPutField(W2, Target, SharedObj);
+  B.emitThreadStart(W1);
+  B.emitThreadStart(W2);
+  B.emitThreadJoin(W1);
+  B.emitThreadJoin(W2);
+  B.emitReturn();
+  return P;
+}
+
+/// Pins one access kind: its pair fuses, runs fused with the inline
+/// probe hitting, and agrees three ways in the pipeline and raw.
+void expectAccessKindAgrees(Opcode Kind) {
+  SCOPED_TRACE(opcodeName(Kind));
+  Program P = buildAccessLoop(Kind);
+  Program Instrumented = instrumentEveryAccess(P);
+  ThreadedCode TC = buildThreadedCode(Instrumented);
+  size_t Heads = 0;
+  for (const auto &Blocks : TC.MethodBlocks)
+    for (const BasicBlock &Block : Blocks)
+      for (const Instr &I : Block.Instrs)
+        Heads += I.Op == accessTraceOpcode(Kind);
+  EXPECT_GE(Heads, 1u) << "the access never fused with its Trace";
+
+  uint64_t FusedExecs = 0, FilterHits = 0;
+  for (uint32_t MaxQ : {1u, 2u, 3u, 40u}) {
+    for (uint32_t Shards : {0u, 2u}) {
+      ToolConfig Config = everyTraceKept();
+      Config.Seed = 7;
+      Config.MaxQuantum = MaxQ;
+      Config.Shards = Shards;
+      PipelineResult Thr =
+          runBothModes(P, Config,
+                       "maxq=" + std::to_string(MaxQ) +
+                           " shards=" + std::to_string(Shards));
+      FusedExecs += Thr.Run.Fused.AccessTrace;
+      FilterHits += Thr.Stats.Hook.FilterHits;
+    }
+    SinkRun Raw = expectSinkRunsAgree(Instrumented, 7, MaxQ,
+                                      "raw maxq=" + std::to_string(MaxQ));
+    FusedExecs += Raw.R.Fused.AccessTrace;
+  }
+  ToolConfig Record = everyTraceKept();
+  Record.Seed = 7;
+  runBothModes(P, Record, "record", /*Record=*/true);
+  EXPECT_GT(FusedExecs, 0u);
+  EXPECT_GT(FilterHits, 0u);
+}
+
+TEST(AccessTraceFusionTest, GetField) { expectAccessKindAgrees(Opcode::GetField); }
+TEST(AccessTraceFusionTest, PutField) { expectAccessKindAgrees(Opcode::PutField); }
+TEST(AccessTraceFusionTest, GetStatic) {
+  expectAccessKindAgrees(Opcode::GetStatic);
+}
+TEST(AccessTraceFusionTest, PutStatic) {
+  expectAccessKindAgrees(Opcode::PutStatic);
+}
+TEST(AccessTraceFusionTest, ALoad) { expectAccessKindAgrees(Opcode::ALoad); }
+TEST(AccessTraceFusionTest, AStore) { expectAccessKindAgrees(Opcode::AStore); }
+
+/// `r = r.next` (GetField) or `r = r[0]` (ALoad) with the load's
+/// destination being the base register its Trace reads: the Trace observes
+/// the loaded value, not the object the access resolved.  The chain is
+/// first -> second -> tail.  With \p TailIsReference the tail is second
+/// itself and every Trace observes a real location; otherwise it is an
+/// integer (an unset `next` is MiniJ's null, the integer zero) and the
+/// second Trace faults, exactly where the unfused one does.
+Program buildOverwritingLoad(Opcode Kind, bool TailIsReference) {
+  Program P;
+  IRBuilder B(P);
+  ClassId Node = B.makeClass("Node");
+  FieldId Next = B.makeField(Node, "next");
+  B.startMain();
+  RegId Cur;
+  if (Kind == Opcode::GetField) {
+    RegId First = B.emitNew(Node);
+    RegId Second = B.emitNew(Node);
+    B.emitPutField(First, Next, Second);
+    if (TailIsReference)
+      B.emitPutField(Second, Next, Second);
+    Cur = B.emitMove(First);
+    B.emitGetField(Cur, Next);
+    B.emitPrint(Cur);
+    B.emitGetField(Cur, Next);
+  } else {
+    RegId One = B.emitConst(1);
+    RegId Zero = B.emitConst(0);
+    RegId First = B.emitNewArray(One);
+    RegId Second = B.emitNewArray(One);
+    B.emitAStore(First, Zero, Second);
+    B.emitAStore(Second, Zero, TailIsReference ? Second : B.emitConst(7));
+    Cur = B.emitMove(First);
+    B.emitALoad(Cur, Zero);
+    B.emitPrint(Cur);
+    B.emitALoad(Cur, Zero);
+  }
+  B.emitPrint(Cur);
+  B.emitReturn();
+  // Point every load of Cur back at Cur itself.
+  for (BasicBlock &Block : P.method(P.MainMethod).Blocks)
+    for (Instr &I : Block.Instrs)
+      if (I.Op == Kind && I.A == Cur)
+        I.Dst = Cur;
+  EXPECT_TRUE(verifyProgram(P).empty());
+  return P;
+}
+
+TEST(AccessTraceFusionTest, LoadOverwritingTheTracedRegister) {
+  for (Opcode Kind : {Opcode::GetField, Opcode::ALoad}) {
+    for (bool TailIsReference : {true, false}) {
+      std::string What = std::string(opcodeName(Kind)) +
+                         (TailIsReference ? " reference" : " faulting");
+      SCOPED_TRACE(What);
+      Program P = buildOverwritingLoad(Kind, TailIsReference);
+      Program Instrumented = instrumentEveryAccess(P);
+      ThreadedCode TC = buildThreadedCode(Instrumented);
+      EXPECT_GE(TC.Stats.AccessTraceSites, 2u);
+
+      // The hooks path: the exact event stream, heap and fault.
+      RawRun Ref = runRaw(Instrumented, DispatchMode::Switch, 1,
+                          /*TraceEveryAccess=*/false, nullptr);
+      RawRun Thr = runRaw(Instrumented, DispatchMode::Threaded, 1,
+                          /*TraceEveryAccess=*/false, &TC);
+      expectRawEqual(Ref, Thr);
+      EXPECT_EQ(Ref.R.Ok, TailIsReference) << Ref.R.Error;
+      if (!TailIsReference) {
+        EXPECT_NE(Ref.R.Error.find("trace"), std::string::npos)
+            << Ref.R.Error;
+      }
+      EXPECT_GT(Thr.R.Fused.AccessTrace, 0u);
+
+      // The hoisted-filter path, raw and through the pipeline.
+      for (uint32_t MaxQ : {1u, 2u, 40u}) {
+        SinkRun Raw = expectSinkRunsAgree(Instrumented, 1, MaxQ,
+                                          "maxq=" + std::to_string(MaxQ));
+        if (MaxQ == 40) {
+          EXPECT_GT(Raw.R.Fused.AccessTrace, 0u);
+        }
+        ToolConfig Config = everyTraceKept();
+        Config.MaxQuantum = MaxQ;
+        runBothModes(P, Config, "pipeline maxq=" + std::to_string(MaxQ));
+      }
+    }
+  }
 }
 
 } // namespace

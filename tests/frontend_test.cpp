@@ -13,6 +13,7 @@
 
 #include "frontend/Frontend.h"
 #include "frontend/Lexer.h"
+#include "frontend/Parser.h"
 #include "herd/Pipeline.h"
 #include "runtime/Interpreter.h"
 
@@ -446,6 +447,92 @@ TEST(FrontendDiagTest, ErrorsCarryLineNumbers) {
   ASSERT_FALSE(R.Ok);
   ASSERT_FALSE(R.Diags.empty());
   EXPECT_EQ(R.Diags[0].Line, 2u);
+}
+
+//===----------------------------------------------------------------------===
+// Nesting limit (Parser::MaxNestingDepth).
+//===----------------------------------------------------------------------===
+
+std::string repeat(std::string_view Piece, unsigned Count) {
+  std::string Out;
+  Out.reserve(Piece.size() * Count);
+  for (unsigned I = 0; I != Count; ++I)
+    Out += Piece;
+  return Out;
+}
+
+/// `var x: int = ((...1...));` with \p Depth parentheses.
+std::string nestedParens(unsigned Depth) {
+  return "def main() { var x: int = " + repeat("(", Depth) + "1" +
+         repeat(")", Depth) + "; print x; }";
+}
+
+/// \p Depth nested `if` blocks around one print.
+std::string nestedIfs(unsigned Depth) {
+  return "def main() { " + repeat("if (1) { ", Depth) + "print 1; " +
+         repeat("} ", Depth) + "}";
+}
+
+constexpr unsigned Limit = Parser::MaxNestingDepth;
+
+TEST(FrontendDiagTest, NestingAtTheLimitCompiles) {
+  EXPECT_EQ(compileAndRun(nestedParens(Limit)), std::vector<int64_t>{1});
+  EXPECT_EQ(compileAndRun(nestedIfs(Limit)), std::vector<int64_t>{1});
+}
+
+TEST(FrontendDiagTest, NestingPastTheLimitIsOneDiagnostic) {
+  // One past the limit and far past it: one diagnostic at the construct
+  // that crossed the limit, no cascade of missing closers, and lowering
+  // never runs.  At 100,000 levels the parser used to overflow the stack.
+  for (unsigned Depth : {Limit + 1, 100000u}) {
+    SCOPED_TRACE(Depth);
+    CompileResult Parens = compileMiniJ(nestedParens(Depth));
+    EXPECT_FALSE(Parens.Ok);
+    ASSERT_EQ(Parens.Diags.size(), 1u);
+    EXPECT_EQ(Parens.Diags[0].Message,
+              "expression nesting exceeds the limit of 256 levels");
+    // Reported where the expression the 257th '(' opens begins (the
+    // first '(' is at column 27).
+    EXPECT_EQ(Parens.Diags[0].Column, 27u + Limit + 1);
+
+    CompileResult Ifs = compileMiniJ(nestedIfs(Depth));
+    EXPECT_FALSE(Ifs.Ok);
+    ASSERT_EQ(Ifs.Diags.size(), 1u);
+    EXPECT_EQ(Ifs.Diags[0].Message,
+              "statement nesting exceeds the limit of 256 levels");
+  }
+}
+
+TEST(FrontendDiagTest, EveryNestingShapeIsBounded) {
+  // Chains deepen the AST by one per link even where the parser loops
+  // instead of recursing, and lowering and the AST's destructors recurse
+  // over that depth: every shape is cut at the same limit.
+  const unsigned Deep = 100000;
+  std::string Sum = "def main() { var x: int = 1" + repeat(" + 1", Deep) +
+                    "; print x; }";
+  std::string Negations =
+      "def main() { var x: int = " + repeat("-", Deep) + "1; print x; }";
+  std::string ElseIfs = "def main() { var x: int = 1; if (x) { print 1; }" +
+                        repeat(" else if (x) { print 2; }", Deep) + " }";
+  std::string Fields = "class Node { var next: Node; }\n"
+                       "def main() { var n: Node = new Node(); print n" +
+                       repeat(".next", Deep) + "; }";
+  std::string Indices = "def main() { var a: int[] = new int[1]; print a[" +
+                        repeat("a[", Deep) + "0" + repeat("]", Deep) +
+                        "]; }";
+  for (const std::string *Source :
+       {&Sum, &Negations, &ElseIfs, &Fields, &Indices}) {
+    CompileResult R = compileMiniJ(*Source);
+    EXPECT_FALSE(R.Ok);
+    ASSERT_EQ(R.Diags.size(), 1u);
+    EXPECT_NE(R.Diags[0].Message.find("nesting exceeds the limit"),
+              std::string::npos)
+        << R.Diags[0].Message;
+  }
+  // A chain at the limit still compiles: 256 links.
+  EXPECT_EQ(compileAndRun("def main() { var x: int = 1" +
+                          repeat(" + 1", Limit) + "; print x; }"),
+            std::vector<int64_t>{int64_t(Limit) + 1});
 }
 
 } // namespace

@@ -789,9 +789,10 @@ TEST(SuperinstrTest, BatchDisabledZeroesThePlan) {
 TEST(SuperinstrTest, BatchPrefixStopsAtInstrumentedAccess) {
   // New; Const; 12x BinOp; PutField; 12x BinOp; Print; Return.  Plain,
   // the whole straight-line run batches (uninstrumented accesses cannot
-  // end a slice).  Instrumented, the PutField gains a Trace and the
-  // prefix must stop in front of it so the access and its Trace retire
-  // per step with the schedule intact.
+  // end a slice).  Instrumented, the PutField gains a Trace and fuses
+  // with it into one access+trace head, and the prefix must stop in front
+  // of that head so the access and its Trace retire per step with the
+  // schedule intact.
   auto Build = [] {
     Program P;
     IRBuilder B(P);
@@ -819,12 +820,89 @@ TEST(SuperinstrTest, BatchPrefixStopsAtInstrumentedAccess) {
   ThreadedCode TC = buildThreadedCode(Instrumented);
   ASSERT_LT(TC.BatchLens[0][0], TCPlain.BatchLens[0][0]);
   // The prefix ends exactly at the instrumented access: New + Const +
-  // 12 BinOps = 14 steps, then the PutField/Trace pair.
+  // 12 BinOps = 14 steps, then the fused PutField/Trace head, whose
+  // Trace constituent stays in place behind it.
   ASSERT_EQ(TC.BatchLens[0][0], 14u);
   const std::vector<Instr> &Instrs = TC.MethodBlocks[0][0].Instrs;
-  EXPECT_EQ(Instrs[14].Op, Opcode::PutField);
+  EXPECT_EQ(Instrs[14].Op, OpFusedPutFieldTrace);
   EXPECT_EQ(Instrs[15].Op, Opcode::Trace);
+  EXPECT_EQ(TC.Stats.AccessTraceSites, 1u);
   expectBatchPlanConsistent(TC, SuperinstrOptions{}.MinBatchLen);
+  // Fusing the pair leaves the batch plan exactly where the unfused
+  // shadow puts it.
+  SuperinstrOptions NoFuse;
+  NoFuse.Fuse = false;
+  ThreadedCode Unfused = buildThreadedCode(Instrumented, NoFuse);
+  EXPECT_EQ(Unfused.MethodBlocks[0][0].Instrs[14].Op, Opcode::PutField);
+  EXPECT_EQ(Unfused.BatchLens, TC.BatchLens);
+}
+
+TEST(SuperinstrTest, EveryAccessKindFusesWithItsTrace) {
+  // One instrumented access of each kind: each becomes its own
+  // access+trace head, counted once in the family's site count.
+  Program P;
+  IRBuilder B(P);
+  ClassId C = B.makeClass("Box");
+  FieldId F = B.makeField(C, "f");
+  FieldId S = B.makeStaticField(C, "s");
+  B.startMain();
+  RegId Obj = B.emitNew(C);
+  RegId Arr = B.emitNewArray(B.emitConst(2));
+  RegId Zero = B.emitConst(0);
+  B.emitPutField(Obj, F, Zero);
+  B.emitPrint(B.emitGetField(Obj, F));
+  B.emitPutStatic(S, Zero);
+  B.emitPrint(B.emitGetStatic(S));
+  B.emitAStore(Arr, Zero, Zero);
+  B.emitPrint(B.emitALoad(Arr, Zero));
+  B.emitReturn();
+  instrumentAll(P, /*WeakerThan=*/false, /*Peeling=*/false);
+  ASSERT_TRUE(verifyProgram(P).empty());
+
+  ThreadedCode TC = buildThreadedCode(P);
+  EXPECT_EQ(TC.Stats.AccessTraceSites, 6u);
+  for (Opcode Head : {OpFusedGetFieldTrace, OpFusedPutFieldTrace,
+                      OpFusedGetStaticTrace, OpFusedPutStaticTrace,
+                      OpFusedALoadTrace, OpFusedAStoreTrace}) {
+    SCOPED_TRACE(fusedOpcodeName(Head));
+    EXPECT_EQ(countFused(TC, Head), 1u);
+    EXPECT_TRUE(isAccessTraceOpcode(Head));
+    EXPECT_EQ(fusedLength(Head), 2u);
+  }
+  // Each head sits where its access was, and the Trace it fused with
+  // follows verbatim.
+  const std::vector<Instr> &Orig = P.method(P.MainMethod).Blocks[0].Instrs;
+  const std::vector<Instr> &Shadow = TC.MethodBlocks[P.MainMethod.index()][0]
+                                         .Instrs;
+  for (size_t I = 0; I != Shadow.size(); ++I)
+    if (isAccessTraceOpcode(Shadow[I].Op)) {
+      EXPECT_EQ(Shadow[I].Op, accessTraceOpcode(Orig[I].Op));
+      EXPECT_EQ(Shadow[I + 1].Op, Opcode::Trace);
+    }
+}
+
+TEST(SuperinstrTest, TraceOfAnotherLocationDoesNotFuse) {
+  // The fused handler keys the Trace on what the access resolved, so a
+  // Trace that does not mirror the access in front of it (another base
+  // register here) must stay a separate instruction.
+  Program P;
+  IRBuilder B(P);
+  ClassId C = B.makeClass("Box");
+  FieldId F = B.makeField(C, "f");
+  B.startMain();
+  RegId Obj = B.emitNew(C);
+  RegId Other = B.emitNew(C);
+  B.emitPutField(Obj, F, B.emitConst(1));
+  B.emitReturn();
+  instrumentAll(P, /*WeakerThan=*/false, /*Peeling=*/false);
+  for (Instr &I : P.method(P.MainMethod).Blocks[0].Instrs)
+    if (I.Op == Opcode::Trace)
+      I.A = Other;
+  ASSERT_TRUE(verifyProgram(P).empty());
+  ThreadedCode TC = buildThreadedCode(P);
+  EXPECT_EQ(TC.Stats.AccessTraceSites, 0u);
+  // Still an instrumented access: nothing else fuses over it either.
+  EXPECT_EQ(TC.Stats.ConstPutFieldSites, 0u);
 }
 
 } // namespace

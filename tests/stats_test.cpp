@@ -570,6 +570,7 @@ TEST(GoldenTest, StatsJsonDocument) {
   R.Fusion.GetFieldBinOpSites = 2;
   R.Fusion.BinOpPutFieldSites = 1;
   R.Fusion.BinOpMoveSites = 1;
+  R.Fusion.AccessTraceSites = 5;
   R.Fusion.BatchBlocks = 6;
   R.Fusion.BatchSteps = 21;
   R.Run.Fused.ConstBinOp = 30;
@@ -579,6 +580,7 @@ TEST(GoldenTest, StatsJsonDocument) {
   R.Run.Fused.GetFieldBinOp = 8;
   R.Run.Fused.BinOpPutField = 3;
   R.Run.Fused.BinOpMove = 2;
+  R.Run.Fused.AccessTrace = 17;
   R.Run.BlockRetireHits = 9;
   R.Run.BlockRetiredSteps = 27;
 

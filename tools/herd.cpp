@@ -59,14 +59,17 @@ void printStats(const PipelineResult &R) {
               R.Instr.TracesInserted, R.Instr.TracesRemoved,
               R.Instr.LoopsPeeled);
   std::printf("dispatch: %s, %llu fused sites "
-              "(%llu const+binop, %llu const+putfield, %llu get+binop+put), "
-              "%llu fused executions\n",
+              "(%llu const+binop, %llu const+putfield, %llu get+binop+put, "
+              "%llu access+trace), %llu fused executions (%llu "
+              "access+trace)\n",
               dispatchModeName(R.Dispatch),
               (unsigned long long)R.Fusion.sites(),
               (unsigned long long)R.Fusion.ConstBinOpSites,
               (unsigned long long)R.Fusion.ConstPutFieldSites,
               (unsigned long long)R.Fusion.GetBinPutSites,
-              (unsigned long long)R.Run.Fused.total());
+              (unsigned long long)R.Fusion.AccessTraceSites,
+              (unsigned long long)R.Run.Fused.total(),
+              (unsigned long long)R.Run.Fused.AccessTrace);
   std::printf("run:      %llu instructions, %u threads, %.4fs\n",
               (unsigned long long)R.Run.InstructionsExecuted,
               R.Run.ThreadsCreated, R.ExecSeconds);
