@@ -63,7 +63,7 @@ struct ThreadCacheStats {
 /// event batching.  With the filter enabled, every traced access is either
 /// an L0 hit or reaches the runtime, so
 ///   InterpResult::AccessEvents == FilterHits + RaceRuntimeStats::EventsSeen
-/// holds exactly (the coherence clause scripts/check_hook_gate.py checks).
+/// holds exactly (the hook-reconcile clause of scripts/check_bench_gate.py).
 struct HookPathStats {
   bool FilterEnabled = false;
   uint64_t FilterHits = 0;       ///< accesses filtered before event creation

@@ -23,7 +23,7 @@
 /// Section 9 notes the classic post-mortem pitfall: "the size of the trace
 /// structure can grow prohibitively large"; logRecordBytes() makes that
 /// cost measurable (the Table 2 harness's event counts multiply directly;
-/// bench/bench_trace_replay.cpp measures the growth on the workloads).
+/// bench/bench_hotpath.cpp reports bytes per event on the workloads).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -25,7 +25,7 @@
 /// pipeline re-run, no detector access — so every backend (lockset trie,
 /// sharded, epoch, replay) exports through the same path.  Consumers check
 /// schema/version and refuse what they don't understand
-/// (scripts/check_report_schema.py is the in-tree reference consumer);
+/// (scripts/check_schema.py is the in-tree reference consumer);
 /// within a version fields are only added, never renamed.
 ///
 //===----------------------------------------------------------------------===//

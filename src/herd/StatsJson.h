@@ -15,7 +15,7 @@
 ///   { "schema": "herd-stats", "version": 1, ... }
 ///
 /// Consumers check the pair and refuse what they don't understand
-/// (scripts/check_stats_schema.py is the in-tree reference consumer).
+/// (scripts/check_schema.py is the in-tree reference consumer).
 /// Within a version, fields are only ever added, never renamed or
 /// repurposed; key order is fixed so byte-level diffs are meaningful
 /// (the golden-file tests in tests/stats_test.cpp rely on this).

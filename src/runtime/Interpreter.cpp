@@ -12,8 +12,7 @@
 //
 //  * Threaded: runSliceThreaded() executes a whole scheduling quantum
 //    without returning to the scheduler, jumping handler-to-handler via
-//    computed goto (portable fallback: a dense jump table the compiler
-//    derives from a switch).  It runs superinstruction shadow code
+//    computed goto.  It runs superinstruction shadow code
 //    (runtime/ThreadedCode.h) and is instantiated four ways over
 //    <EmitAll, Profiled> so the no-hook lane compiles the access-hook
 //    plumbing out of the common path entirely.
@@ -95,6 +94,18 @@ void Interpreter::fault(const std::string &Message) {
   Faulted = true;
   Result.Ok = false;
   Result.Error = Message;
+}
+
+bool Interpreter::chargeHeap(uint64_t Slots) {
+  const uint64_t Left = MaxHeapBytes - HeapBytes;
+  if (Left < sizeof(HeapObject) ||
+      Slots > (Left - sizeof(HeapObject)) / sizeof(Value)) {
+    fault("heap budget of " + std::to_string(MaxHeapBytes >> 20) +
+          " MiB exhausted");
+    return false;
+  }
+  HeapBytes += sizeof(HeapObject) + Slots * sizeof(Value);
+  return true;
 }
 
 bool Interpreter::requireRef(const Value &V, ObjectId &Out,
@@ -330,6 +341,8 @@ Interpreter::StepResult Interpreter::execBinOp(Value *Regs, const Instr &I) {
 }
 
 Interpreter::StepResult Interpreter::execNew(Value *Regs, const Instr &I) {
+  if (!chargeHeap(P.classDecl(I.Class).InstanceFields.size()))
+    return StepResult::Fault;
   rg(Regs, I.Dst) = Value::makeRef(TheHeap.allocate(I.Class, I.AllocSite));
   return StepResult::Continue;
 }
@@ -343,6 +356,8 @@ Interpreter::StepResult Interpreter::execNewArray(Value *Regs,
     fault("negative array size");
     return StepResult::Fault;
   }
+  if (!chargeHeap(uint64_t(Len)))
+    return StepResult::Fault;
   rg(Regs, I.Dst) = Value::makeRef(TheHeap.allocateArray(Len, I.AllocSite));
   return StepResult::Continue;
 }
@@ -450,6 +465,11 @@ Interpreter::StepResult Interpreter::execAStore(SimThread &Thread, Value *Regs,
 
 Interpreter::StepResult Interpreter::execCall(SimThread &Thread, Frame &F,
                                               Value *Regs, const Instr &I) {
+  if (HERD_UNLIKELY(Thread.Stack.size() >= MaxCallDepth)) {
+    fault("call depth limit of " + std::to_string(MaxCallDepth) +
+          " frames exceeded");
+    return StepResult::Fault;
+  }
   const Method &Callee = P.method(I.Callee);
   Frame NewFrame;
   NewFrame.Method = I.Callee;
@@ -750,14 +770,10 @@ Interpreter::StepResult Interpreter::executeInstr(SimThread &Thread, Frame &F,
 //===----------------------------------------------------------------------===//
 // Threaded dispatch.
 //
-// One function body compiles two ways (support/Compiler.h):
-//
-//   HERD_COMPUTED_GOTO=1   handlers are labels; dispatch is
-//                          `goto *Table[op]` — each handler's tail jump is
-//                          a separate indirect branch the predictor can
-//                          correlate with the opcode stream.
-//   HERD_COMPUTED_GOTO=0   handlers are cases of a dense switch inside a
-//                          loop — the portable jump-table fallback.
+// Handlers are labels and dispatch is `goto *Table[op]` (the GNU
+// labels-as-values extension, which GCC and Clang provide): each handler's
+// tail jump is a separate indirect branch the predictor can correlate with
+// the opcode stream.  The switch interpreter (step()) is the reference.
 //
 // Accounting contract (must mirror run()'s switch-mode inner loop):
 //   * quantum check, then one InstructionsExecuted increment + budget
@@ -804,13 +820,7 @@ Interpreter::StepResult Interpreter::executeInstr(SimThread &Thread, Frame &F,
 // switch mode.
 //===----------------------------------------------------------------------===//
 
-#if HERD_COMPUTED_GOTO
 #define HERD_OP(Name) Lbl_##Name:
-#define HERD_FUSED_OP(Name) Lbl_##Name:
-#else
-#define HERD_OP(Name) case size_t(Opcode::Name):
-#define HERD_FUSED_OP(Name) case size_t(Op##Name):
-#endif
 
 /// The once-per-exit accounting commit (derived accounting, see the
 /// header comment above): reconstructs the per-step counts from the
@@ -935,7 +945,6 @@ void Interpreter::runSliceThreaded(SimThread &Thread, uint64_t Quantum,
   };
   Refresh();
 
-#if HERD_COMPUTED_GOTO
   static const void *const DispatchTable[NumDispatchOpcodes] = {
       &&Lbl_Const,        &&Lbl_Move,         &&Lbl_BinOp,
       &&Lbl_New,          &&Lbl_NewArray,     &&Lbl_ArrayLen,
@@ -951,7 +960,6 @@ void Interpreter::runSliceThreaded(SimThread &Thread, uint64_t Quantum,
       &&Lbl_FusedGetFieldTrace,  &&Lbl_FusedPutFieldTrace,
       &&Lbl_FusedGetStaticTrace, &&Lbl_FusedPutStaticTrace,
       &&Lbl_FusedALoadTrace,     &&Lbl_FusedAStoreTrace};
-#endif
 
   // A slice begins like a step that may first have to enter a
   // synchronized frame (thread entry into a synchronized run(), or a
@@ -1010,11 +1018,7 @@ NextStep:
 
 DispatchCurrent:
   I = CodeBase + Ip;
-#if HERD_COMPUTED_GOTO
   goto *DispatchTable[size_t(I->Op)];
-#else
-  switch (size_t(I->Op)) {
-#endif
 
   HERD_OP(Const)
 PlainConst : {
@@ -1198,7 +1202,7 @@ PlainAStore : {
   // keeps constituents at ip+1.., so the tail executes as ordinary code
   // in the thread's next slice.
 
-  HERD_FUSED_OP(FusedConstBinOp) {
+  HERD_OP(FusedConstBinOp) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     if (HERD_UNLIKELY(Remaining - BatchFloor < 2))
@@ -1214,7 +1218,7 @@ PlainAStore : {
     goto NextStep;
   }
 
-  HERD_FUSED_OP(FusedConstPutField) {
+  HERD_OP(FusedConstPutField) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     if (HERD_UNLIKELY(Remaining - BatchFloor < 2))
@@ -1230,7 +1234,7 @@ PlainAStore : {
     goto NextStep;
   }
 
-  HERD_FUSED_OP(FusedGetBinPut) {
+  HERD_OP(FusedGetBinPut) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     if (HERD_UNLIKELY(Remaining - BatchFloor < 3))
@@ -1250,7 +1254,7 @@ PlainAStore : {
     goto NextStep;
   }
 
-  HERD_FUSED_OP(FusedBinOpBranch) {
+  HERD_OP(FusedBinOpBranch) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     // The tail transfers control, so this head is never part of a batch
@@ -1269,7 +1273,7 @@ PlainAStore : {
     goto TryBatch; // block entry: a new batch may start
   }
 
-  HERD_FUSED_OP(FusedGetFieldBinOp) {
+  HERD_OP(FusedGetFieldBinOp) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     if (HERD_UNLIKELY(Remaining - BatchFloor < 2))
@@ -1285,7 +1289,7 @@ PlainAStore : {
     goto NextStep;
   }
 
-  HERD_FUSED_OP(FusedBinOpPutField) {
+  HERD_OP(FusedBinOpPutField) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     if (HERD_UNLIKELY(Remaining - BatchFloor < 2))
@@ -1301,7 +1305,7 @@ PlainAStore : {
     goto NextStep;
   }
 
-  HERD_FUSED_OP(FusedBinOpMove) {
+  HERD_OP(FusedBinOpMove) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     if (HERD_UNLIKELY(Remaining - BatchFloor < 2))
@@ -1326,7 +1330,7 @@ PlainAStore : {
   // with fewer than two steps left the plain access runs alone and the
   // Trace waits for the thread's next slice.
 
-  HERD_FUSED_OP(FusedGetFieldTrace) {
+  HERD_OP(FusedGetFieldTrace) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     assert(BatchFloor == 0 && "instrumented access inside a batch");
@@ -1337,7 +1341,7 @@ PlainAStore : {
     goto TraceObjectTail;
   }
 
-  HERD_FUSED_OP(FusedPutFieldTrace) {
+  HERD_OP(FusedPutFieldTrace) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     assert(BatchFloor == 0 && "instrumented access inside a batch");
@@ -1348,7 +1352,7 @@ PlainAStore : {
     goto TraceObjectTail;
   }
 
-  HERD_FUSED_OP(FusedALoadTrace) {
+  HERD_OP(FusedALoadTrace) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     assert(BatchFloor == 0 && "instrumented access inside a batch");
@@ -1359,7 +1363,7 @@ PlainAStore : {
     goto TraceObjectTail;
   }
 
-  HERD_FUSED_OP(FusedAStoreTrace) {
+  HERD_OP(FusedAStoreTrace) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     assert(BatchFloor == 0 && "instrumented access inside a batch");
@@ -1370,7 +1374,7 @@ PlainAStore : {
     goto TraceObjectTail;
   }
 
-  HERD_FUSED_OP(FusedGetStaticTrace) {
+  HERD_OP(FusedGetStaticTrace) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     assert(BatchFloor == 0 && "instrumented access inside a batch");
@@ -1381,7 +1385,7 @@ PlainAStore : {
     goto TraceStaticTail;
   }
 
-  HERD_FUSED_OP(FusedPutStaticTrace) {
+  HERD_OP(FusedPutStaticTrace) {
     if constexpr (Profiled)
       HERD_UNREACHABLE("fused opcode under profiling (shadow code leaked)");
     assert(BatchFloor == 0 && "instrumented access inside a batch");
@@ -1437,12 +1441,6 @@ AccessTraceTail:
   ++Ip;
   goto NextStep;
 
-#if !HERD_COMPUTED_GOTO
-  default:
-    HERD_UNREACHABLE("invalid opcode in threaded dispatch");
-  }
-#endif
-
 SliceEnd:
   // A step ended the slice (R != Continue).  Only executed steps ever
   // decremented Remaining — a batch moves the quantum test's stopping
@@ -1473,7 +1471,6 @@ Exhausted:
 }
 
 #undef HERD_OP
-#undef HERD_FUSED_OP
 #undef HERD_COMMIT
 #undef HERD_FINISH_STEP
 #undef HERD_EXEC

@@ -159,6 +159,14 @@ struct InterpResult {
 /// final object state.
 class Interpreter {
 public:
+  /// Resource limits (docs/MINIJ.md): a run that crosses one faults with a
+  /// runtime error instead of exhausting the machine's memory.  The heap
+  /// budget charges every New/NewArray its object header plus its slots;
+  /// the call depth bounds each thread's frame stack.  The largest replica
+  /// at the largest scale any bench runs (mtrt at 250) peaks at ~2.6 MiB.
+  static constexpr uint64_t MaxHeapBytes = uint64_t(64) << 20;
+  static constexpr uint32_t MaxCallDepth = 100'000;
+
   Interpreter(const Program &P, RuntimeHooks *Hooks, InterpOptions Opts);
   ~Interpreter();
 
@@ -277,6 +285,9 @@ private:
   void deliverHoisted(ThreadId Thread, LocationKey Loc, AccessKind Kind,
                       SiteId Site);
 
+  /// Charges an allocation of \p Slots slots against MaxHeapBytes;
+  /// faults the run and returns false when it does not fit.
+  bool chargeHeap(uint64_t Slots);
   bool requireRef(const Value &V, ObjectId &Out, const char *What);
   bool requireInt(const Value &V, int64_t &Out, const char *What);
 
@@ -293,6 +304,7 @@ private:
   AccessFilter *CurFilter = nullptr;
   InterpOptions Opts;
   Heap TheHeap;
+  uint64_t HeapBytes = 0; ///< charged so far (chargeHeap)
   Rng ScheduleRng;
 
   std::vector<std::unique_ptr<SimThread>> Threads;

@@ -37,18 +37,4 @@
 #define HERD_UNLIKELY(X) (X)
 #endif
 
-/// Threaded interpreter dispatch (docs/INTERPRETER.md): 1 when the GNU
-/// labels-as-values extension is available, so the dispatch loop can jump
-/// handler-to-handler through a table of label addresses.  Defining
-/// HERD_PORTABLE_DISPATCH (CMake -DHERD_PORTABLE_DISPATCH=ON) forces the
-/// portable fallback — the same handler bodies behind a dense jump table
-/// the compiler builds from a switch — which is also what non-GNU
-/// compilers get.  Semantics are identical either way; only the branch
-/// predictor's view of the dispatch changes.
-#if !defined(HERD_PORTABLE_DISPATCH) && (defined(__GNUC__) || defined(__clang__))
-#define HERD_COMPUTED_GOTO 1
-#else
-#define HERD_COMPUTED_GOTO 0
-#endif
-
 #endif // HERD_SUPPORT_COMPILER_H

@@ -22,7 +22,7 @@
 /// AccessCache::provesRedundant predicate the filter's soundness leans on,
 /// and the counter-reconciliation identity
 /// (run.access_events == hook.filter_hits + runtime.events_seen) that
-/// scripts/check_hook_gate.py enforces on benchmark artifacts.
+/// scripts/check_bench_gate.py enforces on benchmark artifacts.
 ///
 //===----------------------------------------------------------------------===//
 

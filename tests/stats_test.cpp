@@ -605,7 +605,7 @@ TEST(GoldenTest, StatsJsonDocument) {
 
 TEST(GoldenTest, StatsJsonSchemaEnvelopeIsStable) {
   // The schema pair is a compatibility contract with
-  // scripts/check_stats_schema.py — bumping it is an intentional act.
+  // scripts/check_schema.py — bumping it is an intentional act.
   EXPECT_STREQ(StatsSchemaName, "herd-stats");
   EXPECT_EQ(StatsSchemaVersion, 1);
   PipelineResult Empty;
