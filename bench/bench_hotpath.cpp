@@ -191,7 +191,6 @@ DetectorPlan refhotPlan(const RefParams &P) {
   Plan.ExpectedLocations = uint64_t(P.Objects) * P.Fields;
   Plan.ExpectedSharedLocations = Plan.ExpectedLocations;
   Plan.ExpectedTrieNodes = Plan.ExpectedLocations * 64;
-  Plan.ExpectedTrieEdges = Plan.ExpectedTrieNodes;
   Plan.ExpectedThreads = P.Threads;
   // Locksets: {S_t, outer} and {S_t, outer, inner} per (thread, lock)
   // combination, plus transients — 8*16 + 8*16*16 ≈ 2.2k for the default

@@ -136,7 +136,6 @@ DetectorPlan herd::planDetector(const Program &P,
   Plan.ExpectedTrieNodes =
       Plan.ExpectedSharedLocations *
       trieNodesPerLocationForDepth(MaxMustSyncDepth, Opts);
-  Plan.ExpectedTrieEdges = Plan.ExpectedTrieNodes;
 
   // --- Pre-intern what is provably coming: every started thread begins
   // life holding exactly its dummy join lock S_j (Section 2.3), so those

@@ -14,11 +14,8 @@ void AccessCache::unlink(uint32_t Index) {
     return;
   if (E.Prev != None)
     Entries[E.Prev].Next = E.Next;
-  else {
-    auto It = ListHead.find(E.ListLock);
-    if (It != ListHead.end())
-      It->second = E.Next; // possibly None: the head entry stays resident
-  }
+  else
+    headOf(E.ListLock) = E.Next; // possibly None: the head stays resident
   if (E.Next != None)
     Entries[E.Next].Prev = E.Prev;
   E.Prev = E.Next = None;
@@ -46,14 +43,12 @@ std::optional<LocationKey> AccessCache::insert(LocationKey Key,
     // a None head when its list empties (eviction tombstone, not erase):
     // after every lock has been seen once, inserts and evictions stop
     // touching the allocator — the cache's steady state is allocation-free.
-    auto [It, Inserted] = ListHead.try_emplace(InnermostLock, Index);
-    if (!Inserted) {
-      if (It->second != None) {
-        E.Next = It->second;
-        Entries[It->second].Prev = Index;
-      }
-      It->second = Index;
+    uint32_t &Head = headOf(InnermostLock);
+    if (Head != None) {
+      E.Next = Head;
+      Entries[Head].Prev = Index;
     }
+    Head = Index;
   }
   return Displaced;
 }
@@ -136,4 +131,5 @@ void AccessCache::clear() {
     E.ListLock = LockId::invalid();
   }
   ListHead.clear();
+  LastHead = nullptr;
 }

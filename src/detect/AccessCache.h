@@ -52,6 +52,10 @@ public:
            "cache size must be a power of two");
   }
 
+  // LastHead points into this cache's own ListHead map.
+  AccessCache(const AccessCache &) = delete;
+  AccessCache &operator=(const AccessCache &) = delete;
+
   /// Returns true when \p Key is present (a guaranteed-redundant access).
   bool lookup(LocationKey Key) {
     if (provesRedundant(Key)) {
@@ -139,10 +143,24 @@ private:
 
   void unlink(uint32_t Index);
 
+  /// \p Lock's list head, created empty on first use.  A run of inserts
+  /// under one innermost lock (a whole locked region) finds it without a
+  /// hash lookup: map element references survive rehashing, and heads are
+  /// never erased before clear().
+  uint32_t &headOf(LockId Lock) {
+    if (!LastHead || Lock != LastLock) {
+      LastHead = &ListHead.try_emplace(Lock, None).first->second;
+      LastLock = Lock;
+    }
+    return *LastHead;
+  }
+
   std::vector<Entry> Entries;
   uint32_t Shift;
   std::unordered_map<LockId, uint32_t> ListHead; ///< lock -> first entry
                                                  ///< (None when emptied)
+  LockId LastLock;              ///< the lock headOf() last served
+  uint32_t *LastHead = nullptr; ///< &ListHead[LastLock], or null
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Evictions = 0;

@@ -48,7 +48,7 @@ using RaceLockSet = SmallSortedIdSet<LockId, 4>;
 class ThreadLattice {
 public:
   constexpr ThreadLattice() = default; // top
-  constexpr ThreadLattice(ThreadId Id) : Tag(Kind::Concrete), Id(Id) {}
+  constexpr ThreadLattice(ThreadId Id) : Id(Id), Tag(Kind::Concrete) {}
 
   static constexpr ThreadLattice top() { return ThreadLattice(Kind::Top); }
   static constexpr ThreadLattice bottom() {
@@ -99,8 +99,9 @@ private:
 
   constexpr explicit ThreadLattice(Kind Tag) : Tag(Tag) {}
 
-  Kind Tag = Kind::Top;
+  // Tag last: its tail padding can hold a neighbouring field (TrieNode).
   ThreadId Id;
+  Kind Tag = Kind::Top;
 };
 
 /// An access event (m, t, L, a, s).

@@ -19,20 +19,17 @@
 ///   3. the update: meet the event into the node for its exact lockset;
 ///   4. pruning of stored accesses that the new event is weaker than.
 ///
-/// Storage: nodes live in an Arena<TrieNode> and a node's out-edges live
-/// as one contiguous, label-sorted (Label, Child) array in a TrieEdgePool
-/// of power-of-two blocks.  The layout is chosen for the weakness check,
-/// which runs on every event: scanning a node's edge labels touches one
-/// sequential block, and a child node is only dereferenced when its label
-/// matches a held lock — a linked sibling list would pull every child's
-/// cache line just to read its label.  Both pools recycle freed storage
-/// through free lists, so the steady-state hot path allocates nothing,
-/// and a whole Detector's tries share one TrieStore (hence one per shard
-/// in the sharded runtime, keeping shards off the global allocator).  A
-/// trie on a shared store frees nothing when it dies: the store's chunks
-/// go in one piece with the store, so tearing down a Detector costs one
-/// free per chunk, not a walk over every node.  A default-constructed
-/// trie owns a private store for standalone use.
+/// Storage: a node carries the label of its incoming edge and links to
+/// its first child and next sibling; siblings are sorted by label.  The
+/// nodes of all tries of one Detector live in one TrieStore (hence one per
+/// shard in the sharded runtime), and each trie takes its slots in runs of
+/// consecutive indices, so one location's nodes share a few cache lines
+/// and a sibling scan stays inside them.  A freed node goes on its own
+/// trie's free list, so the steady-state hot path allocates nothing.  A
+/// trie on a shared store frees nothing when it dies: the store's chunks go
+/// in one piece with the store, so tearing down a Detector costs one free
+/// per chunk, not a walk over every node.  A default-constructed trie owns
+/// a private store for standalone use.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,118 +39,21 @@
 #include "detect/AccessEvent.h"
 #include "support/Arena.h"
 
-#include <array>
-#include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace herd {
 
-/// One out-edge of a trie node.
-struct TrieEdge {
-  LockId Label;
-  uint32_t Child = 0xFFFFFFFF;
-};
-
-/// Bump-pointer pool of power-of-two TrieEdge blocks with per-class free
-/// lists.  Blocks of capacity <= ChunkSize live inside fixed chunks and are
-/// addressed by a 31-bit edge index; rarer, larger blocks are individually
-/// allocated and addressed with the top bit set.  Block storage never
-/// moves, so TrieEdge pointers stay valid across unrelated allocations.
-class TrieEdgePool {
-public:
-  static constexpr uint32_t None = 0xFFFFFFFF;
-  static constexpr uint32_t ChunkSize = 4096; ///< edges per chunk
-  static constexpr uint8_t MaxInlineClass = 12; ///< 2^12 edges per block max
-
-  /// Returns a block handle with capacity 2^Class edges.
-  uint32_t allocate(uint8_t Class) {
-    if (Class <= MaxInlineClass) {
-      uint32_t &Head = FreeHeads[Class];
-      if (Head != None) {
-        uint32_t Block = Head;
-        Head = at(Block)->Child; // free-list link lives in the first edge
-        return Block;
-      }
-      uint32_t Cap = 1u << Class;
-      // Align the bump pointer to the block size: power-of-two blocks then
-      // never straddle a chunk boundary.
-      Bump = (Bump + Cap - 1) & ~(Cap - 1);
-      uint32_t Block = Bump;
-      assert(Block < LargeBit && "edge pool address space exhausted");
-      if (Block / ChunkSize >= Chunks.size())
-        Chunks.push_back(std::make_unique<TrieEdge[]>(ChunkSize));
-      Bump += Cap;
-      return Block;
-    }
-    auto &Free = LargeFree[Class];
-    if (!Free.empty()) {
-      uint32_t Block = Free.back();
-      Free.pop_back();
-      return Block;
-    }
-    Large.push_back(std::make_unique<TrieEdge[]>(size_t(1) << Class));
-    return LargeBit | uint32_t(Large.size() - 1);
-  }
-
-  /// Returns \p Block (allocated with \p Class) to the pool.
-  void release(uint32_t Block, uint8_t Class) {
-    if (Block & LargeBit) {
-      LargeFree[Class].push_back(Block);
-      return;
-    }
-    assert(Class <= MaxInlineClass);
-    at(Block)->Child = FreeHeads[Class];
-    FreeHeads[Class] = Block;
-  }
-
-  /// Pre-allocates chunk storage so at least \p Edges more inline edges can
-  /// be bump-allocated without touching the global allocator.  Requests are
-  /// clamped to the 31-bit inline address space.
-  void reserveEdges(size_t Edges) {
-    size_t Limit = size_t(LargeBit) - 1;
-    if (Edges > Limit - Bump)
-      Edges = Limit - Bump;
-    size_t WantChunks = (size_t(Bump) + Edges + ChunkSize - 1) / ChunkSize;
-    while (Chunks.size() < WantChunks)
-      Chunks.push_back(std::make_unique<TrieEdge[]>(ChunkSize));
-  }
-
-  /// Inline edges backed by already-allocated chunk storage.
-  size_t reservedEdges() const { return Chunks.size() * size_t(ChunkSize); }
-
-  TrieEdge *at(uint32_t Block) {
-    if (Block & LargeBit)
-      return Large[Block & ~LargeBit].get();
-    return &Chunks[Block / ChunkSize][Block % ChunkSize];
-  }
-  const TrieEdge *at(uint32_t Block) const {
-    return const_cast<TrieEdgePool *>(this)->at(Block);
-  }
-
-private:
-  static constexpr uint32_t LargeBit = 0x80000000;
-
-  std::vector<std::unique_ptr<TrieEdge[]>> Chunks;
-  uint32_t Bump = 0;
-  std::array<uint32_t, MaxInlineClass + 1> FreeHeads = [] {
-    std::array<uint32_t, MaxInlineClass + 1> A{};
-    A.fill(None);
-    return A;
-  }();
-  std::vector<std::unique_ptr<TrieEdge[]>> Large;
-  std::array<std::vector<uint32_t>, 32> LargeFree;
-};
-
-/// One trie node: lattice state plus its out-edge array (label-sorted,
-/// capacity 2^EdgeClass) in the owning store's edge pool.
+/// One trie node: lattice state, the label of its incoming edge, and its
+/// links into the label-sorted child list of its parent.  Access sits in
+/// Thread's tail padding, which makes a node 24 bytes, so a full run of
+/// eight nodes spans three cache lines.
 struct TrieNode {
-  ThreadLattice Thread = ThreadLattice::top();
+  [[no_unique_address]] ThreadLattice Thread = ThreadLattice::top();
   AccessKind Access = AccessKind::Read;
-  uint8_t EdgeClass = 0;   ///< log2 capacity of Edges (valid iff allocated)
-  uint32_t EdgeCount = 0;  ///< live out-edges
-  uint32_t Edges = 0xFFFFFFFF; ///< TrieEdgePool block, or None
+  LockId Label;                       ///< invalid at the root
+  uint32_t FirstChild = 0xFFFFFFFF;   ///< child with the smallest label
+  uint32_t NextSibling = 0xFFFFFFFF;  ///< next larger label; free-list link
 
   /// Source site of the last event merged into this node — diagnostics
   /// only (the prior-access site in race reports); never consulted by the
@@ -165,15 +65,36 @@ struct TrieNode {
   bool hasInfo() const { return !Thread.isTop(); }
 };
 
-/// The node arena and edge pool shared by all tries of one Detector (one
-/// instance per shard in the sharded runtime).
-struct TrieStore {
-  Arena<TrieNode> Nodes;
-  TrieEdgePool Edges;
-};
+/// The node storage shared by all tries of one Detector (one instance per
+/// shard in the sharded runtime).
+class TrieStore {
+public:
+  /// Slots in a full run.  A trie's next run holds as many slots as the
+  /// trie has nodes, between 1 and RunSlots: a small trie reserves at most
+  /// twice its nodes, a grown one at most RunSlots - 1 idle slots.
+  static constexpr uint32_t RunSlots = 8;
 
-/// The node pool type, kept as a named alias for stats plumbing.
-using TrieArena = Arena<TrieNode>;
+  /// Pre-allocates storage so that \p Nodes more slots need no chunk
+  /// allocation.  The idle slots of a trie's current run count against
+  /// the reservation.
+  void reserve(size_t Nodes) { Slots.reserve(Nodes); }
+
+  /// Slots backed by already-allocated chunk storage.
+  size_t reservedSlots() const { return Slots.reservedSlots(); }
+
+  /// Slots handed out to tries, whether holding a node or on a trie's
+  /// free list.
+  size_t slotsUsed() const { return Slots.capacityUsed(); }
+
+  /// Nodes the tries on this store hold: DetectorStats::TrieNodes.
+  size_t live() const { return Live; }
+
+private:
+  friend class AccessTrie;
+
+  Arena<TrieNode> Slots;
+  size_t Live = 0;
+};
 
 /// Access history of one logical memory location.
 class AccessTrie {
@@ -207,7 +128,7 @@ public:
   explicit AccessTrie(TrieStore &Shared) : Store(&Shared) {}
 
   /// Frees nothing on a shared store: its nodes go when the store does.
-  ~AccessTrie() = default;
+  ~AccessTrie();
   AccessTrie(AccessTrie &&Other) noexcept;
   AccessTrie &operator=(AccessTrie &&Other) noexcept;
 
@@ -232,14 +153,27 @@ public:
   /// Number of nodes carrying a recorded access (t != t_⊤).
   size_t storedAccessCount() const;
 
+  /// Structural invariants, asserted after every process() in builds
+  /// without NDEBUG: siblings strictly ascend by label; no node but the
+  /// root is a leaf without an access; nodeCount() is the number of nodes
+  /// reachable from the root; and free-list nodes are unreachable.
+  bool checkInvariants() const;
+
 private:
-  static constexpr uint32_t None = TrieArena::None;
+  static constexpr uint32_t None = Arena<TrieNode>::None;
+
+  TrieNode &node(uint32_t N) { return Store->Slots[N]; }
+  const TrieNode &node(uint32_t N) const { return Store->Slots[N]; }
+
+  uint32_t allocateNode(LockId Label);
+  void freeNode(uint32_t N);
 
   bool findWeaker(uint32_t N, const std::vector<LockId> &Locks, size_t From,
                   ThreadLattice Thread, AccessKind Access) const;
 
-  uint32_t findRace(uint32_t N, const LockSet &Locks, ThreadLattice Thread,
-                    AccessKind Access, std::vector<LockId> &Path,
+  uint32_t findRace(uint32_t N, const std::vector<LockId> &Locks,
+                    size_t From, ThreadLattice Thread, AccessKind Access,
+                    std::vector<LockId> &Path,
                     std::vector<LockId> &RacePath) const;
 
   uint32_t getOrCreateChild(uint32_t Parent, LockId Label);
@@ -247,14 +181,17 @@ private:
   uint32_t updateNode(const LockSet &Locks, ThreadLattice Thread,
                       AccessKind Access, SiteId Site);
 
-  void pruneStronger(uint32_t N, const std::vector<LockId> &Locks,
+  bool pruneStronger(uint32_t N, const std::vector<LockId> &Locks,
                      size_t Matched, ThreadLattice Thread, AccessKind Access,
                      uint32_t Keep);
 
-  std::unique_ptr<TrieStore> Owned; ///< set iff default-constructed
-  TrieStore *Store = nullptr;       ///< &*Owned, or the Detector's store
-  uint32_t Root = None;             ///< materialized on first process()
-  size_t NumNodes = 0;              ///< materialized nodes in this trie
+  TrieStore *Store = nullptr; ///< owned iff OwnsStore, else the Detector's
+  uint32_t Root = None;       ///< materialized on first process()
+  uint32_t NumNodes = 0;      ///< materialized nodes in this trie
+  uint32_t FreeHead = None;   ///< this trie's freed nodes
+  uint32_t RunNext = None;    ///< next fresh slot of the current run
+  uint8_t RunLeft = 0;        ///< fresh slots left in the current run
+  bool OwnsStore = false;     ///< set iff default-constructed
 };
 
 } // namespace herd

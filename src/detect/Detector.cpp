@@ -13,8 +13,7 @@ void Detector::applyPlan(const DetectorPlan &Plan) {
   if (P.empty())
     return;
   Table.reserve(P.ExpectedLocations);
-  Tries.Nodes.reserve(P.ExpectedTrieNodes);
-  Tries.Edges.reserveEdges(P.ExpectedTrieEdges);
+  Tries.reserve(P.ExpectedTrieNodes);
   Interner->reserve(P.ExpectedLocksets);
   for (const LockSet &Set : P.PreinternLocksets)
     Interner->intern(Set);

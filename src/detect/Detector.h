@@ -22,7 +22,7 @@
 /// whose lockset is an interned LockSetId resolved against the runtime's
 /// shared LockSetInterner.  Together these make the steady-state per-event
 /// cost allocation-free; stats() is O(1) because the trie-node total is the
-/// arena's live count and every other counter is maintained incrementally.
+/// store's live count and every other counter is maintained incrementally.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,7 +69,7 @@ public:
   }
 
   /// Applies capacity hints before the run: pre-sizes the location table,
-  /// trie arena, edge pool and interner, and pre-interns the plan's
+  /// trie node storage and interner, and pre-interns the plan's
   /// locksets.  Hints, not limits — an undersized plan only re-enables
   /// on-demand growth.  Must run before the first event to be useful.
   void applyPlan(const DetectorPlan &Plan);
@@ -92,10 +92,10 @@ public:
   }
 
   /// Returns the current statistics.  O(1): every counter, including the
-  /// trie-node total (the arena's live count), is maintained incrementally.
+  /// trie-node total (the store's live count), is maintained incrementally.
   DetectorStats stats() const {
     DetectorStats S = Stats;
-    S.TrieNodes = Tries.Nodes.live();
+    S.TrieNodes = Tries.live();
     S.LocksetMemoHits = Interner->memoHits();
     S.LocksetMemoMisses = Interner->memoMisses();
     S.LocksetMemoEvictions = Interner->memoEvictions();
@@ -118,7 +118,7 @@ private:
   std::function<void(LocationKey)> OnShared;
   std::unique_ptr<LockSetInterner> OwnedInterner;
   LockSetInterner *Interner; ///< never null
-  TrieStore Tries;           ///< node arena + edge pool for Table's tries
+  TrieStore Tries;           ///< node storage for Table's tries
   LocationTable<LocationState> Table;
   AccessTrie::Scratch Scratch; ///< reusable race-check path vectors
   DetectorStats Stats;

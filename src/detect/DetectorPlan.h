@@ -11,7 +11,7 @@
 /// statements are instrumented, so it also bounds how many locations,
 /// trie nodes, and locksets the detector can ever see.  A DetectorPlan
 /// carries those bounds so the runtime can pre-size its FlatTable /
-/// Arena / TrieEdgePool / LockSetInterner before the first event, turning
+/// TrieStore / LockSetInterner before the first event, turning
 /// cold-start first-touch growth (the ~2.1 allocs/event cold wall in
 /// BENCH_hotpath.json) into a handful of up-front reservations.
 ///
@@ -51,10 +51,6 @@ struct DetectorPlan {
   /// locations times typical lockset depth (0-2 per Section 4.2).
   uint64_t ExpectedTrieNodes = 0;
 
-  /// Edge-pool slots across all tries (edge blocks are power-of-two
-  /// sized, so this over-approximates live edges by design).
-  uint64_t ExpectedTrieEdges = 0;
-
   /// Threads expected to start (SyncAnalysis thread-allocation sites).
   uint64_t ExpectedThreads = 0;
 
@@ -71,9 +67,8 @@ struct DetectorPlan {
   /// without analysis results).
   bool empty() const {
     return ExpectedLocations == 0 && ExpectedSharedLocations == 0 &&
-           ExpectedTrieNodes == 0 && ExpectedTrieEdges == 0 &&
-           ExpectedThreads == 0 && ExpectedLocksets == 0 &&
-           PreinternLocksets.empty();
+           ExpectedTrieNodes == 0 && ExpectedThreads == 0 &&
+           ExpectedLocksets == 0 && PreinternLocksets.empty();
   }
 
   /// A copy with every field capped at a sane ceiling, so a hostile or
@@ -86,7 +81,6 @@ struct DetectorPlan {
     P.ExpectedSharedLocations =
         std::min(P.ExpectedSharedLocations, P.ExpectedLocations);
     P.ExpectedTrieNodes = std::min(P.ExpectedTrieNodes, MaxTrieStorage);
-    P.ExpectedTrieEdges = std::min(P.ExpectedTrieEdges, MaxTrieStorage);
     P.ExpectedThreads = std::min(P.ExpectedThreads, MaxThreads);
     P.ExpectedLocksets = std::min(P.ExpectedLocksets, MaxLocksets);
     return P;
@@ -94,14 +88,13 @@ struct DetectorPlan {
 
   /// The explicit-size plan behind `--plan=N`: expect \p Locations
   /// locations, all shared, with trie storage derived from the paper's
-  /// observation that histories stay shallow (about two nodes and two
-  /// edge slots per shared location in every measured workload).
+  /// observation that histories stay shallow (about two nodes per shared
+  /// location in every measured workload).
   static DetectorPlan sized(uint64_t Locations) {
     DetectorPlan P;
     P.ExpectedLocations = Locations;
     P.ExpectedSharedLocations = Locations;
     P.ExpectedTrieNodes = Locations * 2;
-    P.ExpectedTrieEdges = Locations * 2;
     return P.clamped();
   }
 
@@ -121,7 +114,6 @@ struct DetectorPlan {
     P.ExpectedLocations = Slice(ExpectedLocations);
     P.ExpectedSharedLocations = Slice(ExpectedSharedLocations);
     P.ExpectedTrieNodes = Slice(ExpectedTrieNodes);
-    P.ExpectedTrieEdges = Slice(ExpectedTrieEdges);
     P.ExpectedThreads = ExpectedThreads;
     return P;
   }

@@ -129,6 +129,7 @@ void TraceReader::close() {
 TraceResult TraceReader::open(const std::string &FromPath) {
   close();
   Records = 0;
+  KnownThreads = 1;
   KindCounts.fill(0);
   File = std::fopen(FromPath.c_str(), "rb");
   if (!File)
@@ -164,6 +165,14 @@ TraceResult TraceReader::replayInto(RuntimeHooks &Sink) {
         return TraceResult::failure("'" + Path + "': record " +
                                     std::to_string(Records) + ": " +
                                     Res.Error);
+      // An access by a known thread, the common record, needs no more.
+      if (R.Kind != EventLog::RecordKind::Access ||
+          R.Thread.index() >= KnownThreads) {
+        if (TraceResult Res = admitThreads(R); !Res)
+          return TraceResult::invalidEvents("'" + Path + "': record " +
+                                            std::to_string(Records) + ": " +
+                                            Res.Error);
+      }
       R.dispatch(Sink);
       ++Records;
       ++KindCounts[size_t(R.Kind)];
@@ -171,6 +180,33 @@ TraceResult TraceReader::replayInto(RuntimeHooks &Sink) {
   }
   if (std::ferror(File))
     return TraceResult::failure(errnoMessage("read error on trace", Path));
+  return TraceResult::success();
+}
+
+TraceResult TraceReader::admitThreads(const EventLog::Record &R) {
+  auto Known = [this](ThreadId T) { return T.index() < KnownThreads; };
+  auto Name = [](ThreadId T) { return "thread " + std::to_string(T.index()); };
+  if (R.Kind == EventLog::RecordKind::ThreadCreate) {
+    if (R.Thread.index() == 0 && !R.OtherThread.isValid() && Records == 0)
+      return TraceResult::success();
+    if (R.Thread.index() != KnownThreads)
+      return TraceResult::failure(
+          "creates " + Name(R.Thread) + ", but the next thread index is " +
+          std::to_string(KnownThreads));
+    if (!Known(R.OtherThread))
+      return TraceResult::failure("creates " + Name(R.Thread) + " from " +
+                                  Name(R.OtherThread) +
+                                  ", which was never created");
+    ++KnownThreads;
+    return TraceResult::success();
+  }
+  if (!Known(R.Thread))
+    return TraceResult::failure("names " + Name(R.Thread) +
+                                ", which was never created");
+  if (R.Kind == EventLog::RecordKind::ThreadJoin && !Known(R.OtherThread))
+    return TraceResult::failure(Name(R.Thread) + " joins " +
+                                Name(R.OtherThread) +
+                                ", which was never created");
   return TraceResult::success();
 }
 

@@ -107,6 +107,12 @@ public:
   /// Streams every remaining record into \p Sink in recorded order,
   /// stopping with a diagnostic at the first malformed record.  onRunEnd is
   /// not invoked — the caller decides when the sink's run is over.
+  ///
+  /// Sinks keep per-thread tables indexed by thread, so this is also where
+  /// a trace's thread indices are checked, as the interpreter assigns
+  /// them: thread 0 exists from the start, each ThreadCreate names the next
+  /// index, and every other thread a record uses was created before it.
+  /// A trace may open by recording thread 0's own creation with no parent.
   TraceResult replayInto(RuntimeHooks &Sink);
 
   uint64_t recordsRead() const { return Records; }
@@ -119,9 +125,14 @@ public:
   void close();
 
 private:
+  /// The thread-index rules of replayInto() for one record; on success a
+  /// ThreadCreate adds its thread.
+  TraceResult admitThreads(const EventLog::Record &R);
+
   std::FILE *File = nullptr;
   std::string Path;
   uint64_t Records = 0;
+  uint32_t KnownThreads = 1; ///< threads [0, KnownThreads) exist
   std::array<uint64_t, size_t(EventLog::RecordKind::Access) + 1> KindCounts{};
 };
 

@@ -47,9 +47,18 @@ struct TraceResult {
   bool Ok = true;
   std::string Error; ///< non-empty when !Ok
 
+  /// Set when the records decode but spell an event stream no run can
+  /// produce, such as a thread used before it was created.  herd reports
+  /// that like a runtime error (exit 1), a malformed file as a usage error
+  /// (exit 2).
+  bool InvalidEvents = false;
+
   static TraceResult success() { return {}; }
   static TraceResult failure(std::string Message) {
     return {false, std::move(Message)};
+  }
+  static TraceResult invalidEvents(std::string Message) {
+    return {false, std::move(Message), true};
   }
 
   explicit operator bool() const { return Ok; }

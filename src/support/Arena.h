@@ -1,4 +1,4 @@
-//===- support/Arena.h - Index-stable bump allocator ------------*- C++ -*-==//
+//===- support/Arena.h - Index-stable run allocator -------------*- C++ -*-==//
 //
 // Part of the HERD project (PLDI 2002 datarace-detector reproduction).
 //
@@ -6,77 +6,62 @@
 ///
 /// \file
 /// A bump-pointer pool of fixed-size objects addressed by dense 32-bit
-/// indices.  The detector's access-history tries store their nodes here
-/// (one arena per Detector, hence per shard in the sharded runtime) so
-/// that the per-event hot path never touches the global allocator: node
-/// allocation is a bump of the chunk cursor, node release pushes onto an
-/// intrusive free list, and steady-state churn recycles freed slots
-/// without any malloc traffic.
+/// indices, handed out in runs of consecutive slots.  The detector's
+/// access-history tries store their nodes here (one arena per Detector,
+/// hence per shard in the sharded runtime): each trie takes its nodes a run
+/// at a time, so one location's nodes sit together in memory, and the
+/// per-event hot path never touches the global allocator.
 ///
 /// Indices are stable for the lifetime of the arena: storage grows in
-/// fixed-size chunks that are never moved or reallocated, so a node index
-/// held across later allocations stays valid (the property the trie's
-/// parent/child links rely on).
+/// fixed-size chunks that are never moved or reallocated, so an index held
+/// across later allocations stays valid (the property the trie's sibling
+/// links rely on).  A run never straddles a chunk, so its slots are
+/// adjacent in memory.  The arena never takes a slot back: callers recycle
+/// slots themselves, and every chunk goes with the arena.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HERD_SUPPORT_ARENA_H
 #define HERD_SUPPORT_ARENA_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 namespace herd {
 
 /// A chunked pool of default-constructible \p T addressed by uint32_t
-/// indices, with a free list for slot reuse.
+/// indices.
 template <typename T> class Arena {
 public:
-  /// Sentinel for "no node"; never returned by allocate().
+  /// Sentinel for "no slot"; never handed out.
   static constexpr uint32_t None = 0xFFFFFFFF;
 
-  /// Slots per chunk.  4096 nodes per chunk keeps growth coarse enough to
+  /// Slots per chunk.  4096 slots per chunk keeps growth coarse enough to
   /// be rare and fine enough not to waste memory on small detectors.
   static constexpr uint32_t ChunkSize = 4096;
 
-  Arena() = default;
-  Arena(Arena &&) noexcept = default;
-  Arena &operator=(Arena &&) noexcept = default;
+  /// A run of consecutive fresh slots [First, First + Slots).
+  struct Run {
+    uint32_t First = None;
+    uint32_t Slots = 0;
+  };
 
-  /// Allocates a slot and returns its index.  The slot is reset to a
-  /// default-constructed T whether it is fresh or recycled.
-  uint32_t allocate() {
-    if (FreeHead != None) {
-      uint32_t Index = FreeHead;
-      T &Slot = (*this)[Index];
-      FreeHead = FreeLinks[Index];
-      Slot = T();
-      ++Live;
-      return Index;
-    }
-    uint32_t Index = Size;
-    if (Index / ChunkSize >= Chunks.size())
+  /// Hands out up to \p Want (1..ChunkSize) consecutive fresh,
+  /// default-constructed slots in one chunk.  The run is shorter only when
+  /// the current chunk has fewer slots left, so no slot is ever skipped.
+  Run allocateRun(uint32_t Want) {
+    assert(Want != 0 && Want <= ChunkSize && "run size out of range");
+    assert(Size <= MaxSlots - Want && "arena index space exhausted");
+    if (Size / ChunkSize >= Chunks.size())
       Chunks.push_back(std::make_unique<T[]>(ChunkSize));
-    else
-      Chunks[Index / ChunkSize][Index % ChunkSize] =
-          T(); // chunk retained across reset(): re-default the stale slot
-    ++Size;
-    ++Live;
-    FreeLinks.push_back(None);
-    return Index;
-  }
-
-  /// Returns \p Index's slot to the free list.  The caller must not use
-  /// the index again until allocate() hands it back out.
-  void release(uint32_t Index) {
-    assert(Index < Size && "release of an index never allocated");
-    assert(Live > 0 && "release without a matching allocate");
-    FreeLinks[Index] = FreeHead;
-    FreeHead = Index;
-    --Live;
+    Run R;
+    R.First = Size;
+    R.Slots = std::min(Want, ChunkSize - Size % ChunkSize);
+    Size += R.Slots;
+    return R;
   }
 
   T &operator[](uint32_t Index) {
@@ -92,19 +77,15 @@ public:
   /// clamped to the 32-bit index space (None is reserved, so the largest
   /// addressable slot count is 0xFFFFFFFE).
   static size_t chunksFor(size_t Slots) {
-    const size_t MaxSlots = 0xFFFFFFFE;
     if (Slots > MaxSlots)
       Slots = MaxSlots;
     return (Slots + ChunkSize - 1) / ChunkSize;
   }
 
-  /// Pre-allocates chunk storage for at least \p Slots slots so that many
-  /// allocate() calls proceed without touching the global allocator.
-  /// allocate() already re-defaults slots in pre-existing chunks, so the
-  /// reserved storage needs no further initialization.
+  /// Pre-allocates chunk storage so that \p Slots more slots, in runs of
+  /// any size, are handed out without touching the global allocator.
   void reserve(size_t Slots) {
-    size_t Want = chunksFor(Slots);
-    FreeLinks.reserve(Want * size_t(ChunkSize));
+    size_t Want = chunksFor(std::min(Slots, MaxSlots - Size) + Size);
     while (Chunks.size() < Want)
       Chunks.push_back(std::make_unique<T[]>(ChunkSize));
   }
@@ -112,29 +93,14 @@ public:
   /// Slots backed by already-allocated chunk storage.
   size_t reservedSlots() const { return Chunks.size() * size_t(ChunkSize); }
 
-  /// Slots currently allocated (allocate() minus release()).  The detector
-  /// reports this as its trie-node count, O(1) instead of the old
-  /// walk-every-location recomputation.
-  size_t live() const { return Live; }
-
-  /// High-water mark: slots ever created, recycled or not.
+  /// Slots handed out so far.
   size_t capacityUsed() const { return Size; }
 
-  /// Drops every allocation (indices become invalid) but keeps the chunk
-  /// storage for reuse.
-  void reset() {
-    Size = 0;
-    Live = 0;
-    FreeHead = None;
-    FreeLinks.clear();
-  }
-
 private:
+  static constexpr size_t MaxSlots = 0xFFFFFFFE;
+
   std::vector<std::unique_ptr<T[]>> Chunks;
-  std::vector<uint32_t> FreeLinks; ///< per-slot next-free link
-  uint32_t FreeHead = None;
   uint32_t Size = 0;
-  size_t Live = 0;
 };
 
 } // namespace herd

@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Crafted traces through `herd --replay` under every backend.
+
+Records figure2 once, then derives two traces from the recording: one
+whose access records name thread 2^31-1, and one whose thread creates name
+a child near 2^31.  Each must end with exit 1 and a replay diagnostic under
+the serial and sharded runtimes and every comparison detector; before the
+replay boundary checked thread indices, they aborted on std::bad_alloc.
+The untouched recording must still replay under each of them (figure2
+races, so exit 1, but without a diagnostic).
+
+    cli_hostile_traces.py <herd binary> <figure2.mj> <work dir>
+"""
+
+import os
+import struct
+import subprocess
+import sys
+
+HEADER_BYTES = 16
+RECORD_BYTES = 40
+KIND_CREATE = 0
+KIND_ACCESS = 5
+THREAD_OFFSET = 4
+
+BACKENDS = [[], ["--shards=2"], ["--detector=epoch"],
+            ["--detector=vectorclock"], ["--detector=naive"],
+            ["--detector=eraser"]]
+
+
+def patched(trace, kind, value):
+    """A copy of trace with the thread field of each `kind` record set to
+    value; creates of thread 0 (the main thread's own record) are kept."""
+    out = bytearray(trace)
+    for at in range(HEADER_BYTES, len(out), RECORD_BYTES):
+        thread = struct.unpack_from("<I", out, at + THREAD_OFFSET)[0]
+        if out[at] == kind and not (kind == KIND_CREATE and thread == 0):
+            struct.pack_into("<I", out, at + THREAD_OFFSET, value)
+    return bytes(out)
+
+
+def main():
+    herd, program, workdir = sys.argv[1:4]
+    os.makedirs(workdir, exist_ok=True)
+    recorded = os.path.join(workdir, "figure2.trace")
+    subprocess.run([herd, program, "--record=" + recorded],
+                   stdout=subprocess.DEVNULL, check=False)
+    with open(recorded, "rb") as f:
+        trace = f.read()
+    if len(trace) <= HEADER_BYTES:
+        sys.exit("recording figure2 produced no trace")
+
+    crafted = {
+        "access": patched(trace, KIND_ACCESS, 2**31 - 1),
+        "create": patched(trace, KIND_CREATE, 2**31 - 5),
+    }
+    paths = {}
+    for name, data in crafted.items():
+        paths[name] = os.path.join(workdir, name + ".trace")
+        with open(paths[name], "wb") as f:
+            f.write(data)
+    failures = [f"{name}: the patch changed nothing"
+                for name, data in crafted.items() if data == trace]
+    diagnostic = "herd: trace replay failed: "
+    for flags in BACKENDS:
+        for name, path in [("recorded", recorded)] + list(paths.items()):
+            run = subprocess.run([herd, program, "--replay=" + path] + flags,
+                                 capture_output=True, text=True, timeout=60)
+            failed = diagnostic in run.stderr
+            if run.returncode != 1 or failed != (name != "recorded"):
+                failures.append(f"{name} {' '.join(flags)}: exit "
+                                f"{run.returncode}: {run.stderr.strip()}")
+    if failures:
+        print("\n".join(failures))
+        sys.exit(1)
+    print(f"{len(crafted)} crafted traces x {len(BACKENDS)} backends: "
+          "exit 1 with a diagnostic")
+
+
+if __name__ == "__main__":
+    main()

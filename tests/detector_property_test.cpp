@@ -12,6 +12,9 @@
 ///     1 + precision, at the granularity the trie works at);
 ///   - the trie's weakness filter must only drop events that a stored
 ///     weaker access covers (checked against the definition directly);
+///   - every trie outcome, node count and stored-access count must match
+///     a structure-free reference (a map from lockset to stored access)
+///     after every event of seeded streams over many tries on one store;
 ///   - the dominator tree must agree with a naive quadratic dominator
 ///     computation on random CFGs.
 ///
@@ -25,7 +28,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 
 using namespace herd;
 
@@ -180,6 +186,193 @@ TEST_P(DetectorPropertyTest, MultiLocationDetectorMatchesPerLocationTries) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectorPropertyTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+//===----------------------------------------------------------------------===
+// Trie vs a structure-free reference.
+//===----------------------------------------------------------------------===
+
+/// The trie's rules applied to a flat map from lockset to stored access.
+/// Keys are canonical (ascending) locksets and only locksets holding an
+/// access are keys.  Map order is the trie's DFS order: a prefix sorts
+/// before its extensions, and siblings sort by label.
+class ReferenceTrie {
+public:
+  using Key = std::vector<LockId>;
+
+  AccessTrie::Outcome process(ThreadId Thread, const LockSet &Locks,
+                              AccessKind Access, SiteId Site) {
+    AccessTrie::Outcome Out;
+    ThreadLattice Event(Thread);
+    Key L(Locks.begin(), Locks.end());
+    // Filtered if some key ⊆ L holds a weaker-or-equal access.
+    for (const auto &[K, V] : Map)
+      if (std::includes(L.begin(), L.end(), K.begin(), K.end()) &&
+          isWeakerOrEqual(V.Thread, Event) &&
+          isWeakerOrEqual(V.Access, Access)) {
+        Out.Filtered = true;
+        return Out;
+      }
+    // The prior is the first key, in map order, disjoint from L that races.
+    for (const auto &[K, V] : Map) {
+      bool Disjoint = std::none_of(K.begin(), K.end(), [&](LockId Lock) {
+        return Locks.contains(Lock);
+      });
+      if (!Disjoint || !meet(V.Thread, Event).isBottom() ||
+          meet(V.Access, Access) != AccessKind::Write)
+        continue;
+      Out.Raced = true;
+      Out.PriorThreadKnown = V.Thread.isConcrete();
+      if (Out.PriorThreadKnown)
+        Out.PriorThread = V.Thread.concrete();
+      Out.PriorAccess = V.Access;
+      Out.PriorSite = V.Site;
+      for (LockId Lock : K)
+        Out.PriorLocks.insert(Lock);
+      break;
+    }
+    // Meet the event into key L.
+    auto [It, Inserted] = Map.try_emplace(L, Stored{Event, Access, Site});
+    if (!Inserted) {
+      It->second.Thread = meet(It->second.Thread, Event);
+      It->second.Access = meet(It->second.Access, Access);
+      It->second.Site = Site;
+    }
+    // Erase strict supersets of L whose stored access the event is weaker
+    // than.
+    for (auto At = Map.begin(); At != Map.end();) {
+      const Key &K = At->first;
+      if (K.size() > L.size() &&
+          std::includes(K.begin(), K.end(), L.begin(), L.end()) &&
+          isWeakerOrEqual(Event, At->second.Thread) &&
+          isWeakerOrEqual(Access, At->second.Access))
+        At = Map.erase(At);
+      else
+        ++At;
+    }
+    return Out;
+  }
+
+  /// Distinct prefixes of the keys, the empty one included: the nodes a
+  /// trie holding exactly these keys has.
+  size_t prefixCount() const {
+    std::set<Key> Prefixes = {Key()};
+    for (const auto &Entry : Map)
+      for (size_t N = 1; N <= Entry.first.size(); ++N)
+        Prefixes.emplace(Entry.first.begin(), Entry.first.begin() + N);
+    return Prefixes.size();
+  }
+
+  size_t size() const { return Map.size(); }
+
+private:
+  struct Stored {
+    ThreadLattice Thread;
+    AccessKind Access;
+    SiteId Site;
+  };
+  std::map<Key, Stored> Map;
+};
+
+/// What the reference-trie stream exercised, summed over its tries.
+struct ReferenceCoverage {
+  size_t Filtered = 0, Raced = 0, Shrinks = 0, Regrowths = 0;
+  size_t MaxLiveNodes = 0;
+};
+
+/// The dummy join lock S_j of thread \p Thread, numbered as the runtime
+/// numbers it (above every heap object's lock).
+LockId dummyLockOf(ThreadId Thread) {
+  return LockId((1u << 30) + Thread.index());
+}
+
+/// One seeded stream over \p NumTries locations sharing one TrieStore,
+/// checked against a ReferenceTrie per location after every event.
+void checkAgainstReference(uint64_t Seed, uint32_t NumTries, int Events,
+                           ReferenceCoverage &Cov) {
+  Rng R(Seed);
+  TrieStore Store;
+  std::vector<AccessTrie> Tries;
+  for (uint32_t I = 0; I != NumTries; ++I)
+    Tries.emplace_back(Store);
+  std::vector<ReferenceTrie> Models(NumTries);
+  std::vector<size_t> Low(NumTries, SIZE_MAX);
+  size_t Live = NumTries;
+  AccessTrie::Scratch S;
+  constexpr uint32_t NumThreads = 4, NumLocks = 10;
+
+  for (int Step = 0; Step != Events; ++Step) {
+    uint32_t Loc = uint32_t(R.nextBelow(NumTries));
+    ThreadId Thread(uint32_t(R.nextBelow(NumThreads)));
+    // Nested monitors from a small pool, plus the dummy join locks the
+    // runtime adds: a started thread holds its own, and a joiner holds
+    // the dummy lock of every thread it has joined.
+    LockSet Locks;
+    if (!R.nextChance(1, 8)) {
+      uint32_t Depth = uint32_t(R.nextBelow(5));
+      for (uint32_t D = 0; D != Depth; ++D)
+        Locks.insert(LockId(uint32_t(R.nextBelow(NumLocks))));
+    }
+    if (Thread.index() != 0 && R.nextChance(1, 2))
+      Locks.insert(dummyLockOf(Thread));
+    if (R.nextChance(1, 6))
+      Locks.insert(dummyLockOf(ThreadId(uint32_t(R.nextBelow(NumThreads)))));
+    AccessKind Access =
+        R.nextChance(1, 2) ? AccessKind::Write : AccessKind::Read;
+    SiteId Site = SiteId(uint32_t(Step));
+
+    size_t Before = Tries[Loc].nodeCount();
+    AccessTrie::Outcome Got =
+        Tries[Loc].process(Thread, Locks, Access, Site, S);
+    AccessTrie::Outcome Want = Models[Loc].process(Thread, Locks, Access, Site);
+
+    std::string Where = "seed " + std::to_string(Seed) + " step " +
+                        std::to_string(Step) + " trie " + std::to_string(Loc);
+    ASSERT_EQ(Got.Filtered, Want.Filtered) << Where;
+    ASSERT_EQ(Got.Raced, Want.Raced) << Where;
+    if (Want.Raced) {
+      EXPECT_EQ(Got.PriorThreadKnown, Want.PriorThreadKnown) << Where;
+      if (Want.PriorThreadKnown) {
+        EXPECT_EQ(Got.PriorThread, Want.PriorThread) << Where;
+      }
+      EXPECT_EQ(Got.PriorAccess, Want.PriorAccess) << Where;
+      EXPECT_TRUE(Got.PriorLocks == Want.PriorLocks) << Where;
+      EXPECT_EQ(Got.PriorSite, Want.PriorSite) << Where;
+    }
+    size_t After = Tries[Loc].nodeCount();
+    ASSERT_EQ(After, Models[Loc].prefixCount()) << Where;
+    ASSERT_EQ(Tries[Loc].storedAccessCount(), Models[Loc].size()) << Where;
+
+    Cov.Filtered += Want.Filtered;
+    Cov.Raced += Want.Raced;
+    if (After < Before) {
+      ++Cov.Shrinks;
+      Low[Loc] = std::min(Low[Loc], After);
+    } else if (After > Before && Low[Loc] != SIZE_MAX) {
+      ++Cov.Regrowths; // nodes freed earlier in this trie are needed again
+    }
+    Live = Live - Before + After;
+    Cov.MaxLiveNodes = std::max(Cov.MaxLiveNodes, Live);
+  }
+}
+
+class ReferenceTrieTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReferenceTrieTest, OutcomesAndShapeMatchTheFlatModel) {
+  // 384 tries on one store: together they hold more nodes than one storage
+  // chunk, so a trie's later nodes land in a chunk its first ones are not
+  // in.
+  ReferenceCoverage Cov;
+  checkAgainstReference(GetParam(), 384, 40000, Cov);
+  EXPECT_GT(Cov.Filtered, 0u);
+  EXPECT_GT(Cov.Raced, 0u);
+  EXPECT_GT(Cov.Shrinks, 0u) << "no event pruned a subtree";
+  EXPECT_GT(Cov.Regrowths, 0u) << "no trie grew again after pruning";
+  EXPECT_GT(Cov.MaxLiveNodes, size_t(Arena<TrieNode>::ChunkSize))
+      << "the stream stays in one chunk";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceTrieTest,
+                         ::testing::Range<uint64_t>(1, 7));
 
 //===----------------------------------------------------------------------===
 // Dominators vs naive reference.

@@ -7,8 +7,8 @@
 /// \file
 /// Tests for the allocation-lean detector hot path (docs/PERFORMANCE.md):
 /// the LockSetInterner against a SortedIdSet oracle (including the >64-lock
-/// inexact path), Arena index stability and recycling, the TrieEdgePool,
-/// and differential replays proving the interned/sharded paths produce the
+/// inexact path), Arena index stability and runs, the TrieStore's
+/// per-trie free lists and live count, and differential replays proving the interned/sharded paths produce the
 /// identical RaceReport stream as the original handleAccess path.
 ///
 //===----------------------------------------------------------------------===//
@@ -172,7 +172,7 @@ TEST(LockSetInterner, MixedExactAndInexact) {
 }
 
 //===----------------------------------------------------------------------===
-// Arena: index stability, recycling, reset
+// Arena: index stability, runs
 //===----------------------------------------------------------------------===
 
 TEST(Arena, IndicesStableAcrossGrowth) {
@@ -181,112 +181,125 @@ TEST(Arena, IndicesStableAcrossGrowth) {
   const uint32_t N = Arena<uint64_t>::ChunkSize * 3 + 17;
   std::vector<uint32_t> Indices;
   for (uint32_t I = 0; I != N; ++I) {
-    uint32_t Idx = A.allocate();
+    uint32_t Idx = A.allocateRun(1).First;
     A[Idx] = uint64_t(I) * 0x9E3779B9u;
     Indices.push_back(Idx);
   }
-  EXPECT_EQ(A.live(), N);
+  EXPECT_EQ(A.capacityUsed(), N);
   for (uint32_t I = 0; I != N; ++I)
     EXPECT_EQ(A[Indices[I]], uint64_t(I) * 0x9E3779B9u);
 }
 
-TEST(Arena, ReleaseRecyclesAndRedefaults) {
+TEST(Arena, RunsDoNotAlias) {
   Arena<uint64_t> A;
-  uint32_t X = A.allocate();
-  uint32_t Y = A.allocate();
-  A[X] = 111;
-  A[Y] = 222;
-  A.release(X);
-  EXPECT_EQ(A.live(), 1u);
-  uint32_t Z = A.allocate(); // LIFO free list hands X back
-  EXPECT_EQ(Z, X);
-  EXPECT_EQ(A[Z], 0u); // recycled slot is re-defaulted
-  EXPECT_EQ(A[Y], 222u);
-  EXPECT_EQ(A.live(), 2u);
-  EXPECT_EQ(A.capacityUsed(), 2u);
-}
-
-TEST(Arena, ResetKeepsStorageButDropsSlots) {
-  Arena<uint64_t> A;
-  for (int I = 0; I != 100; ++I)
-    A[A.allocate()] = 7;
-  A.reset();
-  EXPECT_EQ(A.live(), 0u);
-  EXPECT_EQ(A.capacityUsed(), 0u);
-  uint32_t X = A.allocate();
-  EXPECT_EQ(X, 0u);
-  EXPECT_EQ(A[X], 0u); // stale chunk slot was re-defaulted
-}
-
-//===----------------------------------------------------------------------===
-// TrieEdgePool: block recycling, aliasing, large blocks
-//===----------------------------------------------------------------------===
-
-TEST(TrieEdgePool, BlocksDoNotAlias) {
-  TrieEdgePool P;
-  std::vector<uint32_t> Blocks;
+  std::vector<uint32_t> Runs;
   for (uint32_t I = 0; I != 64; ++I) {
-    uint32_t B = P.allocate(2); // capacity-4 blocks
+    Arena<uint64_t>::Run R = A.allocateRun(4);
+    ASSERT_EQ(R.Slots, 4u);
     for (uint32_t J = 0; J != 4; ++J) {
-      P.at(B)[J].Label = LockId(I * 4 + J);
-      P.at(B)[J].Child = I * 4 + J;
+      EXPECT_EQ(A[R.First + J], 0u); // fresh slots are default-constructed
+      A[R.First + J] = I * 4 + J;
     }
-    Blocks.push_back(B);
+    Runs.push_back(R.First);
   }
   for (uint32_t I = 0; I != 64; ++I)
-    for (uint32_t J = 0; J != 4; ++J) {
-      EXPECT_EQ(P.at(Blocks[I])[J].Label, LockId(I * 4 + J));
-      EXPECT_EQ(P.at(Blocks[I])[J].Child, I * 4 + J);
-    }
+    for (uint32_t J = 0; J != 4; ++J)
+      EXPECT_EQ(A[Runs[I] + J], I * 4 + J);
 }
 
-TEST(TrieEdgePool, ReleaseRecyclesPerClass) {
-  TrieEdgePool P;
-  uint32_t A = P.allocate(3);
-  uint32_t B = P.allocate(3);
-  P.release(A, 3);
-  P.release(B, 3);
-  // LIFO per-class free list: B then A, and no fresh storage.
-  EXPECT_EQ(P.allocate(3), B);
-  EXPECT_EQ(P.allocate(3), A);
-  // A different class does not poach from class 3's free list.
-  uint32_t C = P.allocate(1);
-  EXPECT_NE(C, A);
-  EXPECT_NE(C, B);
-}
-
-TEST(TrieEdgePool, BlocksNeverStraddleChunks) {
-  TrieEdgePool P;
-  // Mixed-class allocation pattern; every block must stay inside one
-  // chunk, i.e. start/end land in the same ChunkSize window.
+TEST(Arena, RunsNeverStraddleChunks) {
+  Arena<uint64_t> A;
+  // Mixed run sizes: every run stays inside one chunk, follows the
+  // previous one without a gap, and is short only at a chunk's end.
   Rng R(7);
-  for (int I = 0; I != 500; ++I) {
-    uint8_t Class = uint8_t(R.nextBelow(8));
-    uint32_t B = P.allocate(Class);
-    uint32_t Cap = 1u << Class;
-    EXPECT_EQ(B / TrieEdgePool::ChunkSize,
-              (B + Cap - 1) / TrieEdgePool::ChunkSize);
+  uint32_t End = 0;
+  for (int I = 0; I != 3000; ++I) {
+    uint32_t Want = 1 + uint32_t(R.nextBelow(TrieStore::RunSlots));
+    Arena<uint64_t>::Run Run = A.allocateRun(Want);
+    ASSERT_GE(Run.Slots, 1u);
+    ASSERT_LE(Run.Slots, Want);
+    EXPECT_EQ(Run.First, End);
+    EXPECT_EQ(Run.First / Arena<uint64_t>::ChunkSize,
+              (Run.First + Run.Slots - 1) / Arena<uint64_t>::ChunkSize);
+    if (Run.Slots < Want) {
+      EXPECT_EQ((Run.First + Run.Slots) % Arena<uint64_t>::ChunkSize, 0u);
+    }
+    End = Run.First + Run.Slots;
     // Touch both ends: would fault or corrupt a neighbour if misplaced.
-    P.at(B)[0].Child = I;
-    P.at(B)[Cap - 1].Child = I;
+    A[Run.First] = uint64_t(I);
+    A[End - 1] = uint64_t(I);
   }
+  EXPECT_GT(End, Arena<uint64_t>::ChunkSize * 2);
 }
 
-TEST(TrieEdgePool, LargeBlocks) {
-  TrieEdgePool P;
-  uint8_t Class = TrieEdgePool::MaxInlineClass + 1;
-  uint32_t Cap = 1u << Class;
-  uint32_t A = P.allocate(Class);
-  for (uint32_t J = 0; J != Cap; ++J)
-    P.at(A)[J].Child = J;
-  uint32_t B = P.allocate(Class);
-  P.at(B)[0].Child = 0xABCD;
-  EXPECT_EQ(P.at(A)[0].Child, 0u);
-  EXPECT_EQ(P.at(A)[Cap - 1].Child, Cap - 1);
-  P.release(A, Class);
-  EXPECT_EQ(P.allocate(Class), A); // recycled, not refreshed
-  P.release(B, Class);
-  P.release(A, Class);
+//===----------------------------------------------------------------------===
+// TrieStore: per-trie free lists, the live count
+//===----------------------------------------------------------------------===
+
+TEST(TrieStore, FreedNodesAreReusedByTheirTrie) {
+  TrieStore Store;
+  AccessTrie A(Store), B(Store);
+  LockSet Three, Empty, Other;
+  for (uint32_t L : {1u, 2u, 3u})
+    Three.insert(LockId(L));
+  for (uint32_t L : {5u, 6u, 7u})
+    Other.insert(LockId(L));
+
+  A.process(ThreadId(1), Three, AccessKind::Write);
+  EXPECT_EQ(A.nodeCount(), 4u); // root -> 1 -> 2 -> 3
+  // A weaker write by the same thread prunes the whole chain: its three
+  // nodes go on A's free list, not back to the store.
+  A.process(ThreadId(1), Empty, AccessKind::Write);
+  EXPECT_EQ(A.nodeCount(), 1u);
+  size_t Used = Store.slotsUsed();
+
+  // B cannot take A's freed nodes: it needs fresh slots.
+  B.process(ThreadId(2), Three, AccessKind::Write);
+  EXPECT_EQ(B.nodeCount(), 4u);
+  EXPECT_GT(Store.slotsUsed(), Used);
+  Used = Store.slotsUsed();
+
+  // A grows again out of its own free list, and the recycled nodes start
+  // out empty: only the new access is stored under them.
+  A.process(ThreadId(2), Other, AccessKind::Read);
+  EXPECT_EQ(A.nodeCount(), 4u);
+  EXPECT_EQ(A.storedAccessCount(), 2u);
+  EXPECT_EQ(Store.slotsUsed(), Used);
+  EXPECT_EQ(Store.live(), A.nodeCount() + B.nodeCount());
+  EXPECT_TRUE(A.checkInvariants());
+  EXPECT_TRUE(B.checkInvariants());
+}
+
+TEST(TrieStore, LiveCountIsTheSumOverTries) {
+  // Seeded streams over many tries on one store: growth, pruning and
+  // reuse all move the store's live count exactly as the tries' own
+  // counts move.  A trie that has seen no event holds no slot.
+  Rng R(11);
+  TrieStore Store;
+  std::vector<AccessTrie> Tries;
+  for (int I = 0; I != 200; ++I)
+    Tries.emplace_back(Store);
+  std::vector<bool> Touched(Tries.size(), false);
+  for (int Step = 0; Step != 20000; ++Step) {
+    size_t T = R.nextBelow(Tries.size());
+    LockSet Locks;
+    for (uint32_t L = 0; L != 6; ++L)
+      if (R.nextChance(1, 3))
+        Locks.insert(LockId(L));
+    Tries[T].process(ThreadId(uint32_t(R.nextBelow(3))), Locks,
+                     R.nextChance(1, 2) ? AccessKind::Write
+                                        : AccessKind::Read);
+    Touched[T] = true;
+    if (Step % 1000 == 999) {
+      size_t Sum = 0;
+      for (size_t I = 0; I != Tries.size(); ++I)
+        Sum += Touched[I] ? Tries[I].nodeCount() : 0;
+      ASSERT_EQ(Store.live(), Sum) << "step " << Step;
+      ASSERT_LE(Store.live(), Store.slotsUsed());
+    }
+  }
+  for (const AccessTrie &Trie : Tries)
+    EXPECT_TRUE(Trie.checkInvariants());
 }
 
 //===----------------------------------------------------------------------===

@@ -15,7 +15,8 @@
 ///
 ///  * Reserve arithmetic — FlatTable::capacityFor / Arena::chunksFor and
 ///    their reserve() counterparts at the edges (zero, load-factor
-///    boundaries, saturation at SIZE_MAX).
+///    boundaries, saturation at SIZE_MAX), and a reserved TrieStore taking
+///    the nodes it was reserved for without another chunk.
 ///
 ///  * Plan arithmetic — clamped() caps, sized(), forShard() slicing.
 ///
@@ -24,6 +25,7 @@
 #include "FuzzPrograms.h"
 #include "TestPrograms.h"
 #include "analysis/DetectorPlanner.h"
+#include "detect/AccessTrie.h"
 #include "herd/Pipeline.h"
 #include "support/Arena.h"
 #include "support/FlatTable.h"
@@ -196,7 +198,7 @@ TEST(FlatTableReserve, ReserveAfterInsertRehashesExisting) {
 }
 
 //===----------------------------------------------------------------------===
-// Arena / TrieEdgePool reserve arithmetic
+// Arena / TrieStore reserve arithmetic
 //===----------------------------------------------------------------------===
 
 TEST(ArenaReserve, ChunksForEdges) {
@@ -220,7 +222,7 @@ TEST(ArenaReserve, ReserveIsUsableAndIdempotent) {
   // Allocations land inside the reserved chunks and slots are default
   // initialized even though the chunk was created before first use.
   for (uint32_t I = 0; I != 10000; ++I) {
-    uint32_t Idx = A.allocate();
+    uint32_t Idx = A.allocateRun(1).First;
     EXPECT_EQ(A[Idx], 0u);
     A[Idx] = I + 1;
   }
@@ -229,24 +231,28 @@ TEST(ArenaReserve, ReserveIsUsableAndIdempotent) {
   EXPECT_EQ(A.reservedSlots(), Reserved);
 }
 
-TEST(TrieEdgePoolReserve, ReserveCoversSubsequentBlocks) {
-  TrieEdgePool Pool;
-  Pool.reserveEdges(20000);
-  size_t Reserved = Pool.reservedEdges();
+TEST(ArenaReserve, ReserveCoversSubsequentRuns) {
+  // A trie store reserved for 20000 nodes takes 2500 tries of eight nodes
+  // each without another chunk: a trie's runs (1, 1, 2, 4 slots) hold
+  // exactly its eight nodes.
+  TrieStore Store;
+  Store.reserve(20000);
+  size_t Reserved = Store.reservedSlots();
   EXPECT_GE(Reserved, 20000u);
-  // Carving blocks out of the pre-reserved chunks adds nothing: 2000
-  // blocks of 2^3 = 8 edges fit in the reserved 20000+.
-  std::vector<uint32_t> Blocks;
-  for (int I = 0; I != 2000; ++I)
-    Blocks.push_back(Pool.allocate(3));
-  EXPECT_EQ(Pool.reservedEdges(), Reserved);
-  // Blocks are writable and distinct.
-  Pool.at(Blocks[0])[0].Label = LockId(7);
-  Pool.at(Blocks[1999])[7].Label = LockId(9);
-  EXPECT_EQ(Pool.at(Blocks[0])[0].Label, LockId(7));
-  // Note: reserveEdges clamps to the 31-bit edge address space but will
-  // happily materialize gigabytes for a near-limit request — callers go
-  // through DetectorPlan::clamped() (<= 2^24 edges), which
+  std::vector<AccessTrie> Tries;
+  for (int I = 0; I != 2500; ++I)
+    Tries.emplace_back(Store);
+  LockSet Chain;
+  for (uint32_t L = 0; L != 7; ++L)
+    Chain.insert(LockId(L));
+  for (AccessTrie &Trie : Tries)
+    Trie.process(ThreadId(1), Chain, AccessKind::Write);
+  EXPECT_EQ(Store.live(), 20000u);
+  EXPECT_EQ(Store.slotsUsed(), 20000u);
+  EXPECT_EQ(Store.reservedSlots(), Reserved);
+  // Note: reserve clamps to the 32-bit index space but will happily
+  // materialize gigabytes for a near-limit request — callers go through
+  // DetectorPlan::clamped() (<= 2^24 nodes), which
   // DetectorPlanTest.ClampedCapsHostileValues pins.
 }
 
@@ -262,7 +268,6 @@ TEST(DetectorPlanTest, EmptyAndSized) {
   EXPECT_EQ(S.ExpectedLocations, 100u);
   EXPECT_EQ(S.ExpectedSharedLocations, 100u);
   EXPECT_EQ(S.ExpectedTrieNodes, 200u);
-  EXPECT_EQ(S.ExpectedTrieEdges, 200u);
   EXPECT_EQ(DetectorPlan::sized(0).ExpectedLocations, 0u);
 }
 
@@ -271,7 +276,6 @@ TEST(DetectorPlanTest, ClampedCapsHostileValues) {
   P.ExpectedLocations = ~uint64_t(0);
   P.ExpectedSharedLocations = ~uint64_t(0);
   P.ExpectedTrieNodes = ~uint64_t(0);
-  P.ExpectedTrieEdges = ~uint64_t(0);
   P.ExpectedThreads = ~uint64_t(0);
   P.ExpectedLocksets = ~uint64_t(0);
   DetectorPlan C = P.clamped();
@@ -405,7 +409,6 @@ TEST(PlannerDepthTest, NestedSyncScalesPlannedTrieBudget) {
     EXPECT_EQ(Plan.ExpectedTrieNodes,
               Plan.ExpectedSharedLocations *
                   trieNodesPerLocationForDepth(Depth));
-    EXPECT_EQ(Plan.ExpectedTrieEdges, Plan.ExpectedTrieNodes);
   }
   // And a deep-lockset program really does get the 64-node ceiling.
   Program P = buildNestedSyncRace(6);

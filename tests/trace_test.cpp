@@ -294,6 +294,61 @@ TEST(TraceFileTest, CorruptTracesAreRejectedWithDiagnostics) {
   EXPECT_EQ(Out.serialize(), Good);
 }
 
+TEST(TraceFileTest, ThreadIndicesMustBeCreatedInOrder) {
+  LocationKey Loc = LocationKey::forField(ObjectId(2), FieldId(1));
+  TempPath Path("threads");
+  auto replay = [&](const EventLog &Log) {
+    writeAll(Path, Log.serialize());
+    EventLog Out;
+    return readTraceFile(Path, Out);
+  };
+
+  // The interpreter's shape: thread 0's own creation, with no parent,
+  // opens the trace.
+  EventLog Interp;
+  Interp.onThreadCreate(ThreadId(0), ThreadId::invalid(), ObjectId(0));
+  Interp.onThreadCreate(ThreadId(1), ThreadId(0), ObjectId(1));
+  Interp.onAccess(ThreadId(1), Loc, AccessKind::Write, SiteId(0));
+  Interp.onThreadExit(ThreadId(1));
+  Interp.onThreadJoin(ThreadId(0), ThreadId(1));
+  EXPECT_TRUE(replay(Interp).Ok);
+  // The generators' shape: threads 1..N from thread 0, which is never
+  // created itself.
+  EventLog Generated;
+  Generated.onThreadCreate(ThreadId(1), ThreadId(0), ObjectId(1));
+  Generated.onThreadCreate(ThreadId(2), ThreadId(0), ObjectId(2));
+  Generated.onAccess(ThreadId(0), Loc, AccessKind::Read, SiteId(0));
+  Generated.onAccess(ThreadId(2), Loc, AccessKind::Write, SiteId(1));
+  EXPECT_TRUE(replay(Generated).Ok);
+
+  struct Case {
+    const char *What;
+    EventLog Log;
+  };
+  std::vector<Case> Cases(6);
+  Cases[0].What = "access by a thread never created";
+  Cases[0].Log.onAccess(ThreadId(0x7FFFFFFF), Loc, AccessKind::Write,
+                        SiteId(0));
+  Cases[1].What = "create skipping an index";
+  Cases[1].Log.onThreadCreate(ThreadId(2), ThreadId(0), ObjectId(1));
+  Cases[2].What = "create from a parent never created";
+  Cases[2].Log.onThreadCreate(ThreadId(1), ThreadId(5), ObjectId(1));
+  Cases[3].What = "join of a thread never created";
+  Cases[3].Log.onThreadJoin(ThreadId(0), ThreadId(1));
+  Cases[4].What = "thread 0 created after the first record";
+  Cases[4].Log.onAccess(ThreadId(0), Loc, AccessKind::Read, SiteId(0));
+  Cases[4].Log.onThreadCreate(ThreadId(0), ThreadId::invalid(), ObjectId(0));
+  Cases[5].What = "lock taken by a thread never created";
+  Cases[5].Log.onThreadCreate(ThreadId(1), ThreadId(0), ObjectId(1));
+  Cases[5].Log.onMonitorEnter(ThreadId(2), LockId(1), false);
+  for (const Case &C : Cases) {
+    TraceResult TR = replay(C.Log);
+    EXPECT_FALSE(TR.Ok) << C.What;
+    EXPECT_TRUE(TR.InvalidEvents) << C.What;
+    EXPECT_NE(TR.Error.find("record"), std::string::npos) << C.What;
+  }
+}
+
 TEST(TracePipelineTest, ReplayErrorsSurfaceDiagnostics) {
   Program P = testprogs::buildFigure2(/*SamePQ=*/false);
 

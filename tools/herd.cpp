@@ -202,7 +202,7 @@ int replayBaseline(const Program &P, const std::string &TracePath,
   }
   if (!TR.Ok) {
     std::fprintf(stderr, "herd: trace replay failed: %s\n", TR.Error.c_str());
-    return 2;
+    return TR.InvalidEvents ? 1 : 2;
   }
   std::printf("replayed %llu trace records through %s\n",
               (unsigned long long)Reader.recordsRead(), Detector.c_str());
@@ -366,7 +366,7 @@ int main(int argc, char **argv) {
     if (!R.Trace.Ok) {
       std::fprintf(stderr, "herd: trace replay failed: %s\n",
                    R.Trace.Error.c_str());
-      return 2;
+      return R.Trace.InvalidEvents ? 1 : 2;
     }
     return printResult(Opts, Compiled.P, R, Registry, Prof);
   }
