@@ -8,13 +8,18 @@
 /// google-benchmark microbenchmarks of the detector's hot paths, the
 /// quantities behind the Section 4/8.2 engineering claims:
 ///   - the cache-hit path ("ten PowerPC instructions" in the paper);
-///   - the trie weakness check that filters the vast majority of events;
-///   - full trie processing (check + update + prune);
+///   - the weakness check that filters the vast majority of events;
+///   - full event processing (check + update + prune);
 ///   - the exact O(N²) oracle, for contrast with the trie's incremental
 ///     cost;
 ///   - the epoch backend's O(1) same-epoch path against the vector-clock
 ///     baseline's O(T) comparison at increasing thread counts
 ///     (docs/DETECTORS.md).
+/// Each check runs on the pointer-based reference trie (AccessTrie, the
+/// BM_Trie* rows) and on the access history the Detector ships
+/// (AccessHistory, the BM_History* rows).  The history rows take
+/// pre-interned lockset ids, as the runtime delivers them; the trie rows
+/// take LockSets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +27,7 @@
 #include "baselines/NaiveDetector.h"
 #include "baselines/VectorClockDetector.h"
 #include "detect/AccessCache.h"
+#include "detect/AccessHistory.h"
 #include "detect/AccessTrie.h"
 #include "detect/Detector.h"
 #include "detect/ShardedRuntime.h"
@@ -82,6 +88,20 @@ void BM_TrieWeaknessFilter(benchmark::State &State) {
 }
 BENCHMARK(BM_TrieWeaknessFilter);
 
+void BM_HistoryWeaknessFilter(benchmark::State &State) {
+  LockSetInterner Interner;
+  HistoryStore Store;
+  AccessHistory History;
+  History.process(Store, Interner, ThreadId(1), LockSetInterner::emptySet(),
+                  AccessKind::Write, SiteId());
+  LockSetId Held = Interner.intern(LockSet{LockId(3), LockId(7)});
+  for (auto _ : State)
+    benchmark::DoNotOptimize(History.process(Store, Interner, ThreadId(1),
+                                             Held, AccessKind::Read,
+                                             SiteId()));
+}
+BENCHMARK(BM_HistoryWeaknessFilter);
+
 void BM_TrieProcessDeepLocksets(benchmark::State &State) {
   // Locksets of the given depth; alternating threads so the meet churns.
   size_t Depth = size_t(State.range(0));
@@ -100,6 +120,27 @@ void BM_TrieProcessDeepLocksets(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_TrieProcessDeepLocksets)->Arg(1)->Arg(4)->Arg(16);
+
+void BM_HistoryProcessDeepLocksets(benchmark::State &State) {
+  size_t Depth = size_t(State.range(0));
+  LockSet L1, L2;
+  for (size_t I = 0; I != Depth; ++I) {
+    L1.insert(LockId(uint32_t(I)));
+    L2.insert(LockId(uint32_t(I + Depth)));
+  }
+  LockSetInterner Interner;
+  LockSetId Ids[2] = {Interner.intern(L1), Interner.intern(L2)};
+  HistoryStore Store;
+  AccessHistory History;
+  uint32_t Turn = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(
+        History.process(Store, Interner, ThreadId(1 + (Turn & 1)),
+                        Ids[Turn & 1], AccessKind::Read, SiteId()));
+    ++Turn;
+  }
+}
+BENCHMARK(BM_HistoryProcessDeepLocksets)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_DetectorStream(benchmark::State &State) {
   // A realistic mixed stream through the full detector (ownership + trie).
@@ -165,6 +206,26 @@ void BM_TrieSameStreamLinear(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_TrieSameStreamLinear)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_HistorySameStreamLinear(benchmark::State &State) {
+  size_t NumEvents = size_t(State.range(0));
+  LockSetInterner Interner;
+  LockSetId Ids[4];
+  for (uint32_t Lock = 0; Lock != 4; ++Lock)
+    Ids[Lock] = Interner.intern(LockSet{LockId(9), LockId(Lock)});
+  for (auto _ : State) {
+    Rng R(7);
+    HistoryStore Store;
+    AccessHistory History;
+    for (size_t I = 0; I != NumEvents; ++I) {
+      LockSetId L = Ids[R.nextBelow(4)];
+      benchmark::DoNotOptimize(
+          History.process(Store, Interner, ThreadId(uint32_t(R.nextBelow(3))),
+                          L, AccessKind::Write, SiteId()));
+    }
+  }
+}
+BENCHMARK(BM_HistorySameStreamLinear)->Arg(256)->Arg(1024)->Arg(4096);
 
 //===----------------------------------------------------------------------===
 // Epoch backend vs vector-clock baseline (docs/DETECTORS.md).

@@ -75,6 +75,10 @@ class EpochDetector : public RuntimeHooks {
 public:
   /// Bits of the packed epoch word holding the dense thread slot.
   static constexpr uint32_t SlotBits = 20;
+  // Every input stops at MaxThreads threads (the interpreter faults, trace
+  // replay rejects the create), so a slot never aliases another.
+  static_assert(MaxThreads <= (uint32_t(1) << SlotBits),
+                "the thread limit must fit the epoch's slot bits");
   /// Flag bit marking an inflated (vector-clock) read state.
   static constexpr uint64_t SharedBit = uint64_t(1) << 63;
   /// Largest representable clock (43 bits — comfortably past 2^32).

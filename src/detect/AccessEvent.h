@@ -126,6 +126,22 @@ struct DetectorEvent {
   SiteId Site;
 };
 
+/// The result of feeding one event to a location's access history
+/// (Section 3.2): the production AccessHistory and the reference AccessTrie
+/// both return it.
+struct HistoryOutcome {
+  bool Filtered = false; ///< a stored weaker access already covers this
+  bool Raced = false;    ///< Case II fired
+
+  // Prior-access information when Raced (for the report): the earlier
+  // access's lockset, kind, and its thread when known (t_⊥ erases it).
+  bool PriorThreadKnown = false;
+  ThreadId PriorThread;
+  AccessKind PriorAccess = AccessKind::Read;
+  RaceLockSet PriorLocks;
+  SiteId PriorSite; ///< site of the last event merged into the hit access
+};
+
 /// IsRace(e_i, e_j) from Section 2.4: same location, different threads,
 /// disjoint locksets, at least one write.
 inline bool isRace(const AccessEvent &A, const AccessEvent &B) {

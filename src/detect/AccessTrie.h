@@ -5,11 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The edge-labeled trie that stores the access history of one memory
-/// location (Section 3.2).  Edges are labeled with lock identifiers; the
-/// path from the root to a node spells the node's lockset in canonical
-/// (ascending) order.  Nodes hold a thread-lattice value and an access
-/// kind; internal nodes with no recorded access hold (t_⊤, READ).
+/// The pointer-based reference of Section 3.2: the edge-labeled trie that
+/// stores the access history of one memory location, walked node by node
+/// as the paper describes it.  The Detector runs AccessHistory
+/// (AccessHistory.h), which holds the same trie as its stored accesses in
+/// DFS order; this trie is the oracle the tests check it against on every
+/// event, like `naive` and `vectorclock` for the detectors, and the
+/// BM_Trie* rows of bench_detector_micro.
+///
+/// Edges are labeled with lock identifiers; the path from the root to a
+/// node spells the node's lockset in canonical (ascending) order.  Nodes
+/// hold a thread-lattice value and an access kind; internal nodes with no
+/// recorded access hold (t_⊤, READ).
 ///
 /// Processing an event performs, in order:
 ///   1. the weakness check: is a stored access ⊑ the new one?  If so the
@@ -20,16 +27,13 @@
 ///   4. pruning of stored accesses that the new event is weaker than.
 ///
 /// Storage: a node carries the label of its incoming edge and links to
-/// its first child and next sibling; siblings are sorted by label.  The
-/// nodes of all tries of one Detector live in one TrieStore (hence one per
-/// shard in the sharded runtime), and each trie takes its slots in runs of
+/// its first child and next sibling; siblings are sorted by label.  Many
+/// tries can share one TrieStore, and each trie takes its slots in runs of
 /// consecutive indices, so one location's nodes share a few cache lines
 /// and a sibling scan stays inside them.  A freed node goes on its own
-/// trie's free list, so the steady-state hot path allocates nothing.  A
-/// trie on a shared store frees nothing when it dies: the store's chunks go
-/// in one piece with the store, so tearing down a Detector costs one free
-/// per chunk, not a walk over every node.  A default-constructed trie owns
-/// a private store for standalone use.
+/// trie's free list, so a steady stream allocates nothing.  A trie on a
+/// shared store frees nothing when it dies: the store's chunks go in one
+/// piece with the store.  A default-constructed trie owns a private store.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,8 +69,7 @@ struct TrieNode {
   bool hasInfo() const { return !Thread.isTop(); }
 };
 
-/// The node storage shared by all tries of one Detector (one instance per
-/// shard in the sharded runtime).
+/// Node storage shared by many tries.
 class TrieStore {
 public:
   /// Slots in a full run.  A trie's next run holds as many slots as the
@@ -86,7 +89,7 @@ public:
   /// free list.
   size_t slotsUsed() const { return Slots.capacityUsed(); }
 
-  /// Nodes the tries on this store hold: DetectorStats::TrieNodes.
+  /// Nodes the tries on this store hold.
   size_t live() const { return Live; }
 
 private:
@@ -100,21 +103,10 @@ private:
 class AccessTrie {
 public:
   /// Result of feeding one event through the trie.
-  struct Outcome {
-    bool Filtered = false; ///< a stored weaker access already covers this
-    bool Raced = false;    ///< Case II fired
+  using Outcome = HistoryOutcome;
 
-    // Prior-access information when Raced (for the report): the earlier
-    // access's lockset, kind, and its thread when known (t_⊥ erases it).
-    bool PriorThreadKnown = false;
-    ThreadId PriorThread;
-    AccessKind PriorAccess = AccessKind::Read;
-    RaceLockSet PriorLocks;
-    SiteId PriorSite; ///< site of the last event merged into the hit node
-  };
-
-  /// Reusable traversal scratch.  The Detector keeps one per instance so
-  /// the race-check path vectors never reallocate in steady state; the
+  /// Reusable traversal scratch.  A caller feeding many events keeps one
+  /// so the race-check path vectors never reallocate in steady state; the
   /// 3-argument process() overload uses a transient local one.
   struct Scratch {
     std::vector<LockId> Path;
@@ -135,7 +127,7 @@ public:
   /// Runs the weakness check, race check, update and pruning for one event.
   Outcome process(ThreadId Thread, const LockSet &Locks, AccessKind Access);
 
-  /// Same, but reusing caller-owned traversal scratch (the hot path).
+  /// Same, but reusing caller-owned traversal scratch.
   Outcome process(ThreadId Thread, const LockSet &Locks, AccessKind Access,
                   Scratch &S);
 

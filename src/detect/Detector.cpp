@@ -13,7 +13,7 @@ void Detector::applyPlan(const DetectorPlan &Plan) {
   if (P.empty())
     return;
   Table.reserve(P.ExpectedLocations);
-  Tries.reserve(P.ExpectedTrieNodes);
+  Histories.reserve(P.ExpectedTrieNodes);
   Interner->reserve(P.ExpectedLocksets);
   for (const LockSet &Set : P.PreinternLocksets)
     Interner->intern(Set);
@@ -36,10 +36,8 @@ void Detector::handleEvent(const DetectorEvent &Event) {
       Opts.FieldsMerged ? Event.Location.withFieldsMerged() : Event.Location;
 
   auto [State, Inserted] = Table.tryEmplace(Key);
-  if (Inserted) {
+  if (Inserted)
     ++Stats.LocationsTracked;
-    State->Trie = AccessTrie(Tries);
-  }
 
   if (Opts.UseOwnership && !State->Shared) {
     if (Inserted || !State->Owner.isValid()) {
@@ -53,7 +51,7 @@ void Detector::handleEvent(const DetectorEvent &Event) {
       return;
     }
     // A second thread touched the location: it becomes shared, and this
-    // access and all subsequent ones flow to the trie.
+    // access and all subsequent ones flow to the history.
     State->Shared = true;
     State->Owner = ThreadId::invalid();
     ++Stats.LocationsShared;
@@ -64,10 +62,9 @@ void Detector::handleEvent(const DetectorEvent &Event) {
     ++Stats.LocationsShared;
   }
 
-  const LockSet &Locks = Interner->resolve(Event.Locks);
-  AccessTrie::Outcome Outcome =
-      State->Trie.process(Event.Thread, Locks, Event.Access, Event.Site,
-                          Scratch);
+  AccessHistory::Outcome Outcome =
+      State->History.process(Histories, *Interner, Event.Thread, Event.Locks,
+                             Event.Access, Event.Site);
   if (Outcome.Filtered) {
     ++Stats.WeakerFiltered;
     return;
@@ -80,7 +77,7 @@ void Detector::handleEvent(const DetectorEvent &Event) {
   Record.Location = Key;
   Record.CurrentThread = Event.Thread;
   Record.CurrentAccess = Event.Access;
-  Record.CurrentLocks.assign(Locks);
+  Record.CurrentLocks.assign(Interner->resolve(Event.Locks));
   Record.CurrentSite = Event.Site;
   Record.PriorThreadKnown = Outcome.PriorThreadKnown;
   Record.PriorThread = Outcome.PriorThread;

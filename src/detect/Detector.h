@@ -7,7 +7,8 @@
 /// \file
 /// The runtime datarace detector (Section 3) combined with the ownership
 /// model (Section 7): a table mapping each logical memory location to its
-/// ownership state and, once shared, its access-history trie.
+/// ownership state and, once shared, its access history (the lockset trie
+/// of Section 3.2, held as its stored accesses in DFS order).
 ///
 /// Ownership: the owner of a location is the first thread to access it; the
 /// event stream is filtered to accesses of locations in the shared state,
@@ -17,7 +18,7 @@
 /// run-time fix of Section 7.2.
 ///
 /// Hot-path layout: the location table is an open-addressed LocationTable
-/// (one probe, no node allocations), all tries share one TrieStore
+/// (one probe, no node allocations), all histories share one HistoryStore
 /// (per-Detector, hence per-shard), and events arrive as DetectorEvents
 /// whose lockset is an interned LockSetId resolved against the runtime's
 /// shared LockSetInterner.  Together these make the steady-state per-event
@@ -30,7 +31,7 @@
 #define HERD_DETECT_DETECTOR_H
 
 #include "detect/AccessEvent.h"
-#include "detect/AccessTrie.h"
+#include "detect/AccessHistory.h"
 #include "detect/DetectorPlan.h"
 #include "detect/DetectorStats.h"
 #include "detect/RaceReport.h"
@@ -69,7 +70,7 @@ public:
   }
 
   /// Applies capacity hints before the run: pre-sizes the location table,
-  /// trie node storage and interner, and pre-interns the plan's
+  /// history storage and interner, and pre-interns the plan's
   /// locksets.  Hints, not limits — an undersized plan only re-enables
   /// on-demand growth.  Must run before the first event to be useful.
   void applyPlan(const DetectorPlan &Plan);
@@ -95,7 +96,7 @@ public:
   /// trie-node total (the store's live count), is maintained incrementally.
   DetectorStats stats() const {
     DetectorStats S = Stats;
-    S.TrieNodes = Tries.live();
+    S.TrieNodes = Histories.live();
     S.LocksetMemoHits = Interner->memoHits();
     S.LocksetMemoMisses = Interner->memoMisses();
     S.LocksetMemoEvictions = Interner->memoEvictions();
@@ -110,7 +111,7 @@ private:
   struct LocationState {
     ThreadId Owner;      ///< first accessor; invalid once shared
     bool Shared = false;
-    AccessTrie Trie;     ///< populated only once shared
+    AccessHistory History; ///< populated only once shared
   };
 
   RaceReporter &Reporter;
@@ -118,9 +119,8 @@ private:
   std::function<void(LocationKey)> OnShared;
   std::unique_ptr<LockSetInterner> OwnedInterner;
   LockSetInterner *Interner; ///< never null
-  TrieStore Tries;           ///< node storage for Table's tries
+  HistoryStore Histories;    ///< entry storage for Table's histories
   LocationTable<LocationState> Table;
-  AccessTrie::Scratch Scratch; ///< reusable race-check path vectors
   DetectorStats Stats;
 };
 

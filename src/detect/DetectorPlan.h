@@ -11,7 +11,7 @@
 /// statements are instrumented, so it also bounds how many locations,
 /// trie nodes, and locksets the detector can ever see.  A DetectorPlan
 /// carries those bounds so the runtime can pre-size its FlatTable /
-/// TrieStore / LockSetInterner before the first event, turning
+/// HistoryStore / LockSetInterner before the first event, turning
 /// cold-start first-touch growth (the ~2.1 allocs/event cold wall in
 /// BENCH_hotpath.json) into a handful of up-front reservations.
 ///
@@ -48,7 +48,9 @@ struct DetectorPlan {
 
   /// Trie nodes across all shared locations.  Nodes track distinct
   /// (location, lockset-prefix) pairs, so this scales with shared
-  /// locations times typical lockset depth (0-2 per Section 4.2).
+  /// locations times typical lockset depth (0-2 per Section 4.2).  The
+  /// Detector reserves this many access-history entries: every stored
+  /// access is a trie node, so the estimate bounds the entries too.
   uint64_t ExpectedTrieNodes = 0;
 
   /// Threads expected to start (SyncAnalysis thread-allocation sites).
@@ -81,7 +83,7 @@ struct DetectorPlan {
     P.ExpectedSharedLocations =
         std::min(P.ExpectedSharedLocations, P.ExpectedLocations);
     P.ExpectedTrieNodes = std::min(P.ExpectedTrieNodes, MaxTrieStorage);
-    P.ExpectedThreads = std::min(P.ExpectedThreads, MaxThreads);
+    P.ExpectedThreads = std::min<uint64_t>(P.ExpectedThreads, MaxThreads);
     P.ExpectedLocksets = std::min(P.ExpectedLocksets, MaxLocksets);
     return P;
   }
@@ -121,7 +123,6 @@ struct DetectorPlan {
 private:
   static constexpr uint64_t MaxLocations = uint64_t(1) << 22;
   static constexpr uint64_t MaxTrieStorage = uint64_t(1) << 24;
-  static constexpr uint64_t MaxThreads = 4096;
   static constexpr uint64_t MaxLocksets = uint64_t(1) << 20;
 };
 

@@ -197,6 +197,10 @@ TraceResult TraceReader::admitThreads(const EventLog::Record &R) {
       return TraceResult::failure("creates " + Name(R.Thread) + " from " +
                                   Name(R.OtherThread) +
                                   ", which was never created");
+    if (KnownThreads == MaxThreads)
+      return TraceResult::failure("creates " + Name(R.Thread) +
+                                  ", past the thread limit of " +
+                                  std::to_string(MaxThreads) + " threads");
     ++KnownThreads;
     return TraceResult::success();
   }

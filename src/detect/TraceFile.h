@@ -111,8 +111,9 @@ public:
   /// Sinks keep per-thread tables indexed by thread, so this is also where
   /// a trace's thread indices are checked, as the interpreter assigns
   /// them: thread 0 exists from the start, each ThreadCreate names the next
-  /// index, and every other thread a record uses was created before it.
-  /// A trace may open by recording thread 0's own creation with no parent.
+  /// index, below MaxThreads, and every other thread a record uses was
+  /// created before it.  A trace may open by recording thread 0's own
+  /// creation with no parent.
   TraceResult replayInto(RuntimeHooks &Sink);
 
   uint64_t recordsRead() const { return Records; }

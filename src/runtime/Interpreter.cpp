@@ -574,6 +574,11 @@ Interpreter::StepResult Interpreter::execThreadStart(SimThread &Thread,
     fault("thread object started twice");
     return StepResult::Fault;
   }
+  if (HERD_UNLIKELY(Threads.size() >= MaxThreads)) {
+    fault("thread limit of " + std::to_string(MaxThreads) +
+          " threads exceeded");
+    return StepResult::Fault;
+  }
   MethodId Run = P.classDecl(ThreadObj.Class).RunMethod;
   const Method &RunM = P.method(Run);
   auto Child = std::make_unique<SimThread>();

@@ -162,7 +162,8 @@ public:
   /// Resource limits (docs/MINIJ.md): a run that crosses one faults with a
   /// runtime error instead of exhausting the machine's memory.  The heap
   /// budget charges every New/NewArray its object header plus its slots;
-  /// the call depth bounds each thread's frame stack.  The largest replica
+  /// the call depth bounds each thread's frame stack; herd::MaxThreads
+  /// (support/Ids.h) bounds the threads a run starts.  The largest replica
   /// at the largest scale any bench runs (mtrt at 250) peaks at ~2.6 MiB.
   static constexpr uint64_t MaxHeapBytes = uint64_t(64) << 20;
   static constexpr uint32_t MaxCallDepth = 100'000;

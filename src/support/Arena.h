@@ -6,11 +6,11 @@
 ///
 /// \file
 /// A bump-pointer pool of fixed-size objects addressed by dense 32-bit
-/// indices, handed out in runs of consecutive slots.  The detector's
-/// access-history tries store their nodes here (one arena per Detector,
-/// hence per shard in the sharded runtime): each trie takes its nodes a run
-/// at a time, so one location's nodes sit together in memory, and the
-/// per-event hot path never touches the global allocator.
+/// indices, handed out in runs of consecutive slots.  The reference
+/// access trie (detect/AccessTrie.h) stores its nodes here: each trie takes
+/// its nodes a run at a time, so one location's nodes sit together in
+/// memory, and a steady stream of events never touches the global
+/// allocator.
 ///
 /// Indices are stable for the lifetime of the arena: storage grows in
 /// fixed-size chunks that are never moved or reallocated, so an index held

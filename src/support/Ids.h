@@ -95,6 +95,12 @@ struct ThreadId : StrongId<ThreadId> {
   using StrongId::StrongId;
 };
 
+/// Threads one run may ever create, the main thread included
+/// (docs/MINIJ.md).  The interpreter faults on a start past it, trace
+/// replay rejects a create past it, and the epoch detector's slot space
+/// holds it, so per-thread state stays bounded whatever the input.
+inline constexpr uint32_t MaxThreads = 1024;
+
 /// Identifies a runtime lock.  Every heap object can act as a monitor; the
 /// detector additionally allocates per-thread dummy locks S_j to model join
 /// (Section 2.3).

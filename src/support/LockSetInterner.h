@@ -26,9 +26,10 @@
 ///
 /// Thread-safety contract (mirrors BoundedBatchQueue's producer contract):
 /// intern(), isSubsetOf() and intersects() are producer-thread-only.
-/// resolve() may be called concurrently from other threads for any id that
-/// reached them through a synchronizing channel (the sharded runtime's batch
-/// queue mutex): entries are fully constructed before their id is published,
+/// resolve(), mask() and isExact() may be called concurrently from other
+/// threads (the shard workers' detectors) for any id that reached them
+/// through a synchronizing channel (the sharded runtime's batch queue
+/// mutex): entries are fully constructed before their id is published,
 /// and the chunk directory is a fixed-size array so no resolve() ever
 /// observes a reallocating std::vector spine.
 ///
@@ -113,6 +114,14 @@ public:
   /// The set behind \p Id.  Safe to call concurrently with intern() for any
   /// published id (see file comment).
   const LockSet &resolve(LockSetId Id) const { return entry(Id.index()).Set; }
+
+  /// The membership mask of \p Id over the first 64 distinct locks, and
+  /// whether it covers every member of the set.  A mask bit is always a
+  /// real member, so one AND/ANDN decides subset and disjointness when
+  /// both sets are exact.  Safe to call concurrently with intern() for
+  /// any published id, like resolve().
+  uint64_t mask(LockSetId Id) const { return entry(Id.index()).Mask; }
+  bool isExact(LockSetId Id) const { return entry(Id.index()).Exact; }
 
   /// Returns true if set \p A is a subset of (or equal to) set \p B.
   /// Producer-thread-only (consults the memo on the rare inexact path).

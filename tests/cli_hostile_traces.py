@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Crafted traces through `herd --replay` under every backend.
 
-Records figure2 once, then derives two traces from the recording: one
-whose access records name thread 2^31-1, and one whose thread creates name
-a child near 2^31.  Each must end with exit 1 and a replay diagnostic under
-the serial and sharded runtimes and every comparison detector; before the
-replay boundary checked thread indices, they aborted on std::bad_alloc.
-The untouched recording must still replay under each of them (figure2
-races, so exit 1, but without a diagnostic).
+Records figure2 once, then derives three traces from the recording: one
+whose access records name thread 2^31-1, one whose thread creates name
+a child near 2^31, and one that goes on creating threads, in order, past
+the thread limit (MaxThreads in src/support/Ids.h).  Each must end with
+exit 1 and a replay diagnostic under the serial and sharded runtimes and
+every comparison detector; before the replay boundary checked thread
+indices, the first two aborted on std::bad_alloc.  The untouched
+recording must still replay under each of them (figure2 races, so exit 1,
+but without a diagnostic).
 
     cli_hostile_traces.py <herd binary> <figure2.mj> <work dir>
 """
@@ -22,6 +24,8 @@ RECORD_BYTES = 40
 KIND_CREATE = 0
 KIND_ACCESS = 5
 THREAD_OFFSET = 4
+THREAD_OBJ_OFFSET = 28
+MAX_THREADS = 1024
 
 BACKENDS = [[], ["--shards=2"], ["--detector=epoch"],
             ["--detector=vectorclock"], ["--detector=naive"],
@@ -39,6 +43,24 @@ def patched(trace, kind, value):
     return bytes(out)
 
 
+def creates_past_limit(trace):
+    """A copy of trace that, after its own records, creates threads from
+    the main thread until one more than MAX_THREADS exist."""
+    records = [trace[at:at + RECORD_BYTES]
+               for at in range(HEADER_BYTES, len(trace), RECORD_BYTES)]
+    creates = [r for r in records if r[0] == KIND_CREATE and
+               struct.unpack_from("<I", r, THREAD_OFFSET)[0] != 0]
+    if not creates:
+        return trace
+    out = bytearray(trace)
+    for child in range(len(creates) + 1, MAX_THREADS + 1):
+        record = bytearray(creates[0])
+        struct.pack_into("<I", record, THREAD_OFFSET, child)
+        struct.pack_into("<I", record, THREAD_OBJ_OFFSET, 1000000 + child)
+        out += record
+    return bytes(out)
+
+
 def main():
     herd, program, workdir = sys.argv[1:4]
     os.makedirs(workdir, exist_ok=True)
@@ -53,6 +75,7 @@ def main():
     crafted = {
         "access": patched(trace, KIND_ACCESS, 2**31 - 1),
         "create": patched(trace, KIND_CREATE, 2**31 - 5),
+        "threads": creates_past_limit(trace),
     }
     paths = {}
     for name, data in crafted.items():

@@ -12,15 +12,21 @@
 ///     1 + precision, at the granularity the trie works at);
 ///   - the trie's weakness filter must only drop events that a stored
 ///     weaker access covers (checked against the definition directly);
-///   - every trie outcome, node count and stored-access count must match
-///     a structure-free reference (a map from lockset to stored access)
-///     after every event of seeded streams over many tries on one store;
+///   - the Detector's race records and trie-node total must be those of
+///     one reference trie per location;
+///   - every outcome, node count and stored-access count of the production
+///     AccessHistory must match the reference AccessTrie, and both a
+///     structure-free model (a map from lockset to stored access), after
+///     every event of seeded streams: many locations on one store, lock
+///     universes past the interner's 64-lock masks, and one location that
+///     accumulates thousands of distinct locksets;
 ///   - the dominator tree must agree with a naive quadratic dominator
 ///     computation on random CFGs.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CFG.h"
+#include "detect/AccessHistory.h"
 #include "detect/AccessTrie.h"
 #include "detect/Detector.h"
 #include "ir/IRBuilder.h"
@@ -162,26 +168,63 @@ TEST_P(DetectorPropertyTest, WeaknessFilterOnlyDropsCoveredEvents) {
 }
 
 TEST_P(DetectorPropertyTest, MultiLocationDetectorMatchesPerLocationTries) {
-  // The Detector's location table must behave as independent tries.
+  // The Detector's location table must behave as independent tries: the
+  // same race records, field by field and in order, and the same total of
+  // trie nodes.
   Rng R(GetParam() + 900);
   RaceReporter TableReporter;
   Detector Table(TableReporter, {/*UseOwnership=*/false, false});
   std::map<uint64_t, AccessTrie> Independent;
-  std::set<uint64_t> IndependentRaced;
+  AccessTrie::Scratch Scratch;
+  std::vector<RaceRecord> Expected;
 
   for (int Step = 0; Step != 500; ++Step) {
     LocationKey Loc = LocationKey::forField(
         ObjectId(uint32_t(R.nextBelow(4))), FieldId(uint32_t(R.nextBelow(2))));
     AccessEvent E = randomEventAt(R, Loc, 3, 3);
+    E.Site = SiteId(uint32_t(Step));
     Table.handleAccess(E);
-    if (Independent[Loc.raw()].process(E.Thread, E.Locks, E.Access).Raced)
-      IndependentRaced.insert(Loc.raw());
+    AccessTrie::Outcome Out = Independent[Loc.raw()].process(
+        E.Thread, E.Locks, E.Access, E.Site, Scratch);
+    if (!Out.Raced)
+      continue;
+    RaceRecord Want;
+    Want.Location = Loc;
+    Want.CurrentThread = E.Thread;
+    Want.CurrentAccess = E.Access;
+    Want.CurrentLocks.assign(E.Locks);
+    Want.CurrentSite = E.Site;
+    Want.PriorThreadKnown = Out.PriorThreadKnown;
+    Want.PriorThread = Out.PriorThread;
+    Want.PriorAccess = Out.PriorAccess;
+    Want.PriorLocks = Out.PriorLocks;
+    Want.PriorSite = Out.PriorSite;
+    Expected.push_back(std::move(Want));
   }
 
-  std::set<uint64_t> TableRaced;
-  for (LocationKey Loc : TableReporter.reportedLocations())
-    TableRaced.insert(Loc.raw());
-  EXPECT_EQ(TableRaced, IndependentRaced);
+  const std::vector<RaceRecord> &Got = TableReporter.records();
+  ASSERT_EQ(Got.size(), Expected.size());
+  for (size_t I = 0; I != Got.size(); ++I) {
+    const RaceRecord &G = Got[I], &W = Expected[I];
+    std::string Where = "seed " + std::to_string(GetParam()) + " record " +
+                        std::to_string(I);
+    EXPECT_EQ(G.Location, W.Location) << Where;
+    EXPECT_EQ(G.CurrentThread, W.CurrentThread) << Where;
+    EXPECT_EQ(G.CurrentAccess, W.CurrentAccess) << Where;
+    EXPECT_TRUE(G.CurrentLocks == W.CurrentLocks) << Where;
+    EXPECT_EQ(G.CurrentSite, W.CurrentSite) << Where;
+    EXPECT_EQ(G.PriorThreadKnown, W.PriorThreadKnown) << Where;
+    if (W.PriorThreadKnown) {
+      EXPECT_EQ(G.PriorThread, W.PriorThread) << Where;
+    }
+    EXPECT_EQ(G.PriorAccess, W.PriorAccess) << Where;
+    EXPECT_TRUE(G.PriorLocks == W.PriorLocks) << Where;
+    EXPECT_EQ(G.PriorSite, W.PriorSite) << Where;
+  }
+  size_t Nodes = 0;
+  for (const auto &Entry : Independent)
+    Nodes += Entry.second.nodeCount();
+  EXPECT_EQ(Table.stats().TrieNodes, Nodes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectorPropertyTest,
@@ -277,6 +320,10 @@ private:
 struct ReferenceCoverage {
   size_t Filtered = 0, Raced = 0, Shrinks = 0, Regrowths = 0;
   size_t MaxLiveNodes = 0;
+  /// Events whose lockset the interner's 64-bit mask does not cover, and
+  /// events that met a stored lockset it does not cover, with an exact and
+  /// with an inexact lockset of their own.
+  size_t InexactEvents = 0, ExactVsInexact = 0, InexactVsInexact = 0;
 };
 
 /// The dummy join lock S_j of thread \p Thread, numbered as the runtime
@@ -285,20 +332,88 @@ LockId dummyLockOf(ThreadId Thread) {
   return LockId((1u << 30) + Thread.index());
 }
 
-/// One seeded stream over \p NumTries locations sharing one TrieStore,
-/// checked against a ReferenceTrie per location after every event.
-void checkAgainstReference(uint64_t Seed, uint32_t NumTries, int Events,
-                           ReferenceCoverage &Cov) {
+/// Every field of two outcomes, naming the first that differs.
+::testing::AssertionResult sameOutcome(const HistoryOutcome &Got,
+                                       const HistoryOutcome &Want) {
+  auto Differs = [](const char *Field) {
+    return ::testing::AssertionFailure() << Field << " differs";
+  };
+  if (Got.Filtered != Want.Filtered)
+    return Differs("Filtered");
+  if (Got.Raced != Want.Raced)
+    return Differs("Raced");
+  if (Got.PriorThreadKnown != Want.PriorThreadKnown)
+    return Differs("PriorThreadKnown");
+  if (Got.PriorThread != Want.PriorThread)
+    return Differs("PriorThread");
+  if (Got.PriorAccess != Want.PriorAccess)
+    return Differs("PriorAccess");
+  if (!(Got.PriorLocks == Want.PriorLocks))
+    return Differs("PriorLocks");
+  if (Got.PriorSite != Want.PriorSite)
+    return Differs("PriorSite");
+  return ::testing::AssertionSuccess();
+}
+
+/// The three histories of one location: the production AccessHistory,
+/// the reference AccessTrie and the flat model.
+struct HistoryTriple {
+  AccessHistory History;
+  AccessTrie Trie;
+  ReferenceTrie Model;
+  bool HoldsInexact = false; ///< some lockset it stored had an inexact mask
+};
+
+/// Feeds one event to all three histories of a location and checks every
+/// outcome field, the node count and the stored-access count after it.
+/// The model's node count is recounted only when \p CountModelNodes.
+void feedAll(HistoryTriple &Loc, HistoryStore &Histories,
+             LockSetInterner &Interner, ThreadId Thread, const LockSet &Locks,
+             AccessKind Access, SiteId Site, AccessTrie::Scratch &S,
+             bool CountModelNodes, const std::string &Where,
+             ReferenceCoverage &Cov) {
+  LockSetId Id = Interner.intern(Locks);
+  bool Exact = Interner.isExact(Id);
+  Cov.InexactEvents += !Exact;
+  if (Loc.HoldsInexact)
+    ++(Exact ? Cov.ExactVsInexact : Cov.InexactVsInexact);
+  Loc.HoldsInexact |= !Exact;
+
+  AccessTrie::Outcome Trie = Loc.Trie.process(Thread, Locks, Access, Site, S);
+  AccessHistory::Outcome Fast =
+      Loc.History.process(Histories, Interner, Thread, Id, Access, Site);
+  AccessTrie::Outcome Want = Loc.Model.process(Thread, Locks, Access, Site);
+  ASSERT_TRUE(sameOutcome(Trie, Want)) << "trie vs model, " << Where;
+  ASSERT_TRUE(sameOutcome(Fast, Trie)) << "history vs trie, " << Where;
+  ASSERT_EQ(Loc.History.nodeCount(), Loc.Trie.nodeCount()) << Where;
+  if (CountModelNodes) {
+    ASSERT_EQ(Loc.Trie.nodeCount(), Loc.Model.prefixCount()) << Where;
+  }
+  ASSERT_EQ(Loc.Trie.storedAccessCount(), Loc.Model.size()) << Where;
+  ASSERT_EQ(Loc.History.storedAccessCount(), Loc.Model.size()) << Where;
+  ASSERT_TRUE(Loc.History.checkInvariants(Histories, Interner)) << Where;
+  Cov.Filtered += Want.Filtered;
+  Cov.Raced += Want.Raced;
+}
+
+/// One seeded stream over \p NumTries locations, checked after every
+/// event: each location has an AccessHistory (all on one HistoryStore), an
+/// AccessTrie (all on one TrieStore) and a ReferenceTrie.  Monitors come
+/// from locks 0..NumLocks-1, so past 64 the interner's masks go inexact.
+void checkAgainstReference(uint64_t Seed, uint32_t NumTries, uint32_t NumLocks,
+                           int Events, ReferenceCoverage &Cov) {
   Rng R(Seed);
   TrieStore Store;
-  std::vector<AccessTrie> Tries;
+  HistoryStore Histories;
+  LockSetInterner Interner;
+  std::vector<HistoryTriple> Locs;
+  Locs.reserve(NumTries);
   for (uint32_t I = 0; I != NumTries; ++I)
-    Tries.emplace_back(Store);
-  std::vector<ReferenceTrie> Models(NumTries);
+    Locs.push_back(HistoryTriple{AccessHistory(), AccessTrie(Store), {}});
   std::vector<size_t> Low(NumTries, SIZE_MAX);
   size_t Live = NumTries;
   AccessTrie::Scratch S;
-  constexpr uint32_t NumThreads = 4, NumLocks = 10;
+  constexpr uint32_t NumThreads = 4;
 
   for (int Step = 0; Step != Events; ++Step) {
     uint32_t Loc = uint32_t(R.nextBelow(NumTries));
@@ -320,30 +435,17 @@ void checkAgainstReference(uint64_t Seed, uint32_t NumTries, int Events,
         R.nextChance(1, 2) ? AccessKind::Write : AccessKind::Read;
     SiteId Site = SiteId(uint32_t(Step));
 
-    size_t Before = Tries[Loc].nodeCount();
-    AccessTrie::Outcome Got =
-        Tries[Loc].process(Thread, Locks, Access, Site, S);
-    AccessTrie::Outcome Want = Models[Loc].process(Thread, Locks, Access, Site);
-
+    size_t Before = Locs[Loc].Trie.nodeCount();
     std::string Where = "seed " + std::to_string(Seed) + " step " +
-                        std::to_string(Step) + " trie " + std::to_string(Loc);
-    ASSERT_EQ(Got.Filtered, Want.Filtered) << Where;
-    ASSERT_EQ(Got.Raced, Want.Raced) << Where;
-    if (Want.Raced) {
-      EXPECT_EQ(Got.PriorThreadKnown, Want.PriorThreadKnown) << Where;
-      if (Want.PriorThreadKnown) {
-        EXPECT_EQ(Got.PriorThread, Want.PriorThread) << Where;
-      }
-      EXPECT_EQ(Got.PriorAccess, Want.PriorAccess) << Where;
-      EXPECT_TRUE(Got.PriorLocks == Want.PriorLocks) << Where;
-      EXPECT_EQ(Got.PriorSite, Want.PriorSite) << Where;
-    }
-    size_t After = Tries[Loc].nodeCount();
-    ASSERT_EQ(After, Models[Loc].prefixCount()) << Where;
-    ASSERT_EQ(Tries[Loc].storedAccessCount(), Models[Loc].size()) << Where;
+                        std::to_string(Step) + " location " +
+                        std::to_string(Loc);
+    feedAll(Locs[Loc], Histories, Interner, Thread, Locks, Access, Site, S,
+            /*CountModelNodes=*/true, Where, Cov);
+    if (::testing::Test::HasFatalFailure())
+      return;
+    ASSERT_EQ(Histories.live(), Store.live()) << Where;
 
-    Cov.Filtered += Want.Filtered;
-    Cov.Raced += Want.Raced;
+    size_t After = Locs[Loc].Trie.nodeCount();
     if (After < Before) {
       ++Cov.Shrinks;
       Low[Loc] = std::min(Low[Loc], After);
@@ -362,7 +464,7 @@ TEST_P(ReferenceTrieTest, OutcomesAndShapeMatchTheFlatModel) {
   // chunk, so a trie's later nodes land in a chunk its first ones are not
   // in.
   ReferenceCoverage Cov;
-  checkAgainstReference(GetParam(), 384, 40000, Cov);
+  checkAgainstReference(GetParam(), 384, 10, 40000, Cov);
   EXPECT_GT(Cov.Filtered, 0u);
   EXPECT_GT(Cov.Raced, 0u);
   EXPECT_GT(Cov.Shrinks, 0u) << "no event pruned a subtree";
@@ -371,8 +473,69 @@ TEST_P(ReferenceTrieTest, OutcomesAndShapeMatchTheFlatModel) {
       << "the stream stays in one chunk";
 }
 
+TEST_P(ReferenceTrieTest, HistoryMatchesPastTheMaskUniverse) {
+  // 100 monitors and the dummy locks: the interner's masks cover only the
+  // first 64 locks it sees, so lockset tests take the resolved-set path
+  // with one side inexact and with both.
+  ReferenceCoverage Cov;
+  checkAgainstReference(GetParam() + 100, 64, 100, 20000, Cov);
+  EXPECT_GT(Cov.Filtered, 0u);
+  EXPECT_GT(Cov.Raced, 0u);
+  EXPECT_GT(Cov.Shrinks, 0u) << "no event pruned a subtree";
+  EXPECT_GT(Cov.InexactEvents, 0u);
+  EXPECT_GT(Cov.ExactVsInexact, 0u) << "no exact event met an inexact entry";
+  EXPECT_GT(Cov.InexactVsInexact, 0u)
+      << "no inexact event met an inexact entry";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceTrieTest,
                          ::testing::Range<uint64_t>(1, 7));
+
+class CrowdedHistoryTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CrowdedHistoryTest, HistoryMatchesOnACrowdedLocation) {
+  // One location accumulates thousands of distinct locksets: five of 24
+  // monitors, which no other five-lock set contains, so few are filtered.
+  // Now and then a two-lock event prunes the supersets its thread stored.
+  Rng R(GetParam() + 200);
+  TrieStore Store;
+  HistoryStore Histories;
+  LockSetInterner Interner;
+  HistoryTriple Loc{AccessHistory(), AccessTrie(Store), {}};
+  AccessTrie::Scratch S;
+  ReferenceCoverage Cov;
+  size_t MaxStored = 0, Shrinks = 0;
+  constexpr int Events = 2500;
+  for (int Step = 0; Step != Events; ++Step) {
+    ThreadId Thread(uint32_t(R.nextBelow(8)));
+    uint32_t Want = R.nextChance(1, 128) ? 2 : 5;
+    LockSet Locks;
+    while (Locks.size() != Want)
+      Locks.insert(LockId(uint32_t(R.nextBelow(24))));
+    AccessKind Access =
+        R.nextChance(1, 2) ? AccessKind::Write : AccessKind::Read;
+    size_t Before = Loc.History.nodeCount();
+    // Recounting the model's prefixes is quadratic over the stream; the
+    // trie's own count is checked after every event.
+    bool CountModelNodes = Step % 250 == 0 || Step + 1 == Events;
+    feedAll(Loc, Histories, Interner, Thread, Locks, Access,
+            SiteId(uint32_t(Step)), S, CountModelNodes,
+            "seed " + std::to_string(GetParam()) + " step " +
+                std::to_string(Step),
+            Cov);
+    if (::testing::Test::HasFatalFailure())
+      return;
+    ASSERT_EQ(Histories.live(), Store.live());
+    Shrinks += Loc.History.nodeCount() < Before;
+    MaxStored = std::max(MaxStored, Loc.History.storedAccessCount());
+  }
+  EXPECT_GT(MaxStored, 2000u) << "the location stayed small";
+  EXPECT_GT(Shrinks, 0u) << "no event pruned";
+  EXPECT_GT(Cov.Raced, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CrowdedHistoryTest,
+                         ::testing::Range<uint64_t>(1, 4));
 
 //===----------------------------------------------------------------------===
 // Dominators vs naive reference.

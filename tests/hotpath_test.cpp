@@ -8,13 +8,16 @@
 /// Tests for the allocation-lean detector hot path (docs/PERFORMANCE.md):
 /// the LockSetInterner against a SortedIdSet oracle (including the >64-lock
 /// inexact path), Arena index stability and runs, the TrieStore's
-/// per-trie free lists and live count, and differential replays proving the interned/sharded paths produce the
-/// identical RaceReport stream as the original handleAccess path.
+/// per-trie free lists and live count, the HistoryStore's block reuse and
+/// chunk-spanning blocks, and differential replays proving the
+/// interned/sharded paths produce the identical RaceReport stream as the
+/// original handleAccess path.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "FuzzPrograms.h"
 #include "TestPrograms.h"
+#include "detect/AccessHistory.h"
 #include "detect/AccessTrie.h"
 #include "detect/Detector.h"
 #include "detect/RaceRuntime.h"
@@ -30,6 +33,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -300,6 +304,70 @@ TEST(TrieStore, LiveCountIsTheSumOverTries) {
   }
   for (const AccessTrie &Trie : Tries)
     EXPECT_TRUE(Trie.checkInvariants());
+}
+
+//===----------------------------------------------------------------------===
+// HistoryStore: per-size free lists, blocks past a chunk
+//===----------------------------------------------------------------------===
+
+TEST(HistoryStore, OutgrownBlocksAreReused) {
+  // Each history grows through blocks of 1, 2, 4 and 8 entries.  The
+  // first takes all four fresh; every later one reuses the 1-, 2- and
+  // 4-entry blocks its predecessor outgrew and takes only its 8 fresh.
+  // So 100 histories fit one 1,024-entry chunk (15 + 99 * 8 entries),
+  // where fresh blocks for every size would take 1,500.
+  static_assert(HistoryStore::ChunkEntries == 1024);
+  LockSetInterner Interner;
+  HistoryStore Store;
+  std::vector<AccessHistory> Histories(100);
+  for (AccessHistory &H : Histories)
+    for (uint32_t L = 0; L != 8; ++L)
+      H.process(Store, Interner, ThreadId(1), Interner.intern(makeSet({L})),
+                AccessKind::Write, SiteId(L));
+  EXPECT_EQ(Store.reservedEntries(), size_t(HistoryStore::ChunkEntries));
+  for (const AccessHistory &H : Histories) {
+    EXPECT_EQ(H.storedAccessCount(), 8u);
+    EXPECT_EQ(H.nodeCount(), 9u); // the root and one node per lock
+    EXPECT_TRUE(H.checkInvariants(Store, Interner));
+  }
+  EXPECT_EQ(Store.live(), 100u * 9);
+}
+
+TEST(HistoryStore, BlocksPastAChunkKeepTheNodeCount) {
+  // 4,500 distinct three-lock sets, no one a subset of another, inserted
+  // in shuffled order: the history's block outgrows a chunk and takes
+  // storage of its own, and its node count stays the trie's: the root
+  // and one node per distinct prefix.
+  LockSetInterner Interner;
+  HistoryStore Store;
+  AccessHistory Crowded;
+  std::vector<LockSet> Sets;
+  for (uint32_t A = 0; A != 40 && Sets.size() != 4500; ++A)
+    for (uint32_t B = A + 1; B != 40 && Sets.size() != 4500; ++B)
+      for (uint32_t C = B + 1; C != 40 && Sets.size() != 4500; ++C)
+        Sets.push_back(makeSet({A, B, C}));
+  Rng R(5);
+  for (size_t I = Sets.size(); I > 1; --I)
+    std::swap(Sets[I - 1], Sets[R.nextBelow(I)]);
+  std::set<std::vector<LockId>> Prefixes;
+  for (const LockSet &Set : Sets) {
+    Crowded.process(Store, Interner, ThreadId(1), Interner.intern(Set),
+                    AccessKind::Write, SiteId(1));
+    for (size_t N = 1; N <= Set.size(); ++N)
+      Prefixes.emplace(Set.begin(), Set.begin() + N);
+  }
+  EXPECT_EQ(Crowded.storedAccessCount(), Sets.size());
+  EXPECT_GT(Crowded.storedAccessCount(), size_t(HistoryStore::ChunkEntries));
+  EXPECT_EQ(Crowded.nodeCount(), 1 + Prefixes.size());
+  EXPECT_TRUE(Crowded.checkInvariants(Store, Interner));
+
+  // The bump range survives the large block: a second history still
+  // takes fresh chunk storage.
+  AccessHistory Small;
+  Small.process(Store, Interner, ThreadId(2), Interner.intern(makeSet({1})),
+                AccessKind::Read, SiteId(2));
+  EXPECT_TRUE(Small.checkInvariants(Store, Interner));
+  EXPECT_EQ(Store.live(), Crowded.nodeCount() + Small.nodeCount());
 }
 
 //===----------------------------------------------------------------------===

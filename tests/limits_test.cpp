@@ -8,7 +8,8 @@
 /// The hostile programs in tests/limits/ must end in a runtime error, not
 /// in an exhausted machine: a huge array, a loop of moderate arrays and a
 /// loop of field-less objects cross Interpreter::MaxHeapBytes, unbounded
-/// recursion crosses Interpreter::MaxCallDepth.  Each runs under both
+/// recursion crosses Interpreter::MaxCallDepth, and a loop that starts
+/// threads crosses MaxThreads.  Each runs under both
 /// dispatch modes, serial and sharded; the two dispatch modes must fault
 /// at the same instruction (the checks live in the shared executors).
 /// tests/cli_limits.cmake checks the same programs end to end through
@@ -82,14 +83,19 @@ TEST(LimitsTest, UnboundedRecursionHitsTheCallDepth) {
               "call depth limit of 100000 frames exceeded");
 }
 
+TEST(LimitsTest, ThreadLoopHitsTheThreadLimit) {
+  expectFault("thread_loop.mj", "thread limit of 1024 threads exceeded");
+}
+
 /// The replicas at the largest scale any bench runs (bench_table2_overhead
-/// 250) stay far inside both limits.
+/// 250) stay far inside every limit.
 TEST(LimitsTest, ReplicasAtTheLargestBenchScaleRunClean) {
   for (Workload &W : buildAllWorkloads(250)) {
     InterpOptions Opts;
     Interpreter Interp(W.P, nullptr, Opts);
     InterpResult R = Interp.run();
     EXPECT_TRUE(R.Ok) << W.Name << ": " << R.Error;
+    EXPECT_LE(R.ThreadsCreated, MaxThreads / 64) << W.Name;
     uint64_t Bytes = 0;
     for (size_t I = 0; I != Interp.heap().size(); ++I)
       Bytes += sizeof(HeapObject) +

@@ -15,8 +15,9 @@
 ///
 ///  * Reserve arithmetic — FlatTable::capacityFor / Arena::chunksFor and
 ///    their reserve() counterparts at the edges (zero, load-factor
-///    boundaries, saturation at SIZE_MAX), and a reserved TrieStore taking
-///    the nodes it was reserved for without another chunk.
+///    boundaries, saturation at SIZE_MAX), and a reserved TrieStore or
+///    HistoryStore taking the nodes or entries it was reserved for without
+///    another chunk.
 ///
 ///  * Plan arithmetic — clamped() caps, sized(), forShard() slicing.
 ///
@@ -25,6 +26,7 @@
 #include "FuzzPrograms.h"
 #include "TestPrograms.h"
 #include "analysis/DetectorPlanner.h"
+#include "detect/AccessHistory.h"
 #include "detect/AccessTrie.h"
 #include "herd/Pipeline.h"
 #include "support/Arena.h"
@@ -256,6 +258,31 @@ TEST(ArenaReserve, ReserveCoversSubsequentRuns) {
   // DetectorPlanTest.ClampedCapsHostileValues pins.
 }
 
+TEST(ArenaReserve, HistoryReserveCoversSubsequentBlocks) {
+  // What Detector::applyPlan reserves: a history store reserved for 20000
+  // entries takes 2500 histories of eight entries each without another
+  // chunk.  Their blocks of 1, 2 and 4 entries are reused as each history
+  // outgrows them, so the store hands out 8 fresh entries per history and
+  // 7 more for the first: 20007 in all.
+  LockSetInterner Interner;
+  HistoryStore Store;
+  Store.reserve(20000);
+  size_t Reserved = Store.reservedEntries();
+  EXPECT_GE(Reserved, 20000u);
+  std::vector<AccessHistory> Histories(2500);
+  for (AccessHistory &H : Histories)
+    for (uint32_t L = 0; L != 8; ++L) {
+      LockSet Single;
+      Single.insert(LockId(L));
+      H.process(Store, Interner, ThreadId(1), Interner.intern(Single),
+                AccessKind::Write, SiteId(L));
+    }
+  EXPECT_EQ(Store.live(), 2500u * 9); // the root and one node per entry
+  EXPECT_EQ(Store.reservedEntries(), Reserved);
+  Store.reserve(100); // covered: no-op
+  EXPECT_EQ(Store.reservedEntries(), Reserved);
+}
+
 //===----------------------------------------------------------------------===
 // DetectorPlan arithmetic
 //===----------------------------------------------------------------------===
@@ -282,7 +309,7 @@ TEST(DetectorPlanTest, ClampedCapsHostileValues) {
   EXPECT_EQ(C.ExpectedLocations, uint64_t(1) << 22);
   EXPECT_LE(C.ExpectedSharedLocations, C.ExpectedLocations);
   EXPECT_EQ(C.ExpectedTrieNodes, uint64_t(1) << 24);
-  EXPECT_EQ(C.ExpectedThreads, 4096u);
+  EXPECT_EQ(C.ExpectedThreads, uint64_t(MaxThreads));
   EXPECT_EQ(C.ExpectedLocksets, uint64_t(1) << 20);
   // sized() goes through clamped() already.
   EXPECT_EQ(DetectorPlan::sized(~uint64_t(0)).ExpectedLocations,

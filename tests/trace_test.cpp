@@ -349,6 +349,26 @@ TEST(TraceFileTest, ThreadIndicesMustBeCreatedInOrder) {
   }
 }
 
+TEST(TraceFileTest, CreatesPastTheThreadLimitAreInvalid) {
+  // MaxThreads threads, main included, replay; one more create is an
+  // impossible event stream, as a start past the limit faults live.
+  TempPath Path("thread-limit");
+  auto replayCreates = [&](uint32_t Threads) {
+    TraceWriter Writer;
+    EXPECT_TRUE(Writer.open(Path).Ok);
+    for (uint32_t T = 1; T != Threads; ++T)
+      Writer.onThreadCreate(ThreadId(T), ThreadId(0), ObjectId(T));
+    EXPECT_TRUE(Writer.close().Ok);
+    EventLog Out;
+    return readTraceFile(Path, Out);
+  };
+  EXPECT_TRUE(replayCreates(MaxThreads).Ok);
+  TraceResult Past = replayCreates(MaxThreads + 1);
+  EXPECT_FALSE(Past.Ok);
+  EXPECT_TRUE(Past.InvalidEvents);
+  EXPECT_NE(Past.Error.find("thread limit"), std::string::npos) << Past.Error;
+}
+
 TEST(TracePipelineTest, ReplayErrorsSurfaceDiagnostics) {
   Program P = testprogs::buildFigure2(/*SamePQ=*/false);
 
