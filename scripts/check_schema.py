@@ -274,6 +274,18 @@ def check_report(doc):
             if summary.get(key) != counted:
                 fail(f"summary.{key}: says {summary.get(key)!r} but results "
                      f"contain {counted} of kind '{kind}'")
+        # The reporter's counting identity (docs/REPORTS.md): every report
+        # lands in one race group's occurrences or in dropped_records.
+        occurrences = sum(r["occurrences"] for r in results
+                          if isinstance(r, dict) and r.get("kind") == "race"
+                          and isinstance(r.get("occurrences"), int))
+        dropped = summary.get("dropped_records")
+        total = summary.get("total_reported")
+        if isinstance(dropped, int) and isinstance(total, int) and \
+                occurrences + dropped != total:
+            fail(f"summary.total_reported: says {total} but the race "
+                 f"results' occurrences ({occurrences}) plus "
+                 f"dropped_records ({dropped}) make {occurrences + dropped}")
 
 
 def check_sarif_location(loc, where):

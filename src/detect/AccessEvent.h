@@ -25,20 +25,12 @@
 
 #include "ir/Instr.h"
 #include "support/Ids.h"
-#include "support/SmallSortedIdSet.h"
 #include "support/SortedIdSet.h"
 
 namespace herd {
 
 /// A set of locks held during an access.
 using LockSet = SortedIdSet<LockId>;
-
-/// The lockset type carried by race records and trie outcomes.  Section 4.2
-/// observes that programs hold 0-2 locks at a time, so an inline capacity of
-/// 4 keeps race reporting allocation-free in practice even on adversarial
-/// nesting (the cold-pass wall in BENCH_hotpath.json was almost entirely
-/// lockset copies into RaceRecord/Outcome, ~2 allocs per racing event).
-using RaceLockSet = SmallSortedIdSet<LockId, 4>;
 
 /// The thread lattice used by the detector's stored state:
 ///   top ("no threads")  ⊒  concrete thread  ⊒  bottom ("≥2 threads").
@@ -126,9 +118,9 @@ struct DetectorEvent {
   SiteId Site;
 };
 
-/// The result of feeding one event to a location's access history
-/// (Section 3.2): the production AccessHistory and the reference AccessTrie
-/// both return it.
+/// The result of feeding one event to a location's AccessHistory (Section
+/// 3.2).  The reference AccessTrie returns the same fields with the prior
+/// lockset resolved (AccessTrie::Outcome).
 struct HistoryOutcome {
   bool Filtered = false; ///< a stored weaker access already covers this
   bool Raced = false;    ///< Case II fired
@@ -138,7 +130,8 @@ struct HistoryOutcome {
   bool PriorThreadKnown = false;
   ThreadId PriorThread;
   AccessKind PriorAccess = AccessKind::Read;
-  RaceLockSet PriorLocks;
+  /// The hit entry's interned lockset; the empty set (id 0) unless Raced.
+  LockSetId PriorLocks = LockSetId(0);
   SiteId PriorSite; ///< site of the last event merged into the hit access
 };
 

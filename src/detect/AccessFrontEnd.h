@@ -152,9 +152,9 @@ public:
   const LockSet &lockSetOf(ThreadId Thread) const;
 
   /// The dummy lock S_j modelling ordering with thread \p Thread.  Dummy
-  /// lock ids live above any heap object's lock id.
+  /// lock ids live above any heap object's lock id (FirstDummyLock).
   static LockId dummyLockOf(ThreadId Thread) {
-    return LockId((1u << 30) + Thread.index());
+    return LockId(FirstDummyLock + Thread.index());
   }
 
 protected:

@@ -201,7 +201,7 @@ AccessHistory::process(HistoryStore &Store, const LockSetInterner &Locksets,
       Result.PriorThread = Hit.Thread.concrete();
     Result.PriorAccess = Hit.Access;
     Result.PriorSite = Hit.Site;
-    Result.PriorLocks.assign(Locksets.resolve(Hit.Locks));
+    Result.PriorLocks = Hit.Locks;
   }
 
   // 3. Update the entry for the event's exact lockset.

@@ -102,8 +102,20 @@ private:
 /// Access history of one logical memory location.
 class AccessTrie {
 public:
-  /// Result of feeding one event through the trie.
-  using Outcome = HistoryOutcome;
+  /// Result of feeding one event through the trie: HistoryOutcome's
+  /// fields, with the prior lockset resolved, since the trie has no
+  /// interner.
+  struct Outcome {
+    bool Filtered = false; ///< a stored weaker access already covers this
+    bool Raced = false;    ///< Case II fired
+
+    // Prior-access information when Raced, as in HistoryOutcome.
+    bool PriorThreadKnown = false;
+    ThreadId PriorThread;
+    AccessKind PriorAccess = AccessKind::Read;
+    LockSet PriorLocks; ///< empty unless Raced
+    SiteId PriorSite;
+  };
 
   /// Reusable traversal scratch.  A caller feeding many events keeps one
   /// so the race-check path vectors never reallocate in steady state; the

@@ -77,12 +77,11 @@ void Detector::handleEvent(const DetectorEvent &Event) {
   Record.Location = Key;
   Record.CurrentThread = Event.Thread;
   Record.CurrentAccess = Event.Access;
-  Record.CurrentLocks.assign(Interner->resolve(Event.Locks));
   Record.CurrentSite = Event.Site;
   Record.PriorThreadKnown = Outcome.PriorThreadKnown;
   Record.PriorThread = Outcome.PriorThread;
   Record.PriorAccess = Outcome.PriorAccess;
-  Record.PriorLocks = std::move(Outcome.PriorLocks);
   Record.PriorSite = Outcome.PriorSite;
-  Reporter.report(std::move(Record));
+  Reporter.report(Record, Interner->resolve(Event.Locks).items(),
+                  Interner->resolve(Outcome.PriorLocks).items());
 }

@@ -27,6 +27,12 @@
 /// cap — only full records are shed, never set membership — so the
 /// Definition 1 coverage checks against the exact oracle hold at any cap.
 ///
+/// A record is 56 bytes and trivially copyable: its two locksets are runs
+/// of a lock pool that the reporter holding it owns, read back through
+/// RaceReporter::locks().  Streams that race on nearly every event
+/// (bench_hotpath's refhot) then append, grow and free records as plain
+/// bytes, and a report past the cap copies no lock at all.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HERD_DETECT_RACEREPORT_H
@@ -35,36 +41,51 @@
 #include "detect/AccessEvent.h"
 #include "support/FlatTable.h"
 
+#include <cassert>
 #include <cstdint>
 #include <iterator>
+#include <new>
 #include <set>
-#include <unordered_map>
+#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace herd {
+
+/// One lockset of a race record: a run of its reporter's lock pool.
+struct LockRun {
+  uint32_t First = 0; ///< index of the run's first lock in the pool
+  uint32_t Size = 0;
+};
 
 /// One reported race.
 struct RaceRecord {
   LocationKey Location;
 
-  // The access that triggered the report (reported at the moment it
-  // occurs, so a debugger could suspend the program here — Section 2.6).
-  ThreadId CurrentThread;
-  AccessKind CurrentAccess = AccessKind::Read;
-  RaceLockSet CurrentLocks;
-  SiteId CurrentSite;
-
-  // What is known about the earlier conflicting access.
-  bool PriorThreadKnown = false;
-  ThreadId PriorThread;           ///< valid iff PriorThreadKnown
-  AccessKind PriorAccess = AccessKind::Read;
-  RaceLockSet PriorLocks;
-  SiteId PriorSite;               ///< invalid when the trie lost it
-
   /// Stable identity of this race (see raceFingerprint); filled in by
   /// RaceReporter::report.
   uint64_t Fingerprint = 0;
+
+  // The access that triggered the report (reported at the moment it
+  // occurs, so a debugger could suspend the program here — Section 2.6).
+  ThreadId CurrentThread;
+  SiteId CurrentSite;
+  LockRun CurrentLocks; ///< resolve with RaceReporter::locks
+
+  // What is known about the earlier conflicting access.
+  ThreadId PriorThread;           ///< valid iff PriorThreadKnown
+  SiteId PriorSite;               ///< invalid when the trie lost it
+  LockRun PriorLocks;             ///< resolve with RaceReporter::locks
+
+  AccessKind CurrentAccess = AccessKind::Read;
+  AccessKind PriorAccess = AccessKind::Read;
+  bool PriorThreadKnown = false;
 };
+
+static_assert(std::is_trivially_copyable_v<RaceRecord>,
+              "records grow and merge as plain bytes");
+static_assert(sizeof(RaceRecord) <= 56, "a race record is at most 56 bytes");
 
 /// SplitMix64 finalizer — the mixing step of the fingerprint hash.
 inline uint64_t fingerprintMix(uint64_t X) {
@@ -108,8 +129,12 @@ inline uint64_t raceFingerprint(const RaceRecord &R) {
 /// experiments in amortized O(1): each retained record is folded into the
 /// dedup/counting indexes exactly once, *lazily* on the first query after
 /// it arrived, so the detector-facing report() stays a fingerprint hash
-/// plus a vector append — the hot path on racy streams, where nearly
-/// every event can produce a report (bench_hotpath's refhot stream).
+/// plus two appends — the hot path on racy streams, where nearly every
+/// event can produce a report (bench_hotpath's refhot stream).
+///
+/// The reporter owns the lock pool its records' runs index.  Copying,
+/// moving and clear() keep records and pool together, so a record is only
+/// meaningful next to the reporter it was read from.
 ///
 /// Queries are const but fold pending records under the hood (mutable
 /// indexes); like the detection runtimes themselves, the reporter is not
@@ -132,9 +157,13 @@ public:
   explicit RaceReporter(size_t Capacity = DefaultCapacity)
       : Capacity(Capacity) {}
 
-  void report(RaceRecord Record) {
+  /// Reports one race whose current and earlier accesses held the sorted
+  /// locksets \p Current and \p Prior.  \p Record's own lock runs are
+  /// ignored: the locksets are copied into the pool only when the record
+  /// is retained, and past the cap nothing is copied.
+  void report(RaceRecord Record, std::span<const LockId> Current,
+              std::span<const LockId> Prior) {
     Record.Fingerprint = raceFingerprint(Record);
-    ++TotalReported;
     if (Records.size() >= Capacity) {
       // Past the cap the indexes must be current to tell a known bug
       // (count bump) from a novel fingerprint (honest drop counter).
@@ -144,22 +173,28 @@ public:
       // imply a known location — fingerprints drop the object index),
       // so reportedLocations() still matches the unbounded oracle.
       noteLocation(Record.Location);
-      auto It = GroupIndex.find(Record.Fingerprint);
-      if (It != GroupIndex.end())
-        ++Groups[It->second].Count; // known bug, full record dropped
-      else
-        ++Dropped; // novel fingerprint lost to the cap: never silent
+      count(Record.Fingerprint, 1);
       return;
     }
-    Records.push_back(std::move(Record));
+    retain(Record, Current, Prior);
   }
+
+  /// Reports \p Record with two empty locksets (tests).
+  void report(const RaceRecord &Record) { report(Record, {}, {}); }
 
   const std::vector<RaceRecord> &records() const { return Records; }
   bool empty() const { return Records.empty(); }
   size_t size() const { return Records.size(); }
 
+  /// The locks of \p Run, a lockset of one of records(), in ascending
+  /// order.  Valid until this reporter next changes.
+  std::span<const LockId> locks(LockRun Run) const {
+    return {LockPool.data() + Run.First, Run.Size};
+  }
+
   void clear() {
     Records.clear();
+    LockPool.clear();
     Groups.clear();
     GroupIndex.clear();
     Locations.clear();
@@ -199,46 +234,42 @@ public:
   /// Folds another reporter's findings into this one, preserving the
   /// bounded-retention semantics as if every one of its reports had been
   /// delivered here directly: records are retained up to this reporter's
-  /// cap, occurrence counts carry over (including the other reporter's
-  /// own past-cap bumps), the distinct location/object sets stay exact,
-  /// and the drop/total counters add up.  The sharded runtime merges its
-  /// per-shard reporters with this — per-shard caps must not truncate
-  /// the merged location set on report-saturated streams.
+  /// cap, with their locksets copied into this reporter's pool; occurrence
+  /// counts carry over (including the other reporter's own past-cap
+  /// bumps), the distinct location/object sets stay exact, and the
+  /// drop/total counters add up.  The sharded runtime merges its per-shard
+  /// reporters with this — per-shard caps must not truncate the merged
+  /// location set on report-saturated streams.
   void merge(const RaceReporter &Other) {
+    assert(&Other != this && "a reporter cannot merge itself");
     Other.fold();
-    // How many of each fingerprint's occurrences the other reporter
-    // retained as records (vs counted past its cap) — needed below to
-    // carry the count excess without double-counting the records.
-    std::unordered_map<uint64_t, uint64_t> Retained;
+    // How many of each of the other reporter's groups it retained as
+    // records (vs counted past its cap) — needed below to carry the count
+    // excess without double-counting the records.
+    std::vector<uint64_t> Retained(Other.Groups.size());
     for (const RaceRecord &Rec : Other.Records) {
-      ++Retained[Rec.Fingerprint];
+      ++Retained[Other.GroupIndex.find(Rec.Fingerprint)];
       if (Records.size() < Capacity) {
-        Records.push_back(Rec);
+        retain(Rec, Other.locks(Rec.CurrentLocks),
+               Other.locks(Rec.PriorLocks));
       } else {
         fold();
-        auto It = GroupIndex.find(Rec.Fingerprint);
-        if (It != GroupIndex.end())
-          ++Groups[It->second].Count;
-        else
-          ++Dropped;
+        count(Rec.Fingerprint, 1);
       }
     }
     fold();
-    for (const Group &G : Other.Groups) {
-      uint64_t Kept = Retained[G.Fingerprint];
-      if (G.Count <= Kept)
-        continue; // every occurrence rode along with a record above
-      uint64_t Excess = G.Count - Kept;
-      auto It = GroupIndex.find(G.Fingerprint);
-      if (It != GroupIndex.end())
-        Groups[It->second].Count += Excess;
-      else
-        Dropped += Excess;
+    for (size_t I = 0; I != Other.Groups.size(); ++I) {
+      const Group &G = Other.Groups[I];
+      // Occurrences the other reporter counted past its cap.
+      if (G.Count > Retained[I])
+        count(G.Fingerprint, G.Count - Retained[I]);
     }
     for (LocationKey Location : Other.Locations)
       noteLocation(Location);
+    // Its drops are the only reports not yet counted here.
     Dropped += Other.Dropped;
-    TotalReported += Other.TotalReported;
+    TotalReported += Other.Dropped;
+    assert(checkInvariants() && "reporter invariant broken");
   }
 
   /// Reports whose fingerprint was new after the cap was hit — the
@@ -250,20 +281,136 @@ public:
 
   size_t capacity() const { return Capacity; }
 
+  /// Invariants, asserted after merge() and after every fold() that folds
+  /// records, in builds without NDEBUG: every record's lock runs lie
+  /// inside the pool; the fingerprint index finds every group at its own
+  /// position; and once every record is folded, the group counts plus
+  /// droppedRecords() equal totalReported().
+  bool checkInvariants() const {
+    auto Inside = [this](LockRun Run) {
+      return uint64_t(Run.First) + Run.Size <= LockPool.size();
+    };
+    for (const RaceRecord &Rec : Records)
+      if (!Inside(Rec.CurrentLocks) || !Inside(Rec.PriorLocks))
+        return false;
+    uint64_t Counted = Dropped;
+    for (size_t I = 0; I != Groups.size(); ++I) {
+      if (GroupIndex.find(Groups[I].Fingerprint) != I)
+        return false;
+      Counted += Groups[I].Count;
+    }
+    return Folded != Records.size() || Counted == TotalReported;
+  }
+
 private:
+  /// An open-addressed map from fingerprint to group index, like
+  /// LocationTable: a power-of-two slot array, linear probing, growth at
+  /// 3/4 load, insert-only.  Fingerprints are SplitMix64 outputs, so their
+  /// low bits pick the slot unmixed.  An empty slot holds group None.
+  class GroupTable {
+  public:
+    static constexpr uint32_t None = 0xFFFFFFFF;
+
+    /// The group of \p Fingerprint, or None.
+    uint32_t find(uint64_t Fingerprint) const {
+      if (Slots.empty())
+        return None;
+      return Slots[slotOf(Fingerprint)].Group;
+    }
+
+    /// The group of \p Fingerprint; maps it to \p Group first if absent.
+    /// The bool is true when it was absent.
+    std::pair<uint32_t, bool> tryInsert(uint64_t Fingerprint,
+                                        uint32_t Group) {
+      if (Count + 1 > (Slots.size() / 4) * 3)
+        rehash(Slots.empty() ? 64 : Slots.size() * 2);
+      Slot &S = Slots[slotOf(Fingerprint)];
+      if (S.Group != None)
+        return {S.Group, false};
+      S = Slot{Fingerprint, Group};
+      ++Count;
+      return {Group, true};
+    }
+
+    void clear() {
+      Slots.clear();
+      Count = 0;
+    }
+
+  private:
+    struct Slot {
+      uint64_t Fingerprint = 0;
+      uint32_t Group = None;
+    };
+
+    /// The slot holding \p Fingerprint, or the empty slot ending its probe.
+    size_t slotOf(uint64_t Fingerprint) const {
+      size_t Mask = Slots.size() - 1;
+      size_t I = size_t(Fingerprint) & Mask;
+      while (Slots[I].Group != None && Slots[I].Fingerprint != Fingerprint)
+        I = (I + 1) & Mask;
+      return I;
+    }
+
+    void rehash(size_t NewCapacity) {
+      std::vector<Slot> Old = std::move(Slots);
+      Slots.assign(NewCapacity, Slot());
+      for (const Slot &S : Old)
+        if (S.Group != None)
+          Slots[slotOf(S.Fingerprint)] = S;
+    }
+
+    std::vector<Slot> Slots;
+    size_t Count = 0;
+  };
+
+  /// Keeps \p Record, whose fingerprint is set, with its locksets.
+  void retain(RaceRecord Record, std::span<const LockId> Current,
+              std::span<const LockId> Prior) {
+    Record.CurrentLocks = store(Current);
+    Record.PriorLocks = store(Prior);
+    Records.push_back(Record);
+    ++TotalReported;
+  }
+
+  /// Appends \p Locks to the pool and returns their run.
+  LockRun store(std::span<const LockId> Locks) {
+    // Runs index the pool with 32 bits; like HistoryStore, fail rather
+    // than wrap.
+    if (LockPool.size() + Locks.size() > UINT32_MAX)
+      throw std::bad_alloc();
+    LockRun Run{uint32_t(LockPool.size()), uint32_t(Locks.size())};
+    LockPool.insert(LockPool.end(), Locks.begin(), Locks.end());
+    return Run;
+  }
+
+  /// Counts \p N reports of \p Fingerprint that keep no record: on its
+  /// group when the fingerprint is known, as dropped otherwise.  The
+  /// indexes must be folded.
+  void count(uint64_t Fingerprint, uint64_t N) {
+    uint32_t G = GroupIndex.find(Fingerprint);
+    if (G != GroupTable::None)
+      Groups[G].Count += N; // known bug, full record dropped
+    else
+      Dropped += N; // novel fingerprint lost to the cap: never silent
+    TotalReported += N;
+  }
+
   /// Folds records [Folded, size()) into the dedup/counting indexes.
   void fold() const {
+    if (Folded == Records.size())
+      return;
     for (; Folded != Records.size(); ++Folded) {
       const RaceRecord &Record = Records[Folded];
-      auto It = GroupIndex.find(Record.Fingerprint);
-      if (It != GroupIndex.end()) {
-        ++Groups[It->second].Count;
-      } else {
-        GroupIndex.emplace(Record.Fingerprint, uint32_t(Groups.size()));
+      auto [G, Inserted] =
+          GroupIndex.tryInsert(Record.Fingerprint, uint32_t(Groups.size()));
+      if (Inserted)
         Groups.push_back(Group{Record.Fingerprint, uint32_t(Folded), 1});
-      }
+      else
+        ++Groups[G].Count;
       noteLocation(Record.Location);
     }
+    assert(checkInvariants() && "reporter invariant broken");
   }
 
   /// Adds \p Location to the distinct location set and object count.  The
@@ -291,8 +438,9 @@ private:
 
   size_t Capacity;
   std::vector<RaceRecord> Records;
+  std::vector<LockId> LockPool; ///< the locks of Records' runs
   mutable std::vector<Group> Groups;
-  mutable std::unordered_map<uint64_t, uint32_t> GroupIndex;
+  mutable GroupTable GroupIndex; ///< fingerprint -> index into Groups
   mutable std::set<LocationKey> Locations;
   mutable LocationTable<bool> LocationIndex; ///< membership of Locations
   mutable size_t ObjectCount = 0;            ///< distinct objects in Locations

@@ -125,14 +125,6 @@ void ShardPool::finish() {
       S->Worker.join();
 }
 
-std::vector<RaceRecord> ShardPool::mergedRecords() const {
-  std::vector<RaceRecord> Out;
-  for (const auto &S : Shards)
-    for (const RaceRecord &Rec : S->Reporter.records())
-      Out.push_back(Rec);
-  return Out;
-}
-
 const RaceReporter &ShardPool::shardReporter(uint32_t Shard) const {
   assert(Shard < Shards.size());
   return Shards[Shard]->Reporter;

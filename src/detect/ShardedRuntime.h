@@ -126,11 +126,6 @@ public:
   /// be called afterwards.
   void finish();
 
-  /// Race records from all shards, in shard order then per-shard program
-  /// order — deterministic for a deterministic event stream.  Requires a
-  /// preceding drain().
-  std::vector<RaceRecord> mergedRecords() const;
-
   /// One shard's reporter, for semantic merging (RaceReporter::merge)
   /// that survives per-shard record caps.  Requires a preceding drain().
   const RaceReporter &shardReporter(uint32_t Shard) const;

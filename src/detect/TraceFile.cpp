@@ -168,7 +168,7 @@ TraceResult TraceReader::replayInto(RuntimeHooks &Sink) {
       // An access by a known thread, the common record, needs no more.
       if (R.Kind != EventLog::RecordKind::Access ||
           R.Thread.index() >= KnownThreads) {
-        if (TraceResult Res = admitThreads(R); !Res)
+        if (TraceResult Res = admit(R); !Res)
           return TraceResult::invalidEvents("'" + Path + "': record " +
                                             std::to_string(Records) + ": " +
                                             Res.Error);
@@ -183,9 +183,18 @@ TraceResult TraceReader::replayInto(RuntimeHooks &Sink) {
   return TraceResult::success();
 }
 
-TraceResult TraceReader::admitThreads(const EventLog::Record &R) {
+TraceResult TraceReader::admit(const EventLog::Record &R) {
   auto Known = [this](ThreadId T) { return T.index() < KnownThreads; };
   auto Name = [](ThreadId T) { return "thread " + std::to_string(T.index()); };
+  // A program lock the detectors would take for a thread's dummy join lock
+  // would hide that thread's races.
+  if ((R.Kind == EventLog::RecordKind::MonitorEnter ||
+       R.Kind == EventLog::RecordKind::MonitorExit) &&
+      R.Lock.index() >= FirstDummyLock)
+    return TraceResult::failure(
+        "names lock " + std::to_string(R.Lock.index()) +
+        ", in the dummy join locks' range (lock ids must be below " +
+        std::to_string(FirstDummyLock) + ")");
   if (R.Kind == EventLog::RecordKind::ThreadCreate) {
     if (R.Thread.index() == 0 && !R.OtherThread.isValid() && Records == 0)
       return TraceResult::success();

@@ -113,7 +113,8 @@ public:
   /// them: thread 0 exists from the start, each ThreadCreate names the next
   /// index, below MaxThreads, and every other thread a record uses was
   /// created before it.  A trace may open by recording thread 0's own
-  /// creation with no parent.
+  /// creation with no parent.  Monitor records must name a lock below
+  /// FirstDummyLock, the first dummy join lock.
   TraceResult replayInto(RuntimeHooks &Sink);
 
   uint64_t recordsRead() const { return Records; }
@@ -126,9 +127,9 @@ public:
   void close();
 
 private:
-  /// The thread-index rules of replayInto() for one record; on success a
-  /// ThreadCreate adds its thread.
-  TraceResult admitThreads(const EventLog::Record &R);
+  /// The thread-index and lock-range rules of replayInto() for one
+  /// record; on success a ThreadCreate adds its thread.
+  TraceResult admit(const EventLog::Record &R);
 
   std::FILE *File = nullptr;
   std::string Path;

@@ -15,8 +15,10 @@
 #include <cassert>
 #include <charconv>
 #include <chrono>
-#include <initializer_list>
+#include <cstring>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -103,11 +105,13 @@ std::string siteLabel(const Program &P, SiteId Site) {
 
 /// Appends the `--provenance=on` detail lines to a formatted race: where
 /// the earlier access was, how the racing thread was spawned, where each
-/// held lock was acquired, and the thread's recent access history.  Every
-/// line is indented continuation text of the same report.
+/// held lock (\p CurrentLocks) was acquired, and the thread's recent
+/// access history.  Every line is indented continuation text of the same
+/// report.
 void appendProvenanceDetail(std::string &Out, const Program &P,
                             const ProvenanceStore &Prov,
-                            const RaceRecord &Rec) {
+                            const RaceRecord &Rec,
+                            std::span<const LockId> CurrentLocks) {
   if (Rec.PriorSite.isValid()) {
     Out += "\n    earlier access at ";
     Out += siteRef(P, Rec.PriorSite);
@@ -123,8 +127,8 @@ void appendProvenanceDetail(std::string &Out, const Program &P,
       Out += siteRef(P, Sp.Site);
     }
   }
-  for (LockId L : Rec.CurrentLocks) {
-    if (L.index() >= (1u << 30))
+  for (LockId L : CurrentLocks) {
+    if (L.index() >= FirstDummyLock)
       continue; // dummy join locks have no acquisition statement
     ProvenanceStore::LockAcquire Acq = Prov.lockAcquire(L);
     if (!Acq.Site.isValid())
@@ -158,31 +162,60 @@ void appendProvenanceDetail(std::string &Out, const Program &P,
   }
 }
 
-/// A decimal number rendered on the stack, as a piece for concat().
-class Decimal {
+/// Writes one report line into a stack buffer, or into a heap buffer when
+/// the line could outgrow it, and then makes the line's string at its
+/// exact size in one allocation.  Literals are copied with their
+/// compile-time sizes and numbers are written in place, so most pieces
+/// cost a few fixed-size moves.
+class LineWriter {
 public:
-  explicit Decimal(uint64_t Value)
-      : Len(size_t(std::to_chars(Buf, Buf + sizeof(Buf), Value).ptr - Buf)) {}
-  operator std::string_view() const { return {Buf, Len}; }
+  /// Room for a line's literals and numbers: a caller bounds its line by
+  /// this plus the sizes of the names it writes with text().
+  static constexpr size_t FixedBound = 256;
+
+  /// A writer for a line of at most \p Bound characters.
+  explicit LineWriter(size_t Bound) {
+    if (Bound > sizeof(Stack)) {
+      Heap = std::make_unique_for_overwrite<char[]>(Bound);
+      Begin = At = Heap.get();
+    }
+  }
+  LineWriter(const LineWriter &) = delete;
+  LineWriter &operator=(const LineWriter &) = delete;
+
+  template <size_t N> void literal(const char (&Text)[N]) {
+    std::memcpy(At, Text, N - 1);
+    At += N - 1;
+  }
+
+  void text(std::string_view Text) {
+    if (Text.empty())
+      return; // a default string_view has no data to copy from
+    std::memcpy(At, Text.data(), Text.size());
+    At += Text.size();
+  }
+
+  void number(uint64_t Value) {
+    At = std::to_chars(At, At + 20, Value).ptr; // 2^64 - 1 has 20 digits
+  }
+
+  void access(AccessKind Access) {
+    if (Access == AccessKind::Write)
+      literal("write");
+    else
+      literal("read");
+  }
+
+  std::string str() const { return std::string(Begin, size_t(At - Begin)); }
 
 private:
-  char Buf[20]; // 2^64 - 1 has 20 digits
-  size_t Len;
+  char Stack[512];
+  std::unique_ptr<char[]> Heap;
+  char *Begin = Stack;
+  char *At = Stack;
 };
 
-/// Joins \p Pieces with one allocation.
-std::string concat(std::initializer_list<std::string_view> Pieces) {
-  size_t Size = 0;
-  for (std::string_view Piece : Pieces)
-    Size += Piece.size();
-  std::string Out;
-  Out.reserve(Size);
-  for (std::string_view Piece : Pieces)
-    Out += Piece;
-  return Out;
-}
-
-/// The pieces of a race line's location part: "<kind> #<object>", then
+/// The names in a race line's location part: "<kind> #<object>", then
 /// " field <name>" when the location is a declared field.  The kind comes
 /// from the final heap when there is one (the object's class name);
 /// replay runs have no heap — the trace carries only event ids — so
@@ -202,25 +235,37 @@ struct LocationText {
     }
     uint32_t FieldBits = uint32_t(Location.raw() & 0xFFFFFFFF);
     if (FieldBits < P.numFields()) {
-      FieldPrefix = " field ";
+      HasField = true;
       Field = P.Names.text(P.field(FieldId(FieldBits)).Name);
     }
   }
 
+  /// The characters write() can add beyond LineWriter::FixedBound.
+  size_t names() const { return Kind.size() + Field.size(); }
+
+  void write(LineWriter &W) const {
+    W.literal("race on ");
+    W.text(Kind);
+    W.literal(" #");
+    W.number(Object);
+    if (HasField) {
+      W.literal(" field ");
+      W.text(Field);
+    }
+  }
+
   std::string_view Kind = "object";
-  Decimal Object;
-  std::string_view FieldPrefix;
+  uint32_t Object;
+  bool HasField = false;
   std::string_view Field;
 };
 
-std::string_view accessName(AccessKind Access) {
-  return Access == AccessKind::Write ? "write" : "read";
-}
-
-/// Renders one race record using program metadata and, when available, the
-/// final heap (for object class names), in one allocation.
+/// Renders one race record, whose earlier access held \p PriorLocks, using
+/// program metadata and, when available, the final heap (for object class
+/// names).
 std::string formatRace(const Program &P, const Heap *TheHeap,
-                       const RaceRecord &Rec) {
+                       const RaceRecord &Rec,
+                       std::span<const LockId> PriorLocks) {
   LocationText L(P, TheHeap, Rec.Location);
   // A replayed trace may name sites the program does not declare; those
   // print like an unknown site.
@@ -233,35 +278,49 @@ std::string formatRace(const Program &P, const Heap *TheHeap,
   // only program locks, but surface the join ordering when present.
   size_t RealLocks = 0;
   bool HasDummy = false;
-  for (LockId Lock : Rec.PriorLocks) {
-    if (Lock.index() >= (1u << 30))
+  for (LockId Lock : PriorLocks) {
+    if (Lock.index() >= FirstDummyLock)
       HasDummy = true;
     else
       ++RealLocks;
   }
-  Decimal PriorThread(Rec.PriorThread.index());
-  return concat(
-      {"race on ", L.Kind, " #", L.Object, L.FieldPrefix, L.Field, ": ",
-       accessName(Rec.CurrentAccess), " by thread ",
-       Decimal(Rec.CurrentThread.index()),
-       KnownSite ? " at " : "", Site,
-       " conflicts with earlier ", accessName(Rec.PriorAccess),
-       Rec.PriorThreadKnown ? " by thread "
-                            : " (thread unknown: multiple earlier threads)",
-       Rec.PriorThreadKnown ? std::string_view(PriorThread)
-                            : std::string_view(),
-       " holding ", Decimal(RealLocks), " lock(s)",
-       HasDummy ? " (+join ordering)" : ""});
+  LineWriter W(LineWriter::FixedBound + L.names() + Site.size());
+  L.write(W);
+  W.literal(": ");
+  W.access(Rec.CurrentAccess);
+  W.literal(" by thread ");
+  W.number(Rec.CurrentThread.index());
+  if (KnownSite) {
+    W.literal(" at ");
+    W.text(Site);
+  }
+  W.literal(" conflicts with earlier ");
+  W.access(Rec.PriorAccess);
+  if (Rec.PriorThreadKnown) {
+    W.literal(" by thread ");
+    W.number(Rec.PriorThread.index());
+  } else {
+    W.literal(" (thread unknown: multiple earlier threads)");
+  }
+  W.literal(" holding ");
+  W.number(RealLocks);
+  W.literal(" lock(s)");
+  if (HasDummy)
+    W.literal(" (+join ordering)");
+  return W.str();
 }
 
-/// Renders one racy location the way formatRace renders its location part.
-/// The epoch backend reports locations, not full race records, so its lines
-/// carry no thread/site attribution.
-std::string formatRacyLocation(const Program &P, const Heap *TheHeap,
-                               LocationKey Location) {
+} // namespace
+
+std::string herd::formatRacyLocation(const Program &P, const Heap *TheHeap,
+                                     LocationKey Location) {
   LocationText L(P, TheHeap, Location);
-  return concat({"race on ", L.Kind, " #", L.Object, L.FieldPrefix, L.Field});
+  LineWriter W(LineWriter::FixedBound + L.names());
+  L.write(W);
+  return W.str();
 }
+
+namespace {
 
 /// Stable identity of a deadlock cycle: the canonicalized lock sequence
 /// with each edge's acquisition site (detect/RaceReport.h's mixer).
@@ -399,19 +458,22 @@ void formatRaceResults(const Program &P, const Heap *TheHeap,
       Result.Entries.push_back(std::move(Entry));
     }
   }
+  const RaceReporter &Reports = Result.Reports;
   Result.FormattedRaces.reserve(Result.FormattedRaces.size() +
-                                Result.Reports.records().size());
-  for (const RaceRecord &Rec : Result.Reports.records()) {
-    std::string Line = formatRace(P, TheHeap, Rec);
+                                Reports.records().size());
+  for (const RaceRecord &Rec : Reports.records()) {
+    std::string Line =
+        formatRace(P, TheHeap, Rec, Reports.locks(Rec.PriorLocks));
     if (Prov)
-      appendProvenanceDetail(Line, P, *Prov, Rec);
+      appendProvenanceDetail(Line, P, *Prov, Rec,
+                             Reports.locks(Rec.CurrentLocks));
     Result.FormattedRaces.push_back(std::move(Line));
   }
-  for (const RaceReporter::Group &G : Result.Reports.groups()) {
-    const RaceRecord &Rec = Result.Reports.records()[G.FirstRecord];
+  for (const RaceReporter::Group &G : Reports.groups()) {
+    const RaceRecord &Rec = Reports.records()[G.FirstRecord];
     ReportEntry Entry;
     Entry.EntryKind = ReportEntry::Kind::Race;
-    Entry.Message = formatRace(P, TheHeap, Rec);
+    Entry.Message = formatRace(P, TheHeap, Rec, Reports.locks(Rec.PriorLocks));
     Entry.Fingerprint = G.Fingerprint;
     Entry.Occurrences = G.Count;
     Entry.SiteLabel = siteLabel(P, Rec.CurrentSite);

@@ -246,6 +246,14 @@ PipelineResult replayTracePipeline(const Program &Input,
                                    const ToolConfig &Config,
                                    const std::string &TracePath);
 
+/// Renders a racy location the way a race line renders its location part:
+/// "race on <kind> #<object>", then " field <name>" for a declared field.
+/// \p TheHeap names the object's class; without one (replay runs) the
+/// kind is "object".  The epoch backend's lines and the comparison
+/// detectors' replay reports are these lines alone.
+std::string formatRacyLocation(const Program &P, const Heap *TheHeap,
+                               LocationKey Location);
+
 } // namespace herd
 
 #endif // HERD_HERD_PIPELINE_H

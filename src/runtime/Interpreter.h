@@ -168,6 +168,13 @@ public:
   static constexpr uint64_t MaxHeapBytes = uint64_t(64) << 20;
   static constexpr uint32_t MaxCallDepth = 100'000;
 
+  // A lock id is its object's index, and the budget charges every object
+  // at least its header (class-statics objects, one per class, aside): a
+  // run allocates about 1.4M objects at most, so no program lock reaches
+  // the dummy join locks' range.
+  static_assert(MaxHeapBytes / sizeof(HeapObject) < FirstDummyLock,
+                "the heap budget must keep lock ids below FirstDummyLock");
+
   Interpreter(const Program &P, RuntimeHooks *Hooks, InterpOptions Opts);
   ~Interpreter();
 

@@ -108,6 +108,12 @@ struct LockId : StrongId<LockId> {
   using StrongId::StrongId;
 };
 
+/// The dummy join lock S_j of thread j is LockId(FirstDummyLock + j), above
+/// every lock a program can name: program locks are heap object indices,
+/// which the interpreter's heap budget keeps far below it, and trace replay
+/// rejects a monitor record that names a lock at or past it (docs/REPLAY.md).
+inline constexpr uint32_t FirstDummyLock = uint32_t(1) << 30;
+
 /// Identifies a heap object instance at runtime.
 struct ObjectId : StrongId<ObjectId> {
   using StrongId::StrongId;

@@ -31,12 +31,12 @@ inline std::multiset<std::string> canonicalRecords(const RaceReporter &Reporter)
     std::ostringstream S;
     S << Rec.Location.raw() << '|' << Rec.CurrentThread.index() << '|'
       << int(Rec.CurrentAccess) << '|' << Rec.CurrentSite.index() << '|';
-    for (LockId L : Rec.CurrentLocks)
+    for (LockId L : Reporter.locks(Rec.CurrentLocks))
       S << L.index() << ',';
     S << '|' << Rec.PriorThreadKnown << '|'
       << (Rec.PriorThreadKnown ? Rec.PriorThread.index() : 0) << '|'
       << int(Rec.PriorAccess) << '|';
-    for (LockId L : Rec.PriorLocks)
+    for (LockId L : Reporter.locks(Rec.PriorLocks))
       S << L.index() << ',';
     Out.insert(S.str());
   }

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Crafted traces through `herd --replay` under every backend.
 
-Records figure2 once, then derives three traces from the recording: one
+Records figure2 once, then derives four traces from the recording: one
 whose access records name thread 2^31-1, one whose thread creates name
-a child near 2^31, and one that goes on creating threads, in order, past
-the thread limit (MaxThreads in src/support/Ids.h).  Each must end with
-exit 1 and a replay diagnostic under the serial and sharded runtimes and
-every comparison detector; before the replay boundary checked thread
-indices, the first two aborted on std::bad_alloc.  The untouched
-recording must still replay under each of them (figure2 races, so exit 1,
-but without a diagnostic).
+a child near 2^31, one that goes on creating threads, in order, past
+the thread limit (MaxThreads in src/support/Ids.h), and one whose
+monitor records name lock 2^30+1, thread 1's dummy join lock
+(FirstDummyLock in src/support/Ids.h).  Each must end with exit 1 and a
+replay diagnostic under the serial and sharded runtimes and every
+comparison detector; before the replay boundary checked thread indices,
+the first two aborted on std::bad_alloc, and before it checked lock ids
+the last could hide a race.  The untouched recording must still replay
+under each of them (figure2 races, so exit 1, but without a
+diagnostic).
 
     cli_hostile_traces.py <herd binary> <figure2.mj> <work dir>
 """
@@ -22,10 +25,14 @@ import sys
 HEADER_BYTES = 16
 RECORD_BYTES = 40
 KIND_CREATE = 0
+KIND_MONITOR_ENTER = 3
+KIND_MONITOR_EXIT = 4
 KIND_ACCESS = 5
 THREAD_OFFSET = 4
+LOCK_OFFSET = 12
 THREAD_OBJ_OFFSET = 28
 MAX_THREADS = 1024
+FIRST_DUMMY_LOCK = 2**30
 
 BACKENDS = [[], ["--shards=2"], ["--detector=epoch"],
             ["--detector=vectorclock"], ["--detector=naive"],
@@ -40,6 +47,17 @@ def patched(trace, kind, value):
         thread = struct.unpack_from("<I", out, at + THREAD_OFFSET)[0]
         if out[at] == kind and not (kind == KIND_CREATE and thread == 0):
             struct.pack_into("<I", out, at + THREAD_OFFSET, value)
+    return bytes(out)
+
+
+def dummy_locks(trace):
+    """A copy of trace whose monitor records all name thread 1's dummy join
+    lock."""
+    out = bytearray(trace)
+    for at in range(HEADER_BYTES, len(out), RECORD_BYTES):
+        if out[at] in (KIND_MONITOR_ENTER, KIND_MONITOR_EXIT):
+            struct.pack_into("<I", out, at + LOCK_OFFSET,
+                             FIRST_DUMMY_LOCK + 1)
     return bytes(out)
 
 
@@ -76,6 +94,7 @@ def main():
         "access": patched(trace, KIND_ACCESS, 2**31 - 1),
         "create": patched(trace, KIND_CREATE, 2**31 - 5),
         "threads": creates_past_limit(trace),
+        "dummy-lock": dummy_locks(trace),
     }
     paths = {}
     for name, data in crafted.items():

@@ -29,6 +29,7 @@
 #include "detect/AccessHistory.h"
 #include "detect/AccessTrie.h"
 #include "detect/Detector.h"
+#include "detect/RaceRuntime.h"
 #include "ir/IRBuilder.h"
 #include "support/Rng.h"
 
@@ -37,6 +38,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 
 using namespace herd;
@@ -176,7 +178,11 @@ TEST_P(DetectorPropertyTest, MultiLocationDetectorMatchesPerLocationTries) {
   Detector Table(TableReporter, {/*UseOwnership=*/false, false});
   std::map<uint64_t, AccessTrie> Independent;
   AccessTrie::Scratch Scratch;
-  std::vector<RaceRecord> Expected;
+  struct Report {
+    RaceRecord Record;
+    LockSet Current, Prior;
+  };
+  std::vector<Report> Expected;
 
   for (int Step = 0; Step != 500; ++Step) {
     LocationKey Loc = LocationKey::forField(
@@ -188,37 +194,42 @@ TEST_P(DetectorPropertyTest, MultiLocationDetectorMatchesPerLocationTries) {
         E.Thread, E.Locks, E.Access, E.Site, Scratch);
     if (!Out.Raced)
       continue;
-    RaceRecord Want;
-    Want.Location = Loc;
-    Want.CurrentThread = E.Thread;
-    Want.CurrentAccess = E.Access;
-    Want.CurrentLocks.assign(E.Locks);
-    Want.CurrentSite = E.Site;
-    Want.PriorThreadKnown = Out.PriorThreadKnown;
-    Want.PriorThread = Out.PriorThread;
-    Want.PriorAccess = Out.PriorAccess;
-    Want.PriorLocks = Out.PriorLocks;
-    Want.PriorSite = Out.PriorSite;
+    Report Want;
+    Want.Record.Location = Loc;
+    Want.Record.CurrentThread = E.Thread;
+    Want.Record.CurrentAccess = E.Access;
+    Want.Record.CurrentSite = E.Site;
+    Want.Record.PriorThreadKnown = Out.PriorThreadKnown;
+    Want.Record.PriorThread = Out.PriorThread;
+    Want.Record.PriorAccess = Out.PriorAccess;
+    Want.Record.PriorSite = Out.PriorSite;
+    Want.Current = E.Locks;
+    Want.Prior = Out.PriorLocks;
     Expected.push_back(std::move(Want));
   }
 
+  auto Same = [](std::span<const LockId> Got, const LockSet &Want) {
+    return std::equal(Got.begin(), Got.end(), Want.begin(), Want.end());
+  };
   const std::vector<RaceRecord> &Got = TableReporter.records();
   ASSERT_EQ(Got.size(), Expected.size());
   for (size_t I = 0; I != Got.size(); ++I) {
-    const RaceRecord &G = Got[I], &W = Expected[I];
+    const RaceRecord &G = Got[I], &W = Expected[I].Record;
     std::string Where = "seed " + std::to_string(GetParam()) + " record " +
                         std::to_string(I);
     EXPECT_EQ(G.Location, W.Location) << Where;
     EXPECT_EQ(G.CurrentThread, W.CurrentThread) << Where;
     EXPECT_EQ(G.CurrentAccess, W.CurrentAccess) << Where;
-    EXPECT_TRUE(G.CurrentLocks == W.CurrentLocks) << Where;
+    EXPECT_TRUE(Same(TableReporter.locks(G.CurrentLocks), Expected[I].Current))
+        << Where;
     EXPECT_EQ(G.CurrentSite, W.CurrentSite) << Where;
     EXPECT_EQ(G.PriorThreadKnown, W.PriorThreadKnown) << Where;
     if (W.PriorThreadKnown) {
       EXPECT_EQ(G.PriorThread, W.PriorThread) << Where;
     }
     EXPECT_EQ(G.PriorAccess, W.PriorAccess) << Where;
-    EXPECT_TRUE(G.PriorLocks == W.PriorLocks) << Where;
+    EXPECT_TRUE(Same(TableReporter.locks(G.PriorLocks), Expected[I].Prior))
+        << Where;
     EXPECT_EQ(G.PriorSite, W.PriorSite) << Where;
   }
   size_t Nodes = 0;
@@ -326,15 +337,23 @@ struct ReferenceCoverage {
   size_t InexactEvents = 0, ExactVsInexact = 0, InexactVsInexact = 0;
 };
 
-/// The dummy join lock S_j of thread \p Thread, numbered as the runtime
-/// numbers it (above every heap object's lock).
-LockId dummyLockOf(ThreadId Thread) {
-  return LockId((1u << 30) + Thread.index());
+/// The history's outcome in the trie's terms: its prior lockset resolved.
+AccessTrie::Outcome resolved(const HistoryOutcome &Out,
+                             const LockSetInterner &Interner) {
+  AccessTrie::Outcome R;
+  R.Filtered = Out.Filtered;
+  R.Raced = Out.Raced;
+  R.PriorThreadKnown = Out.PriorThreadKnown;
+  R.PriorThread = Out.PriorThread;
+  R.PriorAccess = Out.PriorAccess;
+  R.PriorLocks = Interner.resolve(Out.PriorLocks);
+  R.PriorSite = Out.PriorSite;
+  return R;
 }
 
 /// Every field of two outcomes, naming the first that differs.
-::testing::AssertionResult sameOutcome(const HistoryOutcome &Got,
-                                       const HistoryOutcome &Want) {
+::testing::AssertionResult sameOutcome(const AccessTrie::Outcome &Got,
+                                       const AccessTrie::Outcome &Want) {
   auto Differs = [](const char *Field) {
     return ::testing::AssertionFailure() << Field << " differs";
   };
@@ -384,7 +403,8 @@ void feedAll(HistoryTriple &Loc, HistoryStore &Histories,
       Loc.History.process(Histories, Interner, Thread, Id, Access, Site);
   AccessTrie::Outcome Want = Loc.Model.process(Thread, Locks, Access, Site);
   ASSERT_TRUE(sameOutcome(Trie, Want)) << "trie vs model, " << Where;
-  ASSERT_TRUE(sameOutcome(Fast, Trie)) << "history vs trie, " << Where;
+  ASSERT_TRUE(sameOutcome(resolved(Fast, Interner), Trie))
+      << "history vs trie, " << Where;
   ASSERT_EQ(Loc.History.nodeCount(), Loc.Trie.nodeCount()) << Where;
   if (CountModelNodes) {
     ASSERT_EQ(Loc.Trie.nodeCount(), Loc.Model.prefixCount()) << Where;
@@ -428,9 +448,10 @@ void checkAgainstReference(uint64_t Seed, uint32_t NumTries, uint32_t NumLocks,
         Locks.insert(LockId(uint32_t(R.nextBelow(NumLocks))));
     }
     if (Thread.index() != 0 && R.nextChance(1, 2))
-      Locks.insert(dummyLockOf(Thread));
+      Locks.insert(RaceRuntime::dummyLockOf(Thread));
     if (R.nextChance(1, 6))
-      Locks.insert(dummyLockOf(ThreadId(uint32_t(R.nextBelow(NumThreads)))));
+      Locks.insert(RaceRuntime::dummyLockOf(
+          ThreadId(uint32_t(R.nextBelow(NumThreads)))));
     AccessKind Access =
         R.nextChance(1, 2) ? AccessKind::Write : AccessKind::Read;
     SiteId Site = SiteId(uint32_t(Step));

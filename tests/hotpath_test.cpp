@@ -374,16 +374,17 @@ TEST(HistoryStore, BlocksPastAChunkKeepTheNodeCount) {
 // Differential replays: one event stream, identical race reports
 //===----------------------------------------------------------------------===
 
-/// A RaceRecord as a comparable value (locksets flattened to index lists).
+/// A RaceRecord as a comparable value (locksets resolved through its
+/// reporter and flattened to index lists).
 using RecordKey =
     std::tuple<uint64_t, uint32_t, int, std::vector<uint32_t>, uint32_t,
                bool, uint32_t, int, std::vector<uint32_t>>;
 
-RecordKey keyOf(const RaceRecord &R) {
+RecordKey keyOf(const RaceReporter &Reporter, const RaceRecord &R) {
   std::vector<uint32_t> Cur, Prior;
-  for (LockId L : R.CurrentLocks)
+  for (LockId L : Reporter.locks(R.CurrentLocks))
     Cur.push_back(L.index());
-  for (LockId L : R.PriorLocks)
+  for (LockId L : Reporter.locks(R.PriorLocks))
     Prior.push_back(L.index());
   return {R.Location.raw(),
           R.CurrentThread.index(),
@@ -399,7 +400,7 @@ RecordKey keyOf(const RaceRecord &R) {
 std::vector<RecordKey> keysOf(const RaceReporter &Reporter) {
   std::vector<RecordKey> Keys;
   for (const RaceRecord &R : Reporter.records())
-    Keys.push_back(keyOf(R));
+    Keys.push_back(keyOf(Reporter, R));
   return Keys;
 }
 

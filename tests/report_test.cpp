@@ -28,6 +28,7 @@
 #include "detect/TraceFile.h"
 #include "herd/Pipeline.h"
 #include "herd/ReportExport.h"
+#include "ir/IRBuilder.h"
 #include "runtime/Interpreter.h"
 #include "support/Rng.h"
 #include "support/TempPath.h"
@@ -36,8 +37,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <map>
+#include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace herd;
@@ -263,8 +268,15 @@ TEST(RaceReporterTest, CountingQueriesAndClear) {
 // The reporter against a brute-force model, at several caps.
 //===----------------------------------------------------------------------===
 
+/// One report of a stream: the record and its two locksets, held by value.
+struct Reported {
+  RaceRecord Record;
+  std::vector<LockId> Current, Prior;
+};
+
 /// RaceReporter's documented semantics recomputed with plain containers and
-/// linear scans: no lazy fold, no fingerprint or location index.
+/// linear scans: no lazy fold, no fingerprint or location index, and each
+/// record's locksets kept by value beside it.
 struct ModelReporter {
   explicit ModelReporter(size_t Capacity) : Capacity(Capacity) {}
 
@@ -275,16 +287,17 @@ struct ModelReporter {
     return nullptr;
   }
 
-  /// One occurrence of \p Rec: retained while there is room, else counted
+  /// One occurrence of \p Rep: retained while there is room, else counted
   /// against its group or as dropped.
-  void deliver(const RaceRecord &Rec) {
-    RaceReporter::Group *G = find(Rec.Fingerprint);
+  void deliver(const Reported &Rep) {
+    uint64_t Fingerprint = Rep.Record.Fingerprint;
+    RaceReporter::Group *G = find(Fingerprint);
     if (Records.size() < Capacity) {
       if (G)
         ++G->Count;
       else
-        Groups.push_back({Rec.Fingerprint, uint32_t(Records.size()), 1});
-      Records.push_back(Rec);
+        Groups.push_back({Fingerprint, uint32_t(Records.size()), 1});
+      Records.push_back(Rep);
     } else if (G) {
       ++G->Count;
     } else {
@@ -292,22 +305,22 @@ struct ModelReporter {
     }
   }
 
-  void report(RaceRecord Rec) {
-    Rec.Fingerprint = raceFingerprint(Rec);
+  void report(Reported Rep) {
+    Rep.Record.Fingerprint = raceFingerprint(Rep.Record);
     ++Total;
-    Locations.insert(Rec.Location);
-    deliver(Rec);
+    Locations.insert(Rep.Record.Location);
+    deliver(Rep);
   }
 
   void merge(const ModelReporter &Other) {
-    for (const RaceRecord &Rec : Other.Records)
-      deliver(Rec);
+    for (const Reported &Rep : Other.Records)
+      deliver(Rep);
     // Occurrences the other reporter counted past its cap ride along as
     // count excess over the records it kept.
     for (const RaceReporter::Group &G : Other.Groups) {
       uint64_t Kept = 0;
-      for (const RaceRecord &Rec : Other.Records)
-        Kept += Rec.Fingerprint == G.Fingerprint;
+      for (const Reported &Rep : Other.Records)
+        Kept += Rep.Record.Fingerprint == G.Fingerprint;
       if (RaceReporter::Group *Mine = find(G.Fingerprint))
         Mine->Count += G.Count - Kept;
       else
@@ -319,12 +332,17 @@ struct ModelReporter {
   }
 
   size_t Capacity;
-  std::vector<RaceRecord> Records;
+  std::vector<Reported> Records;
   std::vector<RaceReporter::Group> Groups;
   std::set<LocationKey> Locations;
   uint64_t Dropped = 0;
   uint64_t Total = 0;
 };
+
+std::vector<LockId> resolved(const RaceReporter &Real, LockRun Run) {
+  std::span<const LockId> Locks = Real.locks(Run);
+  return std::vector<LockId>(Locks.begin(), Locks.end());
+}
 
 void expectMatchesModel(const RaceReporter &Real, const ModelReporter &Model,
                         const std::string &What) {
@@ -337,8 +355,12 @@ void expectMatchesModel(const RaceReporter &Real, const ModelReporter &Model,
   EXPECT_EQ(Real.countDistinctObjects(), Objects.size());
   ASSERT_EQ(Real.size(), Model.Records.size());
   for (size_t I = 0; I != Model.Records.size(); ++I) {
-    EXPECT_EQ(Real.records()[I].Location, Model.Records[I].Location);
-    EXPECT_EQ(Real.records()[I].Fingerprint, Model.Records[I].Fingerprint);
+    const RaceRecord &Got = Real.records()[I];
+    const Reported &Want = Model.Records[I];
+    EXPECT_EQ(Got.Location, Want.Record.Location);
+    EXPECT_EQ(Got.Fingerprint, Want.Record.Fingerprint);
+    EXPECT_EQ(resolved(Real, Got.CurrentLocks), Want.Current) << "record " << I;
+    EXPECT_EQ(resolved(Real, Got.PriorLocks), Want.Prior) << "record " << I;
   }
   ASSERT_EQ(Real.groups().size(), Model.Groups.size());
   for (size_t I = 0; I != Model.Groups.size(); ++I) {
@@ -348,15 +370,27 @@ void expectMatchesModel(const RaceReporter &Real, const ModelReporter &Model,
   }
   EXPECT_EQ(Real.droppedRecords(), Model.Dropped);
   EXPECT_EQ(Real.totalReported(), Model.Total);
+  EXPECT_TRUE(Real.checkInvariants());
+}
+
+/// A sorted lockset of 0 to 6 locks: program locks from a small pool and,
+/// now and then, a dummy join lock.
+std::vector<LockId> randomLocks(Rng &R) {
+  std::set<LockId> Locks;
+  for (uint64_t N = R.nextBelow(7); Locks.size() != N;)
+    Locks.insert(R.nextChance(1, 6)
+                     ? LockId(FirstDummyLock + uint32_t(R.nextBelow(4)))
+                     : LockId(uint32_t(R.nextBelow(12))));
+  return std::vector<LockId>(Locks.begin(), Locks.end());
 }
 
 /// A seeded report stream over hundreds of locations: 120 objects with
 /// gaps between their ids (0 included), five fields each plus the whole
 /// array, interleaved across objects, and now and then the all-ones key
 /// next to a real key of its object.  Few sites, so fingerprints repeat.
-std::vector<RaceRecord> randomStream(uint64_t Seed, size_t Length) {
+std::vector<Reported> randomStream(uint64_t Seed, size_t Length) {
   Rng R(Seed);
-  std::vector<RaceRecord> Out;
+  std::vector<Reported> Out;
   for (size_t I = 0; I != Length; ++I) {
     ObjectId Object(uint32_t(R.nextBelow(120) * 3));
     LocationKey Location =
@@ -373,10 +407,24 @@ std::vector<RaceRecord> randomStream(uint64_t Seed, size_t Length) {
     uint32_t PriorSite = uint32_t(R.nextBelow(6));
     AccessKind PriorKind = R.nextChance(1, 2) ? AccessKind::Write
                                               : AccessKind::Read;
-    Out.push_back(
-        makeRecord(Location, CurSite, CurKind, PriorSite, PriorKind));
+    Reported Rep;
+    Rep.Record = makeRecord(Location, CurSite, CurKind, PriorSite, PriorKind);
+    Rep.Current = randomLocks(R);
+    Rep.Prior = randomLocks(R);
+    Out.push_back(std::move(Rep));
   }
   return Out;
+}
+
+/// Feeds \p Stream to \p Real and \p Model alike.
+void reportAll(const std::vector<Reported> &Stream, RaceReporter &Real,
+               ModelReporter &Model) {
+  for (size_t I = 0; I != Stream.size(); ++I) {
+    Real.report(Stream[I].Record, Stream[I].Current, Stream[I].Prior);
+    Model.report(Stream[I]);
+    if (I % 97 == 0) // fold part of the stream early
+      (void)Real.countDistinctObjects();
+  }
 }
 
 class ReporterOracleTest : public ::testing::TestWithParam<size_t> {};
@@ -388,13 +436,7 @@ TEST_P(ReporterOracleTest, CountsGroupsAndMergesMatchBruteForce) {
   for (uint64_t Seed : {1u, 2u, 3u}) {
     RaceReporter Real(Cap);
     ModelReporter Model(Cap);
-    std::vector<RaceRecord> Stream = randomStream(Seed, 1000 + 500 * Seed);
-    for (size_t I = 0; I != Stream.size(); ++I) {
-      Real.report(Stream[I]);
-      Model.report(Stream[I]);
-      if (I % 97 == 0) // fold part of the stream early
-        (void)Real.countDistinctObjects();
-    }
+    reportAll(randomStream(Seed, 1000 + 500 * Seed), Real, Model);
     ASSERT_GE(Model.Locations.size(), 300u) << "seed " << Seed;
     expectMatchesModel(Real, Model, "seed " + std::to_string(Seed));
     Reporters.push_back(std::move(Real));
@@ -417,6 +459,36 @@ TEST_P(ReporterOracleTest, CountsGroupsAndMergesMatchBruteForce) {
   }
 }
 
+TEST_P(ReporterOracleTest, CopiesMovesAndClearKeepRecordsWithTheirLocks) {
+  const size_t Cap = GetParam();
+  RaceReporter Source(Cap);
+  ModelReporter Model(Cap);
+  reportAll(randomStream(4, 1200), Source, Model);
+
+  // A copy owns its own pool: reporting more into the source afterwards,
+  // which may grow the source's pool, leaves the copy as it was.
+  RaceReporter Copy = Source;
+  RaceReporter Assigned(1);
+  Assigned = Source;
+  ModelReporter SourceModel = Model;
+  reportAll(randomStream(5, 800), Source, SourceModel);
+  expectMatchesModel(Copy, Model, "copy");
+  expectMatchesModel(Assigned, Model, "copy assignment");
+  expectMatchesModel(Source, SourceModel, "source after the copies");
+
+  RaceReporter Moved = std::move(Copy);
+  expectMatchesModel(Moved, Model, "move");
+  RaceReporter MoveAssigned(1);
+  MoveAssigned = std::move(Assigned);
+  expectMatchesModel(MoveAssigned, Model, "move assignment");
+
+  // clear() empties the pool with the records; the reporter keeps its cap.
+  Moved.clear();
+  ModelReporter Fresh(Cap);
+  expectMatchesModel(Moved, Fresh, "cleared");
+  reportAll(randomStream(6, 900), Moved, Fresh);
+  expectMatchesModel(Moved, Fresh, "reused after clear");
+}
 INSTANTIATE_TEST_SUITE_P(Caps, ReporterOracleTest,
                          ::testing::Values(size_t(1), size_t(16),
                                            RaceReporter::DefaultCapacity));
@@ -740,6 +812,170 @@ TEST(ReportExportTest, EntriesMatchReporterGroups) {
     EXPECT_EQ(E.Occurrences, R.Reports.groups()[I].Count);
     ++I;
   }
+}
+
+//===----------------------------------------------------------------------===
+// Race lines against the concatenating formatter they replaced.
+//===----------------------------------------------------------------------===
+
+/// Joins \p Pieces with one allocation: how race lines were built before
+/// the fixed-size line writer, kept here as the reference.
+std::string concat(std::initializer_list<std::string_view> Pieces) {
+  size_t Size = 0;
+  for (std::string_view Piece : Pieces)
+    Size += Piece.size();
+  std::string Out;
+  Out.reserve(Size);
+  for (std::string_view Piece : Pieces)
+    Out += Piece;
+  return Out;
+}
+
+/// The reference race line of \p Rec from a replay, which has no heap to
+/// name classes from; its earlier access held \p PriorLocks.
+std::string referenceLine(const Program &P, const RaceRecord &Rec,
+                          std::span<const LockId> PriorLocks) {
+  uint32_t FieldBits = uint32_t(Rec.Location.raw() & 0xFFFFFFFF);
+  bool HasField = FieldBits < P.numFields();
+  bool KnownSite =
+      Rec.CurrentSite.isValid() && Rec.CurrentSite.index() < P.numSites();
+  size_t RealLocks = 0;
+  bool HasDummy = false;
+  for (LockId Lock : PriorLocks) {
+    if (Lock.index() >= FirstDummyLock)
+      HasDummy = true;
+    else
+      ++RealLocks;
+  }
+  auto Access = [](AccessKind Kind) {
+    return Kind == AccessKind::Write ? "write" : "read";
+  };
+  return concat(
+      {"race on object #", std::to_string(Rec.Location.object().index()),
+       HasField ? " field " : "",
+       HasField ? P.Names.text(P.field(FieldId(FieldBits)).Name) : "",
+       ": ", Access(Rec.CurrentAccess), " by thread ",
+       std::to_string(Rec.CurrentThread.index()), KnownSite ? " at " : "",
+       KnownSite ? P.Names.text(P.site(Rec.CurrentSite).Label) : "",
+       " conflicts with earlier ", Access(Rec.PriorAccess),
+       Rec.PriorThreadKnown ? " by thread "
+                            : " (thread unknown: multiple earlier threads)",
+       Rec.PriorThreadKnown ? std::to_string(Rec.PriorThread.index()) : "",
+       " holding ", std::to_string(RealLocks), " lock(s)",
+       HasDummy ? " (+join ordering)" : ""});
+}
+
+TEST(RaceLineTest, LinesMatchTheConcatenatingReference) {
+  // Names longer than the line writer's stack buffer, so those lines take
+  // its heap buffer.
+  const std::string LongField(1500, 'f');
+  const std::string LongSite(1500, 's');
+  Program P;
+  IRBuilder B(P);
+  ClassId Shared = B.makeClass("Shared");
+  B.makeField(Shared, "x");
+  B.makeField(Shared, LongField);
+  MethodId Main = B.startMain();
+  P.addSite("S0", Main);
+  P.addSite(LongSite, Main);
+  B.emitReturn();
+  const SiteId Undeclared(999);
+
+  // Threads 1..3 from thread 0, which holds no dummy join lock of its own.
+  TempPath Path("race-lines");
+  TraceWriter W;
+  ASSERT_TRUE(W.open(Path).Ok);
+  for (uint32_t T = 1; T <= 3; ++T)
+    W.onThreadCreate(ThreadId(T), ThreadId(0), ObjectId(T));
+  auto Access = [&](uint32_t T, uint32_t Object, uint32_t Field,
+                    AccessKind Kind, SiteId Site) {
+    W.onAccess(ThreadId(T), LocationKey::forField(ObjectId(Object),
+                                                  FieldId(Field)),
+               Kind, Site);
+  };
+  // The long field at the long site.
+  Access(1, 10, 1, AccessKind::Write, SiteId(1));
+  Access(2, 10, 1, AccessKind::Write, SiteId(1));
+  // A current access at a site the program does not declare.
+  Access(2, 11, 0, AccessKind::Read, SiteId(0));
+  Access(1, 11, 0, AccessKind::Write, Undeclared);
+  // Two threads read under lock 5, then a third writes: without dummy
+  // locks the two reads meet into one access whose thread is unknown.
+  for (uint32_t T = 1; T <= 2; ++T) {
+    W.onMonitorEnter(ThreadId(T), LockId(5), false, SiteId(0));
+    Access(T, 12, 0, AccessKind::Read, SiteId(0));
+    W.onMonitorExit(ThreadId(T), LockId(5), false);
+  }
+  Access(3, 12, 0, AccessKind::Write, SiteId(1));
+  // An earlier access under a program lock alone (thread 0's).
+  W.onMonitorEnter(ThreadId(0), LockId(7), false, SiteId(0));
+  Access(0, 13, 0, AccessKind::Write, SiteId(0));
+  W.onMonitorExit(ThreadId(0), LockId(7), false);
+  Access(1, 13, 0, AccessKind::Read, SiteId(1));
+  ASSERT_TRUE(W.close().Ok);
+
+  // Without ownership, so the first access to each location is stored.
+  ToolConfig Plain = ToolConfig::noOwnership();
+  ToolConfig NoJoin = ToolConfig::noOwnership();
+  NoJoin.ModelJoin = false;
+  ToolConfig Prov = ToolConfig::noOwnership();
+  Prov.Provenance = true;
+  bool SawHeapLine = false, SawUndeclared = false, SawUnknownThread = false,
+       SawDummy = false, SawLockWithoutDummy = false, SawDetail = false;
+  PipelineResult PlainRun;
+  for (const ToolConfig *Cfg : {&Plain, &NoJoin, &Prov}) {
+    PipelineResult R = replayTracePipeline(P, *Cfg, Path);
+    ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
+    const RaceReporter &Reports = R.Reports;
+    ASSERT_EQ(R.FormattedRaces.size(), Reports.size());
+    ASSERT_GE(Reports.size(), 4u);
+    if (Cfg == &Prov) {
+      ASSERT_EQ(Reports.size(), PlainRun.FormattedRaces.size());
+    }
+    for (size_t I = 0; I != Reports.size(); ++I) {
+      const RaceRecord &Rec = Reports.records()[I];
+      std::string Want =
+          referenceLine(P, Rec, Reports.locks(Rec.PriorLocks));
+      const std::string &Got = R.FormattedRaces[I];
+      if (Cfg == &Prov) {
+        // The provenance detail follows the line as continuation text.
+        ASSERT_EQ(Got.substr(0, Want.size()), Want) << "record " << I;
+        if (Got.size() != Want.size()) {
+          EXPECT_EQ(Got.compare(Want.size(), 5, "\n    "), 0) << Got;
+          SawDetail = true;
+        }
+        EXPECT_EQ(Want, PlainRun.FormattedRaces[I]) << "record " << I;
+        continue;
+      }
+      EXPECT_EQ(Got, Want) << "record " << I;
+      SawHeapLine |= Got.size() > LongField.size() + LongSite.size();
+      SawUndeclared |= Rec.CurrentSite == Undeclared;
+      SawUnknownThread |= !Rec.PriorThreadKnown;
+      SawDummy |= Got.find("(+join ordering)") != std::string::npos;
+      SawLockWithoutDummy |=
+          Got.find("holding 1 lock(s)") != std::string::npos &&
+          Got.find("(+join ordering)") == std::string::npos;
+    }
+    // Each group's entry carries its first record's line.
+    size_t G = 0;
+    for (const ReportEntry &E : R.Entries) {
+      if (E.EntryKind != ReportEntry::Kind::Race)
+        continue;
+      const RaceReporter::Group &Group = Reports.groups()[G++];
+      const RaceRecord &Rec = Reports.records()[Group.FirstRecord];
+      EXPECT_EQ(E.Message,
+                referenceLine(P, Rec, Reports.locks(Rec.PriorLocks)));
+    }
+    EXPECT_EQ(G, Reports.groups().size());
+    if (Cfg == &Plain)
+      PlainRun = std::move(R);
+  }
+  EXPECT_TRUE(SawHeapLine);
+  EXPECT_TRUE(SawUndeclared);
+  EXPECT_TRUE(SawUnknownThread);
+  EXPECT_TRUE(SawDummy);
+  EXPECT_TRUE(SawLockWithoutDummy);
+  EXPECT_TRUE(SawDetail);
 }
 
 } // namespace

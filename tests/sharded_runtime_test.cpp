@@ -136,8 +136,8 @@ TEST(ShardedRuntimeTest, ShardPoolMatchesSerialDetectorOnRawEvents) {
     Pool.finish();
 
     RaceReporter PoolReporter;
-    for (RaceRecord &Rec : Pool.mergedRecords())
-      PoolReporter.report(std::move(Rec));
+    for (uint32_t I = 0; I != Pool.numShards(); ++I)
+      PoolReporter.merge(Pool.shardReporter(I));
     EXPECT_EQ(canonicalRecords(SerialReporter),
               canonicalRecords(PoolReporter))
         << "shards " << Shards;

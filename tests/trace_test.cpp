@@ -369,6 +369,33 @@ TEST(TraceFileTest, CreatesPastTheThreadLimitAreInvalid) {
   EXPECT_NE(Past.Error.find("thread limit"), std::string::npos) << Past.Error;
 }
 
+TEST(TraceFileTest, LocksInTheDummyJoinLockRangeAreInvalid) {
+  // A program lock at or past FirstDummyLock would alias a thread's dummy
+  // join lock (thread 1's is FirstDummyLock + 1) and hide its races.
+  TempPath Path("dummy-lock");
+  auto replayLock = [&](uint32_t Lock, bool Exit) {
+    EventLog Log;
+    Log.onThreadCreate(ThreadId(1), ThreadId(0), ObjectId(1));
+    if (Exit)
+      Log.onMonitorExit(ThreadId(1), LockId(Lock), false);
+    else
+      Log.onMonitorEnter(ThreadId(1), LockId(Lock), false);
+    writeAll(Path, Log.serialize());
+    EventLog Out;
+    return readTraceFile(Path, Out);
+  };
+  for (bool Exit : {false, true}) {
+    EXPECT_TRUE(replayLock(FirstDummyLock - 1, Exit).Ok) << Exit;
+    for (uint32_t Lock : {FirstDummyLock, FirstDummyLock + 1, 0xFFFFFFFFu}) {
+      TraceResult TR = replayLock(Lock, Exit);
+      EXPECT_FALSE(TR.Ok) << Lock;
+      EXPECT_TRUE(TR.InvalidEvents) << Lock;
+      EXPECT_NE(TR.Error.find("dummy join lock"), std::string::npos)
+          << TR.Error;
+    }
+  }
+}
+
 TEST(TracePipelineTest, ReplayErrorsSurfaceDiagnostics) {
   Program P = testprogs::buildFigure2(/*SamePQ=*/false);
 

@@ -162,19 +162,6 @@ void printStats(const PipelineResult &R) {
                 (unsigned long long)R.TraceBytes);
 }
 
-/// Renders a racy location for the baseline replay report (the baselines
-/// report per-location, not per-access-pair).
-std::string formatLocation(const Program &P, LocationKey Loc) {
-  std::string Out = "race on object #";
-  Out += std::to_string(Loc.object().index());
-  uint32_t FieldBits = uint32_t(Loc.raw() & 0xFFFFFFFF);
-  if (FieldBits < P.numFields()) {
-    Out += " field ";
-    Out += P.Names.text(P.field(FieldId(FieldBits)).Name);
-  }
-  return Out;
-}
-
 /// `herd --replay --detector=<baseline>`: feed the trace to one of the
 /// comparison detectors and report its racy locations.
 int replayBaseline(const Program &P, const std::string &TracePath,
@@ -210,9 +197,11 @@ int replayBaseline(const Program &P, const std::string &TracePath,
     std::printf("no dataraces reported\n");
     return 0;
   }
+  // The baselines report per location, not per access pair; a replay has
+  // no heap to name classes from.
   std::printf("-- dataraces --\n");
   for (LocationKey Loc : Racy)
-    std::printf("%s\n", formatLocation(P, Loc).c_str());
+    std::printf("%s\n", formatRacyLocation(P, nullptr, Loc).c_str());
   return 1;
 }
 
