@@ -15,11 +15,10 @@
 ///   - the epoch backend's O(1) same-epoch path against the vector-clock
 ///     baseline's O(T) comparison at increasing thread counts
 ///     (docs/DETECTORS.md).
-/// Each check runs on the pointer-based reference trie (AccessTrie, the
-/// BM_Trie* rows) and on the access history the Detector ships
-/// (AccessHistory, the BM_History* rows).  The history rows take
-/// pre-interned lockset ids, as the runtime delivers them; the trie rows
-/// take LockSets.
+/// The check rows (BM_History*) time the access history the Detector
+/// ships (AccessHistory), on pre-interned lockset ids as the runtime
+/// delivers them.  The pointer-based reference trie (AccessTrie) runs in
+/// no job, so it has no rows.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +27,6 @@
 #include "baselines/VectorClockDetector.h"
 #include "detect/AccessCache.h"
 #include "detect/AccessHistory.h"
-#include "detect/AccessTrie.h"
 #include "detect/Detector.h"
 #include "detect/ShardedRuntime.h"
 #include "support/Rng.h"
@@ -76,19 +74,8 @@ void BM_CacheLockRelease(benchmark::State &State) {
 }
 BENCHMARK(BM_CacheLockRelease);
 
-void BM_TrieWeaknessFilter(benchmark::State &State) {
-  // The common case: the event is covered by a stored weaker access.
-  AccessTrie Trie;
-  LockSet NoLocks;
-  Trie.process(ThreadId(1), NoLocks, AccessKind::Write);
-  LockSet Held{LockId(3), LockId(7)};
-  for (auto _ : State)
-    benchmark::DoNotOptimize(
-        Trie.process(ThreadId(1), Held, AccessKind::Read));
-}
-BENCHMARK(BM_TrieWeaknessFilter);
-
 void BM_HistoryWeaknessFilter(benchmark::State &State) {
+  // The common case: the event is covered by a stored weaker access.
   LockSetInterner Interner;
   HistoryStore Store;
   AccessHistory History;
@@ -102,26 +89,8 @@ void BM_HistoryWeaknessFilter(benchmark::State &State) {
 }
 BENCHMARK(BM_HistoryWeaknessFilter);
 
-void BM_TrieProcessDeepLocksets(benchmark::State &State) {
-  // Locksets of the given depth; alternating threads so the meet churns.
-  size_t Depth = size_t(State.range(0));
-  LockSet L1, L2;
-  for (size_t I = 0; I != Depth; ++I) {
-    L1.insert(LockId(uint32_t(I)));
-    L2.insert(LockId(uint32_t(I + Depth)));
-  }
-  AccessTrie Trie;
-  uint32_t Turn = 0;
-  for (auto _ : State) {
-    const LockSet &L = (Turn & 1) ? L2 : L1;
-    benchmark::DoNotOptimize(
-        Trie.process(ThreadId(1 + (Turn & 1)), L, AccessKind::Read));
-    ++Turn;
-  }
-}
-BENCHMARK(BM_TrieProcessDeepLocksets)->Arg(1)->Arg(4)->Arg(16);
-
 void BM_HistoryProcessDeepLocksets(benchmark::State &State) {
+  // Locksets of the given depth; alternating threads so the meet churns.
   size_t Depth = size_t(State.range(0));
   LockSet L1, L2;
   for (size_t I = 0; I != Depth; ++I) {
@@ -188,26 +157,9 @@ void BM_NaiveOracleQuadratic(benchmark::State &State) {
 }
 BENCHMARK(BM_NaiveOracleQuadratic)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_TrieSameStreamLinear(benchmark::State &State) {
-  // The same race-free stream through the trie: per-event cost is flat
-  // because the weakness filter absorbs everything after the first few.
-  size_t NumEvents = size_t(State.range(0));
-  for (auto _ : State) {
-    Rng R(7);
-    AccessTrie Trie;
-    for (size_t I = 0; I != NumEvents; ++I) {
-      LockSet L;
-      L.insert(LockId(9));
-      L.insert(LockId(uint32_t(R.nextBelow(4))));
-      benchmark::DoNotOptimize(
-          Trie.process(ThreadId(uint32_t(R.nextBelow(3))), L,
-                       AccessKind::Write));
-    }
-  }
-}
-BENCHMARK(BM_TrieSameStreamLinear)->Arg(256)->Arg(1024)->Arg(4096);
-
 void BM_HistorySameStreamLinear(benchmark::State &State) {
+  // The same race-free stream through the history: per-event cost is flat
+  // because the weakness filter absorbs everything after the first few.
   size_t NumEvents = size_t(State.range(0));
   LockSetInterner Interner;
   LockSetId Ids[4];

@@ -22,8 +22,10 @@
 #include "baselines/NaiveDetector.h"
 #include "detect/EventLog.h"
 #include "detect/RaceRuntime.h"
+#include "detect/TraceFile.h"
 #include "ir/IRBuilder.h"
 #include "runtime/Interpreter.h"
+#include "support/TempPath.h"
 
 #include <cstdio>
 
@@ -121,22 +123,24 @@ int main() {
   std::printf("    (the online detector reported each location once — "
               "Definition 1 —\n     while replay enumerates every pair)\n");
 
-  // Step 4: pure post-mortem from the serialized log.
-  std::vector<uint8_t> Bytes = Log.serialize();
+  // Step 4: pure post-mortem from the log, written to a trace file and
+  // read back as a separate analysis process would.
+  TempPath TracePath("postmortem");
   EventLog Restored;
-  TraceResult Decoded = EventLog::deserialize(Bytes, Restored);
-  if (!Decoded.Ok) {
-    std::printf("log corrupt: %s\n", Decoded.Error.c_str());
+  TraceResult Res = writeTraceFile(TracePath, Log);
+  if (Res)
+    Res = readTraceFile(TracePath, Restored);
+  if (!Res) {
+    std::printf("trace file unusable: %s\n", Res.Error.c_str());
     return 1;
   }
   RaceRuntime Offline;
   Restored.replayInto(Offline);
-  std::printf("\n[4] post-mortem from a %zu-byte log (no re-execution): "
-              "%zu report(s), locations %s the online run\n",
-              Bytes.size(), Offline.reporter().size(),
-              Offline.reporter().reportedLocations() ==
-                      Online.reporter().reportedLocations()
-                  ? "match"
-                  : "DIFFER FROM");
-  return 0;
+  bool Match = Offline.reporter().reportedLocations() ==
+               Online.reporter().reportedLocations();
+  std::printf("\n[4] post-mortem from a %zu-record trace file (no "
+              "re-execution): %zu report(s), locations %s the online run\n",
+              Restored.size(), Offline.reporter().size(),
+              Match ? "match" : "DIFFER FROM");
+  return Match ? 0 : 1;
 }

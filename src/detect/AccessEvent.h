@@ -91,7 +91,7 @@ private:
 
   constexpr explicit ThreadLattice(Kind Tag) : Tag(Tag) {}
 
-  // Tag last: its tail padding can hold a neighbouring field (TrieNode).
+  // Tag last: its tail padding can hold a neighbouring field (HistoryEntry).
   ThreadId Id;
   Kind Tag = Kind::Top;
 };

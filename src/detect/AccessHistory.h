@@ -30,9 +30,9 @@
 /// merge of the resolved sets otherwise.  Entries do not cache the masks:
 /// a run holds few distinct locksets, so the interner's entries stay in
 /// cache, and 16-byte entries measured no slower than 24-byte ones that
-/// carried their mask (docs/PERFORMANCE.md).  The history never calls the
-/// interner's memoized queries, which belong to the producer thread: shard
-/// workers run detectors.
+/// carried their mask (docs/PERFORMANCE.md).  The history reads the
+/// interner only through mask(), isExact() and resolve(), which are safe
+/// to call from the shard workers that run detectors.
 ///
 /// Node count: the trie a history stands for has one node per distinct
 /// non-empty prefix of its stored locksets, plus the root once the first
@@ -71,7 +71,7 @@ namespace herd {
 struct HistoryEntry {
   LockSetId Locks;
   /// Diagnostics only (the prior-access site in race reports); never
-  /// consulted by the checks, like TrieNode::Site.
+  /// consulted by the checks, like the reference trie's node sites.
   SiteId Site;
   [[no_unique_address]] ThreadLattice Thread;
   AccessKind Access;

@@ -97,9 +97,6 @@ public:
   DetectorStats stats() const {
     DetectorStats S = Stats;
     S.TrieNodes = Histories.live();
-    S.LocksetMemoHits = Interner->memoHits();
-    S.LocksetMemoMisses = Interner->memoMisses();
-    S.LocksetMemoEvictions = Interner->memoEvictions();
     return S;
   }
 

@@ -35,9 +35,11 @@ struct DetectorStats {
   /// Trie nodes currently allocated across all shared locations.
   size_t TrieNodes = 0;
 
-  // Bounded subset/intersect memo of the LockSetInterner the detector
-  // resolves against.  In the sharded runtime the interner is shared, so
-  // aggregation copies these once instead of summing per shard.
+  // Always 0: the interner no longer memoizes lockset queries.  Kept
+  // because herdbench's traced run reads them
+  // (detect.lockset.memo_hit_rate), and the herd-stats document's golden
+  // and scripts/check_schema.py pin their lockset_memo_* members; they go
+  // with the next change to the benchmark.
   uint64_t LocksetMemoHits = 0;
   uint64_t LocksetMemoMisses = 0;
   uint64_t LocksetMemoEvictions = 0;

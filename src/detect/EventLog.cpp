@@ -182,30 +182,3 @@ std::vector<uint8_t> EventLog::serialize() const {
     encodeRecord(Out, R);
   return Out;
 }
-
-TraceResult EventLog::deserialize(const std::vector<uint8_t> &Bytes,
-                                  EventLog &Out) {
-  Out.clear();
-  if (TraceResult Header = checkHeader(Bytes.data(), Bytes.size()); !Header)
-    return Header;
-  size_t Body = Bytes.size() - HeaderBytes;
-  if (Body % RecordBytes != 0)
-    return TraceResult::failure(
-        "trace body of " + std::to_string(Body) +
-        " bytes is not a whole number of " + std::to_string(RecordBytes) +
-        "-byte records (truncated record or trailing garbage)");
-  size_t Count = Body / RecordBytes;
-  Out.Records.reserve(Count);
-  for (size_t I = 0; I != Count; ++I) {
-    Record R;
-    if (TraceResult Res =
-            decodeRecord(Bytes.data() + HeaderBytes + I * RecordBytes, R);
-        !Res) {
-      Out.clear();
-      return TraceResult::failure("record " + std::to_string(I) + ": " +
-                                  Res.Error);
-    }
-    Out.Records.push_back(R);
-  }
-  return TraceResult::success();
-}

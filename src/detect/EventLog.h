@@ -15,10 +15,12 @@
 /// RuntimeHooks implementation — the trie detector for offline race
 /// detection, the sharded runtime at any shard count, or the baseline
 /// detectors for differential comparison — without re-running the program.
-/// Logs round-trip through the versioned byte format of
-/// detect/TraceFormat.h (serialize / deserialize), and detect/TraceFile.h
-/// streams the same format to and from disk, so a recording process and an
-/// analysis process can be different programs.
+/// serialize() encodes a log in the versioned byte format of
+/// detect/TraceFormat.h, and detect/TraceFile.h streams the same format to
+/// and from disk, so a recording process and an analysis process can be
+/// different programs.  Traces come back only through TraceFile.h's
+/// reader, which also applies the thread-index and lock-range checks a
+/// replay needs.
 ///
 /// Section 9 notes the classic post-mortem pitfall: "the size of the trace
 /// structure can grow prohibitively large"; logRecordBytes() makes that
@@ -111,14 +113,8 @@ public:
 
   /// Serializes to a portable little-endian byte buffer in the versioned
   /// trace format (16-byte header + records; detect/TraceFormat.h).
+  /// readTraceFile (detect/TraceFile.h) reads it back.
   std::vector<uint8_t> serialize() const;
-
-  /// Restores a log from a serialized trace.  Every read is bounds-checked:
-  /// a bad header, a truncated record, trailing garbage, an unknown record
-  /// kind or nonzero reserved bytes all yield a diagnostic error (and an
-  /// empty \p Out), never an out-of-bounds access or silent truncation.
-  static TraceResult deserialize(const std::vector<uint8_t> &Bytes,
-                                 EventLog &Out);
 
 private:
   std::vector<Record> Records;

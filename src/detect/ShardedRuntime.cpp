@@ -153,11 +153,6 @@ DetectorStats ShardPool::aggregateDetectorStats() const {
     Sum.LocationsShared += D.LocationsShared;
     Sum.TrieNodes += D.TrieNodes;
   }
-  // The interner (and so its memo) is shared across shards: copy its
-  // counters once rather than summing the same numbers N times.
-  Sum.LocksetMemoHits = Locksets->memoHits();
-  Sum.LocksetMemoMisses = Locksets->memoMisses();
-  Sum.LocksetMemoEvictions = Locksets->memoEvictions();
   return Sum;
 }
 
@@ -268,9 +263,6 @@ RaceRuntimeStats ShardedRuntime::stats() {
   S.Detector.WeakerFiltered = Agg.WeakerFiltered;
   S.Detector.RacesReported = Agg.RacesReported;
   S.Detector.TrieNodes = Agg.TrieNodes;
-  S.Detector.LocksetMemoHits = Agg.LocksetMemoHits;
-  S.Detector.LocksetMemoMisses = Agg.LocksetMemoMisses;
-  S.Detector.LocksetMemoEvictions = Agg.LocksetMemoEvictions;
   if (Opts.UseOwnership) {
     // The shard detectors only ever see post-ownership events; the global
     // ownership picture lives in the producer-side filter.

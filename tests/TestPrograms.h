@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Small MiniJ programs shared by the analysis, instrumentation and
-/// pipeline tests.
+/// pipeline tests, and the corpus helpers of the differential suites.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,12 @@
 
 #include "ir/IRBuilder.h"
 #include "ir/Program.h"
+
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace herd {
 namespace testprogs {
@@ -162,6 +168,26 @@ inline Program buildFig3Loop(int64_t Iters) {
   B.emitPrint(B.emitGetField(Obj, F));
   B.emitReturn();
   return P;
+}
+
+/// Every named program the differential suites run: the programs above,
+/// each under a name for its diagnostics.
+inline std::vector<std::pair<std::string, Program>> namedCorpus() {
+  std::vector<std::pair<std::string, Program>> Out;
+  Out.emplace_back("counter-unlocked", buildCounter(/*Locked=*/false, 25).P);
+  Out.emplace_back("counter-locked", buildCounter(/*Locked=*/true, 25).P);
+  Out.emplace_back("figure2", buildFigure2(/*SamePQ=*/false));
+  Out.emplace_back("figure2-samepq", buildFigure2(/*SamePQ=*/true));
+  Out.emplace_back("fig3-loop", buildFig3Loop(40));
+  return Out;
+}
+
+/// The whole file at \p Path, or "" when it cannot be read.
+inline std::string slurp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
 }
 
 } // namespace testprogs

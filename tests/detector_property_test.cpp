@@ -17,9 +17,9 @@
 ///   - every outcome, node count and stored-access count of the production
 ///     AccessHistory must match the reference AccessTrie, and both a
 ///     structure-free model (a map from lockset to stored access), after
-///     every event of seeded streams: many locations on one store, lock
-///     universes past the interner's 64-lock masks, and one location that
-///     accumulates thousands of distinct locksets;
+///     every event of seeded streams: many locations, lock universes past
+///     the interner's 64-lock masks, and one location that accumulates
+///     thousands of distinct locksets;
 ///   - the dominator tree must agree with a naive quadratic dominator
 ///     computation on random CFGs.
 ///
@@ -177,7 +177,6 @@ TEST_P(DetectorPropertyTest, MultiLocationDetectorMatchesPerLocationTries) {
   RaceReporter TableReporter;
   Detector Table(TableReporter, {/*UseOwnership=*/false, false});
   std::map<uint64_t, AccessTrie> Independent;
-  AccessTrie::Scratch Scratch;
   struct Report {
     RaceRecord Record;
     LockSet Current, Prior;
@@ -190,8 +189,8 @@ TEST_P(DetectorPropertyTest, MultiLocationDetectorMatchesPerLocationTries) {
     AccessEvent E = randomEventAt(R, Loc, 3, 3);
     E.Site = SiteId(uint32_t(Step));
     Table.handleAccess(E);
-    AccessTrie::Outcome Out = Independent[Loc.raw()].process(
-        E.Thread, E.Locks, E.Access, E.Site, Scratch);
+    AccessTrie::Outcome Out =
+        Independent[Loc.raw()].process(E.Thread, E.Locks, E.Access, E.Site);
     if (!Out.Raced)
       continue;
     Report Want;
@@ -388,9 +387,8 @@ struct HistoryTriple {
 /// The model's node count is recounted only when \p CountModelNodes.
 void feedAll(HistoryTriple &Loc, HistoryStore &Histories,
              LockSetInterner &Interner, ThreadId Thread, const LockSet &Locks,
-             AccessKind Access, SiteId Site, AccessTrie::Scratch &S,
-             bool CountModelNodes, const std::string &Where,
-             ReferenceCoverage &Cov) {
+             AccessKind Access, SiteId Site, bool CountModelNodes,
+             const std::string &Where, ReferenceCoverage &Cov) {
   LockSetId Id = Interner.intern(Locks);
   bool Exact = Interner.isExact(Id);
   Cov.InexactEvents += !Exact;
@@ -398,7 +396,7 @@ void feedAll(HistoryTriple &Loc, HistoryStore &Histories,
     ++(Exact ? Cov.ExactVsInexact : Cov.InexactVsInexact);
   Loc.HoldsInexact |= !Exact;
 
-  AccessTrie::Outcome Trie = Loc.Trie.process(Thread, Locks, Access, Site, S);
+  AccessTrie::Outcome Trie = Loc.Trie.process(Thread, Locks, Access, Site);
   AccessHistory::Outcome Fast =
       Loc.History.process(Histories, Interner, Thread, Id, Access, Site);
   AccessTrie::Outcome Want = Loc.Model.process(Thread, Locks, Access, Site);
@@ -418,21 +416,17 @@ void feedAll(HistoryTriple &Loc, HistoryStore &Histories,
 
 /// One seeded stream over \p NumTries locations, checked after every
 /// event: each location has an AccessHistory (all on one HistoryStore), an
-/// AccessTrie (all on one TrieStore) and a ReferenceTrie.  Monitors come
-/// from locks 0..NumLocks-1, so past 64 the interner's masks go inexact.
+/// AccessTrie and a ReferenceTrie.  Monitors come from locks
+/// 0..NumLocks-1, so past 64 the interner's masks go inexact.
 void checkAgainstReference(uint64_t Seed, uint32_t NumTries, uint32_t NumLocks,
                            int Events, ReferenceCoverage &Cov) {
   Rng R(Seed);
-  TrieStore Store;
   HistoryStore Histories;
   LockSetInterner Interner;
-  std::vector<HistoryTriple> Locs;
-  Locs.reserve(NumTries);
-  for (uint32_t I = 0; I != NumTries; ++I)
-    Locs.push_back(HistoryTriple{AccessHistory(), AccessTrie(Store), {}});
+  std::vector<HistoryTriple> Locs(NumTries);
   std::vector<size_t> Low(NumTries, SIZE_MAX);
-  size_t Live = NumTries;
-  AccessTrie::Scratch S;
+  std::vector<bool> Touched(NumTries, false);
+  size_t Live = 0; ///< nodes of the touched tries: HistoryStore::live()
   constexpr uint32_t NumThreads = 4;
 
   for (int Step = 0; Step != Events; ++Step) {
@@ -460,11 +454,10 @@ void checkAgainstReference(uint64_t Seed, uint32_t NumTries, uint32_t NumLocks,
     std::string Where = "seed " + std::to_string(Seed) + " step " +
                         std::to_string(Step) + " location " +
                         std::to_string(Loc);
-    feedAll(Locs[Loc], Histories, Interner, Thread, Locks, Access, Site, S,
+    feedAll(Locs[Loc], Histories, Interner, Thread, Locks, Access, Site,
             /*CountModelNodes=*/true, Where, Cov);
     if (::testing::Test::HasFatalFailure())
       return;
-    ASSERT_EQ(Histories.live(), Store.live()) << Where;
 
     size_t After = Locs[Loc].Trie.nodeCount();
     if (After < Before) {
@@ -473,7 +466,9 @@ void checkAgainstReference(uint64_t Seed, uint32_t NumTries, uint32_t NumLocks,
     } else if (After > Before && Low[Loc] != SIZE_MAX) {
       ++Cov.Regrowths; // nodes freed earlier in this trie are needed again
     }
-    Live = Live - Before + After;
+    Live = Live - (Touched[Loc] ? Before : 0) + After;
+    Touched[Loc] = true;
+    ASSERT_EQ(Histories.live(), Live) << Where;
     Cov.MaxLiveNodes = std::max(Cov.MaxLiveNodes, Live);
   }
 }
@@ -481,16 +476,16 @@ void checkAgainstReference(uint64_t Seed, uint32_t NumTries, uint32_t NumLocks,
 class ReferenceTrieTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ReferenceTrieTest, OutcomesAndShapeMatchTheFlatModel) {
-  // 384 tries on one store: together they hold more nodes than one storage
-  // chunk, so a trie's later nodes land in a chunk its first ones are not
-  // in.
+  // 384 histories on one store: together they hold more nodes than one
+  // storage chunk has entries, so a history's later blocks land in a chunk
+  // its first ones are not in.
   ReferenceCoverage Cov;
   checkAgainstReference(GetParam(), 384, 10, 40000, Cov);
   EXPECT_GT(Cov.Filtered, 0u);
   EXPECT_GT(Cov.Raced, 0u);
   EXPECT_GT(Cov.Shrinks, 0u) << "no event pruned a subtree";
   EXPECT_GT(Cov.Regrowths, 0u) << "no trie grew again after pruning";
-  EXPECT_GT(Cov.MaxLiveNodes, size_t(Arena<TrieNode>::ChunkSize))
+  EXPECT_GT(Cov.MaxLiveNodes, size_t(HistoryStore::ChunkEntries))
       << "the stream stays in one chunk";
 }
 
@@ -519,11 +514,9 @@ TEST_P(CrowdedHistoryTest, HistoryMatchesOnACrowdedLocation) {
   // monitors, which no other five-lock set contains, so few are filtered.
   // Now and then a two-lock event prunes the supersets its thread stored.
   Rng R(GetParam() + 200);
-  TrieStore Store;
   HistoryStore Histories;
   LockSetInterner Interner;
-  HistoryTriple Loc{AccessHistory(), AccessTrie(Store), {}};
-  AccessTrie::Scratch S;
+  HistoryTriple Loc;
   ReferenceCoverage Cov;
   size_t MaxStored = 0, Shrinks = 0;
   constexpr int Events = 2500;
@@ -540,13 +533,13 @@ TEST_P(CrowdedHistoryTest, HistoryMatchesOnACrowdedLocation) {
     // trie's own count is checked after every event.
     bool CountModelNodes = Step % 250 == 0 || Step + 1 == Events;
     feedAll(Loc, Histories, Interner, Thread, Locks, Access,
-            SiteId(uint32_t(Step)), S, CountModelNodes,
+            SiteId(uint32_t(Step)), CountModelNodes,
             "seed " + std::to_string(GetParam()) + " step " +
                 std::to_string(Step),
             Cov);
     if (::testing::Test::HasFatalFailure())
       return;
-    ASSERT_EQ(Histories.live(), Store.live());
+    ASSERT_EQ(Histories.live(), Loc.Trie.nodeCount());
     Shrinks += Loc.History.nodeCount() < Before;
     MaxStored = std::max(MaxStored, Loc.History.storedAccessCount());
   }

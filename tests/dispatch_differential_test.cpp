@@ -37,35 +37,16 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 using namespace herd;
 using fuzzprogs::generateProgram;
+using testprogs::namedCorpus;
+using testprogs::slurp;
 
 namespace {
-
-//===----------------------------------------------------------------------===
-// Corpus
-//===----------------------------------------------------------------------===
-
-/// Every named program the repo's unit tests exercise, plus a slice of the
-/// fuzz generator's space (the full range runs in the fuzz-level test
-/// below).
-std::vector<std::pair<std::string, Program>> namedCorpus() {
-  std::vector<std::pair<std::string, Program>> Out;
-  Out.emplace_back("counter-unlocked",
-                   testprogs::buildCounter(/*Locked=*/false, 25).P);
-  Out.emplace_back("counter-locked",
-                   testprogs::buildCounter(/*Locked=*/true, 25).P);
-  Out.emplace_back("figure2", testprogs::buildFigure2(/*SamePQ=*/false));
-  Out.emplace_back("figure2-samepq",
-                   testprogs::buildFigure2(/*SamePQ=*/true));
-  Out.emplace_back("fig3-loop", testprogs::buildFig3Loop(40));
-  return Out;
-}
 
 //===----------------------------------------------------------------------===
 // Pipeline-level equivalence
@@ -93,13 +74,6 @@ void expectSameRun(const PipelineResult &Ref, const PipelineResult &Got,
             Got.Stats.Detector.RacesReported);
   EXPECT_EQ(Ref.Stats.Hook.FilterHits, Got.Stats.Hook.FilterHits);
   EXPECT_EQ(Ref.TraceRecords, Got.TraceRecords);
-}
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  return Buffer.str();
 }
 
 /// Runs \p P under switch and threaded dispatch with otherwise-identical

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Tests for the two extensions beyond the core reproduction:
-///   - EventLog: post-mortem detection (record, replay, serialize) —
+///   - EventLog: post-mortem detection (record, replay) —
 ///     Section 1 says the approach "could be easily modified to perform
 ///     post-mortem datarace detection"; this proves it;
 ///   - DeadlockDetector: the Section 10 future-work item, implemented as a
@@ -64,48 +64,6 @@ TEST(EventLogTest, PostMortemDetectionEqualsOnline) {
   EXPECT_EQ(Offline.reporter().reportedLocations(),
             Online.reporter().reportedLocations());
   EXPECT_EQ(Offline.reporter().size(), Online.reporter().size());
-}
-
-TEST(EventLogTest, SerializeRoundTrips) {
-  CounterProgram CP = buildCounter(/*Locked=*/true, 5);
-  EventLog Log;
-  InterpOptions Opts;
-  Opts.TraceEveryAccess = true;
-  Interpreter Interp(CP.P, &Log, Opts);
-  ASSERT_TRUE(Interp.run().Ok);
-  ASSERT_GT(Log.size(), 0u);
-
-  std::vector<uint8_t> Bytes = Log.serialize();
-  EXPECT_EQ(Bytes.size(),
-            tracefmt::HeaderBytes + Log.size() * EventLog::logRecordBytes());
-
-  EventLog Restored;
-  ASSERT_TRUE(EventLog::deserialize(Bytes, Restored).Ok);
-  ASSERT_EQ(Restored.size(), Log.size());
-
-  // The restored log drives a detector identically.
-  RaceRuntime A, B;
-  Log.replayInto(A);
-  Restored.replayInto(B);
-  EXPECT_EQ(A.reporter().reportedLocations(),
-            B.reporter().reportedLocations());
-}
-
-TEST(EventLogTest, DeserializeRejectsCorruptInput) {
-  EventLog Log;
-  Log.onThreadExit(ThreadId(1));
-  std::vector<uint8_t> Bytes = Log.serialize();
-
-  EventLog Out;
-  std::vector<uint8_t> Truncated(Bytes.begin(), Bytes.end() - 1);
-  EXPECT_FALSE(EventLog::deserialize(Truncated, Out).Ok);
-
-  std::vector<uint8_t> BadKind = Bytes;
-  BadKind[tracefmt::HeaderBytes] = 0xFF; // first record's kind byte
-  EXPECT_FALSE(EventLog::deserialize(BadKind, Out).Ok);
-
-  EXPECT_FALSE(EventLog::deserialize({1, 2, 3}, Out).Ok);
-  EXPECT_TRUE(EventLog::deserialize(Bytes, Out).Ok);
 }
 
 //===----------------------------------------------------------------------===

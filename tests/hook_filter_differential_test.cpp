@@ -36,13 +36,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 using namespace herd;
 using fuzzprogs::generateProgram;
+using testprogs::namedCorpus;
+using testprogs::slurp;
 
 namespace {
 
@@ -139,19 +139,6 @@ TEST(AccessCacheTest, InsertReportsTheDisplacedKey) {
 //===----------------------------------------------------------------------===
 // Pipeline-level equivalence: filter on vs off
 //===----------------------------------------------------------------------===
-
-std::vector<std::pair<std::string, Program>> namedCorpus() {
-  std::vector<std::pair<std::string, Program>> Out;
-  Out.emplace_back("counter-unlocked",
-                   testprogs::buildCounter(/*Locked=*/false, 25).P);
-  Out.emplace_back("counter-locked",
-                   testprogs::buildCounter(/*Locked=*/true, 25).P);
-  Out.emplace_back("figure2", testprogs::buildFigure2(/*SamePQ=*/false));
-  Out.emplace_back("figure2-samepq",
-                   testprogs::buildFigure2(/*SamePQ=*/true));
-  Out.emplace_back("fig3-loop", testprogs::buildFig3Loop(40));
-  return Out;
-}
 
 /// Asserts that a filter-on run is indistinguishable from the filter-off
 /// reference.  Everything observable must match — including the detector's
@@ -330,13 +317,6 @@ TEST(HookFilterDifferentialTest, QuantumEdgesStayIdentical) {
 //===----------------------------------------------------------------------===
 // Record/replay interop
 //===----------------------------------------------------------------------===
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  return Buffer.str();
-}
 
 TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
   // Filtering applies to detector delivery, never to `--record`: with a

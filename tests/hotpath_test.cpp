@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Tests for the allocation-lean detector hot path (docs/PERFORMANCE.md):
-/// the LockSetInterner against a SortedIdSet oracle (including the >64-lock
-/// inexact path), Arena index stability and runs, the TrieStore's
-/// per-trie free lists and live count, the HistoryStore's block reuse and
+/// the LockSetInterner's masks against a SortedIdSet oracle (including the
+/// >64-lock inexact sets), the HistoryStore's block reuse and
 /// chunk-spanning blocks, and differential replays proving the
 /// interned/sharded paths produce the identical RaceReport stream as the
 /// original handleAccess path.
@@ -18,13 +17,11 @@
 #include "FuzzPrograms.h"
 #include "TestPrograms.h"
 #include "detect/AccessHistory.h"
-#include "detect/AccessTrie.h"
 #include "detect/Detector.h"
 #include "detect/RaceRuntime.h"
 #include "detect/ShardedRuntime.h"
 #include "detect/TraceFile.h"
 #include "runtime/Interpreter.h"
-#include "support/Arena.h"
 #include "support/LockSetInterner.h"
 #include "support/Rng.h"
 #include "support/TempPath.h"
@@ -32,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -71,20 +69,9 @@ TEST(LockSetInterner, CanonicalIds) {
   EXPECT_TRUE(Back.contains(LockId(7)));
 }
 
-TEST(LockSetInterner, EmptySetQueries) {
-  LockSetInterner I;
-  LockSetId E = LockSetInterner::emptySet();
-  LockSetId A = I.intern(makeSet({1}));
-  EXPECT_TRUE(I.isSubsetOf(E, A));
-  EXPECT_TRUE(I.isSubsetOf(E, E));
-  EXPECT_FALSE(I.isSubsetOf(A, E));
-  EXPECT_FALSE(I.intersects(E, A));
-  EXPECT_FALSE(I.intersects(E, E));
-}
-
-/// Randomized subset/intersect agreement with the SortedIdSet oracle.
-/// \p Universe controls whether sets stay inside the 64-dense-lock fast
-/// path or spill into the memoized inexact path.
+/// Randomized agreement of what the access history reads — mask() and
+/// isExact() — with the SortedIdSet oracle.  \p Universe controls whether
+/// sets stay inside the 64-dense-lock masks or spill past them.
 void checkAgainstOracle(uint32_t Universe, uint64_t Seed) {
   Rng R(Seed);
   LockSetInterner I;
@@ -94,15 +81,32 @@ void checkAgainstOracle(uint32_t Universe, uint64_t Seed) {
     size_t Size = R.nextBelow(6);
     for (size_t J = 0; J != Size; ++J)
       S.insert(LockId(uint32_t(R.nextBelow(Universe))));
-    Sets.push_back({I.intern(S), S});
+    LockSetId Id = I.intern(S);
+    // Each member's bit, read off its singleton set: interning one brings
+    // no new lock into the universe, since S already did.
+    uint64_t MemberBits = 0;
+    bool EveryMemberHasABit = true;
+    for (LockId Lock : S) {
+      LockSetId One = I.intern(LockSet{Lock});
+      MemberBits |= I.mask(One);
+      EveryMemberHasABit &= I.isExact(One);
+    }
+    // Every mask bit is a member, and an exact mask has one per member.
+    EXPECT_EQ(I.mask(Id), MemberBits);
+    EXPECT_EQ(I.isExact(Id), EveryMemberHasABit);
+    if (I.isExact(Id)) {
+      EXPECT_EQ(size_t(std::popcount(I.mask(Id))), S.size());
+    }
+    Sets.push_back({Id, S});
   }
+  // For two exact sets, ANDN and AND decide subset and intersection.
   for (int N = 0; N != 2000; ++N) {
     auto &[IdA, SetA] = Sets[R.nextBelow(Sets.size())];
     auto &[IdB, SetB] = Sets[R.nextBelow(Sets.size())];
-    EXPECT_EQ(I.isSubsetOf(IdA, IdB), SetA.isSubsetOf(SetB));
-    EXPECT_EQ(I.intersects(IdA, IdB), SetA.intersects(SetB));
-    // Memoized answers must be stable on repeat queries.
-    EXPECT_EQ(I.isSubsetOf(IdA, IdB), SetA.isSubsetOf(SetB));
+    if (!I.isExact(IdA) || !I.isExact(IdB))
+      continue;
+    EXPECT_EQ((I.mask(IdA) & ~I.mask(IdB)) == 0, SetA.isSubsetOf(SetB));
+    EXPECT_EQ((I.mask(IdA) & I.mask(IdB)) != 0, SetA.intersects(SetB));
   }
 }
 
@@ -116,48 +120,8 @@ TEST(LockSetInterner, OracleExactly64) {
 
 TEST(LockSetInterner, OracleSpillsPast64Locks) {
   // 200 lock ids: most sets contain locks whose dense index lands >= 64,
-  // exercising the inexact masks and the memoized fallback.
+  // exercising the inexact masks.
   checkAgainstOracle(/*Universe=*/200, /*Seed=*/3);
-}
-
-TEST(LockSetInterner, BoundedMemoOracleAcrossEvictions) {
-  // The subset/intersect memo is a fixed-size 2-way table with round-robin
-  // eviction.  Drive far more distinct inexact pairs through it than it
-  // can hold, so entries are evicted and later re-computed, and check every
-  // answer (first ask, memo hit, and post-eviction re-ask) against the
-  // SortedIdSet oracle.
-  LockSetInterner I;
-  // Saturate the 64-slot dense universe so every test set below (built
-  // from locks 100..399 only) is inexact — the memoized slow path.
-  for (uint32_t L = 0; L != 64; ++L)
-    I.intern(makeSet({L}));
-  std::vector<std::pair<LockSetId, LockSet>> Sets;
-  Rng R(17);
-  for (int N = 0; N != 120; ++N) {
-    LockSet S;
-    size_t Size = 1 + R.nextBelow(5);
-    for (size_t J = 0; J != Size; ++J)
-      S.insert(LockId(uint32_t(100 + R.nextBelow(300))));
-    Sets.push_back({I.intern(S), S});
-  }
-  // 120*120 = 14400 ordered pairs >> 512 sets * 2 ways = 1024 memo slots:
-  // three sweeps guarantee evictions and post-eviction recomputation.
-  // (Sequential sweeps alone cannot produce hits — each entry is evicted
-  // before its next use — so the immediate re-ask below is what pins the
-  // hit path: nothing can evict a subset-memo entry between back-to-back
-  // queries of the same pair.)
-  for (int Sweep = 0; Sweep != 3; ++Sweep)
-    for (auto &[IdA, SetA] : Sets)
-      for (auto &[IdB, SetB] : Sets) {
-        ASSERT_EQ(I.isSubsetOf(IdA, IdB), SetA.isSubsetOf(SetB));
-        ASSERT_EQ(I.intersects(IdA, IdB), SetA.intersects(SetB));
-        ASSERT_EQ(I.isSubsetOf(IdA, IdB), SetA.isSubsetOf(SetB));
-      }
-  // The table is far smaller than the pair space, so the run must have
-  // missed, hit (the immediate re-asks), and evicted.
-  EXPECT_GT(I.memoMisses(), 1024u);
-  EXPECT_GT(I.memoHits(), 0u);
-  EXPECT_GT(I.memoEvictions(), 0u);
 }
 
 TEST(LockSetInterner, MixedExactAndInexact) {
@@ -169,141 +133,15 @@ TEST(LockSetInterner, MixedExactAndInexact) {
   LockSetId Exact = I.intern(makeSet({1, 2}));
   LockSetId Inexact = I.intern(makeSet({1, 2, 900})); // 900 -> index 64
   LockSetId Other = I.intern(makeSet({900}));
-  EXPECT_TRUE(I.isSubsetOf(Exact, Inexact));
-  EXPECT_FALSE(I.isSubsetOf(Inexact, Exact));
-  EXPECT_TRUE(I.intersects(Inexact, Other));
-  EXPECT_FALSE(I.intersects(Exact, Other));
-}
-
-//===----------------------------------------------------------------------===
-// Arena: index stability, runs
-//===----------------------------------------------------------------------===
-
-TEST(Arena, IndicesStableAcrossGrowth) {
-  Arena<uint64_t> A;
-  // Far more than one chunk, and keep checking early slots as it grows.
-  const uint32_t N = Arena<uint64_t>::ChunkSize * 3 + 17;
-  std::vector<uint32_t> Indices;
-  for (uint32_t I = 0; I != N; ++I) {
-    uint32_t Idx = A.allocateRun(1).First;
-    A[Idx] = uint64_t(I) * 0x9E3779B9u;
-    Indices.push_back(Idx);
-  }
-  EXPECT_EQ(A.capacityUsed(), N);
-  for (uint32_t I = 0; I != N; ++I)
-    EXPECT_EQ(A[Indices[I]], uint64_t(I) * 0x9E3779B9u);
-}
-
-TEST(Arena, RunsDoNotAlias) {
-  Arena<uint64_t> A;
-  std::vector<uint32_t> Runs;
-  for (uint32_t I = 0; I != 64; ++I) {
-    Arena<uint64_t>::Run R = A.allocateRun(4);
-    ASSERT_EQ(R.Slots, 4u);
-    for (uint32_t J = 0; J != 4; ++J) {
-      EXPECT_EQ(A[R.First + J], 0u); // fresh slots are default-constructed
-      A[R.First + J] = I * 4 + J;
-    }
-    Runs.push_back(R.First);
-  }
-  for (uint32_t I = 0; I != 64; ++I)
-    for (uint32_t J = 0; J != 4; ++J)
-      EXPECT_EQ(A[Runs[I] + J], I * 4 + J);
-}
-
-TEST(Arena, RunsNeverStraddleChunks) {
-  Arena<uint64_t> A;
-  // Mixed run sizes: every run stays inside one chunk, follows the
-  // previous one without a gap, and is short only at a chunk's end.
-  Rng R(7);
-  uint32_t End = 0;
-  for (int I = 0; I != 3000; ++I) {
-    uint32_t Want = 1 + uint32_t(R.nextBelow(TrieStore::RunSlots));
-    Arena<uint64_t>::Run Run = A.allocateRun(Want);
-    ASSERT_GE(Run.Slots, 1u);
-    ASSERT_LE(Run.Slots, Want);
-    EXPECT_EQ(Run.First, End);
-    EXPECT_EQ(Run.First / Arena<uint64_t>::ChunkSize,
-              (Run.First + Run.Slots - 1) / Arena<uint64_t>::ChunkSize);
-    if (Run.Slots < Want) {
-      EXPECT_EQ((Run.First + Run.Slots) % Arena<uint64_t>::ChunkSize, 0u);
-    }
-    End = Run.First + Run.Slots;
-    // Touch both ends: would fault or corrupt a neighbour if misplaced.
-    A[Run.First] = uint64_t(I);
-    A[End - 1] = uint64_t(I);
-  }
-  EXPECT_GT(End, Arena<uint64_t>::ChunkSize * 2);
-}
-
-//===----------------------------------------------------------------------===
-// TrieStore: per-trie free lists, the live count
-//===----------------------------------------------------------------------===
-
-TEST(TrieStore, FreedNodesAreReusedByTheirTrie) {
-  TrieStore Store;
-  AccessTrie A(Store), B(Store);
-  LockSet Three, Empty, Other;
-  for (uint32_t L : {1u, 2u, 3u})
-    Three.insert(LockId(L));
-  for (uint32_t L : {5u, 6u, 7u})
-    Other.insert(LockId(L));
-
-  A.process(ThreadId(1), Three, AccessKind::Write);
-  EXPECT_EQ(A.nodeCount(), 4u); // root -> 1 -> 2 -> 3
-  // A weaker write by the same thread prunes the whole chain: its three
-  // nodes go on A's free list, not back to the store.
-  A.process(ThreadId(1), Empty, AccessKind::Write);
-  EXPECT_EQ(A.nodeCount(), 1u);
-  size_t Used = Store.slotsUsed();
-
-  // B cannot take A's freed nodes: it needs fresh slots.
-  B.process(ThreadId(2), Three, AccessKind::Write);
-  EXPECT_EQ(B.nodeCount(), 4u);
-  EXPECT_GT(Store.slotsUsed(), Used);
-  Used = Store.slotsUsed();
-
-  // A grows again out of its own free list, and the recycled nodes start
-  // out empty: only the new access is stored under them.
-  A.process(ThreadId(2), Other, AccessKind::Read);
-  EXPECT_EQ(A.nodeCount(), 4u);
-  EXPECT_EQ(A.storedAccessCount(), 2u);
-  EXPECT_EQ(Store.slotsUsed(), Used);
-  EXPECT_EQ(Store.live(), A.nodeCount() + B.nodeCount());
-  EXPECT_TRUE(A.checkInvariants());
-  EXPECT_TRUE(B.checkInvariants());
-}
-
-TEST(TrieStore, LiveCountIsTheSumOverTries) {
-  // Seeded streams over many tries on one store: growth, pruning and
-  // reuse all move the store's live count exactly as the tries' own
-  // counts move.  A trie that has seen no event holds no slot.
-  Rng R(11);
-  TrieStore Store;
-  std::vector<AccessTrie> Tries;
-  for (int I = 0; I != 200; ++I)
-    Tries.emplace_back(Store);
-  std::vector<bool> Touched(Tries.size(), false);
-  for (int Step = 0; Step != 20000; ++Step) {
-    size_t T = R.nextBelow(Tries.size());
-    LockSet Locks;
-    for (uint32_t L = 0; L != 6; ++L)
-      if (R.nextChance(1, 3))
-        Locks.insert(LockId(L));
-    Tries[T].process(ThreadId(uint32_t(R.nextBelow(3))), Locks,
-                     R.nextChance(1, 2) ? AccessKind::Write
-                                        : AccessKind::Read);
-    Touched[T] = true;
-    if (Step % 1000 == 999) {
-      size_t Sum = 0;
-      for (size_t I = 0; I != Tries.size(); ++I)
-        Sum += Touched[I] ? Tries[I].nodeCount() : 0;
-      ASSERT_EQ(Store.live(), Sum) << "step " << Step;
-      ASSERT_LE(Store.live(), Store.slotsUsed());
-    }
-  }
-  for (const AccessTrie &Trie : Tries)
-    EXPECT_TRUE(Trie.checkInvariants());
+  EXPECT_TRUE(I.isExact(Exact));
+  EXPECT_FALSE(I.isExact(Inexact));
+  EXPECT_FALSE(I.isExact(Other));
+  // The masks hold the members inside the universe, and only those.
+  EXPECT_EQ(I.mask(Exact), uint64_t(0b110));
+  EXPECT_EQ(I.mask(Inexact), uint64_t(0b110));
+  EXPECT_EQ(I.mask(Other), 0u);
+  EXPECT_TRUE(I.isExact(LockSetInterner::emptySet()));
+  EXPECT_EQ(I.mask(LockSetInterner::emptySet()), 0u);
 }
 
 //===----------------------------------------------------------------------===

@@ -13,11 +13,10 @@
 ///    live/replay on the hand-written test programs, the fuzz corpus and
 ///    the benchmark replicas.
 ///
-///  * Reserve arithmetic — FlatTable::capacityFor / Arena::chunksFor and
-///    their reserve() counterparts at the edges (zero, load-factor
-///    boundaries, saturation at SIZE_MAX), and a reserved TrieStore or
-///    HistoryStore taking the nodes or entries it was reserved for without
-///    another chunk.
+///  * Reserve arithmetic — FlatTable::capacityFor and its reserve()
+///    counterpart at the edges (zero, load-factor boundaries, saturation
+///    at SIZE_MAX), and a reserved HistoryStore taking the entries it was
+///    reserved for without another chunk.
 ///
 ///  * Plan arithmetic — clamped() caps, sized(), forShard() slicing.
 ///
@@ -27,9 +26,7 @@
 #include "TestPrograms.h"
 #include "analysis/DetectorPlanner.h"
 #include "detect/AccessHistory.h"
-#include "detect/AccessTrie.h"
 #include "herd/Pipeline.h"
-#include "support/Arena.h"
 #include "support/FlatTable.h"
 #include "support/TempPath.h"
 #include "workloads/Workloads.h"
@@ -200,65 +197,10 @@ TEST(FlatTableReserve, ReserveAfterInsertRehashesExisting) {
 }
 
 //===----------------------------------------------------------------------===
-// Arena / TrieStore reserve arithmetic
+// HistoryStore reserve
 //===----------------------------------------------------------------------===
 
-TEST(ArenaReserve, ChunksForEdges) {
-  using A = Arena<uint64_t>;
-  EXPECT_EQ(A::chunksFor(0), 0u);
-  EXPECT_EQ(A::chunksFor(1), 1u);
-  EXPECT_EQ(A::chunksFor(4096), 1u);
-  EXPECT_EQ(A::chunksFor(4097), 2u);
-  // The index space tops out at 0xFFFFFFFE slots; requests beyond clamp
-  // instead of overflowing the chunk math.
-  EXPECT_EQ(A::chunksFor(SIZE_MAX), (size_t(0xFFFFFFFE) + 4095) / 4096);
-}
-
-TEST(ArenaReserve, ReserveIsUsableAndIdempotent) {
-  Arena<uint64_t> A;
-  A.reserve(10000);
-  size_t Reserved = A.reservedSlots();
-  EXPECT_GE(Reserved, 10000u);
-  A.reserve(100); // shrink request: no-op
-  EXPECT_EQ(A.reservedSlots(), Reserved);
-  // Allocations land inside the reserved chunks and slots are default
-  // initialized even though the chunk was created before first use.
-  for (uint32_t I = 0; I != 10000; ++I) {
-    uint32_t Idx = A.allocateRun(1).First;
-    EXPECT_EQ(A[Idx], 0u);
-    A[Idx] = I + 1;
-  }
-  EXPECT_EQ(A.reservedSlots(), Reserved);
-  A.reserve(0);
-  EXPECT_EQ(A.reservedSlots(), Reserved);
-}
-
-TEST(ArenaReserve, ReserveCoversSubsequentRuns) {
-  // A trie store reserved for 20000 nodes takes 2500 tries of eight nodes
-  // each without another chunk: a trie's runs (1, 1, 2, 4 slots) hold
-  // exactly its eight nodes.
-  TrieStore Store;
-  Store.reserve(20000);
-  size_t Reserved = Store.reservedSlots();
-  EXPECT_GE(Reserved, 20000u);
-  std::vector<AccessTrie> Tries;
-  for (int I = 0; I != 2500; ++I)
-    Tries.emplace_back(Store);
-  LockSet Chain;
-  for (uint32_t L = 0; L != 7; ++L)
-    Chain.insert(LockId(L));
-  for (AccessTrie &Trie : Tries)
-    Trie.process(ThreadId(1), Chain, AccessKind::Write);
-  EXPECT_EQ(Store.live(), 20000u);
-  EXPECT_EQ(Store.slotsUsed(), 20000u);
-  EXPECT_EQ(Store.reservedSlots(), Reserved);
-  // Note: reserve clamps to the 32-bit index space but will happily
-  // materialize gigabytes for a near-limit request — callers go through
-  // DetectorPlan::clamped() (<= 2^24 nodes), which
-  // DetectorPlanTest.ClampedCapsHostileValues pins.
-}
-
-TEST(ArenaReserve, HistoryReserveCoversSubsequentBlocks) {
+TEST(HistoryStoreReserve, ReserveCoversSubsequentBlocks) {
   // What Detector::applyPlan reserves: a history store reserved for 20000
   // entries takes 2500 histories of eight entries each without another
   // chunk.  Their blocks of 1, 2 and 4 entries are reused as each history

@@ -156,15 +156,12 @@ TEST(StatsTest, CountersMonotonicAsTraceGrows) {
 }
 
 /// expectEqualStats plus everything else both runtimes count the same way:
-/// the lockset memo, the hook-path filter and the per-thread caches.  Only
-/// the sharded runtime's staging counters (BatchFlushes, BatchedEvents)
-/// have no serial counterpart.
+/// the hook-path filter and the per-thread caches.  Only the sharded
+/// runtime's staging counters (BatchFlushes, BatchedEvents) have no serial
+/// counterpart.
 void expectSameFrontEndStats(const RaceRuntimeStats &A,
                              const RaceRuntimeStats &B) {
   expectEqualStats(A, B);
-  EXPECT_EQ(A.Detector.LocksetMemoHits, B.Detector.LocksetMemoHits);
-  EXPECT_EQ(A.Detector.LocksetMemoMisses, B.Detector.LocksetMemoMisses);
-  EXPECT_EQ(A.Detector.LocksetMemoEvictions, B.Detector.LocksetMemoEvictions);
   EXPECT_EQ(A.Hook.FilterEnabled, B.Hook.FilterEnabled);
   EXPECT_EQ(A.Hook.FilterHits, B.Hook.FilterHits);
   EXPECT_EQ(A.Hook.FilterMisses, B.Hook.FilterMisses);

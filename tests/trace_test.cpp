@@ -287,11 +287,15 @@ TEST(TraceFileTest, CorruptTracesAreRejectedWithDiagnostics) {
     expectRejected(B, "nonzero reserved u64 in a later record");
   }
 
-  // The untouched original still reads back fine.
+  // The untouched original still reads back fine, and a bare header is a
+  // valid, empty trace.
   writeAll(Path, Good);
   EventLog Out;
   EXPECT_TRUE(readTraceFile(Path, Out).Ok);
   EXPECT_EQ(Out.serialize(), Good);
+  writeAll(Path, {Good.begin(), Good.begin() + tracefmt::HeaderBytes});
+  EXPECT_TRUE(readTraceFile(Path, Out).Ok);
+  EXPECT_EQ(Out.size(), 0u);
 }
 
 TEST(TraceFileTest, ThreadIndicesMustBeCreatedInOrder) {

@@ -129,11 +129,6 @@ void printStats(const PipelineResult &R) {
               (unsigned long long)R.Stats.Detector.WeakerFiltered,
               R.Stats.Detector.LocationsTracked,
               R.Stats.Detector.TrieNodes);
-  if (R.Stats.Detector.LocksetMemoHits || R.Stats.Detector.LocksetMemoMisses)
-    std::printf("interner: %llu memo hits, %llu misses, %llu evictions\n",
-                (unsigned long long)R.Stats.Detector.LocksetMemoHits,
-                (unsigned long long)R.Stats.Detector.LocksetMemoMisses,
-                (unsigned long long)R.Stats.Detector.LocksetMemoEvictions);
   for (const ThreadCacheStats &TC : R.Stats.PerThreadCache) {
     double Rate = TC.lookups()
                       ? 100.0 * double(TC.hits()) / double(TC.lookups())
