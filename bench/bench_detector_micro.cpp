@@ -45,7 +45,7 @@ LocationKey keyOf(uint32_t Obj, uint32_t Field = 0) {
 
 void BM_CacheHit(benchmark::State &State) {
   AccessCache Cache;
-  Cache.insert(keyOf(1), LockId::invalid());
+  Cache.insert(keyOf(1));
   for (auto _ : State)
     benchmark::DoNotOptimize(Cache.lookup(keyOf(1)));
 }
@@ -57,7 +57,7 @@ void BM_CacheMissAndInsert(benchmark::State &State) {
   for (auto _ : State) {
     LocationKey Key = keyOf(Obj++ & 0xFFFF);
     if (!Cache.lookup(Key))
-      Cache.insert(Key, LockId::invalid());
+      Cache.insert(Key);
   }
 }
 BENCHMARK(BM_CacheMissAndInsert);
@@ -66,10 +66,11 @@ void BM_CacheLockRelease(benchmark::State &State) {
   for (auto _ : State) {
     State.PauseTiming();
     AccessCache Cache;
+    Cache.acquire();
     for (uint32_t I = 0; I != 64; ++I)
-      Cache.insert(keyOf(I * 97), LockId(5));
+      Cache.insert(keyOf(I * 97));
     State.ResumeTiming();
-    Cache.evictLock(LockId(5));
+    Cache.release(1);
   }
 }
 BENCHMARK(BM_CacheLockRelease);

@@ -133,8 +133,8 @@ void check(const TraceResult &TR, const std::string &What) {
 //===----------------------------------------------------------------------===
 
 /// Shape of the detector-bound reference stream.  Every access happens
-/// under at least one real lock, so the per-lock cache eviction at the
-/// matching monitorexit guarantees the next round misses the cache; the
+/// under at least one real lock, so the cache eviction at the matching
+/// monitorexit guarantees the next round misses the cache; the
 /// location window strides through a footprint far larger than the cache,
 /// and threads overlap on the same objects under differing locksets, so
 /// the tries see growth, weaker-than filtering, and genuine races.

@@ -19,8 +19,9 @@
 ///  * same lockset, no intervening sync — a slot stores the thread's sync
 ///    epoch at insertion time and the epoch is bumped on *every* sync
 ///    operation the thread performs (monitor enter/exit, thread
-///    create/exit/join), which over-approximates AccessCache's finer
-///    per-lock eviction lists;
+///    create/exit/join), which is coarser than AccessCache's acquisition
+///    tags (a release evicts only the entries made under the released
+///    lock's acquisition and those above it);
 ///  * no shared-transition or conflict displacement — the owning runtime
 ///    clears the key's slot whenever the detector-side machinery evicts it
 ///    (ownership shared-transition evictKey, cache conflict eviction).

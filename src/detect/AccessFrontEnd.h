@@ -11,10 +11,10 @@
 ///   access event -> L0 filter -> per-thread cache (Section 4) -> delivery
 ///
 /// It keeps each thread's lockset, models join ordering with per-thread
-/// dummy locks S_j (Section 2.3), and evicts a location from every cache
-/// when it becomes shared (the Section 7.2 fix).  Delivery is the
-/// runtime's own: AccessFrontEnd<Derived> calls Derived::deliver on a
-/// cache miss and Derived::syncPoint after each sync operation, bound at
+/// dummy locks S_j (Section 2.3), and evicts a location from its previous
+/// owner's caches when it becomes shared (the Section 7.2 fix).  Delivery
+/// is the runtime's own: AccessFrontEnd<Derived> calls Derived::deliver on
+/// a cache miss and Derived::syncPoint after each sync operation, bound at
 /// compile time (CRTP), so the per-access path adds no virtual or indirect
 /// call and no branch on the runtime's kind.
 ///
@@ -31,9 +31,9 @@
 #include "runtime/Hooks.h"
 #include "support/LockSetInterner.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace herd {
@@ -97,20 +97,16 @@ public:
   void onAccessFast(ThreadId Thread, LocationKey Location, AccessKind Access,
                     SiteId Site) {
     if (FilterOn) {
-      // Thread state is fetched with an inline bounds-checked load rather
-      // than the out-of-line threadState(): a null slot (first event from
-      // this thread) falls through to onAccess, which creates it.
-      size_t Index = Thread.index();
-      PerThread *T = Index < Threads.size() ? Threads[Index].get() : nullptr;
-      if (T) {
+      // A null state (first event from this thread) falls through to
+      // onAccess, which creates it.
+      if (PerThread *T = stateOf(Thread)) {
         LocationKey Key =
             Opts.FieldsMerged ? Location.withFieldsMerged() : Location;
         if (T->Filter.probe(Key, Access)) {
           // The differential oracle: an L0 hit must be backed by a resident
           // detector-side cache entry, i.e. the full path would have proven
           // the same access redundant (see docs/HOOKPATH.md).
-          assert((Access == AccessKind::Read ? T->ReadCache : T->WriteCache)
-                     .provesRedundant(Key) &&
+          assert(oracleHolds(Thread, Key, Access) &&
                  "L0 filter hit not backed by the detector-side cache");
           return;
         }
@@ -139,12 +135,9 @@ public:
   /// cache must prove the same access redundant.
   bool oracleHolds(ThreadId Thread, LocationKey Key,
                    AccessKind Access) const {
-    size_t Index = Thread.index();
-    if (Index >= Threads.size() || !Threads[Index])
-      return false;
-    const PerThread &T = *Threads[Index];
-    return (Access == AccessKind::Read ? T.ReadCache : T.WriteCache)
-        .provesRedundant(Key);
+    const PerThread *T = stateOf(Thread);
+    return T && (Access == AccessKind::Read ? T->ReadCache : T->WriteCache)
+                    .provesRedundant(Key);
   }
 
   /// The current lockset of \p Thread (dummy join locks included); exposed
@@ -163,7 +156,7 @@ protected:
         : ReadCache(CacheEntries), WriteCache(CacheEntries) {}
 
     LockSet Locks;                    ///< held locks incl. dummy join locks
-    std::vector<LockId> RealStack;    ///< releasable locks, outer to inner
+    std::vector<LockId> RealStack;    ///< releasable locks, by cache depth
     AccessCache ReadCache;
     AccessCache WriteCache;
     AccessFilter Filter;              ///< hook-path L0 filter (HookFilter)
@@ -187,12 +180,12 @@ protected:
                                 ThreadId Thread, LocationKey Key,
                                 AccessKind Access, SiteId Site);
 
-  /// Section 7.2: a location entering the shared state must leave every
-  /// thread's cache, otherwise a cache hit could suppress the first
-  /// post-sharing access.  The L0 filter mirrors the caches, so it drops
-  /// the key everywhere too (docs/HOOKPATH.md).  Each runtime wires this
-  /// to its ownership model's shared transition.
-  void evictShared(LocationKey Key);
+  /// Section 7.2: a location entering the shared state must leave the
+  /// caches, or a hit could suppress the first post-sharing access.  Only
+  /// \p Owner, its owner until now, can hold it (every insert follows a
+  /// delivery; another thread's delivery shares it), so its caches and L0
+  /// filter drop the key.  Each runtime wires this to its ownership model.
+  void evictShared(LocationKey Key, ThreadId Owner);
 
   /// The front end's counters: events seen, cache and L0 filter totals,
   /// and the per-thread cache breakdown.  Detector counters are left to
@@ -203,6 +196,13 @@ protected:
 
 private:
   PerThread &threadState(ThreadId Thread);
+
+  /// \p Thread's state, or null before its first event: an inline
+  /// bounds-checked load, where threadState() is out of line and creates.
+  PerThread *stateOf(ThreadId Thread) const {
+    size_t Index = Thread.index();
+    return Index < Threads.size() ? Threads[Index].get() : nullptr;
+  }
 
   /// A sync operation changed \p T's lockset.
   void locksChanged(PerThread &T) {
@@ -237,10 +237,8 @@ AccessFrontEnd<Derived>::threadState(ThreadId Thread) {
 template <class Derived>
 const LockSet &AccessFrontEnd<Derived>::lockSetOf(ThreadId Thread) const {
   static const LockSet Empty;
-  size_t Index = Thread.index();
-  if (Index >= Threads.size() || !Threads[Index])
-    return Empty;
-  return Threads[Index]->Locks;
+  const PerThread *T = stateOf(Thread);
+  return T ? T->Locks : Empty;
 }
 
 template <class Derived>
@@ -252,7 +250,7 @@ void AccessFrontEnd<Derived>::onThreadCreate(ThreadId Child,
   if (Opts.ModelJoin) {
     // A dummy mon-enter(S_child) at the start of the child's execution
     // (Section 2.3).  The dummy lock is not releasable during the thread's
-    // life, so it is not tagged for cache eviction (see AccessCache docs).
+    // life, so it takes no cache acquisition (see AccessCache docs).
     T.Locks.insert(dummyLockOf(Child));
     locksChanged(T);
   }
@@ -292,6 +290,8 @@ void AccessFrontEnd<Derived>::onMonitorEnter(ThreadId Thread, LockId Lock,
   PerThread &T = threadState(Thread);
   T.Locks.insert(Lock);
   T.RealStack.push_back(Lock);
+  T.ReadCache.acquire();
+  T.WriteCache.acquire();
   locksChanged(T);
   derived().syncPoint(/*Join=*/false);
 }
@@ -302,14 +302,16 @@ void AccessFrontEnd<Derived>::onMonitorExit(ThreadId Thread, LockId Lock,
   if (StillHeld)
     return; // only the final monitorexit releases (Section 4.2)
   PerThread &T = threadState(Thread);
+  // Usually the innermost lock, but MiniJ's synchronized (y) releases
+  // whatever y names when the block ends.  A lock not held is ignored.
+  auto Held = std::find(T.RealStack.rbegin(), T.RealStack.rend(), Lock);
+  if (Held == T.RealStack.rend())
+    return;
+  uint32_t Depth = uint32_t(T.RealStack.rend() - Held);
+  T.RealStack.erase(std::next(Held).base());
   T.Locks.erase(Lock);
-  assert(!T.RealStack.empty() && T.RealStack.back() == Lock &&
-         "monitor releases must be LIFO (Java structured locking)");
-  T.RealStack.pop_back();
-  if (Opts.UseCache) {
-    T.ReadCache.evictLock(Lock);
-    T.WriteCache.evictLock(Lock);
-  }
+  T.ReadCache.release(Depth);
+  T.WriteCache.release(Depth);
   locksChanged(T);
   derived().syncPoint(/*Join=*/false);
 }
@@ -318,7 +320,8 @@ template <class Derived>
 void AccessFrontEnd<Derived>::onAccess(ThreadId Thread, LocationKey Location,
                                        AccessKind Access, SiteId Site) {
   ++EventsSeen;
-  PerThread &T = threadState(Thread);
+  PerThread *Known = stateOf(Thread);
+  PerThread &T = Known ? *Known : threadState(Thread);
   // Field merging is applied here (before the cache) so that the cache
   // and the detector index the same keys.
   LocationKey Key =
@@ -342,14 +345,12 @@ void AccessFrontEnd<Derived>::onAccess(ThreadId Thread, LocationKey Location,
   derived().deliver(T, Thread, Key, Access, Site);
 
   if (Cache) {
-    LockId Innermost =
-        T.RealStack.empty() ? LockId::invalid() : T.RealStack.back();
-    std::optional<LocationKey> Displaced = Cache->insert(Key, Innermost);
+    LocationKey Displaced = Cache->insert(Key);
     if (FilterOn) {
       // A conflict eviction removed another key's backing cache entry; the
       // L0 filter must not keep proving that key redundant.
-      if (Displaced)
-        T.Filter.invalidateKey(*Displaced);
+      if (Displaced != LocationKey())
+        T.Filter.invalidateKey(Displaced);
       T.Filter.insert(Key, Access);
     }
   }
@@ -376,17 +377,22 @@ DetectorEvent AccessFrontEnd<Derived>::eventFor(PerThread &T,
 }
 
 template <class Derived>
-void AccessFrontEnd<Derived>::evictShared(LocationKey Key) {
+void AccessFrontEnd<Derived>::evictShared(LocationKey Key, ThreadId Owner) {
   if (!Opts.UseCache)
     return;
-  for (auto &T : Threads) {
-    if (!T)
-      continue;
-    T->ReadCache.evictKey(Key);
-    T->WriteCache.evictKey(Key);
-    if (FilterOn)
-      T->Filter.invalidateKey(Key);
-  }
+#ifndef NDEBUG
+  for (uint32_t I = 0; I != Threads.size(); ++I)
+    for (AccessKind Kind : {AccessKind::Read, AccessKind::Write})
+      assert((I == Owner.index() || !Threads[I] ||
+              (!oracleHolds(ThreadId(I), Key, Kind) &&
+               !Threads[I]->Filter.holds(Key, Kind))) &&
+             "a shared location is cached by a thread that never owned it");
+#endif
+  PerThread &T = threadState(Owner);
+  T.ReadCache.evictKey(Key);
+  T.WriteCache.evictKey(Key);
+  if (FilterOn)
+    T.Filter.invalidateKey(Key);
 }
 
 template <class Derived>

@@ -52,11 +52,12 @@ void Detector::handleEvent(const DetectorEvent &Event) {
     }
     // A second thread touched the location: it becomes shared, and this
     // access and all subsequent ones flow to the history.
+    ThreadId Owner = State->Owner;
     State->Shared = true;
     State->Owner = ThreadId::invalid();
     ++Stats.LocationsShared;
     if (OnShared)
-      OnShared(Key);
+      OnShared(Key, Owner);
   } else if (!State->Shared) {
     State->Shared = true;
     ++Stats.LocationsShared;
@@ -75,6 +76,8 @@ void Detector::handleEvent(const DetectorEvent &Event) {
   ++Stats.RacesReported;
   RaceRecord Record;
   Record.Location = Key;
+  Record.Fingerprint = raceFingerprint(Key, Event.Site, Event.Access,
+                                       Outcome.PriorSite, Outcome.PriorAccess);
   Record.CurrentThread = Event.Thread;
   Record.CurrentAccess = Event.Access;
   Record.CurrentSite = Event.Site;
@@ -82,6 +85,8 @@ void Detector::handleEvent(const DetectorEvent &Event) {
   Record.PriorThread = Outcome.PriorThread;
   Record.PriorAccess = Outcome.PriorAccess;
   Record.PriorSite = Outcome.PriorSite;
-  Reporter.report(Record, Interner->resolve(Event.Locks).items(),
+  Reporter.report(Record, FirstAtLocation(!State->Raced),
+                  Interner->resolve(Event.Locks).items(),
                   Interner->resolve(Outcome.PriorLocks).items());
+  State->Raced = true;
 }

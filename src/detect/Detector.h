@@ -14,8 +14,8 @@
 /// event stream is filtered to accesses of locations in the shared state,
 /// which approximates the ordering constraints of thread start (Sections
 /// 2.3 and 7.1).  When a location becomes shared, an optional callback lets
-/// the cache layer forcibly evict it from every thread's cache — the sound
-/// run-time fix of Section 7.2.
+/// the cache layer forcibly evict it from its previous owner's caches —
+/// the sound run-time fix of Section 7.2.
 ///
 /// Hot-path layout: the location table is an open-addressed LocationTable
 /// (one probe, no node allocations), all histories share one HistoryStore
@@ -85,10 +85,10 @@ public:
   /// detector's interner.
   void handleEvent(const DetectorEvent &Event);
 
-  /// Invoked when a location transitions from owned to shared, before the
-  /// triggering access is processed.  The cache layer uses this to evict
-  /// the location from every thread's cache.
-  void setOnShared(std::function<void(LocationKey)> Callback) {
+  /// Invoked with the location and its previous owner when it transitions
+  /// from owned to shared, before the triggering access is processed, so
+  /// the cache layer can evict it from the owner's caches.
+  void setOnShared(std::function<void(LocationKey, ThreadId)> Callback) {
     OnShared = std::move(Callback);
   }
 
@@ -108,12 +108,15 @@ private:
   struct LocationState {
     ThreadId Owner;      ///< first accessor; invalid once shared
     bool Shared = false;
+    bool Raced = false;  ///< a race was reported here
     AccessHistory History; ///< populated only once shared
   };
+  static_assert(sizeof(LocationState) <= 24,
+                "with its 8-byte key, a location-table slot is 32 bytes");
 
   RaceReporter &Reporter;
   Options Opts;
-  std::function<void(LocationKey)> OnShared;
+  std::function<void(LocationKey, ThreadId)> OnShared;
   std::unique_ptr<LockSetInterner> OwnedInterner;
   LockSetInterner *Interner; ///< never null
   HistoryStore Histories;    ///< entry storage for Table's histories

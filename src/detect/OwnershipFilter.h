@@ -33,10 +33,10 @@ namespace herd {
 /// Tracks per-location ownership state ahead of the shard queues.
 class OwnershipFilter {
 public:
-  /// Invoked when a location transitions from owned to shared, before the
-  /// triggering access is forwarded (so the cache layer can evict it from
-  /// every thread's cache first).
-  void setOnShared(std::function<void(LocationKey)> Callback) {
+  /// Invoked with the location and its previous owner when it transitions
+  /// from owned to shared, before the triggering access is forwarded (so
+  /// the cache layer can evict it from the owner's caches first).
+  void setOnShared(std::function<void(LocationKey, ThreadId)> Callback) {
     OnShared = std::move(Callback);
   }
 
@@ -58,11 +58,12 @@ public:
       ++OwnedFiltered;
       return false;
     }
+    ThreadId Owner = S.Owner;
     S.Shared = true;
     S.Owner = ThreadId::invalid();
     ++LocationsShared;
     if (OnShared)
-      OnShared(Key);
+      OnShared(Key, Owner);
     return true;
   }
 
@@ -81,7 +82,7 @@ private:
     bool Shared = false;
   };
 
-  std::function<void(LocationKey)> OnShared;
+  std::function<void(LocationKey, ThreadId)> OnShared;
   LocationTable<State> Table; ///< open-addressed, insert-only (FlatTable.h)
   uint64_t OwnedFiltered = 0;
   size_t LocationsTracked = 0;

@@ -25,7 +25,9 @@
 /// in droppedRecords() so truncation is always visible, never silent.
 /// The counting queries (distinct locations/objects) stay exact past the
 /// cap — only full records are shed, never set membership — so the
-/// Definition 1 coverage checks against the exact oracle hold at any cap.
+/// Definition 1 coverage checks against the exact oracle hold at any cap:
+/// the detector flags its first report at each location, which goes on a
+/// location list whether or not its record is kept.
 ///
 /// A record is 56 bytes and trivially copyable: its two locksets are runs
 /// of a lock pool that the reporter holding it owns, read back through
@@ -39,8 +41,8 @@
 #define HERD_DETECT_RACEREPORT_H
 
 #include "detect/AccessEvent.h"
-#include "support/FlatTable.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <iterator>
@@ -63,8 +65,8 @@ struct LockRun {
 struct RaceRecord {
   LocationKey Location;
 
-  /// Stable identity of this race (see raceFingerprint); filled in by
-  /// RaceReporter::report.
+  /// Stable identity of this race, raceFingerprint(*this); set by whoever
+  /// builds the record (Detector::handleEvent), before report().
   uint64_t Fingerprint = 0;
 
   // The access that triggered the report (reported at the moment it
@@ -124,13 +126,17 @@ inline uint64_t raceFingerprint(const RaceRecord &R) {
                          R.PriorSite, R.PriorAccess);
 }
 
+/// Whether a report is the first at its location: a Yes too many folds
+/// away in the location set, a Yes missing loses the location.
+enum class FirstAtLocation : bool { No, Yes };
+
 /// Collects race records, dedups them by fingerprint with occurrence
 /// counts, and answers the counting queries used by the Table 3
-/// experiments in amortized O(1): each retained record is folded into the
-/// dedup/counting indexes exactly once, *lazily* on the first query after
-/// it arrived, so the detector-facing report() stays a fingerprint hash
-/// plus two appends — the hot path on racy streams, where nearly every
-/// event can produce a report (bench_hotpath's refhot stream).
+/// experiments in amortized O(1): each retained record and each listed
+/// location is folded into its index exactly once, *lazily* on the first
+/// query that needs it, so the detector-facing report() stays a few
+/// appends — the hot path on racy streams, where nearly every event can
+/// produce a report (bench_hotpath's refhot stream).
 ///
 /// The reporter owns the lock pool its records' runs index.  Copying,
 /// moving and clear() keep records and pool together, so a record is only
@@ -158,29 +164,30 @@ public:
       : Capacity(Capacity) {}
 
   /// Reports one race whose current and earlier accesses held the sorted
-  /// locksets \p Current and \p Prior.  \p Record's own lock runs are
-  /// ignored: the locksets are copied into the pool only when the record
-  /// is retained, and past the cap nothing is copied.
-  void report(RaceRecord Record, std::span<const LockId> Current,
+  /// locksets \p Current and \p Prior.  \p Record's fingerprint must be
+  /// set and its lock runs are ignored: the locksets are copied into the
+  /// pool only when the record is retained, and past the cap nothing is.
+  void report(const RaceRecord &Record, FirstAtLocation First,
+              std::span<const LockId> Current,
               std::span<const LockId> Prior) {
-    Record.Fingerprint = raceFingerprint(Record);
+    assert(Record.Fingerprint == raceFingerprint(Record) &&
+           "report() needs the record's fingerprint");
+    // The cap bounds record *retention*, not the location list: a known
+    // fingerprint does not imply a known location (it drops the object).
+    if (First == FirstAtLocation::Yes)
+      LocationList.push_back(Record.Location);
     if (Records.size() >= Capacity) {
-      // Past the cap the indexes must be current to tell a known bug
+      // Past the cap the index must be current to tell a known bug
       // (count bump) from a novel fingerprint (honest drop counter).
       fold();
-      // The cap bounds record *retention*, not counting: the distinct
-      // location/object sets stay exact (a known fingerprint does not
-      // imply a known location — fingerprints drop the object index),
-      // so reportedLocations() still matches the unbounded oracle.
-      noteLocation(Record.Location);
       count(Record.Fingerprint, 1);
       return;
     }
     retain(Record, Current, Prior);
   }
 
-  /// Reports \p Record with two empty locksets (tests).
-  void report(const RaceRecord &Record) { report(Record, {}, {}); }
+  /// Reports a fingerprinted \p R with no locks, first at its location.
+  void report(const RaceRecord &R) { report(R, FirstAtLocation::Yes, {}, {}); }
 
   const std::vector<RaceRecord> &records() const { return Records; }
   bool empty() const { return Records.empty(); }
@@ -197,8 +204,9 @@ public:
     LockPool.clear();
     Groups.clear();
     GroupIndex.clear();
+    LocationList.clear();
     Locations.clear();
-    LocationIndex = LocationTable<bool>();
+    Indexed = 0;
     ObjectCount = 0;
     Folded = 0;
     Dropped = 0;
@@ -206,22 +214,20 @@ public:
   }
 
   /// Distinct logical memory locations with at least one report.
-  size_t countDistinctLocations() const {
-    fold();
-    return Locations.size();
-  }
+  size_t countDistinctLocations() const { return reportedLocations().size(); }
 
   /// Distinct *objects* with at least one report — the measure of Table 3
   /// ("here we count only the number of distinct objects mentioned").
   size_t countDistinctObjects() const {
-    fold();
+    reportedLocations();
     return ObjectCount;
   }
 
   /// The distinct locations reported, for set-equality tests against the
-  /// exact oracle.
+  /// exact oracle; folds in the locations listed since the last query.
   const std::set<LocationKey> &reportedLocations() const {
-    fold();
+    for (; Indexed != LocationList.size(); ++Indexed)
+      insertLocation(LocationList[Indexed]);
     return Locations;
   }
 
@@ -236,12 +242,18 @@ public:
   /// delivered here directly: records are retained up to this reporter's
   /// cap, with their locksets copied into this reporter's pool; occurrence
   /// counts carry over (including the other reporter's own past-cap
-  /// bumps), the distinct location/object sets stay exact, and the
+  /// bumps), the location list gains the locations it lacks, and the
   /// drop/total counters add up.  The sharded runtime merges its per-shard
-  /// reporters with this — per-shard caps must not truncate the merged
-  /// location set on report-saturated streams.
+  /// reporters with this, so per-shard caps never truncate the merged
+  /// location set.
   void merge(const RaceReporter &Other) {
     assert(&Other != this && "a reporter cannot merge itself");
+    // Locations first: every record retained below must find its own.
+    reportedLocations();
+    for (LocationKey Location : Other.LocationList)
+      if (insertLocation(Location))
+        LocationList.push_back(Location);
+    Indexed = LocationList.size();
     Other.fold();
     // How many of each of the other reporter's groups it retained as
     // records (vs counted past its cap) — needed below to carry the count
@@ -264,8 +276,6 @@ public:
       if (G.Count > Retained[I])
         count(G.Fingerprint, G.Count - Retained[I]);
     }
-    for (LocationKey Location : Other.Locations)
-      noteLocation(Location);
     // Its drops are the only reports not yet counted here.
     Dropped += Other.Dropped;
     TotalReported += Other.Dropped;
@@ -283,15 +293,18 @@ public:
 
   /// Invariants, asserted after merge() and after every fold() that folds
   /// records, in builds without NDEBUG: every record's lock runs lie
-  /// inside the pool; the fingerprint index finds every group at its own
-  /// position; and once every record is folded, the group counts plus
-  /// droppedRecords() equal totalReported().
+  /// inside the pool and its location is listed; the fingerprint index
+  /// finds every group at its own position; and once every record is
+  /// folded, group counts plus droppedRecords() equal totalReported().
   bool checkInvariants() const {
     auto Inside = [this](LockRun Run) {
       return uint64_t(Run.First) + Run.Size <= LockPool.size();
     };
+    std::vector<LocationKey> Listed = LocationList;
+    std::sort(Listed.begin(), Listed.end());
     for (const RaceRecord &Rec : Records)
-      if (!Inside(Rec.CurrentLocks) || !Inside(Rec.PriorLocks))
+      if (!Inside(Rec.CurrentLocks) || !Inside(Rec.PriorLocks) ||
+          !std::binary_search(Listed.begin(), Listed.end(), Rec.Location))
         return false;
     uint64_t Counted = Dropped;
     for (size_t I = 0; I != Groups.size(); ++I) {
@@ -365,11 +378,12 @@ private:
   };
 
   /// Keeps \p Record, whose fingerprint is set, with its locksets.
-  void retain(RaceRecord Record, std::span<const LockId> Current,
+  void retain(const RaceRecord &Record, std::span<const LockId> Current,
               std::span<const LockId> Prior) {
-    Record.CurrentLocks = store(Current);
-    Record.PriorLocks = store(Prior);
-    Records.push_back(Record);
+    RaceRecord Kept = Record;
+    Kept.CurrentLocks = store(Current);
+    Kept.PriorLocks = store(Prior);
+    Records.push_back(Kept);
     ++TotalReported;
   }
 
@@ -396,7 +410,7 @@ private:
     TotalReported += N;
   }
 
-  /// Folds records [Folded, size()) into the dedup/counting indexes.
+  /// Folds records [Folded, size()) into the fingerprint index.
   void fold() const {
     if (Folded == Records.size())
       return;
@@ -408,22 +422,16 @@ private:
         Groups.push_back(Group{Record.Fingerprint, uint32_t(Folded), 1});
       else
         ++Groups[G].Count;
-      noteLocation(Record.Location);
     }
     assert(checkInvariants() && "reporter invariant broken");
   }
 
-  /// Adds \p Location to the distinct location set and object count.  The
-  /// flat index answers "seen before?" in one probe, so only a new location
-  /// pays for the sorted set.  The all-ones key is the index's empty-slot
-  /// sentinel and goes straight to the set.
-  void noteLocation(LocationKey Location) const {
-    if (Location != LocationKey() &&
-        !LocationIndex.tryEmplace(Location).second)
-      return;
+  /// Adds \p Location to the distinct location set and object count;
+  /// returns whether it was new.
+  bool insertLocation(LocationKey Location) const {
     auto [It, Inserted] = Locations.insert(Location);
     if (!Inserted)
-      return;
+      return false;
     // The object is a key's high word, so an object's keys are adjacent in
     // the set: the location is a new object's iff neither neighbour shares
     // its object.
@@ -434,6 +442,7 @@ private:
                   std::next(It)->object() == Object);
     if (!Known)
       ++ObjectCount;
+    return true;
   }
 
   size_t Capacity;
@@ -441,9 +450,11 @@ private:
   std::vector<LockId> LockPool; ///< the locks of Records' runs
   mutable std::vector<Group> Groups;
   mutable GroupTable GroupIndex; ///< fingerprint -> index into Groups
-  mutable std::set<LocationKey> Locations;
-  mutable LocationTable<bool> LocationIndex; ///< membership of Locations
-  mutable size_t ObjectCount = 0;            ///< distinct objects in Locations
+  /// Each location's first report; repeats fold away in Locations.
+  std::vector<LocationKey> LocationList;
+  mutable std::set<LocationKey> Locations; ///< LocationList[0, Indexed)
+  mutable size_t Indexed = 0;
+  mutable size_t ObjectCount = 0; ///< distinct objects in Locations
   mutable size_t Folded = 0;
   uint64_t Dropped = 0;
   uint64_t TotalReported = 0;

@@ -17,7 +17,8 @@ RaceRuntime::RaceRuntime(RaceRuntimeOptions Opts)
       Det(Reporter, Detector::Options{Opts.UseOwnership, /*FieldsMerged=*/false},
           &Interner) {
   Det.applyPlan(Opts.Plan);
-  Det.setOnShared([this](LocationKey Key) { evictShared(Key); });
+  Det.setOnShared(
+      [this](LocationKey Key, ThreadId Owner) { evictShared(Key, Owner); });
 }
 
 RaceRuntime::~RaceRuntime() = default;

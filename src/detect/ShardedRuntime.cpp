@@ -172,7 +172,8 @@ ShardedRuntime::ShardedRuntime(ShardedRuntimeOptions Opts)
     Staged.Events.reserve(StageCapacity);
   // Ownership runs on the producer thread, so the Section 7.2 eviction is
   // synchronous with ingest exactly as in the serial runtime.
-  Ownership.setOnShared([this](LocationKey Key) { evictShared(Key); });
+  Ownership.setOnShared(
+      [this](LocationKey Key, ThreadId Owner) { evictShared(Key, Owner); });
 }
 
 ShardedRuntime::~ShardedRuntime() { finish(); }

@@ -6,6 +6,7 @@
 
 #include "detect/TraceFile.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -130,6 +131,8 @@ TraceResult TraceReader::open(const std::string &FromPath) {
   close();
   Records = 0;
   KnownThreads = 1;
+  Held.clear();
+  Held.reserve(16);
   KindCounts.fill(0);
   File = std::fopen(FromPath.c_str(), "rb");
   if (!File)
@@ -220,6 +223,31 @@ TraceResult TraceReader::admit(const EventLog::Record &R) {
     return TraceResult::failure(Name(R.Thread) + " joins " +
                                 Name(R.OtherThread) +
                                 ", which was never created");
+  bool Enter = R.Kind == EventLog::RecordKind::MonitorEnter;
+  if (!Enter && R.Kind != EventLog::RecordKind::MonitorExit)
+    return TraceResult::success();
+  // Threads hold few locks at a time: a scan, latest first, beats a hash.
+  auto It = std::find_if(Held.rbegin(), Held.rend(), [&](const HeldLock &H) {
+    return H.Thread == R.Thread && H.Lock == R.Lock;
+  });
+  uint32_t Count = It == Held.rend() ? 0 : It->Count;
+  // Recursive: held before the enter.  StillHeld: held after the exit.
+  bool HeldBesides = Enter ? Count != 0 : Count > 1;
+  bool Unheld = !Enter && Count == 0;
+  if (Unheld || (R.Flags != 0) != HeldBesides)
+    return TraceResult::failure(
+        Name(R.Thread) + (Enter ? " enters" : " exits") + " lock " +
+        std::to_string(R.Lock.index()) +
+        (Unheld ? ", which it does not hold"
+                : ", held " + std::to_string(Count) + " times, " +
+                      (HeldBesides ? "without" : "with") + " the " +
+                      (Enter ? "recursive" : "still-held") + " flag"));
+  if (It == Held.rend())
+    Held.push_back({R.Thread, R.Lock, 1});
+  else if (Enter)
+    ++It->Count;
+  else if (--It->Count == 0)
+    Held.erase(std::next(It).base());
   return TraceResult::success();
 }
 

@@ -114,7 +114,8 @@ public:
   /// index, below MaxThreads, and every other thread a record uses was
   /// created before it.  A trace may open by recording thread 0's own
   /// creation with no parent.  Monitor records must name a lock below
-  /// FirstDummyLock, the first dummy join lock.
+  /// FirstDummyLock, the first dummy join lock, and match the recursion
+  /// counts of the interpreter's monitors (flags included).
   TraceResult replayInto(RuntimeHooks &Sink);
 
   uint64_t recordsRead() const { return Records; }
@@ -127,14 +128,18 @@ public:
   void close();
 
 private:
-  /// The thread-index and lock-range rules of replayInto() for one
-  /// record; on success a ThreadCreate adds its thread.
+  /// The thread-index, lock and recursion rules of replayInto() for one
+  /// record; on success a ThreadCreate adds its thread and a monitor
+  /// record moves its recursion count.
   TraceResult admit(const EventLog::Record &R);
 
   std::FILE *File = nullptr;
   std::string Path;
   uint64_t Records = 0;
   uint32_t KnownThreads = 1; ///< threads [0, KnownThreads) exist
+  /// Every thread's held locks, in take order, with their recursion counts.
+  struct HeldLock { ThreadId Thread; LockId Lock; uint32_t Count; };
+  std::vector<HeldLock> Held;
   std::array<uint64_t, size_t(EventLog::RecordKind::Access) + 1> KindCounts{};
 };
 

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Crafted traces through `herd --replay` under every backend.
 
-Records figure2 once, then derives four traces from the recording: one
+Records figure2 once, then derives five traces from the recording: one
 whose access records name thread 2^31-1, one whose thread creates name
 a child near 2^31, one that goes on creating threads, in order, past
-the thread limit (MaxThreads in src/support/Ids.h), and one whose
-monitor records name lock 2^30+1, thread 1's dummy join lock
-(FirstDummyLock in src/support/Ids.h).  Each must end with exit 1 and a
-replay diagnostic under the serial and sharded runtimes and every
-comparison detector; before the replay boundary checked thread indices,
-the first two aborted on std::bad_alloc, and before it checked lock ids
-the last could hide a race.  The untouched recording must still replay
-under each of them (figure2 races, so exit 1, but without a
-diagnostic).
+the thread limit (MaxThreads in src/support/Ids.h), one whose monitor
+records name lock 2^30+1, thread 1's dummy join lock (FirstDummyLock in
+src/support/Ids.h), and one whose monitor enters are rewritten as final
+monitor exits.  Each must end with exit 1 and a replay diagnostic under
+the serial and sharded runtimes and every comparison detector; before
+the replay boundary checked thread indices, the first two aborted on
+std::bad_alloc, before it checked lock ids the fourth could hide a
+race, and before it checked monitor recursion counts the last crashed
+the serial and sharded runtimes (SIGSEGV).  The untouched recording
+must still replay under each of them (figure2 races, so exit 1, but
+without a diagnostic).
 
     cli_hostile_traces.py <herd binary> <figure2.mj> <work dir>
 """
@@ -28,6 +30,7 @@ KIND_CREATE = 0
 KIND_MONITOR_ENTER = 3
 KIND_MONITOR_EXIT = 4
 KIND_ACCESS = 5
+FLAGS_OFFSET = 1
 THREAD_OFFSET = 4
 LOCK_OFFSET = 12
 THREAD_OBJ_OFFSET = 28
@@ -58,6 +61,16 @@ def dummy_locks(trace):
         if out[at] in (KIND_MONITOR_ENTER, KIND_MONITOR_EXIT):
             struct.pack_into("<I", out, at + LOCK_OFFSET,
                              FIRST_DUMMY_LOCK + 1)
+    return bytes(out)
+
+
+def enters_as_exits(trace):
+    """A copy of trace whose monitor enters are all final monitor exits."""
+    out = bytearray(trace)
+    for at in range(HEADER_BYTES, len(out), RECORD_BYTES):
+        if out[at] == KIND_MONITOR_ENTER:
+            out[at] = KIND_MONITOR_EXIT
+            out[at + FLAGS_OFFSET] = 0
     return bytes(out)
 
 
@@ -95,6 +108,7 @@ def main():
         "create": patched(trace, KIND_CREATE, 2**31 - 5),
         "threads": creates_past_limit(trace),
         "dummy-lock": dummy_locks(trace),
+        "enters-as-exits": enters_as_exits(trace),
     }
     paths = {}
     for name, data in crafted.items():

@@ -147,13 +147,21 @@ TEST(DetectorTest, ReportsAtLeastOncePerRacyLocation) {
 TEST(DetectorTest, OnSharedCallbackFires) {
   RaceReporter Reporter;
   Detector Det(Reporter, {});
-  std::vector<LocationKey> SharedKeys;
-  Det.setOnShared([&](LocationKey K) { SharedKeys.push_back(K); });
+  std::vector<std::pair<LocationKey, ThreadId>> Shared;
+  Det.setOnShared([&](LocationKey K, ThreadId Owner) {
+    Shared.emplace_back(K, Owner);
+  });
   Det.handleAccess(event(1, 7, 0, {}, W));
-  EXPECT_TRUE(SharedKeys.empty());
+  Det.handleAccess(event(1, 7, 0, {}, W));
+  EXPECT_TRUE(Shared.empty());
   Det.handleAccess(event(2, 7, 0, {}, W));
-  ASSERT_EQ(SharedKeys.size(), 1u);
-  EXPECT_EQ(SharedKeys[0], LocationKey::forField(ObjectId(7), FieldId(0)));
+  ASSERT_EQ(Shared.size(), 1u);
+  EXPECT_EQ(Shared[0].first, LocationKey::forField(ObjectId(7), FieldId(0)));
+  // The callback names the thread that owned the location until now: the
+  // only one whose caches can hold it.
+  EXPECT_EQ(Shared[0].second, ThreadId(1));
+  Det.handleAccess(event(3, 7, 0, {}, W)); // already shared: no callback
+  EXPECT_EQ(Shared.size(), 1u);
 }
 
 TEST(DetectorTest, StatsCountTrieNodes) {

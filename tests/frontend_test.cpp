@@ -310,6 +310,73 @@ TEST(FrontendTest, RaceDetectedInMiniJSource) {
       << Res.FormattedRaces[0];
 }
 
+TEST(FrontendTest, OutOfOrderReleaseKeepsTheRace) {
+  // synchronized (y) releases whatever y names when the block ends, so W1
+  // swaps its locals and releases its outer lock a while still holding b.
+  // Its write d.f = 2 then happens under {b} and races with W2's write
+  // under {a}; the access cache must not keep proving it redundant by the
+  // entry d.f = 1 made under {a, b}.
+  CompileResult R = compileMiniJ(R"(
+    class D { var f: int; }
+    class L { var pad: int; }
+    class W1 {
+      var d: D; var a: L; var b: L;
+      def run() {
+        var x: L = a;
+        var y: L = b;
+        synchronized (x) {
+          synchronized (y) {
+            d.f = 1;
+            var t: L = x;
+            x = y;
+            y = t;
+          }
+          d.f = 2;
+        }
+      }
+    }
+    class W2 {
+      var d: D; var a: L;
+      def run() { synchronized (a) { d.f = 3; } }
+    }
+    def main() {
+      var d: D = new D();
+      d.f = 0;
+      var a: L = new L();
+      var b: L = new L();
+      var w1: W1 = new W1();
+      w1.d = d; w1.a = a; w1.b = b;
+      var w2: W2 = new W2();
+      w2.d = d; w2.a = a;
+      start w1;
+      start w2;
+    }
+  )");
+  ASSERT_TRUE(R.Ok) << (R.Diags.empty() ? "?" : R.Diags[0].str());
+  for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
+    ToolConfig NoCache = ToolConfig::noCache();
+    NoCache.Seed = Seed;
+    PipelineResult Want = runPipeline(R.P, NoCache);
+    ASSERT_TRUE(Want.Run.Ok) << Want.Run.Error;
+    ASSERT_EQ(Want.Reports.countDistinctLocations(), 1u) << "seed " << Seed;
+    for (uint32_t Shards : {0u, 2u}) {
+      for (DispatchMode Dispatch :
+           {DispatchMode::Threaded, DispatchMode::Switch}) {
+        ToolConfig Full = ToolConfig::full();
+        Full.Seed = Seed;
+        Full.Shards = Shards;
+        Full.Dispatch = Dispatch;
+        PipelineResult Got = runPipeline(R.P, Full);
+        ASSERT_TRUE(Got.Run.Ok) << Got.Run.Error;
+        EXPECT_EQ(Got.Reports.reportedLocations(),
+                  Want.Reports.reportedLocations())
+            << "seed " << Seed << ", " << Shards << " shards, "
+            << (Dispatch == DispatchMode::Threaded ? "threaded" : "switch");
+      }
+    }
+  }
+}
+
 TEST(FrontendTest, DeterministicOutputMatchesBuilderSemantics) {
   for (uint64_t Seed : {1u, 5u, 9u}) {
     auto A = compileAndRun("def main() { print 1 + 2 * 3; }", Seed);

@@ -117,7 +117,7 @@ TEST(AccessCacheTest, ProvesRedundantHasNoSideEffects) {
   LocationKey K = locKey(3, 1);
   EXPECT_FALSE(C.provesRedundant(K));
   EXPECT_EQ(C.hits() + C.misses(), 0u) << "the predicate must not count";
-  C.insert(K, LockId());
+  C.insert(K);
   EXPECT_TRUE(C.provesRedundant(K));
   EXPECT_EQ(C.hits() + C.misses(), 0u);
   // lookup() agrees with the predicate and is the one that counts.
@@ -128,12 +128,15 @@ TEST(AccessCacheTest, ProvesRedundantHasNoSideEffects) {
 TEST(AccessCacheTest, InsertReportsTheDisplacedKey) {
   AccessCache C(1); // every distinct key collides in a one-entry cache
   LocationKey A = locKey(1, 0), B = locKey(2, 0);
-  EXPECT_FALSE(C.insert(A, LockId()).has_value());
-  std::optional<LocationKey> Displaced = C.insert(B, LockId());
-  ASSERT_TRUE(Displaced.has_value());
-  EXPECT_EQ(*Displaced, A);
+  EXPECT_EQ(C.insert(A), LocationKey()) << "an empty slot displaces none";
+  EXPECT_EQ(C.insert(B), A);
   // Re-inserting the resident key displaces nothing.
-  EXPECT_FALSE(C.insert(B, LockId()).has_value());
+  EXPECT_EQ(C.insert(B), LocationKey());
+  // Neither does inserting over an entry a release evicted.
+  C.acquire();
+  C.insert(A);
+  C.release(1);
+  EXPECT_EQ(C.insert(B), LocationKey());
 }
 
 //===----------------------------------------------------------------------===

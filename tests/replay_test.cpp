@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 
 using namespace herd;
@@ -150,14 +151,21 @@ TEST(TraceFuzzTest, MutatedBuffersNeverCrashTheDecoder) {
   // `herd --replay` runs with random corruptions: byte flips, truncations,
   // extensions.  Every outcome must be a clean accept or a diagnosed
   // reject — never a crash, sanitizer report, or silent out-of-bounds
-  // read — and every accepted trace must replay into a detector.
-  CounterProgram CP = buildCounter(/*Locked=*/false, 10);
+  // read — and every accepted trace must replay into a detector.  The
+  // locked counter gives the mutations monitor records to damage.
+  CounterProgram CP = buildCounter(/*Locked=*/true, 10);
   EventLog Log;
   InterpOptions Opts;
   Opts.TraceEveryAccess = true;
   Interpreter Interp(CP.P, &Log, Opts);
   ASSERT_TRUE(Interp.run().Ok);
   ASSERT_GT(Log.size(), 0u);
+  ASSERT_GT(std::count_if(Log.records().begin(), Log.records().end(),
+                          [](const EventLog::Record &Rec) {
+                            return Rec.Kind ==
+                                   EventLog::RecordKind::MonitorExit;
+                          }),
+            0);
   std::vector<uint8_t> Good = Log.serialize();
   TempPath Path("fuzz");
 

@@ -38,6 +38,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <initializer_list>
+#include <iterator>
 #include <map>
 #include <set>
 #include <span>
@@ -71,6 +72,7 @@ RaceRecord makeRecord(LocationKey Location, uint32_t CurSite,
   R.PriorThread = ThreadId(2);
   R.PriorAccess = PriorKind;
   R.PriorSite = SiteId(PriorSite);
+  R.Fingerprint = raceFingerprint(R);
   return R;
 }
 
@@ -416,11 +418,16 @@ std::vector<Reported> randomStream(uint64_t Seed, size_t Length) {
   return Out;
 }
 
-/// Feeds \p Stream to \p Real and \p Model alike.
+/// Feeds \p Stream to \p Real and \p Model alike.  Each report is flagged
+/// first at its location as the model sees it, or, with \p AlwaysFirst,
+/// every report is (the location set must fold the repeats).
 void reportAll(const std::vector<Reported> &Stream, RaceReporter &Real,
-               ModelReporter &Model) {
+               ModelReporter &Model, bool AlwaysFirst = false) {
   for (size_t I = 0; I != Stream.size(); ++I) {
-    Real.report(Stream[I].Record, Stream[I].Current, Stream[I].Prior);
+    bool First =
+        AlwaysFirst || !Model.Locations.count(Stream[I].Record.Location);
+    Real.report(Stream[I].Record, FirstAtLocation(First), Stream[I].Current,
+                Stream[I].Prior);
     Model.report(Stream[I]);
     if (I % 97 == 0) // fold part of the stream early
       (void)Real.countDistinctObjects();
@@ -431,32 +438,63 @@ class ReporterOracleTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ReporterOracleTest, CountsGroupsAndMergesMatchBruteForce) {
   const size_t Cap = GetParam();
-  std::vector<RaceReporter> Reporters;
-  std::vector<ModelReporter> Models;
-  for (uint64_t Seed : {1u, 2u, 3u}) {
-    RaceReporter Real(Cap);
-    ModelReporter Model(Cap);
-    reportAll(randomStream(Seed, 1000 + 500 * Seed), Real, Model);
-    ASSERT_GE(Model.Locations.size(), 300u) << "seed " << Seed;
-    expectMatchesModel(Real, Model, "seed " + std::to_string(Seed));
-    Reporters.push_back(std::move(Real));
-    Models.push_back(std::move(Model));
-  }
-  // Merge two and then three of them, into a reporter of the same cap and
-  // into a roomy one.
-  for (size_t DestCap : {Cap, RaceReporter::DefaultCapacity}) {
-    for (size_t Sources : {2u, 3u}) {
-      RaceReporter Real(DestCap);
-      ModelReporter Model(DestCap);
-      for (size_t I = 0; I != Sources; ++I) {
-        Real.merge(Reporters[I]);
-        Model.merge(Models[I]);
+  for (bool AlwaysFirst : {false, true}) {
+    SCOPED_TRACE(AlwaysFirst ? "every report flagged first"
+                             : "first reports flagged by the model");
+    std::vector<RaceReporter> Reporters;
+    std::vector<ModelReporter> Models;
+    for (uint64_t Seed : {1u, 2u, 3u}) {
+      RaceReporter Real(Cap);
+      ModelReporter Model(Cap);
+      reportAll(randomStream(Seed, 1000 + 500 * Seed), Real, Model,
+                AlwaysFirst);
+      ASSERT_GE(Model.Locations.size(), 300u) << "seed " << Seed;
+      expectMatchesModel(Real, Model, "seed " + std::to_string(Seed));
+      Reporters.push_back(std::move(Real));
+      Models.push_back(std::move(Model));
+    }
+    // The streams share most of their locations, so the merges below must
+    // fold overlapping location lists into their exact union.
+    std::vector<LocationKey> Shared;
+    std::set_intersection(Models[0].Locations.begin(),
+                          Models[0].Locations.end(),
+                          Models[1].Locations.begin(),
+                          Models[1].Locations.end(),
+                          std::back_inserter(Shared));
+    ASSERT_GE(Shared.size(), 100u);
+    // Merge two and then three of them, into a reporter of the same cap and
+    // into a roomy one.
+    for (size_t DestCap : {Cap, RaceReporter::DefaultCapacity}) {
+      for (size_t Sources : {2u, 3u}) {
+        RaceReporter Real(DestCap);
+        ModelReporter Model(DestCap);
+        for (size_t I = 0; I != Sources; ++I) {
+          Real.merge(Reporters[I]);
+          Model.merge(Models[I]);
+        }
+        expectMatchesModel(Real, Model,
+                           "merge of " + std::to_string(Sources) +
+                               " into cap " + std::to_string(DestCap));
       }
-      expectMatchesModel(Real, Model,
-                         "merge of " + std::to_string(Sources) +
-                             " into cap " + std::to_string(DestCap));
     }
   }
+}
+
+TEST(RaceReporterTest, EveryRecordLocationIsListed) {
+  // A record whose location never had a first report would be missing
+  // from reportedLocations(); the invariant check catches the lost flag.
+  RaceReporter Reporter;
+  LocationKey A = LocationKey::forField(ObjectId(1), FieldId(0));
+  LocationKey B = LocationKey::forField(ObjectId(2), FieldId(0));
+  Reporter.report(makeRecord(A, 1, AccessKind::Write, 2, AccessKind::Read),
+                  FirstAtLocation::Yes, {}, {});
+  Reporter.report(makeRecord(A, 3, AccessKind::Write, 2, AccessKind::Read),
+                  FirstAtLocation::No, {}, {});
+  EXPECT_TRUE(Reporter.checkInvariants());
+  Reporter.report(makeRecord(B, 1, AccessKind::Write, 2, AccessKind::Read),
+                  FirstAtLocation::No, {}, {});
+  EXPECT_FALSE(Reporter.checkInvariants());
+  EXPECT_EQ(Reporter.reportedLocations(), std::set<LocationKey>{A});
 }
 
 TEST_P(ReporterOracleTest, CopiesMovesAndClearKeepRecordsWithTheirLocks) {

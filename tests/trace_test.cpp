@@ -380,10 +380,12 @@ TEST(TraceFileTest, LocksInTheDummyJoinLockRangeAreInvalid) {
   auto replayLock = [&](uint32_t Lock, bool Exit) {
     EventLog Log;
     Log.onThreadCreate(ThreadId(1), ThreadId(0), ObjectId(1));
+    // A valid exit needs its enter; an exit in the dummy range fails on its
+    // lock before the monitor rules look at it.
+    if (!Exit || Lock < FirstDummyLock)
+      Log.onMonitorEnter(ThreadId(1), LockId(Lock), false);
     if (Exit)
       Log.onMonitorExit(ThreadId(1), LockId(Lock), false);
-    else
-      Log.onMonitorEnter(ThreadId(1), LockId(Lock), false);
     writeAll(Path, Log.serialize());
     EventLog Out;
     return readTraceFile(Path, Out);
@@ -397,6 +399,104 @@ TEST(TraceFileTest, LocksInTheDummyJoinLockRangeAreInvalid) {
       EXPECT_NE(TR.Error.find("dummy join lock"), std::string::npos)
           << TR.Error;
     }
+  }
+}
+
+TEST(TraceFileTest, MonitorRecordsFollowTheRecursionCounts) {
+  // The interpreter's monitors count recursion per thread and lock: an
+  // enter is Recursive iff the thread already holds the lock, and an exit
+  // is StillHeld iff an enclosing enter remains.
+  TempPath Path("monitors");
+  auto replay = [&](const EventLog &Log) {
+    writeAll(Path, Log.serialize());
+    EventLog Out;
+    return readTraceFile(Path, Out);
+  };
+  const ThreadId T1(1), T2(2);
+  const LockId A(3), B(4);
+  auto start = [&](EventLog &Log) {
+    Log.onThreadCreate(T1, ThreadId(0), ObjectId(1));
+    Log.onThreadCreate(T2, ThreadId(0), ObjectId(2));
+  };
+
+  // Nested, recursive and out-of-order releases, and two threads taking
+  // the same lock in turn, all replay.
+  EventLog Good;
+  start(Good);
+  Good.onMonitorEnter(T1, A, false);
+  Good.onMonitorEnter(T1, B, false);
+  Good.onMonitorEnter(T1, A, true);
+  Good.onMonitorExit(T1, A, true);
+  Good.onMonitorExit(T1, A, false);
+  Good.onMonitorExit(T1, B, false);
+  Good.onMonitorEnter(T2, A, false);
+  Good.onMonitorExit(T2, A, false);
+  EXPECT_TRUE(replay(Good).Ok) << replay(Good).Error;
+
+  struct Case {
+    const char *What;
+    EventLog Log;
+  };
+  std::vector<Case> Cases(6);
+  Cases[0].What = "exit of a lock never taken";
+  Cases[0].Log.onMonitorExit(T1, A, false);
+  Cases[1].What = "exit of a lock another thread holds";
+  Cases[1].Log.onMonitorEnter(T1, A, false);
+  Cases[1].Log.onMonitorExit(T2, A, false);
+  Cases[2].What = "recursive enter of a lock not held";
+  Cases[2].Log.onMonitorEnter(T1, A, true);
+  Cases[3].What = "first enter of a lock already held";
+  Cases[3].Log.onMonitorEnter(T1, A, false);
+  Cases[3].Log.onMonitorEnter(T1, A, false);
+  Cases[4].What = "still-held exit of the last hold";
+  Cases[4].Log.onMonitorEnter(T1, A, false);
+  Cases[4].Log.onMonitorExit(T1, A, true);
+  Cases[5].What = "final exit inside an enclosing enter";
+  Cases[5].Log.onMonitorEnter(T1, A, false);
+  Cases[5].Log.onMonitorEnter(T1, A, true);
+  Cases[5].Log.onMonitorExit(T1, A, false);
+  for (Case &C : Cases) {
+    EventLog Log;
+    start(Log);
+    C.Log.replayInto(Log);
+    TraceResult TR = replay(Log);
+    EXPECT_FALSE(TR.Ok) << C.What;
+    EXPECT_TRUE(TR.InvalidEvents) << C.What;
+    EXPECT_NE(TR.Error.find("lock 3"), std::string::npos)
+        << C.What << ": " << TR.Error;
+  }
+}
+
+TEST(TraceFileTest, EntersRewrittenAsExitsAreInvalid) {
+  // Figure2's recording with each MonitorEnter record rewritten as a final
+  // MonitorExit: the runtimes once popped an empty lock stack on it.
+  Program P = testprogs::buildFigure2(/*SamePQ=*/false);
+  TempPath Path("enters-as-exits");
+  ToolConfig Record = ToolConfig::full();
+  Record.RecordTracePath = Path.str();
+  ASSERT_TRUE(runPipeline(P, Record).Trace.Ok);
+  std::vector<uint8_t> Bytes = readAll(Path);
+  size_t Rewritten = 0;
+  for (size_t At = tracefmt::HeaderBytes; At < Bytes.size();
+       At += tracefmt::RecordBytes) {
+    uint8_t &Kind = Bytes[At + tracefmt::RecKind];
+    if (Kind == uint8_t(EventLog::RecordKind::MonitorEnter)) {
+      Kind = uint8_t(EventLog::RecordKind::MonitorExit);
+      Bytes[At + tracefmt::RecFlags] = 0;
+      ++Rewritten;
+    }
+  }
+  ASSERT_GT(Rewritten, 0u);
+  writeAll(Path, Bytes);
+  for (uint32_t Shards : {0u, 2u}) {
+    ToolConfig Cfg = ToolConfig::full();
+    Cfg.Shards = Shards;
+    PipelineResult Res = replayTracePipeline(P, Cfg, Path);
+    EXPECT_FALSE(Res.Trace.Ok) << Shards << " shards";
+    EXPECT_TRUE(Res.Trace.InvalidEvents) << Shards << " shards";
+    EXPECT_NE(Res.Trace.Error.find("which it does not hold"),
+              std::string::npos)
+        << Res.Trace.Error;
   }
 }
 
