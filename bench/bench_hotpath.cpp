@@ -21,8 +21,8 @@
 ///  * Live lanes interpret each replica driving a plan-pre-sized serial
 ///    runtime: `switch` (the reference interpreter), `threaded` (computed
 ///    goto over the superinstruction shadow code, docs/INTERPRETER.md),
-///    `threaded+L0` (the devirtualized sink with the inline L0 filter: the
-///    default `herd` path, docs/HOOKPATH.md) and `threaded+prov` (a
+///    `threaded+probe` (the devirtualized sink with the inline cache probe:
+///    the default `herd` path, docs/HOOKPATH.md) and `threaded+prov` (a
 ///    ProvenanceStore fanned out next to the detector, docs/REPORTS.md).
 ///
 /// Every lane must report its reference lane's racy-location set on every
@@ -209,8 +209,8 @@ DetectorPlan refhotPlan(const RefParams &P) {
 /// access is a detector-side cache hit, so under the fused threaded
 /// dispatch the per-event interpretation cost is a few nanoseconds and the
 /// hook path dominates a live run.  The five replicas are
-/// interpretation-bound, so their filtered/unfiltered live A/B hovers near
-/// 1.0x however cheap the probe is; hotfield isolates the L0 filter.
+/// interpretation-bound, so their probed/unprobed live A/B hovers near
+/// 1.0x however cheap the probe is; hotfield isolates the inline probe.
 Workload buildHotField(uint32_t Scale) {
   Workload W;
   W.Name = "hotfield";
@@ -226,7 +226,7 @@ Workload buildHotField(uint32_t Scale) {
   RegId N = B.emitConst(int64_t(20000) * Scale);
   B.forLoop(0, N, 1, [&](RegId) {
     // Eight read/write pairs: enough straight-line accesses that the loop
-    // bookkeeping amortizes away and the stream is ~100% L0 hits.
+    // bookkeeping amortizes away and the stream is ~100% cache hits.
     for (int K = 0; K != 8; ++K)
       B.emitPutField(Obj, F, B.emitGetField(Obj, F));
   });
@@ -241,7 +241,7 @@ Workload buildHotField(uint32_t Scale) {
 
 /// One timed window — a replay pass or a live run — and what it cost.
 struct Measure {
-  std::string Lane; ///< "serial", "sharded2", "switch", "threaded+L0", ...
+  std::string Lane; ///< "serial", "sharded2", "switch", "threaded+probe", ...
   const char *Pass = "cold"; ///< "cold", "warm" or "steady"
   double Seconds = 0;
   double EventsPerSec = 0;
@@ -413,12 +413,11 @@ std::vector<Lane> replayLanes(bool Smoke) {
 
 /// A live lane: the replica interpreted once per rep, driving a fresh
 /// plan-pre-sized serial runtime.
-Lane liveLane(const char *Name, DispatchMode Dispatch, bool L0,
+Lane liveLane(const char *Name, DispatchMode Dispatch, bool Devirt,
               bool Provenance) {
   return {Name, "serial", [=](Trace &T) {
             RaceRuntimeOptions ROpts;
             ROpts.Plan = T.Plan;
-            ROpts.HookFilter = L0;
             auto RT = std::make_unique<RaceRuntime>(ROpts);
             ProvenanceStore Prov;
             FanoutHooks Fanout{RT.get(), &Prov};
@@ -427,7 +426,7 @@ Lane liveLane(const char *Name, DispatchMode Dispatch, bool L0,
             IOpts.Dispatch = Dispatch;
             if (Dispatch == DispatchMode::Threaded)
               IOpts.Fused = T.Fused.get();
-            IOpts.SerialSink = L0 ? RT.get() : nullptr;
+            IOpts.SerialSink = Devirt ? RT.get() : nullptr;
             RuntimeHooks *Serial = RT.get();
             Interpreter Interp(*T.Prog, Provenance ? &Fanout : Serial, IOpts);
             InterpResult R;
@@ -445,12 +444,12 @@ Lane liveLane(const char *Name, DispatchMode Dispatch, bool L0,
           }};
 }
 
-/// The live lane table: dispatch mode, devirtualized sink + inline L0
-/// filter, ProvenanceStore fanned out next to the detector.
+/// The live lane table: dispatch mode, devirtualized sink + inline cache
+/// probe, ProvenanceStore fanned out next to the detector.
 const Lane LiveLanes[] = {
     liveLane("switch", DispatchMode::Switch, false, false),
     liveLane("threaded", DispatchMode::Threaded, false, false),
-    liveLane("threaded+L0", DispatchMode::Threaded, true, false),
+    liveLane("threaded+probe", DispatchMode::Threaded, true, false),
     liveLane("threaded+prov", DispatchMode::Threaded, false, true),
 };
 
@@ -508,7 +507,8 @@ void writeTrace(JsonWriter &W, const Trace &T) {
              T.pass("serial+plan", "cold").AllocsPerEvent);
   });
   if (T.Prog) {
-    const Measure &Th = T.Live.at("threaded"), &L0 = T.Live.at("threaded+L0"),
+    const Measure &Th = T.Live.at("threaded"),
+                  &Probe = T.Live.at("threaded+probe"),
                   &Pv = T.Live.at("threaded+prov");
     double Cold = T.pass("serial", "cold").EventsPerSec;
     writeLive(W, "live", Th, Cold);
@@ -516,27 +516,28 @@ void writeTrace(JsonWriter &W, const Trace &T) {
       writeLive(W, "switch", T.Live.at("switch"), Cold);
       writeLive(W, "threaded", Th, Cold);
     });
-    // Every access event either died in the L0 filter or reached the
-    // detector: access_events == filter_hits + events_delivered.
-    const HookPathStats &H = L0.Stats.Hook;
+    // The schema keeps its filter_* names for the inline probe: every
+    // access event was a probe hit or reached the detector, so
+    // access_events == filter_hits + events_delivered.
+    const RaceRuntimeStats &S = Probe.Stats;
     object(W, "hook_path", [&] {
       W.member("live_unfiltered_events_per_sec", Th.EventsPerSec);
-      W.member("live_filtered_events_per_sec", L0.EventsPerSec);
-      W.member("speedup", ratio(L0.EventsPerSec, Th.EventsPerSec));
-      W.member("access_events", L0.Run.AccessEvents);
-      W.member("filter_hits", H.FilterHits);
-      W.member("filter_misses", H.FilterMisses);
+      W.member("live_filtered_events_per_sec", Probe.EventsPerSec);
+      W.member("speedup", ratio(Probe.EventsPerSec, Th.EventsPerSec));
+      W.member("access_events", Probe.Run.AccessEvents);
+      W.member("filter_hits", S.CacheHits);
+      W.member("filter_misses", S.CacheMisses);
       W.member("filter_hit_rate",
-               ratio(double(H.FilterHits),
-                     double(H.FilterHits + H.FilterMisses)));
-      W.member("events_delivered", L0.Stats.EventsSeen);
+               ratio(double(S.CacheHits),
+                     double(S.CacheHits + S.CacheMisses)));
+      W.member("events_delivered", S.Detector.EventsIn);
       W.member("counters_reconcile",
-               L0.Run.AccessEvents == H.FilterHits + L0.Stats.EventsSeen);
+               Probe.Run.AccessEvents == S.CacheHits + S.Detector.EventsIn);
     });
     object(W, "provenance_ab", [&] {
-      W.member("off_events_per_sec", L0.EventsPerSec);
+      W.member("off_events_per_sec", Probe.EventsPerSec);
       W.member("on_events_per_sec", Pv.EventsPerSec);
-      W.member("overhead_ratio", ratio(L0.EventsPerSec, Pv.EventsPerSec));
+      W.member("overhead_ratio", ratio(Probe.EventsPerSec, Pv.EventsPerSec));
       W.member("accesses_observed", Pv.ProvenanceAccesses);
       W.member("agreement", T.Agrees.at("threaded+prov"));
     });

@@ -75,10 +75,7 @@ FUSED_KEYS = {k: int for k in (
     "total")}
 BATCH_KEYS = {"planned_blocks": int, "planned_steps": int, "hits": int,
               "retired_steps": int}
-HOOK_KEYS = {"filter_enabled": bool, "filter_hits": int,
-             "filter_misses": int, "epoch_bumps": int,
-             "key_invalidations": int, "batch_flushes": int,
-             "batched_events": int}
+HOOK_KEYS = {"batch_flushes": int, "batched_events": int}
 SHARD_KEYS = {"events_ingested": int, "batches_ingested": int,
               "max_queue_depth_batches": int, "detector": dict}
 EPOCH_KEYS = {k: int for k in (
@@ -173,6 +170,7 @@ def check_stats(doc):
                                         "batch_retirement": BATCH_KEYS})
     check_subsections(doc, "runtime", {"detector": DETECTOR_KEYS,
                                        "hook": HOOK_KEYS})
+    check_runtime_identities(doc)
     for i, shard in enumerate(doc.get("shards", [])):
         where = f"shards[{i}]"
         if not isinstance(shard, dict):
@@ -197,6 +195,30 @@ def check_stats(doc):
             if isinstance(pair, dict):
                 check_keys(pair, {"first": str, "second": str, "count": int},
                            f"profile.pairs[{i}]")
+
+
+def int_at(obj, *path):
+    """The int at obj[path[0]][path[1]]..., or None."""
+    for key in path:
+        obj = obj.get(key) if isinstance(obj, dict) else None
+    return obj if isinstance(obj, int) and not isinstance(obj, bool) else None
+
+
+def check_runtime_identities(doc):
+    """docs/HOOKPATH.md: every access reaching the runtime is a cache hit
+    or goes to the detector, and a successful lockset run's runtime sees
+    every access the run produced, live or replayed."""
+    seen = int_at(doc, "runtime", "events_seen")
+    hits = int_at(doc, "runtime", "cache_hits")
+    into = int_at(doc, "runtime", "detector", "events_in")
+    accesses = int_at(doc, "run", "access_events")
+    if None not in (seen, hits, into) and seen != hits + into:
+        fail(f"runtime.events_seen ({seen}) != runtime.cache_hits ({hits}) "
+             f"+ runtime.detector.events_in ({into})")
+    if None not in (seen, accesses) and doc["run"].get("ok") is True \
+            and "epoch" not in doc and seen != accesses:
+        fail(f"runtime.events_seen ({seen}) != run.access_events "
+             f"({accesses})")
 
 
 def check_trace(doc):

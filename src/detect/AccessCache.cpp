@@ -32,6 +32,7 @@ void AccessCache::renumber(uint32_t From) {
       return clear(); // a wrapped id could revive a stale entry
     Levels[D].Id = ++LastId;
   }
+  TopId = Levels.back().Id;
 }
 
 void AccessCache::clear() {
@@ -40,6 +41,7 @@ void AccessCache::clear() {
   for (uint32_t D = 0; D != Levels.size(); ++D)
     Evictions += std::exchange(Levels[D], Level{D + 1, 0}).Live;
   LastId = uint32_t(Levels.size());
+  TopId = Levels.back().Id;
 }
 
 bool AccessCache::checkInvariants() const {
@@ -51,5 +53,5 @@ bool AccessCache::checkInvariants() const {
     if (Levels[D].Live != Recount[D] || Levels[D].Id > LastId ||
         Levels[D].Id <= (D ? Levels[D - 1].Id : 0))
       return false;
-  return true;
+  return TopId == Levels.back().Id;
 }

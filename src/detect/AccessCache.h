@@ -76,30 +76,23 @@ public:
   /// detector has already processed (Section 4.2) — same thread and kind by
   /// cache identity, lockset-subset by the entry's acquisition still being
   /// held, and no intervening shared-transition by evictKey.  Unlike
-  /// lookup(), no counters move, so layered filters (the hook-path L0
-  /// filter) can use it as their differential oracle.
+  /// lookup(), no counters move, so assertions can ask it.
   bool provesRedundant(LocationKey Key) const {
     const Entry &E = Entries[slotOf(Key)];
     return E.Key == Key && resident(E);
   }
 
   /// Inserts \p Key under the current acquisition, replacing whatever
-  /// occupied its slot.  Returns the key a conflict eviction displaced, or
-  /// LocationKey() when none, so layered filters can drop their own entry
-  /// for it and stay a subset of this cache.
-  LocationKey insert(LocationKey Key) {
+  /// occupied its slot.
+  void insert(LocationKey Key) {
     Entry &E = Entries[slotOf(Key)];
-    LocationKey Displaced;
     if (resident(E)) {
       ++Evictions;
       --Levels[E.Depth].Live;
-      if (E.Key != Key)
-        Displaced = E.Key;
     }
     uint32_t Top = depth();
     E = Entry{Key, Top, Levels[Top].Id};
     ++Levels[Top].Live;
-    return Displaced;
   }
 
   /// A final (non-nested) monitorenter: the lock is held at depth() + 1.
@@ -162,7 +155,11 @@ private:
   }
 
   bool resident(const Entry &E) const {
-    return E.Depth < Levels.size() && Levels[E.Depth].Id == E.Acquisition;
+    // Ids are unique, so an entry made under the innermost held
+    // acquisition (every entry of a thread that holds no lock) is checked
+    // without loading its level.
+    return E.Acquisition == TopId ||
+           (E.Depth < Levels.size() && Levels[E.Depth].Id == E.Acquisition);
   }
 
   /// Gives depths [\p From, depth()] fresh acquisition ids.
@@ -177,6 +174,7 @@ private:
   uint32_t Shift;
   std::vector<Level> Levels; ///< by depth; 0: no releasable lock held
   uint32_t LastId = 1;       ///< the last acquisition id issued
+  uint32_t TopId = 1;        ///< Levels.back().Id
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Evictions = 0;

@@ -8,7 +8,7 @@
 /// The per-thread half of the runtime pipeline, written once for the
 /// serial RaceRuntime and the sharded ShardedRuntime:
 ///
-///   access event -> L0 filter -> per-thread cache (Section 4) -> delivery
+///   access event -> per-thread cache (Section 4) -> delivery
 ///
 /// It keeps each thread's lockset, models join ordering with per-thread
 /// dummy locks S_j (Section 2.3), and evicts a location from its previous
@@ -16,7 +16,8 @@
 /// is the runtime's own: AccessFrontEnd<Derived> calls Derived::deliver on
 /// a cache miss and Derived::syncPoint after each sync operation, bound at
 /// compile time (CRTP), so the per-access path adds no virtual or indirect
-/// call and no branch on the runtime's kind.
+/// call and no branch on the runtime's kind.  The interpreter may hoist a
+/// thread's caches and probe them itself (cacheHandle, onCacheMiss).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,6 @@
 
 #include "detect/AccessCache.h"
 #include "detect/AccessEvent.h"
-#include "detect/AccessFilter.h"
 #include "detect/DetectorPlan.h"
 #include "detect/DetectorStats.h"
 #include "runtime/Hooks.h"
@@ -58,10 +58,11 @@ struct RaceRuntimeOptions {
   /// (`herd --cache-size=N`).  The paper's experiments use 256.
   uint32_t CacheEntries = 256;
 
-  /// Enable the hook-path L0 filter consulted by onAccessFast
-  /// (`herd --hook-filter=on|off`, docs/HOOKPATH.md).  Only effective
-  /// together with UseCache: the filter's differential oracle is the
-  /// detector-side cache, so without it the fast path stays off.
+  /// The hook-path fast path's runtime half (`herd --hook-filter=on|off`,
+  /// docs/HOOKPATH.md): the sharded runtime stages events in per-thread
+  /// batches.  The serial runtime has nothing to switch; the interpreter's
+  /// half, devirtualized delivery with the inline cache probe, is chosen
+  /// by InterpOptions::SerialSink and ShardedSink.
   bool HookFilter = false;
 
   /// Capacity hints from static analysis (`herd --plan=auto|off|N`).
@@ -89,55 +90,27 @@ public:
   void onAccess(ThreadId Thread, LocationKey Location, AccessKind Access,
                 SiteId Site) override;
 
-  /// The devirtualized hook-path entry (docs/HOOKPATH.md): probes the
-  /// thread's L0 filter inline and only falls through to the full onAccess
-  /// path on a miss.  The interpreter calls this through a concrete
-  /// runtime pointer when the single-detector fast path is active, so the
-  /// probe inlines into the dispatch loop with no virtual hop.
-  void onAccessFast(ThreadId Thread, LocationKey Location, AccessKind Access,
-                    SiteId Site) {
-    if (FilterOn) {
-      // A null state (first event from this thread) falls through to
-      // onAccess, which creates it.
-      if (PerThread *T = stateOf(Thread)) {
-        LocationKey Key =
-            Opts.FieldsMerged ? Location.withFieldsMerged() : Location;
-        if (T->Filter.probe(Key, Access)) {
-          // The differential oracle: an L0 hit must be backed by a resident
-          // detector-side cache entry, i.e. the full path would have proven
-          // the same access redundant (see docs/HOOKPATH.md).
-          assert(oracleHolds(Thread, Key, Access) &&
-                 "L0 filter hit not backed by the detector-side cache");
-          return;
-        }
-      }
-    }
-    AccessFrontEnd::onAccess(Thread, Location, Access, Site);
-  }
-
   /// The interpreter's per-quantum probe handle (docs/HOOKPATH.md): the
-  /// running thread's L0 filter, hoisted into the dispatch loop so the
-  /// per-access probe is one register-resident pointer instead of a walk
-  /// through the runtime's thread table.  Null when the probe cannot be
-  /// hoisted — filter off, or FieldsMerged, whose key transform the
-  /// onAccessFast fallback performs.  Creates the thread's state on first
-  /// use; the returned address is stable for the thread's lifetime (state
-  /// is heap-allocated) and every invalidation channel mutates the
-  /// pointed-to filter in place.
-  AccessFilter *filterHandle(ThreadId Thread) {
-    if (!FilterOn || Opts.FieldsMerged)
+  /// running thread's two caches, indexed by AccessKind, hoisted into the
+  /// dispatch loop so a Section 4 hit is one lookup() through a
+  /// register-resident pointer, with no call into the runtime.  Null when
+  /// the probe cannot be hoisted: no cache, or FieldsMerged, whose key
+  /// transform onAccess performs.  Creates the thread's state on first
+  /// use; the address is stable for the thread's lifetime (state is
+  /// heap-allocated), and every eviction mutates the caches in place.
+  AccessCache *cacheHandle(ThreadId Thread) {
+    if (!Opts.UseCache || Opts.FieldsMerged)
       return nullptr;
-    return &threadState(Thread).Filter;
+    PerThread *Known = stateOf(Thread);
+    return (Known ? *Known : threadState(Thread)).Caches;
   }
 
-  /// The differential oracle behind the interpreter-side inline probe
-  /// (debug builds assert this on every hoisted L0 hit): the detector-side
-  /// cache must prove the same access redundant.
-  bool oracleHolds(ThreadId Thread, LocationKey Key,
-                   AccessKind Access) const {
-    const PerThread *T = stateOf(Thread);
-    return T && (Access == AccessKind::Read ? T->ReadCache : T->WriteCache)
-                    .provesRedundant(Key);
+  /// The rest of onAccess after a miss of the hoisted probe: delivers the
+  /// access and caches it.  The lookup already counted the miss.
+  void onCacheMiss(ThreadId Thread, LocationKey Key, AccessKind Access,
+                   SiteId Site) {
+    PerThread &T = *stateOf(Thread);
+    deliverMiss(T, T.Caches[size_t(Access)], Thread, Key, Access, Site);
   }
 
   /// The current lockset of \p Thread (dummy join locks included); exposed
@@ -153,13 +126,11 @@ public:
 protected:
   struct PerThread {
     explicit PerThread(uint32_t CacheEntries)
-        : ReadCache(CacheEntries), WriteCache(CacheEntries) {}
+        : Caches{AccessCache(CacheEntries), AccessCache(CacheEntries)} {}
 
     LockSet Locks;                    ///< held locks incl. dummy join locks
     std::vector<LockId> RealStack;    ///< releasable locks, by cache depth
-    AccessCache ReadCache;
-    AccessCache WriteCache;
-    AccessFilter Filter;              ///< hook-path L0 filter (HookFilter)
+    AccessCache Caches[2];            ///< by AccessKind: read, write
 
     /// Interned id of Locks, refreshed lazily: locksets only change at
     /// monitor/thread events, so the per-access cost is a dirty-bit test
@@ -168,8 +139,7 @@ protected:
     bool LocksDirty = false;
   };
 
-  explicit AccessFrontEnd(const RaceRuntimeOptions &Opts)
-      : Opts(Opts), FilterOn(Opts.HookFilter && Opts.UseCache) {
+  explicit AccessFrontEnd(const RaceRuntimeOptions &Opts) : Opts(Opts) {
     if (uint64_t N = Opts.Plan.clamped().ExpectedThreads)
       Threads.reserve(size_t(N) + 1); // +1: thread ids are 1-based, slot 0 main
   }
@@ -183,13 +153,13 @@ protected:
   /// Section 7.2: a location entering the shared state must leave the
   /// caches, or a hit could suppress the first post-sharing access.  Only
   /// \p Owner, its owner until now, can hold it (every insert follows a
-  /// delivery; another thread's delivery shares it), so its caches and L0
-  /// filter drop the key.  Each runtime wires this to its ownership model.
+  /// delivery; another thread's delivery shares it), so its caches drop
+  /// the key.  Each runtime wires this to its ownership model.
   void evictShared(LocationKey Key, ThreadId Owner);
 
-  /// The front end's counters: events seen, cache and L0 filter totals,
-  /// and the per-thread cache breakdown.  Detector counters are left to
-  /// the runtime.
+  /// The front end's counters: events seen, cache totals and the
+  /// per-thread cache breakdown.  Detector counters are left to the
+  /// runtime.
   RaceRuntimeStats frontEndStats() const;
 
   RaceRuntimeOptions Opts;
@@ -204,18 +174,20 @@ private:
     return Index < Threads.size() ? Threads[Index].get() : nullptr;
   }
 
-  /// A sync operation changed \p T's lockset.
-  void locksChanged(PerThread &T) {
-    T.LocksDirty = true;
-    if (FilterOn)
-      T.Filter.bumpEpoch();
+  /// A cache miss: delivery (ownership and the trie) runs before the
+  /// insert, so a shared transition's eviction precedes it.
+  void deliverMiss(PerThread &T, AccessCache &Cache, ThreadId Thread,
+                   LocationKey Key, AccessKind Access, SiteId Site) {
+    derived().deliver(T, Thread, Key, Access, Site);
+    Cache.insert(Key);
   }
 
   Derived &derived() { return static_cast<Derived &>(*this); }
 
-  bool FilterOn; ///< Opts.HookFilter gated on Opts.UseCache (the oracle)
   std::vector<std::unique_ptr<PerThread>> Threads;
-  uint64_t EventsSeen = 0;
+  /// Accesses seen without a cache (NoCache).  With one, every access is
+  /// one lookup, counted by its cache, so EventsSeen is hits + misses.
+  uint64_t UncachedEvents = 0;
 };
 
 //===----------------------------------------------------------------------===
@@ -252,7 +224,7 @@ void AccessFrontEnd<Derived>::onThreadCreate(ThreadId Child,
     // (Section 2.3).  The dummy lock is not releasable during the thread's
     // life, so it takes no cache acquisition (see AccessCache docs).
     T.Locks.insert(dummyLockOf(Child));
-    locksChanged(T);
+    T.LocksDirty = true;
   }
   derived().syncPoint(/*Join=*/false);
 }
@@ -263,7 +235,7 @@ void AccessFrontEnd<Derived>::onThreadExit(ThreadId Dying) {
     // The dummy mon-exit(S_dying) at the end of the thread's execution.
     PerThread &T = threadState(Dying);
     T.Locks.erase(dummyLockOf(Dying));
-    locksChanged(T);
+    T.LocksDirty = true;
   }
   derived().syncPoint(/*Join=*/false);
 }
@@ -276,7 +248,7 @@ void AccessFrontEnd<Derived>::onThreadJoin(ThreadId Joiner, ThreadId Joined) {
     // held S_joined for its entire execution.  It is held forever.
     PerThread &T = threadState(Joiner);
     T.Locks.insert(dummyLockOf(Joined));
-    locksChanged(T);
+    T.LocksDirty = true;
   }
   derived().syncPoint(/*Join=*/true);
 }
@@ -290,9 +262,9 @@ void AccessFrontEnd<Derived>::onMonitorEnter(ThreadId Thread, LockId Lock,
   PerThread &T = threadState(Thread);
   T.Locks.insert(Lock);
   T.RealStack.push_back(Lock);
-  T.ReadCache.acquire();
-  T.WriteCache.acquire();
-  locksChanged(T);
+  for (AccessCache &Cache : T.Caches)
+    Cache.acquire();
+  T.LocksDirty = true;
   derived().syncPoint(/*Join=*/false);
 }
 
@@ -310,50 +282,30 @@ void AccessFrontEnd<Derived>::onMonitorExit(ThreadId Thread, LockId Lock,
   uint32_t Depth = uint32_t(T.RealStack.rend() - Held);
   T.RealStack.erase(std::next(Held).base());
   T.Locks.erase(Lock);
-  T.ReadCache.release(Depth);
-  T.WriteCache.release(Depth);
-  locksChanged(T);
+  for (AccessCache &Cache : T.Caches)
+    Cache.release(Depth);
+  T.LocksDirty = true;
   derived().syncPoint(/*Join=*/false);
 }
 
 template <class Derived>
 void AccessFrontEnd<Derived>::onAccess(ThreadId Thread, LocationKey Location,
                                        AccessKind Access, SiteId Site) {
-  ++EventsSeen;
   PerThread *Known = stateOf(Thread);
   PerThread &T = Known ? *Known : threadState(Thread);
   // Field merging is applied here (before the cache) so that the cache
   // and the detector index the same keys.
   LocationKey Key =
       Opts.FieldsMerged ? Location.withFieldsMerged() : Location;
-
-  AccessCache *Cache = nullptr;
-  if (Opts.UseCache) {
-    Cache = Access == AccessKind::Read ? &T.ReadCache : &T.WriteCache;
-    if (Cache->lookup(Key)) {
-      // Guaranteed redundant: a weaker access is already recorded.  Seed
-      // the L0 filter so the next same-epoch repeat short-circuits at the
-      // instrumentation site (the hit is backed by this cache entry).
-      if (FilterOn)
-        T.Filter.insert(Key, Access);
-      return;
-    }
+  if (!Opts.UseCache) {
+    ++UncachedEvents;
+    derived().deliver(T, Thread, Key, Access, Site);
+    return;
   }
-
-  // Delivery (ownership and the trie) runs before the cache insert, so a
-  // shared transition's eviction precedes it.
-  derived().deliver(T, Thread, Key, Access, Site);
-
-  if (Cache) {
-    LocationKey Displaced = Cache->insert(Key);
-    if (FilterOn) {
-      // A conflict eviction removed another key's backing cache entry; the
-      // L0 filter must not keep proving that key redundant.
-      if (Displaced != LocationKey())
-        T.Filter.invalidateKey(Displaced);
-      T.Filter.insert(Key, Access);
-    }
-  }
+  // A hit is guaranteed redundant: a weaker access is already recorded.
+  AccessCache &Cache = T.Caches[size_t(Access)];
+  if (!Cache.lookup(Key))
+    deliverMiss(T, Cache, Thread, Key, Access, Site);
 }
 
 template <class Derived>
@@ -382,43 +334,36 @@ void AccessFrontEnd<Derived>::evictShared(LocationKey Key, ThreadId Owner) {
     return;
 #ifndef NDEBUG
   for (uint32_t I = 0; I != Threads.size(); ++I)
-    for (AccessKind Kind : {AccessKind::Read, AccessKind::Write})
-      assert((I == Owner.index() || !Threads[I] ||
-              (!oracleHolds(ThreadId(I), Key, Kind) &&
-               !Threads[I]->Filter.holds(Key, Kind))) &&
-             "a shared location is cached by a thread that never owned it");
+    if (I != Owner.index() && Threads[I])
+      for (const AccessCache &Cache : Threads[I]->Caches)
+        assert(!Cache.provesRedundant(Key) &&
+               "a shared location is cached by a thread that never owned it");
 #endif
-  PerThread &T = threadState(Owner);
-  T.ReadCache.evictKey(Key);
-  T.WriteCache.evictKey(Key);
-  if (FilterOn)
-    T.Filter.invalidateKey(Key);
+  for (AccessCache &Cache : threadState(Owner).Caches)
+    Cache.evictKey(Key);
 }
 
 template <class Derived>
 RaceRuntimeStats AccessFrontEnd<Derived>::frontEndStats() const {
   RaceRuntimeStats S;
-  S.EventsSeen = EventsSeen;
-  S.Hook.FilterEnabled = FilterOn;
   for (size_t Index = 0; Index < Threads.size(); ++Index) {
     const auto &T = Threads[Index];
     if (!T)
       continue;
-    S.CacheHits += T->ReadCache.hits() + T->WriteCache.hits();
-    S.CacheMisses += T->ReadCache.misses() + T->WriteCache.misses();
-    S.CacheEvictions += T->ReadCache.evictions() + T->WriteCache.evictions();
-    S.Hook.FilterHits += T->Filter.hits();
-    S.Hook.FilterMisses += T->Filter.misses();
-    S.Hook.EpochBumps += T->Filter.epochBumps();
-    S.Hook.KeyInvalidations += T->Filter.keyInvalidations();
+    const AccessCache &Read = T->Caches[size_t(AccessKind::Read)];
+    const AccessCache &Write = T->Caches[size_t(AccessKind::Write)];
+    S.CacheHits += Read.hits() + Write.hits();
+    S.CacheMisses += Read.misses() + Write.misses();
+    S.CacheEvictions += Read.evictions() + Write.evictions();
     ThreadCacheStats TC;
     TC.Thread = uint32_t(Index);
-    TC.ReadHits = T->ReadCache.hits();
-    TC.ReadMisses = T->ReadCache.misses();
-    TC.WriteHits = T->WriteCache.hits();
-    TC.WriteMisses = T->WriteCache.misses();
+    TC.ReadHits = Read.hits();
+    TC.ReadMisses = Read.misses();
+    TC.WriteHits = Write.hits();
+    TC.WriteMisses = Write.misses();
     S.PerThreadCache.push_back(TC);
   }
+  S.EventsSeen = UncachedEvents + S.CacheHits + S.CacheMisses;
   return S;
 }
 

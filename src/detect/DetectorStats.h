@@ -60,25 +60,27 @@ struct ThreadCacheStats {
   }
 };
 
-/// Hook-path fast-path counters (docs/HOOKPATH.md): the inline L0 filter
-/// probed at the instrumentation site and the sharded runtime's per-thread
-/// event batching.  With the filter enabled, every traced access is either
-/// an L0 hit or reaches the runtime, so
-///   InterpResult::AccessEvents == FilterHits + RaceRuntimeStats::EventsSeen
-/// holds exactly (the hook-reconcile clause of scripts/check_bench_gate.py).
+/// Hook-path counters (docs/HOOKPATH.md): the sharded runtime's per-thread
+/// event batching.
 struct HookPathStats {
-  bool FilterEnabled = false;
-  uint64_t FilterHits = 0;       ///< accesses filtered before event creation
-  uint64_t FilterMisses = 0;     ///< probes that fell through to delivery
-  uint64_t EpochBumps = 0;       ///< whole-filter invalidations at sync ops
-  uint64_t KeyInvalidations = 0; ///< single-slot drops (shared/conflict)
-  uint64_t BatchFlushes = 0;     ///< staged-batch flushes (sharded only)
-  uint64_t BatchedEvents = 0;    ///< events that passed through staging
+  // Always 0: the L0 filter they counted is gone, and every access now
+  // reaches the runtime (InterpResult::AccessEvents == EventsSeen).  Kept
+  // because herdbench/Traced.cpp reads them (detect.filter.*); they go
+  // with the next change to the benchmark.
+  uint64_t FilterHits = 0;
+  uint64_t FilterMisses = 0;
+  uint64_t EpochBumps = 0;
+
+  uint64_t BatchFlushes = 0;  ///< staged-batch flushes (sharded only)
+  uint64_t BatchedEvents = 0; ///< events that passed through staging
 };
 
 /// Aggregate counters for one run (serial or sharded).
 struct RaceRuntimeStats {
-  uint64_t EventsSeen = 0;   ///< accesses arriving from the program
+  /// Accesses arriving from the program, live or replayed: with a cache,
+  /// EventsSeen == CacheHits + CacheMisses and CacheMisses ==
+  /// Detector.EventsIn.
+  uint64_t EventsSeen = 0;
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   uint64_t CacheEvictions = 0;

@@ -11,8 +11,8 @@
 ///   access event -> per-thread cache (Section 4) -> ownership filter and
 ///   trie detector (Sections 3 and 7).
 ///
-/// The per-thread half (locksets with dummy join locks, caches, the L0
-/// filter) is detect/AccessFrontEnd.h, shared with ShardedRuntime; this
+/// The per-thread half (locksets with dummy join locks, caches) is
+/// detect/AccessFrontEnd.h, shared with ShardedRuntime; this
 /// runtime adds the in-line Detector and wires its ownership-to-shared
 /// transition to cache eviction (the Section 7.2 soundness fix).
 ///

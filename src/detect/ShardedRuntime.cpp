@@ -10,6 +10,7 @@
 #include "support/Metrics.h"
 
 #include <cassert>
+#include <utility>
 
 using namespace herd;
 
@@ -26,6 +27,7 @@ ShardPool::ShardPool(uint32_t NumShards, size_t BatchCapacity,
     OwnedInterner = std::make_unique<LockSetInterner>();
     this->Locksets = OwnedInterner.get();
   }
+  assert(NumShards <= MaxShards && "more shards than ShardPool::MaxShards");
   if (NumShards == 0)
     NumShards = 1;
   if (QueueDepth == 0)
@@ -252,6 +254,12 @@ const RaceReporter &ShardedRuntime::reporter() {
     MergedValid = true;
   }
   return Merged;
+}
+
+RaceReporter ShardedRuntime::takeReporter() {
+  reporter();
+  MergedValid = false;
+  return std::exchange(Merged, RaceReporter());
 }
 
 RaceRuntimeStats ShardedRuntime::stats() {

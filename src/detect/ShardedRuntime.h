@@ -68,6 +68,10 @@ struct ShardedRuntimeOptions : RaceRuntimeOptions {
 /// submit/flush/drain are producer-thread-only.
 class ShardPool {
 public:
+  /// The most shards a pool runs, one worker thread each (`herd --shards`
+  /// rejects more).
+  static constexpr uint32_t MaxShards = 64;
+
   /// \p Locksets is the interner batched lockset ids resolve against; when
   /// null the pool owns a private one (standalone pools in tests/benches).
   /// Interning happens producer-side only; workers call resolve(), which
@@ -188,6 +192,10 @@ public:
   /// Drains the shards and returns the merged reporter (shard order, then
   /// per-shard program order).
   const RaceReporter &reporter();
+
+  /// reporter(), handed over by move: for a caller done with the runtime.
+  /// A later reporter() merges the shards again.
+  RaceReporter takeReporter();
 
   /// Drains the shards and returns aggregate counters.  For the same
   /// program and schedule every field equals the serial RaceRuntime's

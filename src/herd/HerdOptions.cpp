@@ -6,6 +6,8 @@
 
 #include "herd/HerdOptions.h"
 
+#include "detect/ShardedRuntime.h"
+
 #include <cctype>
 #include <cstdlib>
 
@@ -18,7 +20,7 @@ const char *herd::herdUsageText() {
       "                    nocache | fieldsmerged | noownership | base\n"
       "  --seed=<n>        schedule seed (default 1)\n"
       "  --shards=<n>      run the sharded detection runtime with n shard\n"
-      "                    workers (default: serial runtime)\n"
+      "                    workers, at most 64 (default: serial runtime)\n"
       "  --cache-size=<n>  entries per per-thread access cache; power of\n"
       "                    two (default 256, the paper's Section 4.3)\n"
       "  --plan=<mode>     detector capacity planning: auto (default;\n"
@@ -49,11 +51,11 @@ const char *herd::herdUsageText() {
       "                    computed-goto over superinstruction shadow code,\n"
       "                    docs/INTERPRETER.md) | switch (the reference\n"
       "                    interpreter); reports are identical either way\n"
-      "  --hook-filter=<m> hook-path fast path: on (default; inline L0\n"
-      "                    access filter, devirtualized delivery, batched\n"
-      "                    submission, docs/HOOKPATH.md) | off (the legacy\n"
-      "                    virtual hook path, for A/B measurement); reports\n"
-      "                    and traces are byte-identical either way\n"
+      "  --hook-filter=<m> hook-path fast path: on (default; inline cache\n"
+      "                    probe, devirtualized delivery, batched\n"
+      "                    submission, docs/HOOKPATH.md) | off (the\n"
+      "                    virtual hook path, the reference); reports,\n"
+      "                    traces and counters are identical either way\n"
       "  --report=<fmt>    race-report rendering: human (default) | json\n"
       "                    (one versioned herd-report document on stdout) |\n"
       "                    sarif (a SARIF 2.1.0 document for code-scanning\n"
@@ -132,11 +134,18 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
         return fail("herd: --seed expects a non-negative number, got '" +
                     Arg.substr(7) + "'");
     } else if (Arg.rfind("--shards=", 0) == 0) {
+      // As for --seed: strtoul skips whitespace and wraps negatives, so
+      // only a plain digit string is a count.  Each shard is a thread.
       char *End = nullptr;
-      Shards = uint32_t(std::strtoul(Arg.c_str() + 9, &End, 10));
-      if (End == Arg.c_str() + 9 || *End != '\0')
+      unsigned long N = std::strtoul(Arg.c_str() + 9, &End, 10);
+      if (!std::isdigit(uint8_t(Arg[9])) || *End != '\0')
         return fail("herd: --shards expects a number, got '" +
                     Arg.substr(9) + "'");
+      if (N > ShardPool::MaxShards)
+        return fail("herd: --shards expects at most " +
+                    std::to_string(ShardPool::MaxShards) + " shards, got '" +
+                    Arg.substr(9) + "'");
+      Shards = uint32_t(N);
     } else if (Arg.rfind("--cache-size=", 0) == 0) {
       char *End = nullptr;
       unsigned long N = std::strtoul(Arg.c_str() + 13, &End, 10);

@@ -568,14 +568,14 @@ public:
     MetricsRegistry *Metrics = Config.Metrics;
     {
       Span DrainSpan(Metrics, "detect-drain");
+      // The runtime is discarded right after, so its reporter (up to 2^16
+      // records on a saturated stream) is moved out, not copied.
       if (Sharded) {
         Sharded->finish();
         Result.Stats = Sharded->stats();
-        Result.Reports = Sharded->reporter();
+        Result.Reports = Sharded->takeReporter();
         Result.ShardBreakdown = Sharded->shardStats();
       } else if (Serial) {
-        // The runtime is discarded right after, so its reporter — up to
-        // 2^16 records on a saturated stream — is moved out, not copied.
         Result.Stats = Serial->stats();
         Result.Reports = std::exchange(Serial->reporter(), RaceReporter());
       } else {
@@ -701,9 +701,9 @@ PipelineResult herd::runPipeline(const Program &Input,
   IOpts.Fused = Shadow.get();
   // Devirtualized delivery (docs/HOOKPATH.md): when the detection runtime
   // is the *sole* sink — no recorder, no deadlock detector — and no
-  // profiler wants to time hook calls, the interpreter delivers access
-  // events straight to the concrete runtime (inline L0 filter included).
-  // Any extra sink disables it so recorded traces keep every event.
+  // profiler wants to time hook calls, the interpreter probes the cache
+  // inline and delivers misses straight to the concrete runtime.  Any
+  // extra sink disables it so recorded traces keep every event.
   if (Config.HookFilter && !Config.Profiler && Core.detectorOnly()) {
     IOpts.SerialSink = Core.serial();
     IOpts.ShardedSink = Core.sharded();

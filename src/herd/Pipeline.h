@@ -55,12 +55,11 @@ struct ToolConfig {
   uint32_t CacheEntries = 256;
 
   /// Hook-path fast path (`herd --hook-filter=on|off`, docs/HOOKPATH.md):
-  /// the per-thread inline L0 access filter, devirtualized event delivery
-  /// into the detection runtime, and (sharded) batched submission.  Purely
-  /// an optimization — reports, traces, and schedules are byte-identical
-  /// either way; `off` reproduces the legacy virtual hook path for A/B
-  /// measurement.  The L0 filter additionally requires UseCache (the
-  /// detector-side cache is the invariant it borrows).
+  /// devirtualized event delivery into the detection runtime, with the
+  /// running thread's Section 4 cache probed inline (when UseCache), and
+  /// (sharded) batched submission.  Purely an optimization: reports,
+  /// traces, schedules and counters are identical either way; `off`, the
+  /// virtual hook path, is the reference.
   bool HookFilter = true;
 
   /// Shard count for the detection runtime: 0 runs the serial

@@ -37,11 +37,6 @@ void writeRuntimeStats(JsonWriter &W, const RaceRuntimeStats &S) {
   W.member("cache_evictions", S.CacheEvictions);
   W.key("hook");
   W.beginObject();
-  W.member("filter_enabled", S.Hook.FilterEnabled);
-  W.member("filter_hits", S.Hook.FilterHits);
-  W.member("filter_misses", S.Hook.FilterMisses);
-  W.member("epoch_bumps", S.Hook.EpochBumps);
-  W.member("key_invalidations", S.Hook.KeyInvalidations);
   W.member("batch_flushes", S.Hook.BatchFlushes);
   W.member("batched_events", S.Hook.BatchedEvents);
   W.endObject();

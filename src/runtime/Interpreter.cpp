@@ -134,45 +134,38 @@ bool Interpreter::requireInt(const Value &V, int64_t &Out,
 
 inline void Interpreter::deliverHoisted(ThreadId Thread, LocationKey Loc,
                                         AccessKind Kind, SiteId Site) {
-  // Hoisted L0 probe (docs/HOOKPATH.md): CurFilter is the running
-  // thread's filter, refreshed at quantum start, so the common case — a
-  // guaranteed-redundant access — costs one hash and one slot compare
-  // through a register-resident pointer.  A hit must be backed by the
-  // detector-side cache (the differential oracle, asserted in debug
-  // builds); a miss falls through to the full delivery path, which is
-  // what seeds the filter.
-  if (CurFilter->probe(Loc, Kind)) {
-    assert((SerialSink ? SerialSink->oracleHolds(Thread, Loc, Kind)
-                       : ShardedSink->oracleHolds(Thread, Loc, Kind)) &&
-           "hoisted L0 filter hit not backed by the detector-side cache");
+  // The hoisted Section 4 probe (docs/HOOKPATH.md): the running thread's
+  // cache for this access kind, refreshed at quantum start, so the common
+  // case, a guaranteed-redundant access, costs one lookup through a
+  // register-resident pointer.  The lookup counts the hit or the miss; a
+  // miss takes the rest of the runtime's onAccess, devirtualized.
+  if (CurCaches[size_t(Kind)].lookup(Loc))
     return;
-  }
-  // Qualified calls: the sink type is concrete, so the miss path stays
-  // devirtualized too.
   if (SerialSink) {
-    SerialSink->RaceRuntime::onAccess(Thread, Loc, Kind, Site);
+    SerialSink->onCacheMiss(Thread, Loc, Kind, Site);
     return;
   }
-  ShardedSink->ShardedRuntime::onAccess(Thread, Loc, Kind, Site);
+  ShardedSink->onCacheMiss(Thread, Loc, Kind, Site);
 }
 
 void Interpreter::emitAccess(ThreadId Thread, LocationKey Loc,
                              AccessKind Kind, SiteId Site) {
   ++Result.AccessEvents;
-  if (CurFilter) {
+  if (CurCaches) {
     deliverHoisted(Thread, Loc, Kind, Site);
     return;
   }
-  // Devirtualized delivery without a hoistable filter (filter off, or
-  // FieldsMerged): onAccessFast performs the key transform and the probe
-  // itself.  The pipeline only sets a sink when no profiler is active, so
-  // the profiled hook-timing path below stays exact when profiling.
+  // Devirtualized delivery without hoisted caches (NoCache or
+  // FieldsMerged): qualified calls, so the sink's own onAccess runs
+  // without a virtual hop.  The pipeline only sets a sink when no
+  // profiler is active, so the profiled hook-timing path below stays
+  // exact when profiling.
   if (SerialSink) {
-    SerialSink->onAccessFast(Thread, Loc, Kind, Site);
+    SerialSink->RaceRuntime::onAccess(Thread, Loc, Kind, Site);
     return;
   }
   if (ShardedSink) {
-    ShardedSink->onAccessFast(Thread, Loc, Kind, Site);
+    ShardedSink->ShardedRuntime::onAccess(Thread, Loc, Kind, Site);
     return;
   }
   if (!Hooks)
@@ -1429,10 +1422,11 @@ TraceStaticTail:
 
 TraceDeliver:
   // The Trace proper, the rest of execTrace inline: count the event,
-  // probe the hoisted L0 filter, and deliver a miss to the concrete
-  // runtime.  Without a hoisted filter (recording, provenance, deadlock
-  // detection, `--hook-filter=off`) the key goes through emitAccess.
-  if (HERD_LIKELY(CurFilter != nullptr)) {
+  // probe the hoisted cache, and deliver a miss to the concrete runtime.
+  // Without hoisted caches (recording, provenance, deadlock detection,
+  // `--hook-filter=off`, NoCache, FieldsMerged) the key goes through
+  // emitAccess.
+  if (HERD_LIKELY(CurCaches != nullptr)) {
     ++Result.AccessEvents;
     deliverHoisted(Thread.Id, TraceLoc, I->Access, I->Site);
   } else {
@@ -1565,17 +1559,15 @@ InterpResult Interpreter::run() {
       Quantum = 1 + ScheduleRng.nextBelow(Opts.MaxQuantum);
     }
 
-    // Hoisted hook-path probe (docs/HOOKPATH.md): cache the running
-    // thread's L0 filter for the quantum.  The handle's address is stable
-    // (the runtimes heap-allocate per-thread state) and every
-    // invalidation channel — epoch bumps on the thread's own sync ops,
-    // cross-thread shared-transition evictions, cache-conflict
-    // displacement — mutates the pointed-to filter in place, so a
-    // quantum-long cache of the pointer can never serve a stale hit.
-    if (SerialSink)
-      CurFilter = SerialSink->filterHandle(Current->Id);
-    else if (ShardedSink)
-      CurFilter = ShardedSink->filterHandle(Current->Id);
+    // Hoisted hook-path probe (docs/HOOKPATH.md): keep the running
+    // thread's two caches for the quantum.  Their addresses are stable
+    // (the runtimes heap-allocate per-thread state) and every eviction
+    // (the thread's own lock releases, another thread's shared
+    // transition, a conflict) mutates the pointed-to cache in place, so a
+    // quantum-long copy of the pointers never serves a stale hit.
+    CurCaches = SerialSink    ? SerialSink->cacheHandle(Current->Id)
+                : ShardedSink ? ShardedSink->cacheHandle(Current->Id)
+                              : nullptr;
 
     // Pair counts never chain across a context switch, in either mode.
     if (HERD_UNLIKELY(Prof != nullptr))

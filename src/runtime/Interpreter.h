@@ -37,7 +37,7 @@
 namespace herd {
 
 class InterpProfiler;
-class AccessFilter;
+class AccessCache;
 class RaceRuntime;
 class ShardedRuntime;
 
@@ -119,13 +119,14 @@ struct InterpOptions {
   const ThreadedCode *Fused = nullptr;
 
   /// Devirtualized delivery (docs/HOOKPATH.md): when one of these is set,
-  /// traced accesses bypass the virtual RuntimeHooks::onAccess hop and
-  /// call the concrete runtime's onAccessFast — which probes the inline
-  /// L0 filter — directly.  The pipeline sets at most one, and only when
-  /// the detection runtime is the sole access sink (no recorder, no
-  /// deadlock detector, no profiler): every other sink would miss events
-  /// the filter suppresses.  All non-access events still flow through the
-  /// normal Hooks pointer, which must reference the same runtime.
+  /// traced accesses bypass the virtual RuntimeHooks::onAccess hop.  The
+  /// interpreter probes the running thread's Section 4 cache inline and
+  /// calls the concrete runtime only on a miss.  The pipeline sets at most
+  /// one, and only when the detection runtime is the sole access sink (no
+  /// recorder, no deadlock detector, no profiler): every other sink would
+  /// miss the accesses the probe absorbs.  All non-access events still
+  /// flow through the normal Hooks pointer, which must reference the same
+  /// runtime.
   RaceRuntime *SerialSink = nullptr;
   ShardedRuntime *ShardedSink = nullptr;
 };
@@ -287,9 +288,9 @@ private:
   void fault(const std::string &Message);
   void emitAccess(ThreadId Thread, LocationKey Loc, AccessKind Kind,
                   SiteId Site);
-  /// The hoisted L0 probe and its devirtualized miss delivery (requires
-  /// CurFilter); shared by emitAccess and the fused access+trace handler,
-  /// which inlines it into the threaded loop.
+  /// The hoisted cache probe and its devirtualized miss delivery (requires
+  /// hoisted caches); shared by emitAccess and the fused access+trace
+  /// handler, which inlines it into the threaded loop.
   void deliverHoisted(ThreadId Thread, LocationKey Loc, AccessKind Kind,
                       SiteId Site);
 
@@ -304,12 +305,12 @@ private:
   InterpProfiler *Prof;
   RaceRuntime *SerialSink;   ///< devirtualized delivery (InterpOptions)
   ShardedRuntime *ShardedSink;
-  /// The running thread's L0 filter, refreshed at each quantum start from
-  /// the active sink's filterHandle (docs/HOOKPATH.md).  Non-null only on
-  /// the devirtualized path with the filter hoistable; emitAccess and the
-  /// fused access+trace handler probe it through this one pointer before
-  /// any call into the runtime.
-  AccessFilter *CurFilter = nullptr;
+  /// The running thread's read and write caches, indexed by AccessKind and
+  /// refreshed at each quantum start from the active sink's cacheHandle
+  /// (docs/HOOKPATH.md).  Non-null only on the devirtualized path with the
+  /// caches hoistable; emitAccess and the fused access+trace handler probe
+  /// them through this one pointer before any call into the runtime.
+  AccessCache *CurCaches = nullptr;
   InterpOptions Opts;
   Heap TheHeap;
   uint64_t HeapBytes = 0; ///< charged so far (chargeHeap)

@@ -70,6 +70,16 @@ MUTATIONS = {
         lambda d: d["dispatch"]["fused_exec"].update(
             access_trace=d["run"]["access_events"] + 1),
         "dispatch.fused_exec.access_trace"),
+    "events-seen-split": (
+        "stats.json",
+        lambda d: d["runtime"].update(
+            cache_hits=d["runtime"]["cache_hits"] + 1),
+        "runtime.cache_hits"),
+    "events-seen-accesses": (
+        "stats.json",
+        lambda d: d["run"].update(
+            access_events=d["run"]["access_events"] + 1),
+        "run.access_events"),
     "sarif-rule-declared": (
         "live.sarif", undeclare_used_rule, "not declared"),
 }

@@ -273,6 +273,19 @@ TEST(CliTest, BadShards) {
               "herd: --shards expects a number, got ''");
   expectError(parse({"p.mj", "--shards=4x"}),
               "herd: --shards expects a number, got '4x'");
+  // strtoul would wrap -1 to 2^32 - 1 and skip the space: threads each.
+  expectError(parse({"p.mj", "--shards=-1"}),
+              "herd: --shards expects a number, got '-1'");
+  expectError(parse({"p.mj", "--shards= 2"}),
+              "herd: --shards expects a number, got ' 2'");
+  expectError(parse({"p.mj", "--shards=65"}),
+              "herd: --shards expects at most 64 shards, got '65'");
+  expectError(parse({"p.mj", "--shards=100000"}),
+              "herd: --shards expects at most 64 shards, got '100000'");
+  expectError(parse({"p.mj", "--shards=99999999999999999999"}),
+              "herd: --shards expects at most 64 shards, got "
+              "'99999999999999999999'");
+  EXPECT_EQ(parse({"p.mj", "--shards=64"}).Opts.Config.Shards, 64u);
 }
 
 TEST(CliTest, BadCacheSize) {

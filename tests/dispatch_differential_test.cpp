@@ -17,11 +17,11 @@
 /// recorded under one mode replays exactly under the other.
 ///
 /// The access+trace family (an instrumented access fused with its Trace,
-/// which probes the hoisted L0 filter inline) gets its own lockdown at the
-/// end: fusion on, fusion off and switch dispatch on the five replicas and
-/// per access kind, at quantum edges, serial and sharded, with recording
-/// on (no filter hoisted) — schedules, reports, traces and access-event
-/// counts must match.
+/// which probes the hoisted Section 4 cache inline) gets its own lockdown
+/// at the end: fusion on, fusion off and switch dispatch on the five
+/// replicas and per access kind, at quantum edges, serial and sharded,
+/// with recording on (no cache hoisted) — schedules, reports, traces and
+/// access-event counts must match.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,10 +69,10 @@ void expectSameRun(const PipelineResult &Ref, const PipelineResult &Got,
   EXPECT_EQ(Ref.Run.ThreadsCreated, Got.Run.ThreadsCreated);
   EXPECT_EQ(Ref.Stats.EventsSeen, Got.Stats.EventsSeen);
   EXPECT_EQ(Ref.Stats.CacheHits, Got.Stats.CacheHits);
+  EXPECT_EQ(Ref.Stats.CacheMisses, Got.Stats.CacheMisses);
   EXPECT_EQ(Ref.Stats.Detector.EventsIn, Got.Stats.Detector.EventsIn);
   EXPECT_EQ(Ref.Stats.Detector.RacesReported,
             Got.Stats.Detector.RacesReported);
-  EXPECT_EQ(Ref.Stats.Hook.FilterHits, Got.Stats.Hook.FilterHits);
   EXPECT_EQ(Ref.TraceRecords, Got.TraceRecords);
 }
 
@@ -441,7 +441,7 @@ TEST(DispatchDifferentialTest, FusionActuallyFires) {
 //===----------------------------------------------------------------------===
 
 /// The named corpus plus the five replicas, where instrumented accesses
-/// recur and the inline L0 probe actually hits.
+/// recur and the inline cache probe actually hits.
 std::vector<std::pair<std::string, Program>> replicaCorpus() {
   std::vector<std::pair<std::string, Program>> Out = namedCorpus();
   for (Workload &W : buildAllWorkloads())
@@ -450,7 +450,7 @@ std::vector<std::pair<std::string, Program>> replicaCorpus() {
 }
 
 /// Every access instrumented and every in-loop trace kept, so the same
-/// instrumented access recurs and the L0 filter hits it.
+/// instrumented access recurs and the inline probe hits it.
 ToolConfig everyTraceKept() {
   ToolConfig Config = ToolConfig::noStatic();
   Config.StaticWeakerThan = false;
@@ -463,7 +463,7 @@ TEST(AccessTraceFusionTest, ReplicasAgreeThreeWays) {
   // and on the every-trace config, serial and with two shards, at the
   // quantum edges where a pair splits across slices (MaxQuantum 1 and 2)
   // and at the default quantum.
-  uint64_t FusedExecs = 0, FilterHits = 0;
+  uint64_t FusedExecs = 0, ProbeHits = 0;
   for (auto &[Name, P] : replicaCorpus()) {
     for (bool Full : {true, false}) {
       for (uint32_t MaxQ : {1u, 2u, 40u}) {
@@ -478,19 +478,20 @@ TEST(AccessTraceFusionTest, ReplicasAgreeThreeWays) {
                   " maxq=" + std::to_string(MaxQ) +
                   " shards=" + std::to_string(Shards));
           FusedExecs += Thr.Run.Fused.AccessTrace;
-          FilterHits += Thr.Stats.Hook.FilterHits;
+          ProbeHits += Thr.Stats.CacheHits;
         }
       }
     }
   }
   EXPECT_GT(FusedExecs, 0u) << "no access+trace pair ever ran fused";
-  EXPECT_GT(FilterHits, 0u) << "the inline L0 probe never hit";
+  EXPECT_GT(ProbeHits, 0u) << "the inline cache probe never hit";
 }
 
 TEST(AccessTraceFusionTest, RecordingHoistsNoFilterAndAgrees) {
   // With a recorder attached the runtime is not the sole sink, so no
-  // filter is hoisted and every fused Trace takes emitAccess; the
-  // recorded traces must still match byte for byte.
+  // cache is hoisted and every fused Trace takes emitAccess; the
+  // recorded traces must still match byte for byte, and the runtime
+  // still sees every access.
   uint64_t FusedExecs = 0;
   for (auto &[Name, P] : replicaCorpus()) {
     for (uint32_t MaxQ : {2u, 40u}) {
@@ -501,7 +502,7 @@ TEST(AccessTraceFusionTest, RecordingHoistsNoFilterAndAgrees) {
           runBothModes(P, Config,
                        Name + " record maxq=" + std::to_string(MaxQ),
                        /*Record=*/true);
-      EXPECT_EQ(Thr.Stats.Hook.FilterHits, 0u);
+      EXPECT_EQ(Thr.Stats.EventsSeen, Thr.Run.AccessEvents);
       FusedExecs += Thr.Run.Fused.AccessTrace;
     }
   }
@@ -524,7 +525,7 @@ TEST_P(DispatchFuzzTest, AccessTraceFusionAgreesAtQuantumEdges) {
 }
 
 /// A raw run with the serial runtime as the devirtualized sink, the
-/// configuration that hoists the L0 filter: threaded dispatch over fused
+/// configuration that hoists the caches: threaded dispatch over fused
 /// shadow code then runs every fused Trace's probe inline.
 struct SinkRun {
   InterpResult R;
@@ -536,9 +537,7 @@ SinkRun runWithSink(const Program &P, DispatchMode Mode,
                     const ThreadedCode *Shadow, uint64_t Seed,
                     uint32_t MaxQuantum) {
   SinkRun Out;
-  RaceRuntimeOptions ROpts;
-  ROpts.HookFilter = true;
-  RaceRuntime Runtime(ROpts);
+  RaceRuntime Runtime;
   InterpOptions Opts;
   Opts.Seed = Seed;
   Opts.MaxQuantum = MaxQuantum;
@@ -562,7 +561,7 @@ void expectSameSinkRun(const SinkRun &Ref, const SinkRun &Got,
   EXPECT_EQ(Ref.R.AccessEvents, Got.R.AccessEvents);
   EXPECT_EQ(Ref.R.ContextSwitches, Got.R.ContextSwitches);
   EXPECT_EQ(Ref.Stats.EventsSeen, Got.Stats.EventsSeen);
-  EXPECT_EQ(Ref.Stats.Hook.FilterHits, Got.Stats.Hook.FilterHits);
+  EXPECT_EQ(Ref.Stats.CacheHits, Got.Stats.CacheHits);
   EXPECT_EQ(Ref.Stats.Detector.EventsIn, Got.Stats.Detector.EventsIn);
   EXPECT_EQ(Ref.Stats.Detector.RacesReported,
             Got.Stats.Detector.RacesReported);
@@ -611,7 +610,7 @@ Program instrumentEveryAccess(const Program &P) {
 }
 
 TEST(AccessTraceFusionTest, ReplicaSchedulesAgreeWithTheFilterHoisted) {
-  uint64_t FusedExecs = 0, FilterHits = 0;
+  uint64_t FusedExecs = 0, ProbeHits = 0;
   for (auto &[Name, P] : replicaCorpus()) {
     Program Instrumented = instrumentEveryAccess(P);
     for (uint32_t MaxQ : {1u, 2u, 5u, 40u}) {
@@ -621,17 +620,17 @@ TEST(AccessTraceFusionTest, ReplicaSchedulesAgreeWithTheFilterHoisted) {
             Name + " maxq=" + std::to_string(MaxQ) +
                 " seed=" + std::to_string(Seed));
         FusedExecs += Thr.R.Fused.AccessTrace;
-        FilterHits += Thr.Stats.Hook.FilterHits;
+        ProbeHits += Thr.Stats.CacheHits;
       }
     }
   }
   EXPECT_GT(FusedExecs, 0u);
-  EXPECT_GT(FilterHits, 0u);
+  EXPECT_GT(ProbeHits, 0u);
 }
 
 /// Two workers each run one heap access of kind \p Kind on shared state
-/// six times in a loop, so the L0 filter hits from the second iteration
-/// on.  Loads feed Print so their values are observable.
+/// six times in a loop, so the inline probe hits from the second
+/// iteration on.  Loads feed Print so their values are observable.
 Program buildAccessLoop(Opcode Kind) {
   Program P;
   IRBuilder B(P);
@@ -699,7 +698,7 @@ void expectAccessKindAgrees(Opcode Kind) {
         Heads += I.Op == accessTraceOpcode(Kind);
   EXPECT_GE(Heads, 1u) << "the access never fused with its Trace";
 
-  uint64_t FusedExecs = 0, FilterHits = 0;
+  uint64_t FusedExecs = 0, ProbeHits = 0;
   for (uint32_t MaxQ : {1u, 2u, 3u, 40u}) {
     for (uint32_t Shards : {0u, 2u}) {
       ToolConfig Config = everyTraceKept();
@@ -711,7 +710,7 @@ void expectAccessKindAgrees(Opcode Kind) {
                        "maxq=" + std::to_string(MaxQ) +
                            " shards=" + std::to_string(Shards));
       FusedExecs += Thr.Run.Fused.AccessTrace;
-      FilterHits += Thr.Stats.Hook.FilterHits;
+      ProbeHits += Thr.Stats.CacheHits;
     }
     SinkRun Raw = expectSinkRunsAgree(Instrumented, 7, MaxQ,
                                       "raw maxq=" + std::to_string(MaxQ));
@@ -721,7 +720,7 @@ void expectAccessKindAgrees(Opcode Kind) {
   Record.Seed = 7;
   runBothModes(P, Record, "record", /*Record=*/true);
   EXPECT_GT(FusedExecs, 0u);
-  EXPECT_GT(FilterHits, 0u);
+  EXPECT_GT(ProbeHits, 0u);
 }
 
 TEST(AccessTraceFusionTest, GetField) { expectAccessKindAgrees(Opcode::GetField); }

@@ -1,4 +1,4 @@
-//===- tests/hook_filter_differential_test.cpp - L0 filter on vs off ------==//
+//===- tests/hook_filter_differential_test.cpp - Hook path on vs off ------==//
 //
 // Part of the HERD project (PLDI 2002 datarace-detector reproduction).
 //
@@ -8,30 +8,27 @@
 /// The equivalence lockdown for the hook-path fast path (docs/HOOKPATH.md):
 /// `--hook-filter=off` is the reference semantics — every access event
 /// travels the virtual RuntimeHooks path into the detection runtime — and
-/// `--hook-filter=on` (the inline L0 access filter, devirtualized delivery
-/// and batched sharded submission) must be observationally
+/// `--hook-filter=on` (the inline Section 4 cache probe, devirtualized
+/// delivery and batched sharded submission) must be observationally
 /// indistinguishable from it.  Every program in the shared corpus plus a
-/// slice of the fuzz generator runs with the filter on and off, under both
-/// dispatch modes, serial and sharded, across schedule seeds, and must
-/// produce byte-identical race reports, output, heaps, instruction counts
-/// and recorded traces.  The L0 filter only ever suppresses events the
-/// detector-side AccessCache would have absorbed, so even the detector's
-/// input count must match exactly.
+/// slice of the fuzz generator runs with the fast path on and off, under
+/// both dispatch modes, serial and sharded, across schedule seeds, and
+/// must produce byte-identical race reports, output, heaps, instruction
+/// counts and recorded traces, and identical runtime counters: the inline
+/// probe is the cache's own lookup, so it counts what onAccess counts.
 ///
-/// Also here: unit tests for detect/AccessFilter.h and the
-/// AccessCache::provesRedundant predicate the filter's soundness leans on,
-/// and the counter-reconciliation identity
-/// (run.access_events == hook.filter_hits + runtime.events_seen) that
-/// scripts/check_bench_gate.py enforces on benchmark artifacts.
+/// Also here: the counter identities a run obeys on every path, live or
+/// replayed (run.access_events == runtime.events_seen ==
+/// cache_hits + detector.events_in), which scripts/check_schema.py checks
+/// on herd-stats documents.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "FuzzPrograms.h"
 #include "TestPrograms.h"
-#include "detect/AccessCache.h"
-#include "detect/AccessFilter.h"
 #include "herd/Pipeline.h"
 #include "support/TempPath.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -47,108 +44,45 @@ using testprogs::slurp;
 namespace {
 
 //===----------------------------------------------------------------------===
-// AccessFilter unit tests
+// Pipeline-level equivalence: fast path on vs off
 //===----------------------------------------------------------------------===
 
-LocationKey locKey(uint32_t Obj, uint32_t Field) {
-  return LocationKey::forField(ObjectId(Obj), FieldId(Field));
+/// Every RaceRuntimeStats counter except the sharded staging pair, which
+/// only the fast path's sharded runtime moves.
+void expectSameCounters(const RaceRuntimeStats &Ref,
+                        const RaceRuntimeStats &Got) {
+  EXPECT_EQ(Ref.EventsSeen, Got.EventsSeen);
+  EXPECT_EQ(Ref.CacheHits, Got.CacheHits);
+  EXPECT_EQ(Ref.CacheMisses, Got.CacheMisses);
+  EXPECT_EQ(Ref.CacheEvictions, Got.CacheEvictions);
+  EXPECT_EQ(Ref.Hook.FilterHits, Got.Hook.FilterHits);
+  EXPECT_EQ(Ref.Hook.FilterMisses, Got.Hook.FilterMisses);
+  EXPECT_EQ(Ref.Hook.EpochBumps, Got.Hook.EpochBumps);
+  const DetectorStats &A = Ref.Detector, &B = Got.Detector;
+  EXPECT_EQ(A.EventsIn, B.EventsIn);
+  EXPECT_EQ(A.OwnedFiltered, B.OwnedFiltered);
+  EXPECT_EQ(A.WeakerFiltered, B.WeakerFiltered);
+  EXPECT_EQ(A.RacesReported, B.RacesReported);
+  EXPECT_EQ(A.LocationsTracked, B.LocationsTracked);
+  EXPECT_EQ(A.LocationsShared, B.LocationsShared);
+  EXPECT_EQ(A.TrieNodes, B.TrieNodes);
+  EXPECT_EQ(A.LocksetMemoHits, B.LocksetMemoHits);
+  EXPECT_EQ(A.LocksetMemoMisses, B.LocksetMemoMisses);
+  EXPECT_EQ(A.LocksetMemoEvictions, B.LocksetMemoEvictions);
+  ASSERT_EQ(Ref.PerThreadCache.size(), Got.PerThreadCache.size());
+  for (size_t I = 0; I != Ref.PerThreadCache.size(); ++I) {
+    const ThreadCacheStats &X = Ref.PerThreadCache[I],
+                           &Y = Got.PerThreadCache[I];
+    EXPECT_EQ(X.Thread, Y.Thread);
+    EXPECT_EQ(X.ReadHits, Y.ReadHits);
+    EXPECT_EQ(X.ReadMisses, Y.ReadMisses);
+    EXPECT_EQ(X.WriteHits, Y.WriteHits);
+    EXPECT_EQ(X.WriteMisses, Y.WriteMisses);
+  }
 }
 
-TEST(AccessFilterTest, MissThenHitPerKind) {
-  AccessFilter F;
-  LocationKey K = locKey(1, 2);
-  EXPECT_FALSE(F.probe(K, AccessKind::Read));
-  F.insert(K, AccessKind::Read);
-  EXPECT_TRUE(F.probe(K, AccessKind::Read));
-  // Same location, other kind: the filter is exact per access kind, so a
-  // write probe misses until a write is inserted.
-  EXPECT_FALSE(F.probe(K, AccessKind::Write));
-  F.insert(K, AccessKind::Write);
-  EXPECT_TRUE(F.probe(K, AccessKind::Write));
-  // The kind is folded into the slot index, so the write insert did not
-  // displace the read entry: a load-then-store loop on one hot field keeps
-  // both entries resident instead of thrashing a single slot.
-  EXPECT_TRUE(F.probe(K, AccessKind::Read));
-  EXPECT_EQ(F.hits(), 3u);
-  EXPECT_EQ(F.misses(), 2u);
-}
-
-TEST(AccessFilterTest, EpochBumpInvalidatesEverything) {
-  AccessFilter F;
-  LocationKey A = locKey(1, 0), B = locKey(2, 0);
-  F.insert(A, AccessKind::Read);
-  F.insert(B, AccessKind::Write);
-  ASSERT_TRUE(F.probe(A, AccessKind::Read));
-  ASSERT_TRUE(F.probe(B, AccessKind::Write));
-  F.bumpEpoch();
-  EXPECT_FALSE(F.probe(A, AccessKind::Read));
-  EXPECT_FALSE(F.probe(B, AccessKind::Write));
-  EXPECT_EQ(F.epochBumps(), 1u);
-  // Re-inserting after the bump works at the new epoch.
-  F.insert(A, AccessKind::Read);
-  EXPECT_TRUE(F.probe(A, AccessKind::Read));
-}
-
-TEST(AccessFilterTest, InvalidateKeyIsSurgical) {
-  AccessFilter F;
-  LocationKey A = locKey(1, 0), B = locKey(2, 0);
-  F.insert(A, AccessKind::Read);
-  F.insert(B, AccessKind::Read);
-  F.invalidateKey(A);
-  EXPECT_FALSE(F.probe(A, AccessKind::Read));
-  EXPECT_TRUE(F.probe(B, AccessKind::Read));
-  EXPECT_EQ(F.keyInvalidations(), 1u);
-  // Invalidating a key the filter does not hold is a no-op.
-  F.invalidateKey(locKey(99, 9));
-  EXPECT_EQ(F.keyInvalidations(), 1u);
-  // Both kind slots of a key drop together (one counted invalidation):
-  // detector-side evictions are what trigger this, and they must never
-  // leave a stale hit behind for either kind.
-  F.insert(A, AccessKind::Read);
-  F.insert(A, AccessKind::Write);
-  F.invalidateKey(A);
-  EXPECT_FALSE(F.holds(A, AccessKind::Read));
-  EXPECT_FALSE(F.holds(A, AccessKind::Write));
-  EXPECT_EQ(F.keyInvalidations(), 2u);
-}
-
-TEST(AccessCacheTest, ProvesRedundantHasNoSideEffects) {
-  AccessCache C(16);
-  LocationKey K = locKey(3, 1);
-  EXPECT_FALSE(C.provesRedundant(K));
-  EXPECT_EQ(C.hits() + C.misses(), 0u) << "the predicate must not count";
-  C.insert(K);
-  EXPECT_TRUE(C.provesRedundant(K));
-  EXPECT_EQ(C.hits() + C.misses(), 0u);
-  // lookup() agrees with the predicate and is the one that counts.
-  EXPECT_TRUE(C.lookup(K));
-  EXPECT_EQ(C.hits(), 1u);
-}
-
-TEST(AccessCacheTest, InsertReportsTheDisplacedKey) {
-  AccessCache C(1); // every distinct key collides in a one-entry cache
-  LocationKey A = locKey(1, 0), B = locKey(2, 0);
-  EXPECT_EQ(C.insert(A), LocationKey()) << "an empty slot displaces none";
-  EXPECT_EQ(C.insert(B), A);
-  // Re-inserting the resident key displaces nothing.
-  EXPECT_EQ(C.insert(B), LocationKey());
-  // Neither does inserting over an entry a release evicted.
-  C.acquire();
-  C.insert(A);
-  C.release(1);
-  EXPECT_EQ(C.insert(B), LocationKey());
-}
-
-//===----------------------------------------------------------------------===
-// Pipeline-level equivalence: filter on vs off
-//===----------------------------------------------------------------------===
-
-/// Asserts that a filter-on run is indistinguishable from the filter-off
-/// reference.  Everything observable must match — including the detector's
-/// own input count, because the L0 filter may only suppress events the
-/// detector-side cache would have absorbed anyway.  Cache hit counters are
-/// deliberately NOT compared: absorbed events migrate from the cache to
-/// the filter, which is the point of the optimization.
+/// Asserts that a fast-path run is indistinguishable from the reference:
+/// everything observable, every runtime counter included.
 void expectSameRun(const PipelineResult &Ref, const PipelineResult &Got,
                    const std::string &What) {
   SCOPED_TRACE(What);
@@ -161,35 +95,26 @@ void expectSameRun(const PipelineResult &Ref, const PipelineResult &Got,
   EXPECT_EQ(Ref.Run.AccessEvents, Got.Run.AccessEvents);
   EXPECT_EQ(Ref.Run.ContextSwitches, Got.Run.ContextSwitches);
   EXPECT_EQ(Ref.Run.ThreadsCreated, Got.Run.ThreadsCreated);
-  EXPECT_EQ(Ref.Stats.Detector.EventsIn, Got.Stats.Detector.EventsIn);
-  EXPECT_EQ(Ref.Stats.Detector.RacesReported,
-            Got.Stats.Detector.RacesReported);
-  EXPECT_EQ(Ref.Stats.Detector.OwnedFiltered,
-            Got.Stats.Detector.OwnedFiltered);
-  EXPECT_EQ(Ref.Stats.Detector.WeakerFiltered,
-            Got.Stats.Detector.WeakerFiltered);
+  expectSameCounters(Ref.Stats, Got.Stats);
 }
 
-/// The counter-reconciliation identity for a filter-on run: every access
-/// the interpreter emitted either hit the L0 filter or reached the
-/// detection runtime.  Nothing is dropped, nothing is double-counted.
+/// The counter identities: every access the program emitted reached the
+/// detection runtime, and each one was a cache hit or went to the
+/// detector.  Nothing is dropped, nothing is double-counted.
 void expectCountersReconcile(const PipelineResult &R,
                              const std::string &What) {
   SCOPED_TRACE(What);
-  EXPECT_TRUE(R.Stats.Hook.FilterEnabled);
-  EXPECT_EQ(R.Run.AccessEvents,
-            R.Stats.Hook.FilterHits + R.Stats.EventsSeen);
-  EXPECT_EQ(R.Stats.Hook.FilterHits + R.Stats.Hook.FilterMisses,
-            R.Run.AccessEvents)
-      << "every emitted access must be probed exactly once";
+  EXPECT_EQ(R.Stats.EventsSeen, R.Run.AccessEvents);
+  EXPECT_EQ(R.Stats.EventsSeen, R.Stats.CacheHits + R.Stats.Detector.EventsIn);
 }
 
-/// Runs \p P with the filter off (reference) and on, in both dispatch
-/// modes, and asserts equivalence along every axis.  Returns the total L0
-/// hits so callers can assert the fast path actually engaged.
+/// Runs \p P with the fast path off (reference) and on, in both dispatch
+/// modes, and asserts equivalence along every axis.  Returns the fast
+/// path's cache hits, each one an inline probe hit, so callers can assert
+/// that the probe engaged.
 uint64_t runBothFilters(const Program &P, ToolConfig Config,
                         const std::string &What) {
-  uint64_t FilterHits = 0;
+  uint64_t CacheHits = 0;
   for (DispatchMode Mode : {DispatchMode::Switch, DispatchMode::Threaded}) {
     Config.Dispatch = Mode;
     std::string Tag =
@@ -197,53 +122,49 @@ uint64_t runBothFilters(const Program &P, ToolConfig Config,
 
     Config.HookFilter = false;
     PipelineResult Ref = runPipeline(P, Config);
-    EXPECT_FALSE(Ref.Stats.Hook.FilterEnabled);
-    EXPECT_EQ(Ref.Stats.Hook.FilterHits, 0u);
-
     Config.HookFilter = true;
     PipelineResult On = runPipeline(P, Config);
     expectSameRun(Ref, On, Tag);
-    if (Config.Instrument && Config.UseCache)
-      expectCountersReconcile(On, Tag);
-    FilterHits += On.Stats.Hook.FilterHits;
+    expectCountersReconcile(On, Tag);
+    CacheHits += On.Stats.CacheHits;
   }
-  return FilterHits;
+  return CacheHits;
 }
 
 TEST(HookFilterDifferentialTest, NamedProgramsAllConfigs) {
-  uint64_t FilterHits = 0;
+  uint64_t ProbeHits = 0;
   for (auto &[Name, P] : namedCorpus()) {
     for (uint64_t Seed : {1u, 13u}) {
       for (uint32_t Shards : {0u, 3u}) {
         ToolConfig Full = ToolConfig::full();
         Full.Seed = Seed;
         Full.Shards = Shards;
-        FilterHits += runBothFilters(
+        ProbeHits += runBothFilters(
             P, Full,
             Name + " full seed=" + std::to_string(Seed) +
                 " shards=" + std::to_string(Shards));
       }
       // NoStatic: instrument every access and keep the in-loop traces, so
       // redundant accesses actually recur at runtime — this is where the
-      // L0 filter earns its keep (the full config statically removes most
-      // provably-redundant traces before the runtime ever sees them).
+      // inline probe earns its keep (the full config statically removes
+      // most provably-redundant traces before the runtime ever sees them).
       ToolConfig NoStatic = ToolConfig::noStatic();
       NoStatic.StaticWeakerThan = false;
       NoStatic.LoopPeeling = false;
       NoStatic.Seed = Seed;
-      FilterHits += runBothFilters(
+      ProbeHits += runBothFilters(
           P, NoStatic, Name + " nostatic seed=" + std::to_string(Seed));
 
-      // NoCache: the L0 filter loses its oracle and must disarm itself —
-      // the run degenerates to devirtualized delivery only.
+      // NoCache: nothing to hoist, so the run degenerates to
+      // devirtualized delivery only.
       ToolConfig NoCache = ToolConfig::noCache();
       NoCache.Seed = Seed;
       runBothFilters(P, NoCache,
                      Name + " nocache seed=" + std::to_string(Seed));
     }
   }
-  EXPECT_GT(FilterHits, 0u)
-      << "the corpus never engaged the L0 filter; the fast path went "
+  EXPECT_GT(ProbeHits, 0u)
+      << "the corpus never hit the inline probe; the fast path went "
          "untested";
 }
 
@@ -261,9 +182,6 @@ TEST(HookFilterDifferentialTest, MultiSinkConfigsDisableDevirtButAgree) {
     Config.HookFilter = true;
     PipelineResult On = runPipeline(P, Config);
     expectSameRun(Ref, On, Name + " deadlocks");
-    // Access events bypass onAccessFast entirely on the fanout path, so
-    // the L0 filter never fires.
-    EXPECT_EQ(On.Stats.Hook.FilterHits, 0u);
   }
 }
 
@@ -322,10 +240,10 @@ TEST(HookFilterDifferentialTest, QuantumEdgesStayIdentical) {
 //===----------------------------------------------------------------------===
 
 TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
-  // Filtering applies to detector delivery, never to `--record`: with a
-  // trace recorder attached the runtime is not the sole sink, so every
-  // event travels the fanout path and the recorded bytes are identical
-  // with the filter on and off.
+  // The inline probe applies to detector delivery, never to `--record`:
+  // with a trace recorder attached the runtime is not the sole sink, so
+  // every event travels the fanout path and the recorded bytes are
+  // identical with the fast path on and off.
   for (auto &[Name, P] : namedCorpus()) {
     TempPath OnPath("hookfilter-on-" + Name);
     TempPath OffPath("hookfilter-off-" + Name);
@@ -336,8 +254,6 @@ TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
     Rec.RecordTracePath = OnPath.str();
     PipelineResult On = runPipeline(P, Rec);
     ASSERT_TRUE(On.Run.Ok && On.Trace.Ok) << On.Run.Error << On.Trace.Error;
-    EXPECT_EQ(On.Stats.Hook.FilterHits, 0u)
-        << "recording must disable the L0 filter so the trace is complete";
 
     Rec.HookFilter = false;
     Rec.RecordTracePath = OffPath.str();
@@ -346,11 +262,11 @@ TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
 
     EXPECT_EQ(On.TraceRecords, Off.TraceRecords);
     EXPECT_EQ(slurp(OnPath), slurp(OffPath))
-        << Name << ": recorded traces differ with the filter on vs off";
+        << Name << ": recorded traces differ with the fast path on vs off";
 
-    // Replaying the filter-on recording re-detects identically with the
-    // filter on and off, serial and sharded (replay delivers events over
-    // the virtual path; sharded replay still exercises batching).
+    // Replaying the fast-path recording re-detects identically with the
+    // fast path on and off, serial and sharded (replay delivers events
+    // over the virtual path; sharded replay still exercises batching).
     for (uint32_t Shards : {0u, 2u}) {
       ToolConfig Re = ToolConfig::full();
       Re.Seed = 99; // ignored: the trace is the event source
@@ -369,6 +285,46 @@ TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
       EXPECT_EQ(RefReplay.FormattedRaces.size(), On.FormattedRaces.size());
     }
   }
+}
+
+TEST(HookFilterDifferentialTest, LiveReplayAndFilterOffCountersAgree) {
+  // The inline probe is the cache's own lookup, so a live run counts what
+  // its `--hook-filter=off` twin, its recorded twin and the replay of
+  // that recording count, each seeing exactly the run's access events.
+  // Recording leaves the schedule alone, so all four see one stream.
+  std::vector<std::pair<std::string, Program>> Programs = namedCorpus();
+  for (Workload &W : buildAllWorkloads())
+    Programs.emplace_back(W.Name, std::move(W.P));
+  uint64_t ProbeHits = 0;
+  for (auto &[Name, P] : Programs) {
+    for (uint32_t Shards : {0u, 2u}) {
+      std::string Tag = Name + " shards=" + std::to_string(Shards);
+      SCOPED_TRACE(Tag);
+      TempPath Trace("counters-" + Name);
+      ToolConfig Config = ToolConfig::full();
+      Config.Shards = Shards;
+      PipelineResult Live = runPipeline(P, Config);
+      Config.HookFilter = false;
+      PipelineResult Off = runPipeline(P, Config);
+      Config.HookFilter = true;
+      Config.RecordTracePath = Trace.str();
+      PipelineResult Recorded = runPipeline(P, Config);
+      Config.RecordTracePath.clear();
+      PipelineResult Replay = replayTracePipeline(P, Config, Trace.str());
+      ASSERT_TRUE(Live.Run.Ok && Off.Run.Ok && Recorded.Trace.Ok &&
+                  Replay.Trace.Ok)
+          << Live.Run.Error << Off.Run.Error << Replay.Trace.Error;
+      for (const PipelineResult *R : {&Live, &Off, &Recorded, &Replay}) {
+        expectCountersReconcile(*R, Tag);
+        EXPECT_EQ(R->Stats.EventsSeen, Live.Stats.EventsSeen);
+        EXPECT_EQ(R->Stats.CacheHits, Live.Stats.CacheHits);
+        EXPECT_EQ(R->Stats.CacheMisses, Live.Stats.CacheMisses);
+        EXPECT_EQ(R->Stats.Detector.EventsIn, Live.Stats.Detector.EventsIn);
+      }
+      ProbeHits += Live.Stats.CacheHits;
+    }
+  }
+  EXPECT_GT(ProbeHits, 0u) << "no live run ever hit the inline probe";
 }
 
 } // namespace

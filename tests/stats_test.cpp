@@ -156,17 +156,11 @@ TEST(StatsTest, CountersMonotonicAsTraceGrows) {
 }
 
 /// expectEqualStats plus everything else both runtimes count the same way:
-/// the hook-path filter and the per-thread caches.  Only the sharded
-/// runtime's staging counters (BatchFlushes, BatchedEvents) have no serial
-/// counterpart.
+/// the per-thread caches.  Only the sharded runtime's staging counters
+/// (BatchFlushes, BatchedEvents) have no serial counterpart.
 void expectSameFrontEndStats(const RaceRuntimeStats &A,
                              const RaceRuntimeStats &B) {
   expectEqualStats(A, B);
-  EXPECT_EQ(A.Hook.FilterEnabled, B.Hook.FilterEnabled);
-  EXPECT_EQ(A.Hook.FilterHits, B.Hook.FilterHits);
-  EXPECT_EQ(A.Hook.FilterMisses, B.Hook.FilterMisses);
-  EXPECT_EQ(A.Hook.EpochBumps, B.Hook.EpochBumps);
-  EXPECT_EQ(A.Hook.KeyInvalidations, B.Hook.KeyInvalidations);
   ASSERT_EQ(A.PerThreadCache.size(), B.PerThreadCache.size());
   for (size_t I = 0; I != A.PerThreadCache.size(); ++I) {
     const ThreadCacheStats &X = A.PerThreadCache[I], &Y = B.PerThreadCache[I];
@@ -531,11 +525,6 @@ TEST(GoldenTest, StatsJsonDocument) {
   R.Stats.EventsSeen = 64;
   R.Stats.CacheHits = 40;
   R.Stats.CacheMisses = 24;
-  R.Stats.Hook.FilterEnabled = true;
-  R.Stats.Hook.FilterHits = 30;
-  R.Stats.Hook.FilterMisses = 64;
-  R.Stats.Hook.EpochBumps = 6;
-  R.Stats.Hook.KeyInvalidations = 2;
   R.Stats.Hook.BatchFlushes = 4;
   R.Stats.Hook.BatchedEvents = 24;
   R.Stats.Detector.EventsIn = 24;

@@ -104,25 +104,13 @@ void printStats(const PipelineResult &R) {
               (unsigned long long)R.Stats.EventsSeen,
               (unsigned long long)R.Stats.CacheHits,
               (unsigned long long)R.Stats.Detector.EventsIn);
-  if (R.Stats.Hook.FilterEnabled) {
-    uint64_t Probes = R.Stats.Hook.FilterHits + R.Stats.Hook.FilterMisses;
-    double Rate =
-        Probes ? 100.0 * double(R.Stats.Hook.FilterHits) / double(Probes)
-               : 0.0;
-    std::printf("hook:     %llu/%llu L0 filter hits (%.1f%%), %llu epoch "
-                "bumps, %llu key invalidations\n",
-                (unsigned long long)R.Stats.Hook.FilterHits,
-                (unsigned long long)Probes, Rate,
-                (unsigned long long)R.Stats.Hook.EpochBumps,
-                (unsigned long long)R.Stats.Hook.KeyInvalidations);
-    if (R.Stats.Hook.BatchFlushes)
-      std::printf("hook:     %llu events staged across %llu batch flushes "
-                  "(%.1f events/flush)\n",
-                  (unsigned long long)R.Stats.Hook.BatchedEvents,
-                  (unsigned long long)R.Stats.Hook.BatchFlushes,
-                  double(R.Stats.Hook.BatchedEvents) /
-                      double(R.Stats.Hook.BatchFlushes));
-  }
+  if (R.Stats.Hook.BatchFlushes)
+    std::printf("hook:     %llu events staged across %llu batch flushes "
+                "(%.1f events/flush)\n",
+                (unsigned long long)R.Stats.Hook.BatchedEvents,
+                (unsigned long long)R.Stats.Hook.BatchFlushes,
+                double(R.Stats.Hook.BatchedEvents) /
+                    double(R.Stats.Hook.BatchFlushes));
   std::printf("detector: %llu owned-filtered, %llu weaker-filtered, "
               "%zu locations tracked, %zu trie nodes\n",
               (unsigned long long)R.Stats.Detector.OwnedFiltered,
