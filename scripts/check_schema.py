@@ -27,7 +27,7 @@ import json
 import re
 import sys
 
-STATS_VERSION = 1
+STATS_VERSION = 2
 REPORT_VERSION = 1
 SARIF_VERSION = "2.1.0"
 
@@ -37,8 +37,7 @@ NUM = (int, float)
 DETECTOR_KEYS = {
     "events_in": int, "owned_filtered": int, "weaker_filtered": int,
     "races_reported": int, "locations_tracked": int,
-    "locations_shared": int, "trie_nodes": int, "lockset_memo_hits": int,
-    "lockset_memo_misses": int, "lockset_memo_evictions": int,
+    "locations_shared": int, "trie_nodes": int,
 }
 STATS_KEYS = {
     "schema": str, "version": int, "run": dict, "timings": dict,
@@ -60,7 +59,7 @@ STATS_SECTIONS = {
     "dispatch": {"mode": str, "fused_sites": dict, "fused_exec": dict,
                  "batch_retirement": dict},
     "runtime": {"events_seen": int, "cache_hits": int, "cache_misses": int,
-                "cache_evictions": int, "hook": dict, "detector": dict,
+                "cache_evictions": int, "detector": dict,
                 "per_thread_cache": list},
     "trace": {"ok": bool, "error": str, "records": int, "bytes": int},
     "report": {"entries": int, "total_reported": int,
@@ -75,7 +74,6 @@ FUSED_KEYS = {k: int for k in (
     "total")}
 BATCH_KEYS = {"planned_blocks": int, "planned_steps": int, "hits": int,
               "retired_steps": int}
-HOOK_KEYS = {"batch_flushes": int, "batched_events": int}
 SHARD_KEYS = {"events_ingested": int, "batches_ingested": int,
               "max_queue_depth_batches": int, "detector": dict}
 EPOCH_KEYS = {k: int for k in (
@@ -168,8 +166,7 @@ def check_stats(doc):
     check_subsections(doc, "dispatch", {"fused_sites": FUSED_KEYS,
                                         "fused_exec": FUSED_KEYS,
                                         "batch_retirement": BATCH_KEYS})
-    check_subsections(doc, "runtime", {"detector": DETECTOR_KEYS,
-                                       "hook": HOOK_KEYS})
+    check_subsections(doc, "runtime", {"detector": DETECTOR_KEYS})
     check_runtime_identities(doc)
     for i, shard in enumerate(doc.get("shards", [])):
         where = f"shards[{i}]"

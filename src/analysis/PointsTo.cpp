@@ -51,10 +51,6 @@ const ObjSet &PointsToAnalysis::elementPointsTo(AllocSiteId Site) const {
   return ElemPts[Site.index()];
 }
 
-const ObjSet &PointsToAnalysis::returnPointsTo(MethodId M) const {
-  return ReturnPts[M.index()];
-}
-
 const ObjSet &PointsToAnalysis::threadObjectsOf(MethodId RunMethod) const {
   return RunThreadObjs[RunMethod.index()];
 }

@@ -47,7 +47,6 @@ public:
   const ObjSet &staticFieldPointsTo(FieldId Field) const;
   const ObjSet &fieldPointsTo(AllocSiteId Site, FieldId Field) const;
   const ObjSet &elementPointsTo(AllocSiteId Site) const;
-  const ObjSet &returnPointsTo(MethodId M) const;
 
   /// Methods reachable from main, including started run() methods.
   bool isMethodReachable(MethodId M) const {

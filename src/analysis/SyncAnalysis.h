@@ -52,8 +52,6 @@ public:
   }
 
 private:
-  ObjSet methodContext(MethodId M) const;
-
   const Program &P;
   const PointsToAnalysis &PT;
   const SingleInstanceAnalysis &SI;

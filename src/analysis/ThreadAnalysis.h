@@ -38,12 +38,6 @@ public:
 
   void run();
 
-  /// MustThread of every statement in \p M (per-method granularity:
-  /// ThStart depends only on the enclosing method).
-  const ObjSet &mustThread(MethodId M) const {
-    return MustThreadSets[M.index()];
-  }
-
   /// Equation 3: statements in \p A and \p B are always executed by the
   /// same thread.
   bool mustSameThread(MethodId A, MethodId B) const {

@@ -101,10 +101,3 @@ size_t NaiveDetector::memRaceSize(LocationKey Location) const {
       Count += isRace(Events[I], Events[J]);
   return Count;
 }
-
-size_t NaiveDetector::numEventsStored() const {
-  size_t Count = 0;
-  for (const auto &[Location, State] : Table)
-    Count += State.Events.size();
-  return Count;
-}

@@ -68,8 +68,6 @@ public:
   /// The number of racing pairs on \p Location (|MemRace(m)|).
   size_t memRaceSize(LocationKey Location) const;
 
-  size_t numEventsStored() const;
-
 private:
   Options Opts;
   LockTracker Locks;

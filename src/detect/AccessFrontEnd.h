@@ -58,14 +58,13 @@ struct RaceRuntimeOptions {
   /// (`herd --cache-size=N`).  The paper's experiments use 256.
   uint32_t CacheEntries = 256;
 
-  /// The hook-path fast path's runtime half (`herd --hook-filter=on|off`,
-  /// docs/HOOKPATH.md): the sharded runtime stages events in per-thread
-  /// batches.  The serial runtime has nothing to switch; the interpreter's
-  /// half, devirtualized delivery with the inline cache probe, is chosen
-  /// by InterpOptions::SerialSink and ShardedSink.
+  /// Unread: neither runtime has anything to switch, and the hook-path
+  /// fast path (docs/HOOKPATH.md) is chosen by InterpOptions::SerialSink
+  /// and ShardedSink.  herdbench/Steps.cpp is its last writer; it goes
+  /// with the next change to the benchmark.
   bool HookFilter = false;
 
-  /// Capacity hints from static analysis (`herd --plan=auto|off|N`).
+  /// Capacity hints from static analysis (`herd --plan=auto|N`).
   /// Applied to the detector and thread table at construction; an empty
   /// plan means on-demand growth exactly as before.
   DetectorPlan Plan;

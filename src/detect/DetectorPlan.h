@@ -65,8 +65,8 @@ struct DetectorPlan {
   /// interner, not per shard.
   std::vector<SortedIdSet<LockId>> PreinternLocksets;
 
-  /// True when the plan carries no hints at all (plan=off, or replay
-  /// without analysis results).
+  /// True when the plan carries no hints at all (ToolConfig::PlanMode::Off,
+  /// or replay without analysis results).
   bool empty() const {
     return ExpectedLocations == 0 && ExpectedSharedLocations == 0 &&
            ExpectedTrieNodes == 0 && ExpectedThreads == 0 &&

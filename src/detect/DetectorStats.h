@@ -36,13 +36,11 @@ struct DetectorStats {
   size_t TrieNodes = 0;
 
   // Always 0: the interner no longer memoizes lockset queries.  Kept
-  // because herdbench's traced run reads them
-  // (detect.lockset.memo_hit_rate), and the herd-stats document's golden
-  // and scripts/check_schema.py pin their lockset_memo_* members; they go
-  // with the next change to the benchmark.
+  // only because herdbench's traced run reads them
+  // (detect.lockset.memo_hit_rate); they go with the next change to the
+  // benchmark.
   uint64_t LocksetMemoHits = 0;
   uint64_t LocksetMemoMisses = 0;
-  uint64_t LocksetMemoEvictions = 0;
 };
 
 /// Per-thread access-cache counters (Section 4.3 reports hit rates per
@@ -60,19 +58,15 @@ struct ThreadCacheStats {
   }
 };
 
-/// Hook-path counters (docs/HOOKPATH.md): the sharded runtime's per-thread
-/// event batching.
+/// Counters of the retired L0 hook filter.  Always 0: the filter is
+/// gone, and every access now reaches the runtime
+/// (InterpResult::AccessEvents == EventsSeen).  Kept only because
+/// herdbench/Traced.cpp reads them (detect.filter.*); they go with the
+/// next change to the benchmark.
 struct HookPathStats {
-  // Always 0: the L0 filter they counted is gone, and every access now
-  // reaches the runtime (InterpResult::AccessEvents == EventsSeen).  Kept
-  // because herdbench/Traced.cpp reads them (detect.filter.*); they go
-  // with the next change to the benchmark.
   uint64_t FilterHits = 0;
   uint64_t FilterMisses = 0;
   uint64_t EpochBumps = 0;
-
-  uint64_t BatchFlushes = 0;  ///< staged-batch flushes (sharded only)
-  uint64_t BatchedEvents = 0; ///< events that passed through staging
 };
 
 /// Aggregate counters for one run (serial or sharded).

@@ -165,13 +165,10 @@ DetectorStats ShardPool::aggregateDetectorStats() const {
 template class herd::AccessFrontEnd<ShardedRuntime>;
 
 ShardedRuntime::ShardedRuntime(ShardedRuntimeOptions Opts)
-    : AccessFrontEnd(Opts), FastOn(Opts.HookFilter),
-      StageCapacity(Opts.BatchCapacity == 0 ? 1 : Opts.BatchCapacity),
+    : AccessFrontEnd(Opts),
       Pool(Opts.NumShards, Opts.BatchCapacity, Opts.QueueDepthBatches,
            /*Locksets=*/nullptr, Opts.Plan, Opts.Metrics) {
   Ownership.reserve(Opts.Plan.clamped().ExpectedLocations);
-  if (FastOn)
-    Staged.Events.reserve(StageCapacity);
   // Ownership runs on the producer thread, so the Section 7.2 eviction is
   // synchronous with ingest exactly as in the serial runtime.
   Ownership.setOnShared(
@@ -183,12 +180,9 @@ ShardedRuntime::~ShardedRuntime() { finish(); }
 void ShardedRuntime::syncPoint(bool Join) {
   // Join points are drain barriers: every event from before the join is
   // fully processed before execution continues, which bounds queue skew
-  // and makes mid-run statistics snapshots deterministic.  drain() flushes
-  // the staging batch first.
+  // and makes mid-run statistics snapshots deterministic.
   if (Join)
-    drain();
-  else if (FastOn)
-    flushStaged();
+    Pool.drain();
 }
 
 void ShardedRuntime::deliver(PerThread &T, ThreadId Thread, LocationKey Key,
@@ -197,51 +191,15 @@ void ShardedRuntime::deliver(PerThread &T, ThreadId Thread, LocationKey Key,
   ++EventsToDetector;
   if (Opts.UseOwnership && !Ownership.passes(Thread, Key))
     return;
-  DetectorEvent Event = eventFor(T, Pool.interner(), Thread, Key, Access, Site);
-  if (FastOn)
-    stage(Event);
-  else
-    Pool.submit(Event);
-}
-
-void ShardedRuntime::stage(const DetectorEvent &Event) {
-  if (!Staged.Events.empty() && StagedThread != Event.Thread)
-    flushStaged(); // thread switch: keep the global submit order exact
-  StagedThread = Event.Thread;
-  Staged.Events.push_back(Event);
-  if (Staged.Events.size() >= StageCapacity)
-    flushStaged();
-}
-
-void ShardedRuntime::flushStaged() {
-  if (Staged.Events.empty())
-    return;
-  for (const DetectorEvent &Event : Staged.Events)
-    Pool.submit(Event);
-  ++BatchFlushes;
-  BatchedEvents += Staged.Events.size();
-  Staged.Events.clear();
-}
-
-void ShardedRuntime::onQuantumEnd(ThreadId /*Thread*/) {
-  if (FastOn)
-    flushStaged();
+  Pool.submit(eventFor(T, Pool.interner(), Thread, Key, Access, Site));
 }
 
 void ShardedRuntime::onRunEnd() { finish(); }
 
-void ShardedRuntime::drain() {
-  flushStaged();
-  Pool.drain();
-}
-
-void ShardedRuntime::finish() {
-  flushStaged();
-  Pool.finish();
-}
+void ShardedRuntime::finish() { Pool.finish(); }
 
 const RaceReporter &ShardedRuntime::reporter() {
-  drain();
+  Pool.drain();
   if (!MergedValid) {
     // Semantic merge, not record re-reporting: per-shard reporters are
     // individually capped, and a records()-only merge would lose the
@@ -263,10 +221,8 @@ RaceReporter ShardedRuntime::takeReporter() {
 }
 
 RaceRuntimeStats ShardedRuntime::stats() {
-  drain();
+  Pool.drain();
   RaceRuntimeStats S = frontEndStats();
-  S.Hook.BatchFlushes = BatchFlushes;
-  S.Hook.BatchedEvents = BatchedEvents;
   DetectorStats Agg = Pool.aggregateDetectorStats();
   S.Detector.EventsIn = EventsToDetector;
   S.Detector.WeakerFiltered = Agg.WeakerFiltered;
@@ -287,7 +243,7 @@ RaceRuntimeStats ShardedRuntime::stats() {
 }
 
 std::vector<ShardStats> ShardedRuntime::shardStats() {
-  drain();
+  Pool.drain();
   std::vector<ShardStats> Out;
   for (uint32_t I = 0; I != Pool.numShards(); ++I)
     Out.push_back(Pool.shardStats(I));

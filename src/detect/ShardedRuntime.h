@@ -47,10 +47,8 @@ class MetricsRegistry;
 
 /// Configuration of the sharded runtime: every RaceRuntimeOptions
 /// detection flag, so each ablation runs sharded as well, plus the shard
-/// engine's own knobs.  HookFilter additionally stages events in a
-/// per-thread batch flushed at sync operations, quantum ends and run end
-/// (docs/HOOKPATH.md), and the Plan's location-scaled fields are sliced
-/// per shard, with the shared interner planned once at pool level.
+/// engine's own knobs.  The Plan's location-scaled fields are sliced per
+/// shard, with the shared interner planned once at pool level.
 struct ShardedRuntimeOptions : RaceRuntimeOptions {
   uint32_t NumShards = 4;      ///< shard (and worker-thread) count
   size_t BatchCapacity = EventBatch::DefaultCapacity;
@@ -179,14 +177,14 @@ private:
 
 /// The sharded detection runtime: a drop-in alternative to RaceRuntime
 /// behind the same RuntimeHooks interface and the same per-thread front
-/// end.  It adds the producer-side ownership filter, staging and shard
-/// submission, and flushes or drains the shards at sync points.
+/// end.  It adds the producer-side ownership filter, submits each event
+/// that passes it straight to the shard pool, and drains the shards at
+/// joins.
 class ShardedRuntime : public AccessFrontEnd<ShardedRuntime> {
 public:
   explicit ShardedRuntime(ShardedRuntimeOptions Opts = {});
   ~ShardedRuntime() override;
 
-  void onQuantumEnd(ThreadId Thread) override;
   void onRunEnd() override;
 
   /// Drains the shards and returns the merged reporter (shard order, then
@@ -214,32 +212,14 @@ private:
 
   void deliver(PerThread &T, ThreadId Thread, LocationKey Key,
                AccessKind Access, SiteId Site);
-  /// Sync operations are batch flush points; joins are drain barriers.
+  /// Joins are drain barriers; other sync operations need nothing here.
   void syncPoint(bool Join);
-  void drain();
 
-  /// Staged-batch submission (HookFilter): appends to the staging batch,
-  /// flushing first when the producing thread changed — per-shard event
-  /// order stays exactly the unstaged order, so reports are byte-identical.
-  void stage(const DetectorEvent &Event);
-  void flushStaged();
-
-  bool FastOn;          ///< Opts.HookFilter: staged batching + devirt lane
-  size_t StageCapacity; ///< events per staging batch (BatchCapacity, >= 1)
   ShardPool Pool;
   OwnershipFilter Ownership;
   RaceReporter Merged;
   bool MergedValid = false;
   uint64_t EventsToDetector = 0; ///< post-cache events (EventsIn serially)
-
-  // The per-thread staging batch (docs/HOOKPATH.md).  One buffer suffices:
-  // the interpreter produces events from one program thread at a time, so
-  // tagging the buffer with its thread and flushing on a thread switch is
-  // equivalent to one buffer per thread, without the footprint.
-  EventBatch Staged;
-  ThreadId StagedThread;
-  uint64_t BatchFlushes = 0;
-  uint64_t BatchedEvents = 0;
 };
 
 extern template class AccessFrontEnd<ShardedRuntime>;

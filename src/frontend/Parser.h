@@ -69,9 +69,6 @@ public:
 
 private:
   const Token &cur() const { return Tokens[Index]; }
-  const Token &peekAhead(size_t N = 1) const {
-    return Tokens[std::min(Index + N, Tokens.size() - 1)];
-  }
   Token consume();
   bool check(TokenKind K) const { return cur().is(K); }
   bool accept(TokenKind K);

@@ -24,9 +24,9 @@ const char *herd::herdUsageText() {
       "  --cache-size=<n>  entries per per-thread access cache; power of\n"
       "                    two (default 256, the paper's Section 4.3)\n"
       "  --plan=<mode>     detector capacity planning: auto (default;\n"
-      "                    pre-size from the static race set) | off (grow\n"
-      "                    on demand, for A/B) | <n> (size for n expected\n"
-      "                    locations; the only mode --replay can honour)\n"
+      "                    pre-size from the static race set) | <n> (size\n"
+      "                    for n expected locations; the only mode\n"
+      "                    --replay can honour)\n"
       "  --sweep=<n>       run n seeds and summarize the reports\n"
       "  --record=<file>   also stream the run's events to a trace file\n"
       "                    (docs/REPLAY.md)\n"
@@ -51,11 +51,6 @@ const char *herd::herdUsageText() {
       "                    computed-goto over superinstruction shadow code,\n"
       "                    docs/INTERPRETER.md) | switch (the reference\n"
       "                    interpreter); reports are identical either way\n"
-      "  --hook-filter=<m> hook-path fast path: on (default; inline cache\n"
-      "                    probe, devirtualized delivery, batched\n"
-      "                    submission, docs/HOOKPATH.md) | off (the\n"
-      "                    virtual hook path, the reference); reports,\n"
-      "                    traces and counters are identical either way\n"
       "  --report=<fmt>    race-report rendering: human (default) | json\n"
       "                    (one versioned herd-report document on stdout) |\n"
       "                    sarif (a SARIF 2.1.0 document for code-scanning\n"
@@ -116,8 +111,6 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
   std::string PlanArg;    // empty = keep the config's default (auto)
   bool HaveDispatch = false;
   DispatchMode Dispatch = DispatchMode::Threaded;
-  bool HaveHookFilter = false;
-  bool HookFilterOn = true;
   bool HaveProvenance = false;
   bool ProvenanceOn = false;
 
@@ -147,9 +140,10 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
                     Arg.substr(9) + "'");
       Shards = uint32_t(N);
     } else if (Arg.rfind("--cache-size=", 0) == 0) {
+      // As for --seed: only a plain digit string is a size.
       char *End = nullptr;
       unsigned long N = std::strtoul(Arg.c_str() + 13, &End, 10);
-      if (End == Arg.c_str() + 13 || *End != '\0' || N == 0 ||
+      if (!std::isdigit(uint8_t(Arg[13])) || *End != '\0' || N == 0 ||
           N > (1u << 20) || (N & (N - 1)) != 0)
         return fail("herd: --cache-size expects a power of two in "
                     "[1, 2^20], got '" +
@@ -157,13 +151,13 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
       CacheSize = uint32_t(N);
     } else if (Arg.rfind("--plan=", 0) == 0) {
       PlanArg = Arg.substr(7);
-      if (PlanArg != "auto" && PlanArg != "off") {
+      if (PlanArg != "auto") {
+        // As for --seed: only a plain digit string is a count.
         char *End = nullptr;
         unsigned long long N = std::strtoull(PlanArg.c_str(), &End, 10);
-        if (PlanArg.empty() || End == PlanArg.c_str() || *End != '\0' ||
-            N == 0)
-          return fail("herd: --plan expects auto, off, or a positive "
-                      "location count, got '" +
+        if (!std::isdigit(uint8_t(PlanArg[0])) || *End != '\0' || N == 0)
+          return fail("herd: --plan expects auto or a positive location "
+                      "count, got '" +
                       PlanArg + "'");
       }
     } else if (Arg.rfind("--sweep=", 0) == 0) {
@@ -220,16 +214,6 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
       else
         return fail("herd: --dispatch expects switch or threaded, got '" +
                     Mode + "'");
-    } else if (Arg.rfind("--hook-filter=", 0) == 0) {
-      std::string Mode = Arg.substr(14);
-      HaveHookFilter = true;
-      if (Mode == "on")
-        HookFilterOn = true;
-      else if (Mode == "off")
-        HookFilterOn = false;
-      else
-        return fail("herd: --hook-filter expects on or off, got '" + Mode +
-                    "'");
     } else if (Arg.rfind("--report=", 0) == 0) {
       O.Report = Arg.substr(9);
       // Like --detector: unknown formats die here, at parse time, with
@@ -312,8 +296,6 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
   if (!PlanArg.empty()) {
     if (PlanArg == "auto") {
       O.Config.Plan = ToolConfig::PlanMode::Auto;
-    } else if (PlanArg == "off") {
-      O.Config.Plan = ToolConfig::PlanMode::Off;
     } else {
       O.Config.Plan = ToolConfig::PlanMode::Explicit;
       O.Config.PlanLocations = std::strtoull(PlanArg.c_str(), nullptr, 10);
@@ -321,8 +303,6 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
   }
   if (HaveDispatch)
     O.Config.Dispatch = Dispatch;
-  if (HaveHookFilter)
-    O.Config.HookFilter = HookFilterOn;
   if (HaveProvenance)
     O.Config.Provenance = ProvenanceOn;
   O.Config.Seed = O.Seed;

@@ -503,7 +503,6 @@ public:
     RTOpts.UseOwnership = Config.UseOwnership;
     RTOpts.FieldsMerged = Config.FieldsMerged;
     RTOpts.ModelJoin = Config.ModelJoin;
-    RTOpts.HookFilter = Config.HookFilter;
     RTOpts.Plan = Plan;
     if (Config.Backend == ToolConfig::DetectorBackend::Epoch) {
       // Serial only (HerdOptions rejects epoch + --shards); the plan's

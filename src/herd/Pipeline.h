@@ -54,12 +54,12 @@ struct ToolConfig {
   /// experiments settle on 256.
   uint32_t CacheEntries = 256;
 
-  /// Hook-path fast path (`herd --hook-filter=on|off`, docs/HOOKPATH.md):
-  /// devirtualized event delivery into the detection runtime, with the
-  /// running thread's Section 4 cache probed inline (when UseCache), and
-  /// (sharded) batched submission.  Purely an optimization: reports,
-  /// traces, schedules and counters are identical either way; `off`, the
-  /// virtual hook path, is the reference.
+  /// Hook-path fast path (docs/HOOKPATH.md): devirtualized event delivery
+  /// into the detection runtime, with the running thread's Section 4
+  /// cache probed inline (when UseCache).  Purely an optimization:
+  /// reports, traces, schedules and counters are identical either way.
+  /// No flag sets it; false forces the virtual hook path, the reference
+  /// the differential tests compare the inline probe against.
   bool HookFilter = true;
 
   /// Shard count for the detection runtime: 0 runs the serial
@@ -78,12 +78,14 @@ struct ToolConfig {
   enum class DetectorBackend : uint8_t { Herd, Epoch };
   DetectorBackend Backend = DetectorBackend::Herd;
 
-  /// Capacity planning for the detection runtime (`herd --plan=auto|off|N`).
+  /// Capacity planning for the detection runtime (`herd --plan=auto|N`).
   /// Auto derives a DetectorPlan from the static analysis (requires
-  /// Instrument && StaticAnalysis; otherwise no plan is applied); Off
-  /// disables pre-sizing for A/B comparison; Explicit sizes for
-  /// PlanLocations expected locations without consulting the analysis.
-  /// Plans never change race reports — only when memory is allocated.
+  /// Instrument && StaticAnalysis; otherwise no plan is applied);
+  /// Explicit sizes for PlanLocations expected locations without
+  /// consulting the analysis.  Off, which no flag selects, disables
+  /// pre-sizing: the unplanned reference tests/plan_test.cpp compares
+  /// against.  Plans never change race reports — only when memory is
+  /// allocated.
   enum class PlanMode : uint8_t { Auto, Off, Explicit };
   PlanMode Plan = PlanMode::Auto;
   uint64_t PlanLocations = 0; ///< used only with PlanMode::Explicit

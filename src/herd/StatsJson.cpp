@@ -23,9 +23,6 @@ void writeDetectorStats(JsonWriter &W, const DetectorStats &D) {
   W.member("locations_tracked", uint64_t(D.LocationsTracked));
   W.member("locations_shared", uint64_t(D.LocationsShared));
   W.member("trie_nodes", uint64_t(D.TrieNodes));
-  W.member("lockset_memo_hits", D.LocksetMemoHits);
-  W.member("lockset_memo_misses", D.LocksetMemoMisses);
-  W.member("lockset_memo_evictions", D.LocksetMemoEvictions);
   W.endObject();
 }
 
@@ -35,11 +32,6 @@ void writeRuntimeStats(JsonWriter &W, const RaceRuntimeStats &S) {
   W.member("cache_hits", S.CacheHits);
   W.member("cache_misses", S.CacheMisses);
   W.member("cache_evictions", S.CacheEvictions);
-  W.key("hook");
-  W.beginObject();
-  W.member("batch_flushes", S.Hook.BatchFlushes);
-  W.member("batched_events", S.Hook.BatchedEvents);
-  W.endObject();
   W.key("detector");
   writeDetectorStats(W, S.Detector);
   W.key("per_thread_cache");

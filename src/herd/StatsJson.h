@@ -12,7 +12,7 @@
 ///
 /// The document carries a stable, versioned envelope:
 ///
-///   { "schema": "herd-stats", "version": 1, ... }
+///   { "schema": "herd-stats", "version": 2, ... }
 ///
 /// Consumers check the pair and refuse what they don't understand
 /// (scripts/check_schema.py is the in-tree reference consumer).
@@ -36,7 +36,7 @@ class MetricsRegistry;
 
 /// The schema identity this build emits.
 inline constexpr const char *StatsSchemaName = "herd-stats";
-inline constexpr int StatsSchemaVersion = 1;
+inline constexpr int StatsSchemaVersion = 2;
 
 /// Renders \p Result as one herd-stats JSON document (trailing newline
 /// included).  \p Metrics and \p Prof are optional sections: when given,

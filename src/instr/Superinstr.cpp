@@ -262,14 +262,12 @@ ThreadedCode herd::buildThreadedCode(const Program &P,
     // their constituents and a batch never ends mid-sequence.
     std::vector<uint32_t> &Lens = TC.BatchLens[M];
     Lens.assign(TC.MethodBlocks[M].size(), 0);
-    if (Opts.Batch) {
-      for (size_t B = 0; B != TC.MethodBlocks[M].size(); ++B) {
-        Lens[B] = batchablePrefixLen(TC.MethodBlocks[M][B].Instrs,
-                                     Opts.MinBatchLen);
-        if (Lens[B] > 0) {
-          ++TC.Stats.BatchBlocks;
-          TC.Stats.BatchSteps += Lens[B];
-        }
+    for (size_t B = 0; B != TC.MethodBlocks[M].size(); ++B) {
+      Lens[B] = batchablePrefixLen(TC.MethodBlocks[M][B].Instrs,
+                                   Opts.MinBatchLen);
+      if (Lens[B] > 0) {
+        ++TC.Stats.BatchBlocks;
+        TC.Stats.BatchSteps += Lens[B];
       }
     }
   }

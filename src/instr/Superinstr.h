@@ -78,11 +78,6 @@ struct SuperinstrOptions {
   /// dispatch over verbatim code) — the A/B ablation lever.
   bool Fuse = true;
 
-  /// When false, every block's batchable-prefix length is left at zero,
-  /// so the threaded loop accounts the scheduler quantum per step even
-  /// for straight-line code — the batch-retirement ablation lever.
-  bool Batch = true;
-
   /// Minimum batchable-prefix length worth planning; shorter prefixes
   /// are reported as zero.  The threaded loop's derived accounting
   /// already retires a per-step run at one compare + one decrement per

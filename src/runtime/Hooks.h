@@ -87,12 +87,6 @@ public:
     (void)Site;
   }
 
-  /// \p Thread finished a scheduler quantum (one interpreter slice).  A
-  /// pure pacing signal — no synchronization semantics — emitted so sinks
-  /// that stage work (the sharded runtime's per-thread event batches,
-  /// docs/HOOKPATH.md) can flush at schedule boundaries.
-  virtual void onQuantumEnd(ThreadId Thread) { (void)Thread; }
-
   /// The run is over (normally or by fault); no further events will
   /// arrive.  Detectors with asynchronous machinery (detect/ShardedRuntime)
   /// use this to drain their queues before results are read.
@@ -139,10 +133,6 @@ public:
                 SiteId Site) override {
     for (RuntimeHooks *H : Sinks)
       H->onAccess(Thread, Location, Access, Site);
-  }
-  void onQuantumEnd(ThreadId Thread) override {
-    for (RuntimeHooks *H : Sinks)
-      H->onQuantumEnd(Thread);
   }
   void onRunEnd() override {
     for (RuntimeHooks *H : Sinks)

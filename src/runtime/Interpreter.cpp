@@ -870,8 +870,9 @@ Interpreter::StepResult Interpreter::executeInstr(SimThread &Thread, Frame &F,
   } while (false)
 
 template <bool EmitAll, bool Profiled>
-void Interpreter::runSliceThreaded(SimThread &Thread, uint64_t Quantum,
-                                   uint32_t &Retired) {
+HERD_ALIGN_HOT_CODE void
+Interpreter::runSliceThreaded(SimThread &Thread, uint64_t Quantum,
+                              uint32_t &Retired) {
   // The profiled variant runs the ORIGINAL blocks: per-opcode dispatch
   // counts must be exact per constituent, so fusion (and with it batched
   // retirement) is compiled out of the histogram's world entirely
@@ -1424,8 +1425,8 @@ TraceDeliver:
   // The Trace proper, the rest of execTrace inline: count the event,
   // probe the hoisted cache, and deliver a miss to the concrete runtime.
   // Without hoisted caches (recording, provenance, deadlock detection,
-  // `--hook-filter=off`, NoCache, FieldsMerged) the key goes through
-  // emitAccess.
+  // the virtual lane of ToolConfig::HookFilter, NoCache, FieldsMerged)
+  // the key goes through emitAccess.
   if (HERD_LIKELY(CurCaches != nullptr)) {
     ++Result.AccessEvents;
     deliverHoisted(Thread.Id, TraceLoc, I->Access, I->Site);
@@ -1594,12 +1595,6 @@ InterpResult Interpreter::run() {
       break;
     if (Opts.Record && Retired > 0)
       Opts.Record->Slices.push_back({Current->Id.index(), Retired});
-    // Quantum boundary: a pacing signal for sinks that stage work (the
-    // sharded runtime flushes its per-thread event batch here,
-    // docs/HOOKPATH.md).  Purely observational — scheduling has already
-    // been decided, so batching can never change the schedule.
-    if (Hooks)
-      Hooks->onQuantumEnd(Current->Id);
     Cursor = (Cursor + 1) % Threads.size();
     ++Result.ContextSwitches;
   }

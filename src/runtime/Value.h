@@ -31,7 +31,6 @@ public:
 
   static constexpr Value makeInt(int64_t I) { return Value(I); }
   static constexpr Value makeRef(ObjectId Ref) { return Value(Ref); }
-  static constexpr Value makeNull() { return Value(ObjectId::invalid()); }
 
   constexpr bool isRef() const { return IsRef; }
   constexpr bool isNull() const { return IsRef && !Ref.isValid(); }

@@ -43,9 +43,6 @@ public:
   /// Current slot capacity (the stride every row shares).
   uint32_t slots() const { return Stride; }
 
-  /// Rows currently allocated.
-  size_t liveRows() const { return Rows - FreeList.size(); }
-
   /// Rows handed out fresh (never through the free list).
   uint64_t freshAllocs() const { return FreshAllocs; }
 

@@ -8,7 +8,7 @@
 ///
 /// \file
 /// Small compiler-support macros used across the project: an unreachable
-/// marker and a likely/unlikely hint pair.
+/// marker, a likely/unlikely hint pair and a code-alignment pin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +35,17 @@
 #else
 #define HERD_LIKELY(X) (X)
 #define HERD_UNLIKELY(X) (X)
+#endif
+
+/// Starts a function on a 64-byte boundary.  The threaded dispatch loop
+/// carries it so that its handlers keep their offsets within cache lines
+/// when code elsewhere in the binary grows or shrinks: the loop's start
+/// offset alone moves herdbench's `tsp-live` slowdown by about 1%
+/// (docs/PERFORMANCE.md, "Placement of the dispatch loop").
+#if defined(__GNUC__) || defined(__clang__)
+#define HERD_ALIGN_HOT_CODE __attribute__((aligned(64)))
+#else
+#define HERD_ALIGN_HOT_CODE
 #endif
 
 #endif // HERD_SUPPORT_COMPILER_H

@@ -74,13 +74,6 @@ public:
     return const_cast<LocationTable *>(this)->find(Key);
   }
 
-  /// Visits every (key, value) pair in unspecified order.
-  template <typename Fn> void forEach(Fn Visit) const {
-    for (const Slot &S : Slots)
-      if (S.Key != LocationKey())
-        Visit(S.Key, S.Mapped);
-  }
-
   size_t size() const { return Count; }
   bool empty() const { return Count == 0; }
   size_t capacity() const { return Slots.size(); }

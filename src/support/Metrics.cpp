@@ -223,8 +223,3 @@ std::string herd::renderChromeTraceJson(const MetricsRegistry &Reg) {
   Out += '\n';
   return Out;
 }
-
-void herd::writeChromeTraceJson(const MetricsRegistry &Reg,
-                                std::ostream &OS) {
-  OS << renderChromeTraceJson(Reg);
-}

@@ -38,7 +38,6 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -305,9 +304,6 @@ private:
 /// ({"traceEvents":[...]}, the JSON Object Format), with counters and
 /// metric totals attached.  Timestamps are microseconds with nanosecond
 /// fraction, as chrome://tracing / Perfetto expect.
-void writeChromeTraceJson(const MetricsRegistry &Reg, std::ostream &OS);
-
-/// renderChromeTraceJson into a string (the golden-file tests diff this).
 std::string renderChromeTraceJson(const MetricsRegistry &Reg);
 
 } // namespace herd

@@ -99,8 +99,7 @@ TEST(CliTest, UsageTextMentionsEveryFlag) {
        {"--config=", "--seed=", "--shards=", "--cache-size=", "--plan=",
         "--sweep=", "--record=", "--replay=", "--detector=", "--deadlocks",
         "--stats", "--trace-json=", "--profile", "--dispatch=",
-        "--hook-filter=", "--report=", "--provenance=", "--dump-ir",
-        "--workload="})
+        "--report=", "--provenance=", "--dump-ir", "--workload="})
     EXPECT_NE(Usage.find(Flag), std::string::npos) << Flag;
 }
 
@@ -129,20 +128,6 @@ TEST(CliTest, DispatchSurvivesPreset) {
   ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
   EXPECT_EQ(P.Opts.Config.Dispatch, DispatchMode::Switch);
   EXPECT_FALSE(P.Opts.Config.Instrument); // the preset still applied
-}
-
-TEST(CliTest, HookFilterModes) {
-  // Default is on; both spellings parse; anything else is an error, not a
-  // silently different run.
-  EXPECT_TRUE(parse({"p.mj"}).Opts.Config.HookFilter);
-  EXPECT_TRUE(parse({"p.mj", "--hook-filter=on"}).Opts.Config.HookFilter);
-  EXPECT_FALSE(parse({"p.mj", "--hook-filter=off"}).Opts.Config.HookFilter);
-  expectError(parse({"p.mj", "--hook-filter=maybe"}),
-              "herd: --hook-filter expects on or off, got 'maybe'");
-  expectError(parse({"p.mj", "--hook-filter="}),
-              "herd: --hook-filter expects on or off, got ''");
-  expectError(parse({"p.mj", "--hook-filter=ON"}),
-              "herd: --hook-filter expects on or off, got 'ON'");
 }
 
 TEST(CliTest, ReportFormats) {
@@ -207,18 +192,10 @@ TEST(CliTest, ProvenanceModes) {
 
 TEST(CliTest, ProvenanceSurvivesPreset) {
   // An explicit --provenance must survive a later --config preset (which
-  // rebuilds the whole ToolConfig), like --hook-filter/--dispatch.
+  // rebuilds the whole ToolConfig), like --dispatch.
   HerdParse P = parse({"p.mj", "--provenance=on", "--config=full"});
   ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
   EXPECT_TRUE(P.Opts.Config.Provenance);
-}
-
-TEST(CliTest, HookFilterSurvivesPreset) {
-  // An explicit --hook-filter must survive a later --config preset (which
-  // rebuilds the whole ToolConfig), like --dispatch/--shards/--plan.
-  HerdParse P = parse({"p.mj", "--hook-filter=off", "--config=full"});
-  ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
-  EXPECT_FALSE(P.Opts.Config.HookFilter);
 }
 
 //===----------------------------------------------------------------------===
@@ -228,12 +205,13 @@ TEST(CliTest, HookFilterSurvivesPreset) {
 TEST(CliTest, PresetAfterFlagDoesNotClobber) {
   // --config resets the whole ToolConfig; explicit --shards/--cache-size/
   // --plan must survive no matter where the preset sits.
-  HerdParse P = parse({"p.mj", "--shards=3", "--cache-size=64", "--plan=off",
+  HerdParse P = parse({"p.mj", "--shards=3", "--cache-size=64", "--plan=500",
                        "--config=nocache"});
   ASSERT_EQ(P.St, HerdParse::Status::Run) << P.Error;
   EXPECT_EQ(P.Opts.Config.Shards, 3u);
   EXPECT_EQ(P.Opts.Config.CacheEntries, 64u);
-  EXPECT_EQ(P.Opts.Config.Plan, ToolConfig::PlanMode::Off);
+  EXPECT_EQ(P.Opts.Config.Plan, ToolConfig::PlanMode::Explicit);
+  EXPECT_EQ(P.Opts.Config.PlanLocations, 500u);
   EXPECT_FALSE(P.Opts.Config.UseCache); // the preset still applied
 }
 
@@ -295,6 +273,9 @@ TEST(CliTest, BadCacheSize) {
   expectError(parse({"p.mj", "--cache-size=3"}), Msg + "3'");
   expectError(parse({"p.mj", "--cache-size=2097152"}), Msg + "2097152'");
   expectError(parse({"p.mj", "--cache-size=abc"}), Msg + "abc'");
+  // strtoul skips blanks and accepts a sign: only digits are a size.
+  for (std::string Size : {"+64", " 64", "-64"})
+    expectError(parse({"p.mj", "--cache-size=" + Size}), Msg + Size + "'");
   EXPECT_EQ(parse({"p.mj", "--cache-size=1"}).St, HerdParse::Status::Run);
   EXPECT_EQ(parse({"p.mj", "--cache-size=1048576"}).St,
             HerdParse::Status::Run);
@@ -302,15 +283,18 @@ TEST(CliTest, BadCacheSize) {
 
 TEST(CliTest, BadPlan) {
   const std::string Msg =
-      "herd: --plan expects auto, off, or a positive location count, got '";
+      "herd: --plan expects auto or a positive location count, got '";
   expectError(parse({"p.mj", "--plan=maybe"}), Msg + "maybe'");
   expectError(parse({"p.mj", "--plan=0"}), Msg + "0'");
   expectError(parse({"p.mj", "--plan="}), Msg + "'");
   expectError(parse({"p.mj", "--plan=12x"}), Msg + "12x'");
+  // The unplanned reference (PlanMode::Off) is not a CLI value, and
+  // strtoull wraps a negative to a huge count, skips blanks and accepts a
+  // sign: only digits are a count.
+  for (std::string Plan : {"off", "-5", "+5", " 7"})
+    expectError(parse({"p.mj", "--plan=" + Plan}), Msg + Plan + "'");
   EXPECT_EQ(parse({"p.mj", "--plan=auto"}).Opts.Config.Plan,
             ToolConfig::PlanMode::Auto);
-  EXPECT_EQ(parse({"p.mj", "--plan=off"}).Opts.Config.Plan,
-            ToolConfig::PlanMode::Off);
 }
 
 TEST(CliTest, BadSweep) {

@@ -6,16 +6,18 @@
 ///
 /// \file
 /// The equivalence lockdown for the hook-path fast path (docs/HOOKPATH.md):
-/// `--hook-filter=off` is the reference semantics — every access event
-/// travels the virtual RuntimeHooks path into the detection runtime — and
-/// `--hook-filter=on` (the inline Section 4 cache probe, devirtualized
-/// delivery and batched sharded submission) must be observationally
-/// indistinguishable from it.  Every program in the shared corpus plus a
-/// slice of the fuzz generator runs with the fast path on and off, under
+/// the virtual lane (ToolConfig::HookFilter = false) is the reference
+/// semantics — every access event travels the virtual RuntimeHooks path
+/// into the detection runtime — and the devirtualized lane (the inline
+/// Section 4 cache probe and devirtualized delivery) must be
+/// observationally indistinguishable from it.  Every program in the shared
+/// corpus plus a slice of the fuzz generator runs in both lanes, under
 /// both dispatch modes, serial and sharded, across schedule seeds, and
 /// must produce byte-identical race reports, output, heaps, instruction
 /// counts and recorded traces, and identical runtime counters: the inline
 /// probe is the cache's own lookup, so it counts what onAccess counts.
+/// Sharded, both lanes submit every cache miss straight to the shard pool,
+/// so each shard ingests the same events in the same batches.
 ///
 /// Also here: the counter identities a run obeys on every path, live or
 /// replayed (run.access_events == runtime.events_seen ==
@@ -47,18 +49,8 @@ namespace {
 // Pipeline-level equivalence: fast path on vs off
 //===----------------------------------------------------------------------===
 
-/// Every RaceRuntimeStats counter except the sharded staging pair, which
-/// only the fast path's sharded runtime moves.
-void expectSameCounters(const RaceRuntimeStats &Ref,
-                        const RaceRuntimeStats &Got) {
-  EXPECT_EQ(Ref.EventsSeen, Got.EventsSeen);
-  EXPECT_EQ(Ref.CacheHits, Got.CacheHits);
-  EXPECT_EQ(Ref.CacheMisses, Got.CacheMisses);
-  EXPECT_EQ(Ref.CacheEvictions, Got.CacheEvictions);
-  EXPECT_EQ(Ref.Hook.FilterHits, Got.Hook.FilterHits);
-  EXPECT_EQ(Ref.Hook.FilterMisses, Got.Hook.FilterMisses);
-  EXPECT_EQ(Ref.Hook.EpochBumps, Got.Hook.EpochBumps);
-  const DetectorStats &A = Ref.Detector, &B = Got.Detector;
+void expectSameDetectorCounters(const DetectorStats &A,
+                                const DetectorStats &B) {
   EXPECT_EQ(A.EventsIn, B.EventsIn);
   EXPECT_EQ(A.OwnedFiltered, B.OwnedFiltered);
   EXPECT_EQ(A.WeakerFiltered, B.WeakerFiltered);
@@ -68,7 +60,19 @@ void expectSameCounters(const RaceRuntimeStats &Ref,
   EXPECT_EQ(A.TrieNodes, B.TrieNodes);
   EXPECT_EQ(A.LocksetMemoHits, B.LocksetMemoHits);
   EXPECT_EQ(A.LocksetMemoMisses, B.LocksetMemoMisses);
-  EXPECT_EQ(A.LocksetMemoEvictions, B.LocksetMemoEvictions);
+}
+
+/// Every RaceRuntimeStats counter.
+void expectSameCounters(const RaceRuntimeStats &Ref,
+                        const RaceRuntimeStats &Got) {
+  EXPECT_EQ(Ref.EventsSeen, Got.EventsSeen);
+  EXPECT_EQ(Ref.CacheHits, Got.CacheHits);
+  EXPECT_EQ(Ref.CacheMisses, Got.CacheMisses);
+  EXPECT_EQ(Ref.CacheEvictions, Got.CacheEvictions);
+  EXPECT_EQ(Ref.Hook.FilterHits, Got.Hook.FilterHits);
+  EXPECT_EQ(Ref.Hook.FilterMisses, Got.Hook.FilterMisses);
+  EXPECT_EQ(Ref.Hook.EpochBumps, Got.Hook.EpochBumps);
+  expectSameDetectorCounters(Ref.Detector, Got.Detector);
   ASSERT_EQ(Ref.PerThreadCache.size(), Got.PerThreadCache.size());
   for (size_t I = 0; I != Ref.PerThreadCache.size(); ++I) {
     const ThreadCacheStats &X = Ref.PerThreadCache[I],
@@ -96,6 +100,16 @@ void expectSameRun(const PipelineResult &Ref, const PipelineResult &Got,
   EXPECT_EQ(Ref.Run.ContextSwitches, Got.Run.ContextSwitches);
   EXPECT_EQ(Ref.Run.ThreadsCreated, Got.Run.ThreadsCreated);
   expectSameCounters(Ref.Stats, Got.Stats);
+  // Each shard ingests the same events in the same batches.  The queue's
+  // high-water mark depends on worker timing, so it is left out.
+  ASSERT_EQ(Ref.ShardBreakdown.size(), Got.ShardBreakdown.size());
+  for (size_t I = 0; I != Ref.ShardBreakdown.size(); ++I) {
+    SCOPED_TRACE("shard " + std::to_string(I));
+    const ShardStats &X = Ref.ShardBreakdown[I], &Y = Got.ShardBreakdown[I];
+    EXPECT_EQ(X.EventsIngested, Y.EventsIngested);
+    EXPECT_EQ(X.BatchesIngested, Y.BatchesIngested);
+    expectSameDetectorCounters(X.Detector, Y.Detector);
+  }
 }
 
 /// The counter identities: every access the program emitted reached the
@@ -108,10 +122,10 @@ void expectCountersReconcile(const PipelineResult &R,
   EXPECT_EQ(R.Stats.EventsSeen, R.Stats.CacheHits + R.Stats.Detector.EventsIn);
 }
 
-/// Runs \p P with the fast path off (reference) and on, in both dispatch
-/// modes, and asserts equivalence along every axis.  Returns the fast
-/// path's cache hits, each one an inline probe hit, so callers can assert
-/// that the probe engaged.
+/// Runs \p P in the virtual lane (reference) and the devirtualized lane,
+/// in both dispatch modes, and asserts equivalence along every axis.
+/// Returns the fast path's cache hits, each one an inline probe hit, so
+/// callers can assert that the probe engaged.
 uint64_t runBothFilters(const Program &P, ToolConfig Config,
                         const std::string &What) {
   uint64_t CacheHits = 0;
@@ -171,7 +185,7 @@ TEST(HookFilterDifferentialTest, NamedProgramsAllConfigs) {
 TEST(HookFilterDifferentialTest, MultiSinkConfigsDisableDevirtButAgree) {
   // With the deadlock detector attached the detection runtime is no longer
   // the sole sink, so the pipeline must fall back to (lazy) fanout
-  // delivery — and results still match the filter-off reference.
+  // delivery — and results still match the virtual-lane reference.
   for (auto &[Name, P] : namedCorpus()) {
     ToolConfig Config = ToolConfig::full();
     Config.Seed = 7;
@@ -204,17 +218,14 @@ INSTANTIATE_TEST_SUITE_P(Programs, HookFilterFuzzTest,
                          ::testing::Range<uint64_t>(1, 41));
 
 //===----------------------------------------------------------------------===
-// Quantum edges: batching must never change a schedule
+// Quantum edges: the hoisted probe must never change a schedule
 //===----------------------------------------------------------------------===
 
 TEST(HookFilterDifferentialTest, QuantumEdgesStayIdentical) {
-  // MaxQuantum=1 and 2 maximize flush pressure: the sharded runtime's
-  // staging buffer sees a quantum boundary after nearly every event, so
-  // any accounting drift between the staged and direct submit paths would
-  // surface here.  The schedule itself is decided before events are
-  // staged, so instruction counts and context switches must match the
-  // unbatched reference exactly.
-  uint64_t BatchedEvents = 0;
+  // MaxQuantum=1 and 2 maximize quantum boundaries: the interpreter
+  // re-hoists the running thread's caches after nearly every step, and
+  // fused access+trace pairs split across slices, so any drift between
+  // the inline probe and the virtual lane would surface here.
   for (auto &[Name, P] : namedCorpus()) {
     for (uint32_t MaxQ : {1u, 2u}) {
       for (uint32_t Shards : {0u, 2u}) {
@@ -225,14 +236,9 @@ TEST(HookFilterDifferentialTest, QuantumEdgesStayIdentical) {
         runBothFilters(P, Config,
                        Name + " maxq=" + std::to_string(MaxQ) +
                            " shards=" + std::to_string(Shards));
-        Config.HookFilter = true;
-        BatchedEvents += runPipeline(P, Config).Stats.Hook.BatchedEvents;
       }
     }
   }
-  EXPECT_GT(BatchedEvents, 0u)
-      << "no sharded run ever staged an event; the batch path went "
-         "untested";
 }
 
 //===----------------------------------------------------------------------===
@@ -266,7 +272,7 @@ TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
 
     // Replaying the fast-path recording re-detects identically with the
     // fast path on and off, serial and sharded (replay delivers events
-    // over the virtual path; sharded replay still exercises batching).
+    // over the virtual path).
     for (uint32_t Shards : {0u, 2u}) {
       ToolConfig Re = ToolConfig::full();
       Re.Seed = 99; // ignored: the trace is the event source
@@ -289,8 +295,8 @@ TEST(HookFilterDifferentialTest, RecordedTracesKeepEveryEvent) {
 
 TEST(HookFilterDifferentialTest, LiveReplayAndFilterOffCountersAgree) {
   // The inline probe is the cache's own lookup, so a live run counts what
-  // its `--hook-filter=off` twin, its recorded twin and the replay of
-  // that recording count, each seeing exactly the run's access events.
+  // its virtual-lane twin, its recorded twin and the replay of that
+  // recording count, each seeing exactly the run's access events.
   // Recording leaves the schedule alone, so all four see one stream.
   std::vector<std::pair<std::string, Program>> Programs = namedCorpus();
   for (Workload &W : buildAllWorkloads())

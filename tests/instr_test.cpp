@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace herd;
 using namespace herd::testprogs;
 
@@ -772,11 +774,11 @@ TEST(SuperinstrTest, ShortBlocksFallBelowTheDefaultThreshold) {
 }
 
 TEST(SuperinstrTest, BatchDisabledZeroesThePlan) {
-  // The ablation lever: Batch = false leaves every BatchLens entry at
+  // A MinBatchLen above every prefix leaves every BatchLens entry at
   // zero while fusion keeps working.
   Program P = buildLongStraightLine();
   SuperinstrOptions Opts;
-  Opts.Batch = false;
+  Opts.MinBatchLen = UINT32_MAX;
   ThreadedCode TC = buildThreadedCode(P, Opts);
   EXPECT_GT(TC.Stats.sites(), 0u);
   EXPECT_EQ(TC.Stats.BatchBlocks, 0u);

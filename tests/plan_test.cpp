@@ -8,7 +8,7 @@
 /// The DetectorPlan layer's regression net.  Three concerns:
 ///
 ///  * Equivalence — a plan pre-sizes memory, it must never change what is
-///    reported.  `--plan=off` vs `--plan=auto` vs `--plan=N` must produce
+///    reported.  PlanMode::Off vs Auto vs Explicit must produce
 ///    byte-identical formatted race reports across serial/sharded and
 ///    live/replay on the hand-written test programs, the fuzz corpus and
 ///    the benchmark replicas.
@@ -49,7 +49,7 @@ namespace {
 //===----------------------------------------------------------------------===
 
 /// Runs \p P live under \p Config with every plan mode and expects
-/// byte-identical formatted race reports; returns the plan=off reports.
+/// byte-identical formatted race reports; returns the unplanned reports.
 std::vector<std::string> expectPlanInvariantLive(const Program &P,
                                                  ToolConfig Config) {
   Config.Plan = ToolConfig::PlanMode::Off;

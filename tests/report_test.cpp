@@ -14,7 +14,7 @@
 ///     queries, clear());
 ///   - fingerprint-set stability differentials: the same execution must
 ///     fingerprint identically across dispatch modes, shard counts, the
-///     hook-filter fast path, and record→replay;
+///     hook-path fast path, and record→replay;
 ///   - provenance on/off byte-identity of the race *set* for all three
 ///     backend families (lockset trie, epoch happens-before, and the
 ///     vector-clock replay baseline) — the store only listens;
@@ -536,7 +536,7 @@ INSTANTIATE_TEST_SUITE_P(Caps, ReporterOracleTest,
 //===----------------------------------------------------------------------===
 
 TEST(FingerprintDifferentialTest, StableAcrossDispatchShardsAndHookFilter) {
-  // Dispatch mode, shard count and the hook-filter fast path all promise
+  // Dispatch mode, shard count and the hook-path fast path all promise
   // byte-identical reports; the fingerprint multiset is the structural
   // form of that promise.  Record→replay rides the same oracle: the
   // trace carries sites, so replayed records fingerprint identically.
@@ -586,7 +586,7 @@ TEST(FingerprintDifferentialTest, StableAcrossDispatchShardsAndHookFilter) {
     ToolConfig NoFilter = C.Cfg;
     NoFilter.Seed = 7;
     NoFilter.HookFilter = false;
-    expectSame("hook-filter=off", runPipeline(C.P, NoFilter));
+    expectSame("virtual lane", runPipeline(C.P, NoFilter));
 
     ToolConfig Replay = C.Cfg;
     PipelineResult Replayed = replayTracePipeline(C.P, Replay, Path);

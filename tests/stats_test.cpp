@@ -156,8 +156,7 @@ TEST(StatsTest, CountersMonotonicAsTraceGrows) {
 }
 
 /// expectEqualStats plus everything else both runtimes count the same way:
-/// the per-thread caches.  Only the sharded runtime's staging counters
-/// (BatchFlushes, BatchedEvents) have no serial counterpart.
+/// the per-thread caches.
 void expectSameFrontEndStats(const RaceRuntimeStats &A,
                              const RaceRuntimeStats &B) {
   expectEqualStats(A, B);
@@ -525,8 +524,6 @@ TEST(GoldenTest, StatsJsonDocument) {
   R.Stats.EventsSeen = 64;
   R.Stats.CacheHits = 40;
   R.Stats.CacheMisses = 24;
-  R.Stats.Hook.BatchFlushes = 4;
-  R.Stats.Hook.BatchedEvents = 24;
   R.Stats.Detector.EventsIn = 24;
   R.Stats.Detector.RacesReported = 1;
   R.Stats.Detector.LocationsTracked = 5;
@@ -593,10 +590,10 @@ TEST(GoldenTest, StatsJsonSchemaEnvelopeIsStable) {
   // The schema pair is a compatibility contract with
   // scripts/check_schema.py — bumping it is an intentional act.
   EXPECT_STREQ(StatsSchemaName, "herd-stats");
-  EXPECT_EQ(StatsSchemaVersion, 1);
+  EXPECT_EQ(StatsSchemaVersion, 2);
   PipelineResult Empty;
   std::string Doc = renderStatsJson(Empty);
-  EXPECT_EQ(Doc.find("{\"schema\":\"herd-stats\",\"version\":1,"), 0u);
+  EXPECT_EQ(Doc.find("{\"schema\":\"herd-stats\",\"version\":2,"), 0u);
   EXPECT_EQ(Doc.back(), '\n');
 }
 

@@ -104,13 +104,6 @@ void printStats(const PipelineResult &R) {
               (unsigned long long)R.Stats.EventsSeen,
               (unsigned long long)R.Stats.CacheHits,
               (unsigned long long)R.Stats.Detector.EventsIn);
-  if (R.Stats.Hook.BatchFlushes)
-    std::printf("hook:     %llu events staged across %llu batch flushes "
-                "(%.1f events/flush)\n",
-                (unsigned long long)R.Stats.Hook.BatchedEvents,
-                (unsigned long long)R.Stats.Hook.BatchFlushes,
-                double(R.Stats.Hook.BatchedEvents) /
-                    double(R.Stats.Hook.BatchFlushes));
   std::printf("detector: %llu owned-filtered, %llu weaker-filtered, "
               "%zu locations tracked, %zu trie nodes\n",
               (unsigned long long)R.Stats.Detector.OwnedFiltered,
