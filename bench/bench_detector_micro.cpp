@@ -307,8 +307,7 @@ void BM_SerialEventStream(benchmark::State &State) {
   for (auto _ : State) {
     State.PauseTiming();
     RaceReporter Reporter;
-    Detector Det(Reporter,
-                 {/*UseOwnership=*/false, /*FieldsMerged=*/false});
+    Detector Det(Reporter, {/*UseOwnership=*/false});
     State.ResumeTiming();
     for (const AccessEvent &E : Events)
       Det.handleAccess(E);

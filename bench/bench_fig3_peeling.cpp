@@ -14,10 +14,12 @@
 ///
 /// The sweep over iteration counts shows the crossover: peeling's benefit
 /// grows linearly with trip count while its (tiny) code-size cost is
-/// constant.
+/// constant.  The speedup is the paired NoPeeling / Full time ratio
+/// (PairedRatio.h).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "PairedRatio.h"
 #include "herd/Pipeline.h"
 #include "ir/IRBuilder.h"
 
@@ -66,29 +68,28 @@ Program buildFig3(int64_t Iters) {
 
 int main() {
   std::printf("Figure 3: loop peeling ablation (events emitted by the "
-              "instrumented loop and wall time)\n\n");
-  std::printf("%10s %16s %16s %14s %14s %10s\n", "trip-count",
-              "events(peeled)", "events(no peel)", "time-peel(s)",
-              "time-nopeel(s)", "speedup");
+              "instrumented loop, and the\nmedian per-pair NoPeeling / "
+              "Full time with its quartiles)\n");
+  printEnvStamp();
+  std::printf("\n%10s %16s %16s %22s\n", "trip-count", "events(peeled)",
+              "events(no peel)", "speedup [q1, q3]");
 
   for (int64_t Iters : {10, 100, 1000, 10000, 100000}) {
     Program P = buildFig3(Iters);
-    ToolConfig Peel = ToolConfig::full();
-    ToolConfig NoPeel = ToolConfig::noPeeling();
-    PipelineResult RPeel = runPipeline(P, Peel);
-    PipelineResult RNoPeel = runPipeline(P, NoPeel);
-    if (!RPeel.Run.Ok || !RNoPeel.Run.Ok) {
-      std::fprintf(stderr, "run failed\n");
-      return 1;
-    }
-    std::printf("%10lld %16llu %16llu %14.5f %14.5f %9.2fx\n",
-                (long long)Iters,
-                (unsigned long long)RPeel.Stats.EventsSeen,
-                (unsigned long long)RNoPeel.Stats.EventsSeen,
-                RPeel.ExecSeconds, RNoPeel.ExecSeconds,
-                RPeel.ExecSeconds > 0
-                    ? RNoPeel.ExecSeconds / RPeel.ExecSeconds
-                    : 0.0);
+    uint64_t Events[2] = {};
+    auto Time = [&](const ToolConfig &Config, uint64_t &EventsSeen) {
+      PipelineResult R = runPipeline(P, Config);
+      checkRun(R.Run);
+      EventsSeen = R.Stats.EventsSeen;
+      return R.ExecSeconds;
+    };
+    Quartiles Speedup =
+        pairedRatio([&] { return Time(ToolConfig::full(), Events[0]); },
+                    [&] { return Time(ToolConfig::noPeeling(), Events[1]); });
+    std::printf("%10lld %16llu %16llu %8.2fx [%.2fx, %.2fx]\n",
+                (long long)Iters, (unsigned long long)Events[0],
+                (unsigned long long)Events[1], Speedup.Median, Speedup.Q1,
+                Speedup.Q3);
   }
   return 0;
 }

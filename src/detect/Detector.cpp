@@ -32,10 +32,7 @@ void Detector::handleAccess(const AccessEvent &Event) {
 void Detector::handleEvent(const DetectorEvent &Event) {
   ++Stats.EventsIn;
 
-  LocationKey Key =
-      Opts.FieldsMerged ? Event.Location.withFieldsMerged() : Event.Location;
-
-  auto [State, Inserted] = Table.tryEmplace(Key);
+  auto [State, Inserted] = Table.tryEmplace(Event.Location);
   if (Inserted)
     ++Stats.LocationsTracked;
 
@@ -57,7 +54,7 @@ void Detector::handleEvent(const DetectorEvent &Event) {
     State->Owner = ThreadId::invalid();
     ++Stats.LocationsShared;
     if (OnShared)
-      OnShared(Key, Owner);
+      OnShared(Event.Location, Owner);
   } else if (!State->Shared) {
     State->Shared = true;
     ++Stats.LocationsShared;
@@ -75,9 +72,10 @@ void Detector::handleEvent(const DetectorEvent &Event) {
 
   ++Stats.RacesReported;
   RaceRecord Record;
-  Record.Location = Key;
-  Record.Fingerprint = raceFingerprint(Key, Event.Site, Event.Access,
-                                       Outcome.PriorSite, Outcome.PriorAccess);
+  Record.Location = Event.Location;
+  Record.Fingerprint =
+      raceFingerprint(Event.Location, Event.Site, Event.Access,
+                      Outcome.PriorSite, Outcome.PriorAccess);
   Record.CurrentThread = Event.Thread;
   Record.CurrentAccess = Event.Access;
   Record.CurrentSite = Event.Site;

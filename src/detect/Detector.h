@@ -50,10 +50,6 @@ public:
     /// Apply the ownership filter (Section 7).  Disabled for the
     /// "NoOwnership" accuracy variant of Table 3.
     bool UseOwnership = true;
-
-    /// Collapse all fields of an object into one location (the
-    /// "FieldsMerged" accuracy variant of Table 3).
-    bool FieldsMerged = false;
   };
 
   /// \p Locksets is the interner DetectorEvent lockset ids resolve against.

@@ -12,10 +12,7 @@ template class herd::AccessFrontEnd<RaceRuntime>;
 
 RaceRuntime::RaceRuntime(RaceRuntimeOptions Opts)
     : AccessFrontEnd(Opts),
-      // The front end merges fields before the cache, so the detector's
-      // own option stays off to avoid re-merging.
-      Det(Reporter, Detector::Options{Opts.UseOwnership, /*FieldsMerged=*/false},
-          &Interner) {
+      Det(Reporter, Detector::Options{Opts.UseOwnership}, &Interner) {
   Det.applyPlan(Opts.Plan);
   Det.setOnShared(
       [this](LocationKey Key, ThreadId Owner) { evictShared(Key, Owner); });

@@ -158,9 +158,7 @@ private:
 
     Shard(size_t QueueDepth, LockSetInterner &Interner)
         : Queue(QueueDepth),
-          Det(Reporter,
-              Detector::Options{/*UseOwnership=*/false,
-                                /*FieldsMerged=*/false},
+          Det(Reporter, Detector::Options{/*UseOwnership=*/false},
               &Interner) {}
   };
 

@@ -8,8 +8,8 @@
 
 #include "detect/ShardedRuntime.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <optional>
 
 using namespace herd;
 
@@ -99,6 +99,21 @@ HerdParse fail(std::string Message, bool ShowUsage = false) {
 
 } // namespace
 
+CountParse herd::parseCount(const std::string &Text, uint64_t Min,
+                            uint64_t Max, uint64_t &Out) {
+  // Unlike strtoull, from_chars takes no blank and no sign, and reports
+  // overflow instead of saturating.
+  uint64_t N = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, N);
+  if (Ec == std::errc::invalid_argument || Ptr != End)
+    return CountParse::NotDigits;
+  if (Ec == std::errc::result_out_of_range || N < Min || N > Max)
+    return CountParse::OutOfRange;
+  Out = N;
+  return CountParse::Ok;
+}
+
 HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
   HerdParse Result;
   HerdOptions &O = Result.Opts;
@@ -108,7 +123,8 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
   // the loop.
   uint32_t Shards = 0;    // 0 = serial runtime
   uint32_t CacheSize = 0; // 0 = keep the config's default
-  std::string PlanArg;    // empty = keep the config's default (auto)
+  std::optional<uint64_t> PlanLocations; // unset = keep the config's
+                                         // default (auto); 0 = auto
   bool HaveDispatch = false;
   DispatchMode Dispatch = DispatchMode::Threaded;
   bool HaveProvenance = false;
@@ -119,55 +135,41 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
       if (!pickToolConfig(Arg.substr(9), O.Config))
         return fail("herd: unknown config '" + Arg.substr(9) + "'");
     } else if (Arg.rfind("--seed=", 0) == 0) {
-      // strtoull silently skips whitespace and wraps negatives; only a
-      // plain digit string is a seed.
-      char *End = nullptr;
-      O.Seed = std::strtoull(Arg.c_str() + 7, &End, 10);
-      if (!std::isdigit(uint8_t(Arg[7])) || *End != '\0')
+      if (parseCount(Arg.substr(7), 0, UINT64_MAX, O.Seed) != CountParse::Ok)
         return fail("herd: --seed expects a non-negative number, got '" +
                     Arg.substr(7) + "'");
     } else if (Arg.rfind("--shards=", 0) == 0) {
-      // As for --seed: strtoul skips whitespace and wraps negatives, so
-      // only a plain digit string is a count.  Each shard is a thread.
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Arg.c_str() + 9, &End, 10);
-      if (!std::isdigit(uint8_t(Arg[9])) || *End != '\0')
+      // Each shard is a thread.
+      uint64_t N = 0;
+      CountParse R = parseCount(Arg.substr(9), 0, ShardPool::MaxShards, N);
+      if (R == CountParse::NotDigits)
         return fail("herd: --shards expects a number, got '" +
                     Arg.substr(9) + "'");
-      if (N > ShardPool::MaxShards)
+      if (R == CountParse::OutOfRange)
         return fail("herd: --shards expects at most " +
                     std::to_string(ShardPool::MaxShards) + " shards, got '" +
                     Arg.substr(9) + "'");
       Shards = uint32_t(N);
     } else if (Arg.rfind("--cache-size=", 0) == 0) {
-      // As for --seed: only a plain digit string is a size.
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Arg.c_str() + 13, &End, 10);
-      if (!std::isdigit(uint8_t(Arg[13])) || *End != '\0' || N == 0 ||
-          N > (1u << 20) || (N & (N - 1)) != 0)
+      uint64_t N = 0;
+      if (parseCount(Arg.substr(13), 1, 1u << 20, N) != CountParse::Ok ||
+          (N & (N - 1)) != 0)
         return fail("herd: --cache-size expects a power of two in "
                     "[1, 2^20], got '" +
                     Arg.substr(13) + "'");
       CacheSize = uint32_t(N);
     } else if (Arg.rfind("--plan=", 0) == 0) {
-      PlanArg = Arg.substr(7);
-      if (PlanArg != "auto") {
-        // As for --seed: only a plain digit string is a count.
-        char *End = nullptr;
-        unsigned long long N = std::strtoull(PlanArg.c_str(), &End, 10);
-        if (!std::isdigit(uint8_t(PlanArg[0])) || *End != '\0' || N == 0)
-          return fail("herd: --plan expects auto or a positive location "
-                      "count, got '" +
-                      PlanArg + "'");
-      }
+      std::string Mode = Arg.substr(7);
+      uint64_t N = 0;
+      if (Mode != "auto" &&
+          parseCount(Mode, 1, UINT64_MAX, N) != CountParse::Ok)
+        return fail("herd: --plan expects auto or a positive location "
+                    "count, got '" +
+                    Mode + "'");
+      PlanLocations = N;
     } else if (Arg.rfind("--sweep=", 0) == 0) {
-      // atoi would fold '--sweep=5x' to 5 and '--sweep=-3' or garbage to
-      // a dead sweep of 0 — every malformed count must be an error, not a
-      // silently different run.
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Arg.c_str() + 8, &End, 10);
-      if (!std::isdigit(uint8_t(Arg[8])) || *End != '\0' || N == 0 ||
-          N > 1'000'000)
+      uint64_t N = 0;
+      if (parseCount(Arg.substr(8), 1, 1'000'000, N) != CountParse::Ok)
         return fail("herd: --sweep expects a seed count in [1, 1000000], "
                     "got '" +
                     Arg.substr(8) + "'");
@@ -293,13 +295,11 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
   O.Config.RecordTracePath = O.RecordPath;
   if (CacheSize != 0)
     O.Config.CacheEntries = CacheSize;
-  if (!PlanArg.empty()) {
-    if (PlanArg == "auto") {
-      O.Config.Plan = ToolConfig::PlanMode::Auto;
-    } else {
-      O.Config.Plan = ToolConfig::PlanMode::Explicit;
-      O.Config.PlanLocations = std::strtoull(PlanArg.c_str(), nullptr, 10);
-    }
+  if (PlanLocations == 0u) {
+    O.Config.Plan = ToolConfig::PlanMode::Auto;
+  } else if (PlanLocations) {
+    O.Config.Plan = ToolConfig::PlanMode::Explicit;
+    O.Config.PlanLocations = *PlanLocations;
   }
   if (HaveDispatch)
     O.Config.Dispatch = Dispatch;

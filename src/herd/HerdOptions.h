@@ -74,6 +74,15 @@ const char *herdUsageText();
 /// Maps a `--config=` preset name onto \p Out; false for unknown names.
 bool pickToolConfig(const std::string &Name, ToolConfig &Out);
 
+/// parseCount's verdict on its text.
+enum class CountParse : uint8_t { Ok, NotDigits, OutOfRange };
+
+/// Parses \p Text, which must be plain decimal digits, as a count in
+/// [\p Min, \p Max] into \p Out (untouched unless Ok).  Every numeric
+/// `herd` flag and the paper grid's scale go through it.
+CountParse parseCount(const std::string &Text, uint64_t Min, uint64_t Max,
+                      uint64_t &Out);
+
 } // namespace herd
 
 #endif // HERD_HERD_HERDOPTIONS_H

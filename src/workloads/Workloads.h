@@ -60,11 +60,6 @@ struct Workload {
   size_t ExpectedRacyObjectsFull = 0;
 };
 
-/// Scale factors so benches can trade runtime for fidelity.
-struct WorkloadScale {
-  uint32_t Small = 1; ///< multiplier on the inner work loops
-};
-
 Workload buildMtrt(uint32_t Scale = 1);
 Workload buildTsp(uint32_t Scale = 1);
 Workload buildSor2(uint32_t Scale = 1);

@@ -274,7 +274,7 @@ TEST(CliTest, BadCacheSize) {
   expectError(parse({"p.mj", "--cache-size=2097152"}), Msg + "2097152'");
   expectError(parse({"p.mj", "--cache-size=abc"}), Msg + "abc'");
   // strtoul skips blanks and accepts a sign: only digits are a size.
-  for (std::string Size : {"+64", " 64", "-64"})
+  for (std::string Size : {"+64", " 64", "-64", "99999999999999999999"})
     expectError(parse({"p.mj", "--cache-size=" + Size}), Msg + Size + "'");
   EXPECT_EQ(parse({"p.mj", "--cache-size=1"}).St, HerdParse::Status::Run);
   EXPECT_EQ(parse({"p.mj", "--cache-size=1048576"}).St,
@@ -289,9 +289,9 @@ TEST(CliTest, BadPlan) {
   expectError(parse({"p.mj", "--plan="}), Msg + "'");
   expectError(parse({"p.mj", "--plan=12x"}), Msg + "12x'");
   // The unplanned reference (PlanMode::Off) is not a CLI value, and
-  // strtoull wraps a negative to a huge count, skips blanks and accepts a
-  // sign: only digits are a count.
-  for (std::string Plan : {"off", "-5", "+5", " 7"})
+  // strtoull wraps a negative to a huge count, skips blanks, accepts a
+  // sign and saturates above 2^64 - 1: only digits are a count.
+  for (std::string Plan : {"off", "-5", "+5", " 7", "99999999999999999999"})
     expectError(parse({"p.mj", "--plan=" + Plan}), Msg + Plan + "'");
   EXPECT_EQ(parse({"p.mj", "--plan=auto"}).Opts.Config.Plan,
             ToolConfig::PlanMode::Auto);
@@ -311,6 +311,8 @@ TEST(CliTest, BadSweep) {
   expectError(parse({"p.mj", "--sweep= 5"}), Msg + " 5'");
   expectError(parse({"p.mj", "--sweep=+5"}), Msg + "+5'");
   expectError(parse({"p.mj", "--sweep=1000001"}), Msg + "1000001'");
+  expectError(parse({"p.mj", "--sweep=99999999999999999999"}),
+              Msg + "99999999999999999999'");
   HerdParse Ok = parse({"p.mj", "--sweep=17"});
   ASSERT_EQ(Ok.St, HerdParse::Status::Run) << Ok.Error;
   EXPECT_EQ(Ok.Opts.Sweep, 17);
@@ -326,6 +328,11 @@ TEST(CliTest, BadSeed) {
   expectError(parse({"p.mj", "--seed=7q"}), Msg + "7q'");
   expectError(parse({"p.mj", "--seed=-1"}), Msg + "-1'");
   expectError(parse({"p.mj", "--seed="}), Msg + "'");
+  // Only digits are a seed; strtoull saturated 2^64 and above to
+  // 2^64 - 1 and ran that seed's schedule.
+  for (std::string Seed : {" 1", "+1", "1x", "18446744073709551616",
+                           "99999999999999999999"})
+    expectError(parse({"p.mj", "--seed=" + Seed}), Msg + Seed + "'");
   HerdParse Ok = parse({"p.mj", "--seed=0"});
   ASSERT_EQ(Ok.St, HerdParse::Status::Run) << Ok.Error;
   EXPECT_EQ(Ok.Opts.Seed, 0u);

@@ -175,7 +175,7 @@ TEST_P(DetectorPropertyTest, MultiLocationDetectorMatchesPerLocationTries) {
   // trie nodes.
   Rng R(GetParam() + 900);
   RaceReporter TableReporter;
-  Detector Table(TableReporter, {/*UseOwnership=*/false, false});
+  Detector Table(TableReporter, {/*UseOwnership=*/false});
   std::map<uint64_t, AccessTrie> Independent;
   struct Report {
     RaceRecord Record;

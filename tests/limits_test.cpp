@@ -87,8 +87,8 @@ TEST(LimitsTest, ThreadLoopHitsTheThreadLimit) {
   expectFault("thread_loop.mj", "thread limit of 1024 threads exceeded");
 }
 
-/// The replicas at the largest scale any bench runs (bench_table2_overhead
-/// 250) stay far inside every limit.
+/// The replicas at the largest scale any bench runs (bench_paper_grid 250)
+/// stay far inside every limit.
 TEST(LimitsTest, ReplicasAtTheLargestBenchScaleRunClean) {
   for (Workload &W : buildAllWorkloads(250)) {
     InterpOptions Opts;

@@ -114,8 +114,7 @@ TEST(ShardedRuntimeTest, ShardPoolMatchesSerialDetectorOnRawEvents) {
   for (uint32_t Shards : ShardCounts) {
     Rng R(77);
     RaceReporter SerialReporter;
-    Detector Serial(SerialReporter,
-                    {/*UseOwnership=*/false, /*FieldsMerged=*/false});
+    Detector Serial(SerialReporter, {/*UseOwnership=*/false});
     ShardPool Pool(Shards, /*BatchCapacity=*/8, /*QueueDepth=*/4);
 
     for (int Step = 0; Step != 4000; ++Step) {
