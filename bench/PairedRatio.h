@@ -1,15 +1,15 @@
-//===- bench/PairedRatio.h - Paired timing for the paper tables -*- C++ -*-===//
+//===- bench/PairedRatio.h - Paired timing for the benches ------*- C++ -*-===//
 //
 // Part of the HERD project (PLDI 2002 datarace-detector reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one timing method of the paper-table benches.  Two runs made back
-/// to back see the same machine, so their ratio drifts far less on a
-/// shared VM than either time does, while a best-of-N time keeps whichever
-/// run the machine happened to favour.  So a cell is the median of
-/// per-pair ratios with its quartiles, stamped with the machine.
+/// The one timing method of the benches (paper tables, hot-path gate).
+/// Two runs made back to back see the same machine, so their ratio drifts
+/// far less on a shared VM than either time does, while a best-of-N time
+/// keeps whichever run the machine happened to favour.  So a cell is the
+/// median of per-pair ratios with its quartiles, stamped with the machine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 #define HERD_BENCH_PAIREDRATIO_H
 
 #include "runtime/Interpreter.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -72,22 +73,46 @@ inline void checkRun(const InterpResult &R) {
   }
 }
 
+/// The machine a paired table was measured on.
+struct EnvStamp {
+  unsigned NProc;
+  std::string Cpu;
+  const char *Compiler, *Build;
+};
+
+inline EnvStamp envStamp() {
+  EnvStamp E{std::thread::hardware_concurrency(), "unknown",
+#if defined(__clang__)
+             "clang " __clang_version__,
+#else
+             "gcc " __VERSION__,
+#endif
+             HERD_BUILD_TYPE};
+  std::ifstream In("/proc/cpuinfo");
+  for (std::string Line; std::getline(In, Line) && E.Cpu == "unknown";)
+    if (Line.rfind("model name", 0) == 0 && Line.find(": ") != Line.npos)
+      E.Cpu = Line.substr(Line.find(": ") + 2);
+  return E;
+}
+
 /// Prints the environment stamp every paired table carries.
 inline void printEnvStamp() {
-  std::string Cpu = "unknown";
-  std::ifstream In("/proc/cpuinfo");
-  for (std::string Line; std::getline(In, Line) && Cpu == "unknown";)
-    if (Line.rfind("model name", 0) == 0 && Line.find(": ") != Line.npos)
-      Cpu = Line.substr(Line.find(": ") + 2);
-#if defined(__clang__)
-  const char *Compiler = "clang " __clang_version__;
-#else
-  const char *Compiler = "gcc " __VERSION__;
-#endif
+  EnvStamp E = envStamp();
   std::printf("env: nproc=%u, cpu=%s, compiler=%s, build=%s; %d pairs per "
               "cell, run order alternating\n",
-              std::thread::hardware_concurrency(), Cpu.c_str(), Compiler,
-              HERD_BUILD_TYPE, PairsPerCell);
+              E.NProc, E.Cpu.c_str(), E.Compiler, E.Build, PairsPerCell);
+}
+
+/// Writes the same stamp as the JSON member "env".
+inline void writeEnvStamp(JsonWriter &W) {
+  EnvStamp E = envStamp();
+  W.key("env");
+  W.beginObject();
+  W.member("nproc", E.NProc);
+  W.member("cpu", E.Cpu);
+  W.member("compiler", E.Compiler);
+  W.member("build", E.Build);
+  W.endObject();
 }
 
 } // namespace herd

@@ -10,74 +10,23 @@
 /// paper sweeps the cache size and settles on 256 entries as the point
 /// where the curve flattens; this harness runs the full pipeline (static
 /// analysis + instrumentation + detection, the configuration the paper
-/// measures) at each power-of-two size and reports hit rate, evictions and
-/// execution time.
+/// measures) at each power-of-two size and reports hits, misses, evictions
+/// and the hit rate, all exact counts.
 ///
 /// `--smoke` shrinks the workloads and the sweep for CI; `--out=PATH`
-/// writes a JSON report (schema herd-bench-cache-sweep-v1) that the
-/// smoke-bench CI job archives next to the hot-path report.
+/// writes a JSON report (schema herd-bench-cache-sweep-v2, stamped with the
+/// machine like the paired tables) that the smoke-bench CI job archives
+/// next to the hot-path report.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "PairedRatio.h"
 #include "herd/Pipeline.h"
 #include "workloads/Workloads.h"
 
-#include <cstdio>
 #include <cstring>
-#include <string>
-#include <vector>
 
 using namespace herd;
-
-namespace {
-
-struct SweepPoint {
-  uint32_t CacheEntries = 0;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Evictions = 0;
-  double HitRate = 0;
-  double ExecSeconds = 0;
-};
-
-struct SweepReport {
-  std::string Name;
-  uint64_t EventsSeen = 0;
-  std::vector<SweepPoint> Points;
-};
-
-void writeJson(std::FILE *F, const std::vector<SweepReport> &Reports,
-               bool Smoke) {
-  std::fprintf(F, "{\n");
-  std::fprintf(F, "  \"schema\": \"herd-bench-cache-sweep-v1\",\n");
-  std::fprintf(F, "  \"smoke\": %s,\n", Smoke ? "true" : "false");
-  std::fprintf(F, "  \"workloads\": [\n");
-  for (size_t I = 0; I != Reports.size(); ++I) {
-    const SweepReport &R = Reports[I];
-    std::fprintf(F, "    {\n");
-    std::fprintf(F, "      \"name\": \"%s\",\n", R.Name.c_str());
-    std::fprintf(F, "      \"events_seen\": %llu,\n",
-                 (unsigned long long)R.EventsSeen);
-    std::fprintf(F, "      \"sweep\": [\n");
-    for (size_t J = 0; J != R.Points.size(); ++J) {
-      const SweepPoint &P = R.Points[J];
-      std::fprintf(F,
-                   "        {\"cache_entries\": %u, \"hits\": %llu, "
-                   "\"misses\": %llu, \"evictions\": %llu, "
-                   "\"hit_rate\": %.4f, \"exec_seconds\": %.4f}%s\n",
-                   P.CacheEntries, (unsigned long long)P.Hits,
-                   (unsigned long long)P.Misses,
-                   (unsigned long long)P.Evictions, P.HitRate,
-                   P.ExecSeconds, J + 1 != R.Points.size() ? "," : "");
-    }
-    std::fprintf(F, "      ]\n");
-    std::fprintf(F, "    }%s\n", I + 1 != Reports.size() ? "," : "");
-  }
-  std::fprintf(F, "  ]\n");
-  std::fprintf(F, "}\n");
-}
-
-} // namespace
 
 int main(int argc, char **argv) {
   bool Smoke = false;
@@ -93,56 +42,65 @@ int main(int argc, char **argv) {
     }
   }
 
-  const uint32_t FullSizes[] = {8, 16, 32, 64, 128, 256, 512, 1024};
-  const uint32_t SmokeSizes[] = {8, 64, 256};
-  const uint32_t *Sizes = Smoke ? SmokeSizes : FullSizes;
-  size_t NumSizes = Smoke ? 3 : 8;
+  const std::vector<uint32_t> Sizes =
+      Smoke ? std::vector<uint32_t>{8, 64, 256}
+            : std::vector<uint32_t>{8, 16, 32, 64, 128, 256, 512, 1024};
 
   std::printf("Access-cache size sweep (paper Section 4.3)%s\n\n",
               Smoke ? " [smoke]" : "");
-  std::printf("%-9s %8s %12s %12s %12s %9s %9s\n", "workload", "entries",
-              "hits", "misses", "evictions", "hit-rate", "seconds");
+  std::printf("%-9s %8s %12s %12s %12s %9s\n", "workload", "entries", "hits",
+              "misses", "evictions", "hit-rate");
 
-  std::vector<SweepReport> Reports;
-  for (Workload &W : buildAllWorkloads(Smoke ? 1 : 4)) {
-    SweepReport Report;
-    Report.Name = W.Name;
-    for (size_t SI = 0; SI != NumSizes; ++SI) {
+  std::string Json;
+  JsonWriter W(Json);
+  W.beginObject();
+  W.member("schema", "herd-bench-cache-sweep-v2");
+  W.member("smoke", Smoke);
+  writeEnvStamp(W);
+  W.key("workloads");
+  W.beginArray();
+  for (Workload &Wl : buildAllWorkloads(Smoke ? 1 : 4)) {
+    W.beginObject();
+    W.member("name", Wl.Name);
+    uint64_t EventsSeen = 0;
+    W.key("sweep");
+    W.beginArray();
+    for (uint32_t Size : Sizes) {
       ToolConfig Config = ToolConfig::full();
-      Config.CacheEntries = Sizes[SI];
-      PipelineResult R = runPipeline(W.P, Config);
+      Config.CacheEntries = Size;
+      PipelineResult R = runPipeline(Wl.P, Config);
       if (!R.Run.Ok) {
-        std::fprintf(stderr, "%s (cache=%u): %s\n", W.Name.c_str(),
-                     Sizes[SI], R.Run.Error.c_str());
+        std::fprintf(stderr, "%s (cache=%u): %s\n", Wl.Name.c_str(), Size,
+                     R.Run.Error.c_str());
         return 1;
       }
-      SweepPoint P;
-      P.CacheEntries = Sizes[SI];
-      P.Hits = R.Stats.CacheHits;
-      P.Misses = R.Stats.CacheMisses;
-      P.Evictions = R.Stats.CacheEvictions;
-      uint64_t Total = P.Hits + P.Misses;
-      P.HitRate = Total ? double(P.Hits) / double(Total) : 0.0;
-      P.ExecSeconds = R.ExecSeconds;
-      Report.EventsSeen = R.Stats.EventsSeen;
-      std::printf("%-9s %8u %12llu %12llu %12llu %8.2f%% %9.4f\n",
-                  W.Name.c_str(), P.CacheEntries,
-                  (unsigned long long)P.Hits, (unsigned long long)P.Misses,
-                  (unsigned long long)P.Evictions, 100.0 * P.HitRate,
-                  P.ExecSeconds);
-      Report.Points.push_back(P);
+      uint64_t Hits = R.Stats.CacheHits, Misses = R.Stats.CacheMisses;
+      double HitRate =
+          Hits + Misses ? double(Hits) / double(Hits + Misses) : 0.0;
+      EventsSeen = R.Stats.EventsSeen;
+      std::printf("%-9s %8u %12llu %12llu %12llu %8.2f%%\n", Wl.Name.c_str(),
+                  Size, (unsigned long long)Hits, (unsigned long long)Misses,
+                  (unsigned long long)R.Stats.CacheEvictions, 100.0 * HitRate);
+      W.beginObject();
+      W.member("cache_entries", Size);
+      W.member("hits", Hits);
+      W.member("misses", Misses);
+      W.member("evictions", R.Stats.CacheEvictions);
+      W.member("hit_rate", HitRate);
+      W.endObject();
     }
-    Reports.push_back(std::move(Report));
+    W.endArray();
+    W.member("events_seen", EventsSeen);
+    W.endObject();
   }
+  W.endArray();
+  W.endObject();
 
   if (!OutPath.empty()) {
-    std::FILE *F = std::fopen(OutPath.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "cannot open %s\n", OutPath.c_str());
+    if (!(std::ofstream(OutPath) << Json << "\n")) {
+      std::fprintf(stderr, "cannot write %s\n", OutPath.c_str());
       return 1;
     }
-    writeJson(F, Reports, Smoke);
-    std::fclose(F);
     std::printf("\nwrote %s\n", OutPath.c_str());
   }
   return 0;

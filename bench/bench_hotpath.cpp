@@ -6,13 +6,13 @@
 ///
 /// \file
 /// The allocation/throughput regression harness for the detector hot path
-/// (docs/PERFORMANCE.md).  Records a set of traces once, timing each
-/// recording: a synthetic detector-bound "refhot" stream, the five
-/// benchmark replicas and the hook-bound "hotfield" loop.  Then it measures
-/// every trace through two lane tables with one best-of-N helper:
+/// (docs/PERFORMANCE.md).  Records a set of traces once: a synthetic
+/// detector-bound "refhot" stream, the five benchmark replicas and the
+/// hook-bound "hotfield" loop.  Then it runs every lane of one table once
+/// over each trace:
 ///
-///  * Replay lanes replay the trace, pass by pass, into one fresh detector
-///    per rep.  `serial`, `serial+plan` (pre-sized by a DetectorPlan) and
+///  * Replay lanes replay the trace, pass by pass, into one fresh detector.
+///    `serial`, `serial+plan` (pre-sized by a DetectorPlan) and
 ///    `sharded<N>` replay cold, warm and steady passes: the cold pass builds
 ///    the access structures, the warm pass flushes the ownership filter's
 ///    first-touch shadow, the steady pass is the converged, allocation-free
@@ -25,18 +25,21 @@
 ///    the default `herd` path, docs/HOOKPATH.md) and `threaded+prov` (a
 ///    ProvenanceStore fanned out next to the detector, docs/REPORTS.md).
 ///
-/// Every lane must report its reference lane's racy-location set on every
-/// rep (`serial` for the lockset lanes, `vclock` for `epoch`), or the run
-/// fails.  A counting global allocator measures allocations per event;
-/// best-of-N lifts the timings out of scheduler noise.
+/// A counting global allocator measures allocations per event in those
+/// runs.  Then each A/B comparison the gate reads (hook path, provenance,
+/// dispatch, live vs replay, epoch vs vector clocks) times cold runs of its
+/// two lanes with pairedRatio (PairedRatio.h); a timed lane reports its
+/// median run.  Every run must report its reference lane's racy-location
+/// set (`serial` for the lockset lanes, `vclock` for `epoch`), or the
+/// harness exits 1.
 ///
-/// `--smoke` shrinks every trace for CI; `--reps=N` sets the repetition
-/// count (default 3, 1 under --smoke); `--out=PATH` writes the
-/// herd-bench-hotpath-v6 JSON that scripts/check_bench_gate.py gates (the
+/// `--smoke` shrinks every trace for CI; `--out=PATH` writes the
+/// herd-bench-hotpath-v7 JSON that scripts/check_bench_gate.py gates (the
 /// checked-in BENCH_hotpath.json is a full run).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "PairedRatio.h"
 #include "analysis/DetectorPlanner.h"
 #include "analysis/StaticRace.h"
 #include "baselines/EpochDetector.h"
@@ -47,8 +50,6 @@
 #include "detect/TraceFile.h"
 #include "instr/Superinstr.h"
 #include "ir/IRBuilder.h"
-#include "runtime/Interpreter.h"
-#include "support/Json.h"
 #include "support/TempPath.h"
 #include "workloads/Workloads.h"
 
@@ -248,8 +249,7 @@ struct Measure {
   uint64_t Allocs = 0;
   double AllocsPerEvent = 0;
   double AllocBytesPerEvent = 0;
-  // Live lanes only.  Deterministic per (program, lane), so the best rep's
-  // counters are every rep's.
+  // Live lanes only; deterministic per (program, lane).
   InterpResult Run;
   RaceRuntimeStats Stats;
   uint64_t ProvenanceAccesses = 0;
@@ -279,19 +279,6 @@ Measure timed(const std::string &Lane, const char *Pass, uint64_t Events,
   return M;
 }
 
-/// The one best-of-N helper: runs \p Rep (one rep of a lane, returning its
-/// windows in pass order) \p Reps times and keeps each window's fastest.
-template <typename Fn> std::vector<Measure> bestOf(uint32_t Reps, Fn Rep) {
-  std::vector<Measure> Best = Rep();
-  for (uint32_t I = 1; I < Reps; ++I) {
-    std::vector<Measure> One = Rep();
-    for (size_t P = 0; P != Best.size(); ++P)
-      if (One[P].EventsPerSec > Best[P].EventsPerSec)
-        Best[P] = std::move(One[P]);
-  }
-  return Best;
-}
-
 /// A recorded trace, its inputs for the lanes, and what they measured.
 struct Trace {
   explicit Trace(const std::string &Name)
@@ -301,22 +288,22 @@ struct Trace {
   TempPath Path;
   uint64_t Events = 0;
   uint64_t Bytes = 0;
-  double RecordEventsPerSec = 0;
   DetectorPlan Plan; ///< pre-sizing for the planned lanes
   /// Replicas only: the program and its shadow code, for the live lanes.
   const Program *Prog = nullptr;
   std::unique_ptr<ThreadedCode> Fused;
 
-  std::vector<Measure> Passes;         ///< replay lanes, in table order
-  std::map<std::string, Measure> Live; ///< live lanes by name
-  std::map<std::string, std::set<LocationKey>> Races; ///< last rep, by lane
-  std::map<std::string, bool> Agrees; ///< lane: matched its reference
+  std::vector<Measure> Passes; ///< every lane's windows, in table order
+  std::map<std::string, std::set<LocationKey>> Races; ///< last run, by lane
+  std::map<std::string, bool> Agrees; ///< lane: every run matched its reference
+  std::map<std::string, std::vector<double>> Timed; ///< lane: paired runs
+  std::map<std::string, Quartiles> Ratios; ///< comparison: paired B / A
 
   bool agreement() const {
     return std::all_of(Agrees.begin(), Agrees.end(),
                        [](const auto &A) { return A.second; });
   }
-  const Measure &pass(const std::string &Lane, const char *P) const {
+  const Measure &pass(const std::string &Lane, const char *P = "cold") const {
     for (const Measure &M : Passes)
       if (M.Lane == Lane && std::strcmp(M.Pass, P) == 0)
         return M;
@@ -324,37 +311,38 @@ struct Trace {
   }
 };
 
-/// Records \p Emit's event stream into \p Name's trace file, timing it.
+/// Records \p Emit's event stream into \p Name's trace file.
 template <typename Fn> Trace record(const std::string &Name, Fn Emit) {
   Trace T(Name);
   TraceWriter Writer;
   check(Writer.open(T.Path), Name);
-  double Seconds = timed(Name, "record", 0, [&] { Emit(Writer); }).Seconds;
+  Emit(Writer);
   check(Writer.close(), Name);
   T.Events = Writer.recordsWritten();
   T.Bytes = Writer.bytesWritten();
-  T.RecordEventsPerSec = ratio(double(T.Events), Seconds);
   return T;
 }
 
 //===----------------------------------------------------------------------===
-// The lane tables
+// The lane table and the comparisons
 //===----------------------------------------------------------------------===
 
-/// A lane: one configuration under test.  Once runs one rep over a trace,
-/// leaves the rep's race set in Trace::Races and returns its windows.
+/// A lane: one configuration under test.  Once runs it over a trace (only
+/// its cold pass when asked), leaves the run's race set in Trace::Races and
+/// returns its windows.
 struct Lane {
   std::string Name;
   std::string Reference; ///< lane whose race set this one must equal
-  std::function<std::vector<Measure>(Trace &)> Once;
+  bool Live = false;     ///< interprets the replica instead of replaying
+  std::function<std::vector<Measure>(Trace &, bool ColdOnly)> Once;
 };
 
-/// A replay lane over detector type D: each rep replays \p Passes into one
+/// A replay lane over detector type D: each run replays \p Passes into one
 /// fresh D from \p Make, each pass in its own timed window.
 template <typename D, typename MakeFn>
 Lane replayLane(const std::string &Name, std::vector<const char *> Passes,
                 const std::string &Reference, MakeFn Make) {
-  return {Name, Reference, [=](Trace &T) {
+  return {Name, Reference, false, [=](Trace &T, bool ColdOnly) {
             std::unique_ptr<D> Det = Make(T);
             std::vector<Measure> Windows;
             for (const char *Pass : Passes) {
@@ -367,6 +355,8 @@ Lane replayLane(const std::string &Name, std::vector<const char *> Passes,
                 if constexpr (std::is_same_v<D, ShardedRuntime>)
                   (void)Det->stats();
               }));
+              if (ColdOnly)
+                break;
             }
             Det->onRunEnd();
             if constexpr (requires { Det->reporter(); })
@@ -377,7 +367,43 @@ Lane replayLane(const std::string &Name, std::vector<const char *> Passes,
           }};
 }
 
-std::vector<Lane> replayLanes(bool Smoke) {
+/// A live lane: the replica interpreted once per run, driving a fresh
+/// plan-pre-sized serial runtime.
+Lane liveLane(const char *Name, DispatchMode Dispatch, bool Devirt,
+              bool Provenance) {
+  return {Name, "serial", true, [=](Trace &T, bool) {
+            RaceRuntimeOptions ROpts;
+            ROpts.Plan = T.Plan;
+            auto RT = std::make_unique<RaceRuntime>(ROpts);
+            ProvenanceStore Prov;
+            FanoutHooks Fanout{RT.get(), &Prov};
+            InterpOptions IOpts;
+            IOpts.TraceEveryAccess = true;
+            IOpts.Dispatch = Dispatch;
+            if (Dispatch == DispatchMode::Threaded)
+              IOpts.Fused = T.Fused.get();
+            IOpts.SerialSink = Devirt ? RT.get() : nullptr;
+            RuntimeHooks *Serial = RT.get();
+            Interpreter Interp(*T.Prog, Provenance ? &Fanout : Serial, IOpts);
+            InterpResult R;
+            Measure M = timed(Name, "cold", T.Events, [&] {
+              R = Interp.run();
+            });
+            RT->onRunEnd();
+            if (!R.Ok)
+              throw std::runtime_error(T.Name + " live: " + R.Error);
+            M.Run = std::move(R);
+            M.Stats = RT->stats();
+            M.ProvenanceAccesses = Prov.accessesObserved();
+            T.Races[Name] = RT->reporter().reportedLocations();
+            return std::vector<Measure>{M};
+          }};
+}
+
+/// The lane table: replay lanes in table order, then the live lanes
+/// (dispatch mode, devirtualized sink + inline cache probe,
+/// ProvenanceStore fanned out next to the detector).
+std::vector<Lane> lanes(bool Smoke) {
   const std::vector<const char *> Converge = {"cold", "warm", "steady"};
   std::vector<Lane> Lanes = {
       replayLane<RaceRuntime>("serial", Converge, "", [](const Trace &) {
@@ -408,69 +434,67 @@ std::vector<Lane> replayLanes(bool Smoke) {
   Lanes.push_back(replayLane<EpochDetector>(
       "epoch", {"cold", "steady"}, "vclock",
       [](const Trace &T) { return std::make_unique<EpochDetector>(T.Plan); }));
+  Lanes.insert(
+      Lanes.end(),
+      {liveLane("switch", DispatchMode::Switch, false, false),
+       liveLane("threaded", DispatchMode::Threaded, false, false),
+       liveLane("threaded+probe", DispatchMode::Threaded, true, false),
+       liveLane("threaded+prov", DispatchMode::Threaded, false, true)});
   return Lanes;
 }
 
-/// A live lane: the replica interpreted once per rep, driving a fresh
-/// plan-pre-sized serial runtime.
-Lane liveLane(const char *Name, DispatchMode Dispatch, bool Devirt,
-              bool Provenance) {
-  return {Name, "serial", [=](Trace &T) {
-            RaceRuntimeOptions ROpts;
-            ROpts.Plan = T.Plan;
-            auto RT = std::make_unique<RaceRuntime>(ROpts);
-            ProvenanceStore Prov;
-            FanoutHooks Fanout{RT.get(), &Prov};
-            InterpOptions IOpts;
-            IOpts.TraceEveryAccess = true;
-            IOpts.Dispatch = Dispatch;
-            if (Dispatch == DispatchMode::Threaded)
-              IOpts.Fused = T.Fused.get();
-            IOpts.SerialSink = Devirt ? RT.get() : nullptr;
-            RuntimeHooks *Serial = RT.get();
-            Interpreter Interp(*T.Prog, Provenance ? &Fanout : Serial, IOpts);
-            InterpResult R;
-            Measure M = timed(Name, "cold", T.Events, [&] {
-              R = Interp.run();
-            });
-            RT->onRunEnd();
-            if (!R.Ok)
-              throw std::runtime_error(T.Name + " live: " + R.Error);
-            M.Run = std::move(R);
-            M.Stats = RT->stats();
-            M.ProvenanceAccesses = Prov.accessesObserved();
-            T.Races[Name] = RT->reporter().reportedLocations();
-            return std::vector<Measure>{M};
-          }};
-}
-
-/// The live lane table: dispatch mode, devirtualized sink + inline cache
-/// probe, ProvenanceStore fanned out next to the detector.
-const Lane LiveLanes[] = {
-    liveLane("switch", DispatchMode::Switch, false, false),
-    liveLane("threaded", DispatchMode::Threaded, false, false),
-    liveLane("threaded+probe", DispatchMode::Threaded, true, false),
-    liveLane("threaded+prov", DispatchMode::Threaded, false, true),
+/// The A/B comparisons the gate reads, each the paired median of lane B's
+/// cold time over lane A's (how many times faster A runs).
+const struct Comparison {
+  const char *Key, *A, *B;
+} Comparisons[] = {
+    {"hook_path", "threaded+probe", "threaded"},
+    {"provenance", "threaded+probe", "threaded+prov"},
+    {"dispatch", "threaded", "switch"},
+    {"live_vs_replay", "threaded", "serial"},
+    {"epoch", "epoch", "vclock"},
 };
 
-/// Runs \p L best-of-\p Reps over \p T, checking every rep's race set
-/// against the lane's reference, and prints the best windows.
-std::vector<Measure> run(const Lane &L, Trace &T, uint32_t Reps) {
-  bool Agree = true;
-  std::vector<Measure> Best = bestOf(Reps, [&] {
-    std::vector<Measure> Windows = L.Once(T);
-    if (!L.Reference.empty())
-      Agree = Agree && T.Races[L.Name] == T.Races[L.Reference];
-    return Windows;
-  });
-  T.Agrees[L.Name] = Agree;
-  for (const Measure &M : Best)
-    std::printf("%-8s %-13s %-6s %12.0f %10.4f %10llu %9.3f %9.1f\n",
-                T.Name.c_str(), M.Lane.c_str(), M.Pass, M.EventsPerSec,
-                M.Seconds, (unsigned long long)M.Allocs, M.AllocsPerEvent,
-                M.AllocBytesPerEvent);
-  return Best;
+/// Runs \p L once over \p T and checks the run's race set against the
+/// lane's reference.
+std::vector<Measure> runOnce(const Lane &L, Trace &T, bool ColdOnly) {
+  std::vector<Measure> Windows = L.Once(T, ColdOnly);
+  bool Agree =
+      L.Reference.empty() || T.Races[L.Name] == T.Races[L.Reference];
+  T.Agrees.try_emplace(L.Name, true).first->second &= Agree;
+  return Windows;
 }
+
+/// Measures \p T: every lane once, then every comparison that applies to
+/// it; a timed lane's cold window then reports its median timed run.
+void measure(Trace &T, const std::vector<Lane> &Lanes) {
+  auto Find = [&](const char *Name) -> const Lane & {
+    return *std::find_if(Lanes.begin(), Lanes.end(),
+                         [&](const Lane &L) { return L.Name == Name; });
+  };
+  auto Timer = [&](const Lane &L) {
+    return [&T, &L] {
+      T.Timed[L.Name].push_back(runOnce(L, T, /*ColdOnly=*/true)[0].Seconds);
+      return T.Timed[L.Name].back();
+    };
+  };
+  for (const Lane &L : Lanes)
+    if (T.Prog || !L.Live)
+      for (Measure &M : runOnce(L, T, /*ColdOnly=*/false))
+        T.Passes.push_back(std::move(M));
+  for (const Comparison &C : Comparisons)
+    if (T.Prog || !Find(C.A).Live)
+      T.Ratios[C.Key] = pairedRatio(Timer(Find(C.A)), Timer(Find(C.B)));
+  for (Measure &M : T.Passes)
+    if (T.Timed.count(M.Lane) && std::strcmp(M.Pass, "cold") == 0) {
+      M.Seconds = quartiles(T.Timed[M.Lane]).Median;
+      M.EventsPerSec = ratio(double(T.Events), M.Seconds);
+    }
+}
+
+//===----------------------------------------------------------------------===
+// The JSON report
+//===----------------------------------------------------------------------===
 
 /// Writes `"Key": {...}`, \p Body emitting the members.
 template <typename Fn> void object(JsonWriter &W, const char *Key, Fn Body) {
@@ -480,13 +504,21 @@ template <typename Fn> void object(JsonWriter &W, const char *Key, Fn Body) {
   W.endObject();
 }
 
+/// Writes a paired median as \p Key with `_q1` and `_q3` beside it.
+void paired(JsonWriter &W, const std::string &Key, const Quartiles &Q) {
+  W.member(Key, Q.Median);
+  W.member(Key + "_q1", Q.Q1);
+  W.member(Key + "_q3", Q.Q3);
+}
+
 void writeLive(JsonWriter &W, const char *Key, const Measure &M,
-               double ReplayColdEps) {
+               const Quartiles *VsReplay) {
   object(W, Key, [&] {
     W.member("seconds", M.Seconds);
     W.member("events_per_sec", M.EventsPerSec);
     W.member("allocs_per_event", M.AllocsPerEvent);
-    W.member("ratio_vs_replay_cold", ratio(M.EventsPerSec, ReplayColdEps));
+    if (VsReplay)
+      paired(W, "ratio_vs_replay_cold", *VsReplay);
     W.member("fused_execs", M.Run.Fused.total());
     W.member("block_retire_hits", M.Run.BlockRetireHits);
     W.member("block_retired_steps", M.Run.BlockRetiredSteps);
@@ -499,22 +531,20 @@ void writeTrace(JsonWriter &W, const Trace &T) {
   W.member("events", T.Events);
   W.member("file_bytes", T.Bytes);
   W.member("bytes_per_event", ratio(double(T.Bytes), double(T.Events)));
-  W.member("record_events_per_sec", T.RecordEventsPerSec);
   W.member("agreement", T.agreement());
   object(W, "cold_ab", [&] {
-    W.member("allocs_per_event", T.pass("serial", "cold").AllocsPerEvent);
-    W.member("allocs_per_event_planned",
-             T.pass("serial+plan", "cold").AllocsPerEvent);
+    W.member("allocs_per_event", T.pass("serial").AllocsPerEvent);
+    W.member("allocs_per_event_planned", T.pass("serial+plan").AllocsPerEvent);
   });
   if (T.Prog) {
-    const Measure &Th = T.Live.at("threaded"),
-                  &Probe = T.Live.at("threaded+probe"),
-                  &Pv = T.Live.at("threaded+prov");
-    double Cold = T.pass("serial", "cold").EventsPerSec;
-    writeLive(W, "live", Th, Cold);
+    const Measure &Th = T.pass("threaded"), &Probe = T.pass("threaded+probe"),
+                  &Pv = T.pass("threaded+prov");
+    const Quartiles &VsReplay = T.Ratios.at("live_vs_replay");
+    writeLive(W, "live", Th, &VsReplay);
     object(W, "live_by_dispatch", [&] {
-      writeLive(W, "switch", T.Live.at("switch"), Cold);
-      writeLive(W, "threaded", Th, Cold);
+      writeLive(W, "switch", T.pass("switch"), nullptr);
+      writeLive(W, "threaded", Th, &VsReplay);
+      paired(W, "threaded_over_switch", T.Ratios.at("dispatch"));
     });
     // The schema keeps its filter_* names for the inline probe: every
     // access event was a probe hit or reached the detector, so
@@ -523,7 +553,7 @@ void writeTrace(JsonWriter &W, const Trace &T) {
     object(W, "hook_path", [&] {
       W.member("live_unfiltered_events_per_sec", Th.EventsPerSec);
       W.member("live_filtered_events_per_sec", Probe.EventsPerSec);
-      W.member("speedup", ratio(Probe.EventsPerSec, Th.EventsPerSec));
+      paired(W, "speedup", T.Ratios.at("hook_path"));
       W.member("access_events", Probe.Run.AccessEvents);
       W.member("filter_hits", S.CacheHits);
       W.member("filter_misses", S.CacheMisses);
@@ -537,19 +567,17 @@ void writeTrace(JsonWriter &W, const Trace &T) {
     object(W, "provenance_ab", [&] {
       W.member("off_events_per_sec", Probe.EventsPerSec);
       W.member("on_events_per_sec", Pv.EventsPerSec);
-      W.member("overhead_ratio", ratio(Probe.EventsPerSec, Pv.EventsPerSec));
+      paired(W, "overhead_ratio", T.Ratios.at("provenance"));
       W.member("accesses_observed", Pv.ProvenanceAccesses);
       W.member("agreement", T.Agrees.at("threaded+prov"));
     });
   }
-  const Measure &Vc = T.pass("vclock", "cold");
-  const Measure &Cold = T.pass("epoch", "cold"),
-                &Steady = T.pass("epoch", "steady");
+  const Measure &Steady = T.pass("epoch", "steady");
   object(W, "epoch_ab", [&] {
-    W.member("vc_events_per_sec", Vc.EventsPerSec);
-    W.member("epoch_cold_events_per_sec", Cold.EventsPerSec);
+    W.member("vc_events_per_sec", T.pass("vclock").EventsPerSec);
+    W.member("epoch_cold_events_per_sec", T.pass("epoch").EventsPerSec);
     W.member("epoch_steady_events_per_sec", Steady.EventsPerSec);
-    W.member("speedup", ratio(Cold.EventsPerSec, Vc.EventsPerSec));
+    paired(W, "speedup", T.Ratios.at("epoch"));
     W.member("steady_allocs_per_event", Steady.AllocsPerEvent);
     W.member("racy_locations", uint64_t(T.Races.at("epoch").size()));
     W.member("agreement", T.Agrees.at("epoch"));
@@ -571,30 +599,13 @@ void writeTrace(JsonWriter &W, const Trace &T) {
   W.endObject();
 }
 
-std::string writeJson(const std::vector<Trace> &Traces, bool Smoke,
-                      uint32_t Reps) {
+std::string writeJson(const std::vector<Trace> &Traces, bool Smoke) {
   std::string Out;
   JsonWriter W(Out);
   W.beginObject();
-  W.member("schema", "herd-bench-hotpath-v6");
+  W.member("schema", "herd-bench-hotpath-v7");
   W.member("smoke", Smoke);
-  W.member("reps", Reps);
-  // The dispatch lanes' interpreter counters, name-sorted like the
-  // `--stats=json` metrics: fused executions, batched quantum retirement.
-  std::map<std::string, uint64_t> Metrics;
-  for (const Trace &T : Traces)
-    for (const char *Mode : {"switch", "threaded"})
-      if (auto It = T.Live.find(Mode); It != T.Live.end()) {
-        std::string Prefix = "live." + T.Name + "." + Mode + ".";
-        const InterpResult &R = It->second.Run;
-        Metrics[Prefix + "fused_execs"] = R.Fused.total();
-        Metrics[Prefix + "block_retire_hits"] = R.BlockRetireHits;
-        Metrics[Prefix + "block_retired_steps"] = R.BlockRetiredSteps;
-      }
-  object(W, "metrics", [&] {
-    for (const auto &[Name, Value] : Metrics)
-      W.member(Name, Value);
-  });
+  writeEnvStamp(W);
   W.key("traces");
   W.beginArray();
   for (const Trace &T : Traces)
@@ -608,26 +619,17 @@ std::string writeJson(const std::vector<Trace> &Traces, bool Smoke,
 
 int main(int argc, char **argv) {
   bool Smoke = false;
-  uint32_t Reps = 0; // 0 = default (3, or 1 under --smoke)
   std::string OutPath;
   for (int I = 1; I != argc; ++I) {
-    long N = 0;
     if (std::strcmp(argv[I], "--smoke") == 0) {
       Smoke = true;
     } else if (std::strncmp(argv[I], "--out=", 6) == 0) {
       OutPath = argv[I] + 6;
-    } else if (std::strncmp(argv[I], "--reps=", 7) == 0 &&
-               (N = std::atol(argv[I] + 7)) >= 1 && N <= 100) {
-      Reps = uint32_t(N);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--reps=N (1..100)] [--out=PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke] [--out=PATH]\n", argv[0]);
       return 2;
     }
   }
-  if (Reps == 0)
-    Reps = Smoke ? 1 : 3;
 
   try {
     std::vector<Trace> Traces;
@@ -660,28 +662,33 @@ int main(int argc, char **argv) {
     }
 
     std::printf("Detector hot-path regression harness "
-                "(docs/PERFORMANCE.md)%s\n\n",
+                "(docs/PERFORMANCE.md)%s\n",
                 Smoke ? " [smoke]" : "");
-    std::printf("%-8s %-13s %-6s %12s %10s %10s %9s %9s\n", "trace", "lane",
+    printEnvStamp();
+    std::printf("\n%-8s %-14s %-6s %12s %10s %10s %9s %9s\n", "trace", "lane",
                 "pass", "events/s", "seconds", "allocs", "allocs/ev",
                 "bytes/ev");
-    std::vector<Lane> Lanes = replayLanes(Smoke);
+    std::vector<Lane> Lanes = lanes(Smoke);
     bool AllAgree = true;
     for (Trace &T : Traces) {
-      for (const Lane &L : Lanes)
-        for (Measure &M : run(L, T, Reps))
-          T.Passes.push_back(std::move(M));
-      if (T.Prog)
-        for (const Lane &L : LiveLanes)
-          T.Live[L.Name] = run(L, T, Reps)[0];
-      std::printf("%-8s agreement: %s (recorded at %.0f events/s)\n",
-                  T.Name.c_str(), T.agreement() ? "yes" : "NO!",
-                  T.RecordEventsPerSec);
+      measure(T, Lanes);
+      for (const Measure &M : T.Passes)
+        std::printf("%-8s %-14s %-6s %12.0f %10.4f %10llu %9.3f %9.1f\n",
+                    T.Name.c_str(), M.Lane.c_str(), M.Pass, M.EventsPerSec,
+                    M.Seconds, (unsigned long long)M.Allocs,
+                    M.AllocsPerEvent, M.AllocBytesPerEvent);
+      for (const Comparison &C : Comparisons)
+        if (auto It = T.Ratios.find(C.Key); It != T.Ratios.end())
+          std::printf("%-8s %-14s %s / %s: %.3f [%.3f, %.3f]\n",
+                      T.Name.c_str(), C.Key, C.B, C.A, It->second.Median,
+                      It->second.Q1, It->second.Q3);
+      std::printf("%-8s agreement: %s\n", T.Name.c_str(),
+                  T.agreement() ? "yes" : "NO!");
       AllAgree = AllAgree && T.agreement();
     }
 
     if (!OutPath.empty()) {
-      if (!(std::ofstream(OutPath) << writeJson(Traces, Smoke, Reps)))
+      if (!(std::ofstream(OutPath) << writeJson(Traces, Smoke)))
         throw std::runtime_error("cannot write " + OutPath);
       std::printf("\nwrote %s\n", OutPath.c_str());
     }

@@ -27,7 +27,7 @@ import json
 import re
 import sys
 
-STATS_VERSION = 2
+STATS_VERSION = 3
 REPORT_VERSION = 1
 SARIF_VERSION = "2.1.0"
 
@@ -184,8 +184,7 @@ def check_stats(doc):
     if "epoch" in doc:
         check_keys(doc["epoch"], EPOCH_KEYS, "epoch")
     if "metrics" in doc:
-        check_keys(doc["metrics"], {"counters": dict, "gauges": dict,
-                                    "histograms": dict}, "metrics")
+        check_keys(doc["metrics"], {"counters": dict}, "metrics")
     if "profile" in doc:
         check_keys(doc["profile"], PROFILE_KEYS, "profile")
         for i, pair in enumerate(doc["profile"].get("pairs", [])):

@@ -27,7 +27,8 @@ const char *herd::herdUsageText() {
       "                    pre-size from the static race set) | <n> (size\n"
       "                    for n expected locations; the only mode\n"
       "                    --replay can honour)\n"
-      "  --sweep=<n>       run n seeds and summarize the reports\n"
+      "  --sweep=<n>       run n seeds and summarize their race and\n"
+      "                    deadlock reports\n"
       "  --record=<file>   also stream the run's events to a trace file\n"
       "                    (docs/REPLAY.md)\n"
       "  --replay=<file>   re-detect a recorded trace instead of executing\n"
@@ -37,7 +38,8 @@ const char *herd::herdUsageText() {
       "                    lockset/trie pipeline) | epoch (FastTrack-style\n"
       "                    happens-before, O(1) common case, serial live or\n"
       "                    replay; docs/DETECTORS.md) | eraser | vectorclock\n"
-      "                    | naive (comparison baselines, --replay only)\n"
+      "                    | naive (comparison baselines: --replay only,\n"
+      "                    racy locations only)\n"
       "  --deadlocks       also run the lock-order deadlock detector\n"
       "  --stats[=json]    print pipeline statistics; =json emits one\n"
       "                    machine-readable herd-stats document instead of\n"
@@ -255,22 +257,29 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
     return fail("herd: --record cannot be combined with --sweep");
   // The epoch backend runs through the pipeline (live serial or replay);
   // the other baselines are trace consumers only.
-  if (O.Detector != "herd" && O.Detector != "epoch" && O.ReplayPath.empty())
+  bool Baseline = O.Detector != "herd" && O.Detector != "epoch";
+  if (Baseline && O.ReplayPath.empty())
     return fail("herd: --detector requires --replay");
   if (O.Detector == "epoch" && Shards != 0)
     return fail("herd: --detector=epoch runs the serial happens-before "
                 "backend and cannot be combined with --shards");
   // Observability is per-run: a sweep aggregates many runs, and the
   // baseline replays bypass the pipeline entirely.
-  if (O.Sweep > 0 && (O.Profile || O.StatsJson || !O.TraceJsonPath.empty()))
-    return fail("herd: --profile/--stats=json/--trace-json cannot be "
-                "combined with --sweep");
+  if (O.Sweep > 0 &&
+      (O.Profile || O.Stats || O.StatsJson || !O.TraceJsonPath.empty()))
+    return fail("herd: --profile/--stats/--stats=json/--trace-json cannot "
+                "be combined with --sweep");
   if (O.Profile && !O.ReplayPath.empty())
     return fail("herd: --profile requires a live run, not --replay");
-  if (O.Detector != "herd" && O.Detector != "epoch" &&
-      (O.StatsJson || !O.TraceJsonPath.empty()))
+  if (Baseline && (O.StatsJson || !O.TraceJsonPath.empty()))
     return fail("herd: --stats=json/--trace-json only apply to the herd "
                 "detector");
+  // A baseline replay prints its detector's racy locations and nothing
+  // else, so it takes none of the pipeline's sections or runtimes.
+  if (Baseline && (O.Stats || O.Deadlocks || ProvenanceOn || Shards != 0))
+    return fail("herd: --detector=" + O.Detector +
+                " prints racy locations only and cannot be combined with "
+                "--stats/--deadlocks/--provenance=on/--shards");
   // The report document is per-run and owns stdout, exactly like
   // --stats=json: no sweeps, no competing stdout consumers, and the
   // baseline replay detectors bypass the pipeline that builds it.
@@ -281,7 +290,7 @@ HerdParse herd::parseHerdCommandLine(const std::vector<std::string> &Args) {
     if (O.Stats || O.StatsJson || O.Profile)
       return fail("herd: --report=json/--report=sarif own stdout and "
                   "cannot be combined with --stats/--profile");
-    if (O.Detector != "herd" && O.Detector != "epoch")
+    if (Baseline)
       return fail("herd: --report only applies to the herd and epoch "
                   "detectors");
     if (O.DumpIR)

@@ -56,37 +56,6 @@ void writeMetrics(JsonWriter &W, const MetricsRegistry &Reg) {
   for (const auto &[Name, Value] : Reg.counterValues())
     W.member(Name, Value);
   W.endObject();
-  W.key("gauges");
-  W.beginObject();
-  for (const auto &G : Reg.gaugeValues()) {
-    W.key(G.Name);
-    W.beginObject();
-    W.member("value", G.Value);
-    W.member("max", G.Max);
-    W.endObject();
-  }
-  W.endObject();
-  W.key("histograms");
-  W.beginObject();
-  for (const auto &H : Reg.histogramValues()) {
-    W.key(H.Name);
-    W.beginObject();
-    W.member("count", H.Count);
-    W.member("sum", H.Sum);
-    W.member("min", H.Min);
-    W.member("max", H.Max);
-    W.key("log2_buckets");
-    W.beginArray();
-    for (const auto &[Bucket, N] : H.Buckets) {
-      W.beginObject();
-      W.member("bucket", Bucket);
-      W.member("count", N);
-      W.endObject();
-    }
-    W.endArray();
-    W.endObject();
-  }
-  W.endObject();
   W.endObject();
 }
 

@@ -36,11 +36,11 @@ class MetricsRegistry;
 
 /// The schema identity this build emits.
 inline constexpr const char *StatsSchemaName = "herd-stats";
-inline constexpr int StatsSchemaVersion = 2;
+inline constexpr int StatsSchemaVersion = 3;
 
 /// Renders \p Result as one herd-stats JSON document (trailing newline
 /// included).  \p Metrics and \p Prof are optional sections: when given,
-/// the document carries a "metrics" object (counters/gauges/histograms
+/// the document carries a "metrics" object (the registry's counters
 /// with exact values) and a "profile" object (the opcode table behind
 /// `herd --profile`, machine-readable).
 std::string renderStatsJson(const PipelineResult &Result,

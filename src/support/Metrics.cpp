@@ -29,28 +29,14 @@ static SteadyClock &processSteadyClock() {
 MetricsRegistry::MetricsRegistry(MetricsClock *Clock)
     : Clock(Clock ? Clock : &processSteadyClock()) {}
 
-template <typename T>
-T &MetricsRegistry::named(std::map<std::string, T *, std::less<>> &Index,
-                          std::deque<T> &Storage, std::string_view Name) {
-  std::lock_guard<std::mutex> Lock(M);
-  auto It = Index.find(Name);
-  if (It != Index.end())
-    return *It->second;
-  Storage.emplace_back();
-  Index.emplace(std::string(Name), &Storage.back());
-  return Storage.back();
-}
-
 Counter &MetricsRegistry::counter(std::string_view Name) {
-  return named(CounterIndex, Counters, Name);
-}
-
-Gauge &MetricsRegistry::gauge(std::string_view Name) {
-  return named(GaugeIndex, Gauges, Name);
-}
-
-Histogram &MetricsRegistry::histogram(std::string_view Name) {
-  return named(HistogramIndex, Histograms, Name);
+  std::lock_guard<std::mutex> Lock(M);
+  auto It = CounterIndex.find(Name);
+  if (It != CounterIndex.end())
+    return *It->second;
+  Counters.emplace_back();
+  CounterIndex.emplace(std::string(Name), &Counters.back());
+  return Counters.back();
 }
 
 void MetricsRegistry::recordSpan(std::string_view Name,
@@ -103,35 +89,6 @@ MetricsRegistry::counterValues() const {
   for (const auto &[Name, C] : CounterIndex)
     Out.emplace_back(Name, C->value());
   return Out; // std::map iteration is already name-sorted
-}
-
-std::vector<MetricsRegistry::GaugeValue> MetricsRegistry::gaugeValues() const {
-  std::lock_guard<std::mutex> Lock(M);
-  std::vector<GaugeValue> Out;
-  Out.reserve(GaugeIndex.size());
-  for (const auto &[Name, G] : GaugeIndex)
-    Out.push_back({Name, G->value(), G->maxSeen()});
-  return Out;
-}
-
-std::vector<MetricsRegistry::HistogramValue>
-MetricsRegistry::histogramValues() const {
-  std::lock_guard<std::mutex> Lock(M);
-  std::vector<HistogramValue> Out;
-  Out.reserve(HistogramIndex.size());
-  for (const auto &[Name, H] : HistogramIndex) {
-    HistogramValue V;
-    V.Name = Name;
-    V.Count = H->count();
-    V.Sum = H->sum();
-    V.Min = H->min();
-    V.Max = H->max();
-    for (size_t B = 0; B != Histogram::NumBuckets; ++B)
-      if (uint64_t N = H->bucket(B))
-        V.Buckets.emplace_back(uint32_t(B), N);
-    Out.push_back(std::move(V));
-  }
-  return Out;
 }
 
 namespace {
@@ -206,16 +163,6 @@ std::string herd::renderChromeTraceJson(const MetricsRegistry &Reg) {
   W.beginObject();
   for (const auto &[Name, Value] : Reg.counterValues())
     W.member(Name, Value);
-  W.endObject();
-  W.key("gauges");
-  W.beginObject();
-  for (const auto &G : Reg.gaugeValues()) {
-    W.key(G.Name);
-    W.beginObject();
-    W.member("value", G.Value);
-    W.member("max", G.Max);
-    W.endObject();
-  }
   W.endObject();
   W.endObject();
 

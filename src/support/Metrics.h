@@ -7,19 +7,18 @@
 /// \file
 /// The observability primitives of the pipeline (docs/OBSERVABILITY.md):
 ///
-///  * MetricsRegistry — named counters, gauges and log2-bucketed
-///    histograms with exact-value accessors for tests, plus a timeline of
-///    spans and counter samples that serializes to Chrome `trace_event`
-///    JSON (`herd --trace-json=<f>`, loadable in chrome://tracing or
-///    Perfetto).
+///  * MetricsRegistry — named counters with exact-value accessors for
+///    tests, plus a timeline of spans and counter samples that serializes
+///    to Chrome `trace_event` JSON (`herd --trace-json=<f>`, loadable in
+///    chrome://tracing or Perfetto).
 ///  * Span — an RAII timer recording a complete ("ph":"X") trace event.
 ///  * MetricsClock — the injectable time source; SteadyClock for real
 ///    runs, VirtualClock for deterministic tests and golden files.
 ///
 /// Everything is opt-in by pointer: the pipeline threads a
 /// `MetricsRegistry *` that defaults to null, and every recording call
-/// no-ops on null (`Span` degrades to a zero-cost guard, gauge/counter
-/// updates sit behind one predictable branch).  Per-event hot paths keep
+/// no-ops on null (`Span` degrades to a zero-cost guard, counter updates
+/// sit behind one predictable branch).  Per-event hot paths keep
 /// using the exact counters of detect/DetectorStats.h — the registry is
 /// for phase- and batch-granularity signals, so disabled observability
 /// costs nothing measurable (the `bench_hotpath` ≤2% gate).
@@ -95,85 +94,6 @@ private:
   std::atomic<uint64_t> V{0};
 };
 
-/// Point-in-time value with a high-water mark.
-class Gauge {
-public:
-  void set(int64_t NewValue) {
-    V.store(NewValue, std::memory_order_relaxed);
-    int64_t Prev = Max.load(std::memory_order_relaxed);
-    while (NewValue > Prev &&
-           !Max.compare_exchange_weak(Prev, NewValue,
-                                      std::memory_order_relaxed))
-      ;
-  }
-  void add(int64_t Delta) {
-    set(V.load(std::memory_order_relaxed) + Delta);
-  }
-  int64_t value() const { return V.load(std::memory_order_relaxed); }
-  int64_t maxSeen() const { return Max.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<int64_t> V{0};
-  std::atomic<int64_t> Max{0};
-};
-
-/// Histogram over log2 buckets: bucket B counts recorded values V with
-/// log2Bucket(V) == B, i.e. bucket 0 holds {0}, bucket B>0 holds
-/// [2^(B-1), 2^B).  Exact count/sum/min/max ride along so tests can assert
-/// precise values, not just shapes.
-class Histogram {
-public:
-  static constexpr size_t NumBuckets = 65; ///< {0} plus one per bit of 2^64
-
-  /// The bucket index \p V lands in.
-  static size_t log2Bucket(uint64_t V) {
-    size_t B = 0;
-    while (V != 0) {
-      ++B;
-      V >>= 1;
-    }
-    return B;
-  }
-
-  void record(uint64_t V) {
-    Buckets[log2Bucket(V)].fetch_add(1, std::memory_order_relaxed);
-    Count.fetch_add(1, std::memory_order_relaxed);
-    Sum.fetch_add(V, std::memory_order_relaxed);
-    updateMin(V);
-    updateMax(V);
-  }
-
-  uint64_t count() const { return Count.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return Sum.load(std::memory_order_relaxed); }
-  uint64_t min() const {
-    return count() ? MinV.load(std::memory_order_relaxed) : 0;
-  }
-  uint64_t max() const { return MaxV.load(std::memory_order_relaxed); }
-  uint64_t bucket(size_t B) const {
-    return Buckets[B].load(std::memory_order_relaxed);
-  }
-
-private:
-  void updateMin(uint64_t V) {
-    uint64_t Prev = MinV.load(std::memory_order_relaxed);
-    while (V < Prev &&
-           !MinV.compare_exchange_weak(Prev, V, std::memory_order_relaxed))
-      ;
-  }
-  void updateMax(uint64_t V) {
-    uint64_t Prev = MaxV.load(std::memory_order_relaxed);
-    while (V > Prev &&
-           !MaxV.compare_exchange_weak(Prev, V, std::memory_order_relaxed))
-      ;
-  }
-
-  std::atomic<uint64_t> Buckets[NumBuckets]{};
-  std::atomic<uint64_t> Count{0};
-  std::atomic<uint64_t> Sum{0};
-  std::atomic<uint64_t> MinV{UINT64_MAX};
-  std::atomic<uint64_t> MaxV{0};
-};
-
 //===----------------------------------------------------------------------===
 // Timeline events
 //===----------------------------------------------------------------------===
@@ -196,9 +116,9 @@ struct TraceEvent {
 //===----------------------------------------------------------------------===
 
 /// The per-run registry: named metrics plus the span/counter timeline.
-/// Metric references returned by counter()/gauge()/histogram() are stable
-/// for the registry's lifetime (deque storage), so call sites can cache
-/// them and skip the name lookup.
+/// Counter references returned by counter() are stable for the registry's
+/// lifetime (deque storage), so call sites can cache them and skip the
+/// name lookup.
 class MetricsRegistry {
 public:
   /// \p Clock is borrowed and must outlive the registry; null uses a
@@ -211,8 +131,6 @@ public:
   uint64_t nowNanos() { return Clock->nowNanos(); }
 
   Counter &counter(std::string_view Name);
-  Gauge &gauge(std::string_view Name);
-  Histogram &histogram(std::string_view Name);
 
   /// Records one complete span on the timeline.
   void recordSpan(std::string_view Name, std::string_view Category,
@@ -230,36 +148,15 @@ public:
   /// Snapshot of the timeline, in recording order.
   std::vector<TraceEvent> traceEvents() const;
 
-  /// Name-sorted snapshots of every registered metric (deterministic
+  /// Name-sorted snapshot of every registered counter (deterministic
   /// serialization order, independent of registration order).
   std::vector<std::pair<std::string, uint64_t>> counterValues() const;
-  struct GaugeValue {
-    std::string Name;
-    int64_t Value;
-    int64_t Max;
-  };
-  std::vector<GaugeValue> gaugeValues() const;
-  struct HistogramValue {
-    std::string Name;
-    uint64_t Count, Sum, Min, Max;
-    /// (log2 bucket index, count) for every non-empty bucket.
-    std::vector<std::pair<uint32_t, uint64_t>> Buckets;
-  };
-  std::vector<HistogramValue> histogramValues() const;
 
 private:
-  template <typename T>
-  T &named(std::map<std::string, T *, std::less<>> &Index,
-           std::deque<T> &Storage, std::string_view Name);
-
   MetricsClock *Clock;
   mutable std::mutex M;
   std::map<std::string, Counter *, std::less<>> CounterIndex;
-  std::map<std::string, Gauge *, std::less<>> GaugeIndex;
-  std::map<std::string, Histogram *, std::less<>> HistogramIndex;
   std::deque<Counter> Counters;
-  std::deque<Gauge> Gauges;
-  std::deque<Histogram> Histograms;
   std::vector<TraceEvent> Timeline;
 };
 

@@ -3,10 +3,12 @@
 
 Usage: check_bench_gate_test.py REPO_ROOT
 
-Each checked-in document must pass against itself, and BENCH_hotpath.json
-(a full run) must get the full-run clauses applied, not skipped.  Then
-every clause gets one mutated copy of BENCH_hotpath.json aimed at it
-alone: the gate must exit 1 and name exactly that clause.
+Each checked-in document must pass against itself, but for the full-run
+headline that BENCH_hotpath.json misses (KNOWN_FAILURES), and
+BENCH_hotpath.json (a full run) must get the full-run clauses applied, not
+skipped.  Then every clause gets at least one mutated copy of
+BENCH_hotpath.json, lifted past its known failures, aimed at it alone: the
+gate must exit 1 and name exactly that clause.
 """
 
 import copy
@@ -26,6 +28,14 @@ def scale(obj, key, factor, plus=0.0):
     obj[key] = obj[key] * factor + plus
 
 
+def paired(obj, key, median):
+    """Moves a paired median to `median`, its quartiles with it, so only
+    the clauses reading the median see a change."""
+    factor = median / obj[key]
+    for k in (key, key + "_q1", key + "_q3"):
+        obj[k] *= factor
+
+
 def threaded(doc, name):
     """The threaded live entry and its `live` copy, which must stay equal."""
     t = tr(doc, name)
@@ -33,23 +43,49 @@ def threaded(doc, name):
 
 
 def slow_threaded(c, b):
-    """Threaded (and switch, so the two stay comparable) at 0.3x the
-    baseline's threaded throughput."""
+    """Threaded at 0.3x the baseline's threaded throughput."""
     slow = threaded(b, "mtrt")[0]["events_per_sec"] * 0.3
-    for entry in threaded(c, "mtrt") + (
-            tr(c, "mtrt")["live_by_dispatch"]["switch"],):
+    for entry in threaded(c, "mtrt"):
         entry["events_per_sec"] = slow
 
 
-# Clause name -> mutation of (current, baseline), both copies of the full
+def slow_replay(c, b):
+    """Threaded at 0.3x its baseline ratio to the serial cold replay."""
+    base = threaded(b, "mtrt")[0]["ratio_vs_replay_cold"]
+    for entry in threaded(c, "mtrt"):
+        paired(entry, "ratio_vs_replay_cold", base * 0.3)
+
+
+def wide_spread(c, b):
+    """mtrt's epoch speedup with quartiles wider than its median."""
+    ep = tr(c, "mtrt")["epoch_ab"]
+    ep["speedup_q3"] = ep["speedup_q1"] + ep["speedup"] * 1.1
+
+
+# The clauses the checked-in full baseline fails on itself: its paired
+# hotfield hook-path median is 1.20 against the 1.3 headline (CHANGES.md,
+# the FOUND line on the probe's hit path).  The self-check must see exactly
+# these fail; the mutations start from a copy lifted past them.
+KNOWN_FAILURES = {"hotfield-headline"}
+
+
+def lifted(full):
+    doc = copy.deepcopy(full)
+    hook = tr(doc, "hotfield")["hook_path"]
+    paired(hook, "speedup", max(hook["speedup"], 1.31))
+    return doc
+
+
+# Clause name -> mutation of (current, baseline), both copies of the lifted
 # BENCH_hotpath.json.  Each breaks its clause and no other.
 MUTATIONS = {
-    "schema": lambda c, b: c.update(schema="herd-bench-hotpath-v5"),
+    "schema": lambda c, b: c.update(schema="herd-bench-hotpath-v6"),
     "baseline-live": lambda c, b: [t.pop("live_by_dispatch", None)
                                    for t in b["traces"]],
     "baseline-hotfield": lambda c, b: tr(b, "hotfield").pop("hook_path"),
     "baseline-refhot": lambda c, b: tr(b, "refhot").pop("epoch_ab"),
     "agreement": lambda c, b: tr(c, "mtrt").update(agreement=False),
+    "paired-spread": wide_spread,
     "cold-allocs": lambda c, b: scale(tr(c, "mtrt")["cold_ab"],
                                       "allocs_per_event", 1.25, 0.03),
     "cold-allocs-planned": lambda c, b: scale(
@@ -61,10 +97,9 @@ MUTATIONS = {
         "switch"].pop("seconds"),
     "live-is-threaded": lambda c, b: scale(tr(c, "mtrt")["live"], "seconds",
                                            1, 1),
-    "threaded-ratio": lambda c, b: [scale(e, "ratio_vs_replay_cold", 0.3)
-                                    for e in threaded(c, "mtrt")],
-    "threaded-vs-switch": lambda c, b: scale(
-        tr(c, "mtrt")["live_by_dispatch"]["switch"], "events_per_sec", 3),
+    "threaded-ratio": slow_replay,
+    "threaded-vs-switch": lambda c, b: paired(
+        tr(c, "mtrt")["live_by_dispatch"], "threaded_over_switch", 0.4),
     "threaded-vs-baseline": slow_threaded,
     "switch-counters-zero": lambda c, b: tr(c, "mtrt")["live_by_dispatch"][
         "switch"].update(fused_execs=5),
@@ -87,22 +122,28 @@ MUTATIONS = {
     # A smoke run, so the stricter full-run headline stays out of scope.
     "hotfield-speedup": lambda c, b: (
         c.update(smoke=True),
-        tr(c, "hotfield")["hook_path"].update(speedup=0.5)),
-    "hotfield-headline": lambda c, b: tr(c, "hotfield")["hook_path"].update(
-        speedup=1.2),
+        paired(tr(c, "hotfield")["hook_path"], "speedup", 0.5)),
+    "hotfield-headline": lambda c, b: paired(
+        tr(c, "hotfield")["hook_path"], "speedup", 1.2),
     "epoch-keys": lambda c, b: tr(c, "mtrt")["epoch_ab"].pop(
         "vc_events_per_sec"),
     "epoch-agreement": lambda c, b: tr(c, "mtrt")["epoch_ab"].update(
         agreement=False),
-    "epoch-speedup": lambda c, b: tr(c, "mtrt")["epoch_ab"].update(
-        speedup=0.5),
+    "epoch-speedup": lambda c, b: paired(tr(c, "mtrt")["epoch_ab"],
+                                         "speedup", 0.5),
     "epoch-steady-allocs": lambda c, b: tr(c, "mtrt")["epoch_ab"].update(
         steady_allocs_per_event=0.05),
-    "refhot-headline-speedup": lambda c, b: tr(c, "refhot")[
-        "epoch_ab"].update(speedup=2.9),
+    "refhot-headline-speedup": lambda c, b: paired(
+        tr(c, "refhot")["epoch_ab"], "speedup", 2.9),
     "refhot-headline-allocs": lambda c, b: tr(c, "refhot")[
         "epoch_ab"].update(steady_allocs_per_event=0.005),
 }
+# More mutations for clauses that fail more than one way: a paired median
+# without its quartiles fails paired-spread too.
+MORE_MUTATIONS = [
+    ("paired-spread", lambda c, b: tr(c, "hotfield")["hook_path"].pop(
+        "speedup_q1")),
+]
 
 
 def gate(script, cur, base, tmp):
@@ -140,23 +181,26 @@ def main(argv):
     with open(os.path.join(root, "BENCH_hotpath_smoke_baseline.json")) as f:
         smoke = json.load(f)
     with tempfile.TemporaryDirectory() as tmp:
-        for label, doc in (("BENCH_hotpath.json", full),
-                           ("BENCH_hotpath_smoke_baseline.json", smoke)):
+        for label, doc, known in (
+                ("BENCH_hotpath.json", full, KNOWN_FAILURES),
+                ("BENCH_hotpath_smoke_baseline.json", smoke, set())):
             code, failed, skipped, out = gate(script, doc, doc, tmp)
-            if code != 0 or failed:
+            if code != (1 if known else 0) or failed != known:
                 errors.append(f"{label} against itself: exit {code}\n{out}")
             if label == "BENCH_hotpath.json" and skipped:
                 errors.append(f"{label}: full-run clauses skipped: {skipped}")
-        for clause in clauses:
-            cur, base = copy.deepcopy(full), copy.deepcopy(full)
-            MUTATIONS[clause](cur, base)
+        for clause, mutate in [*MUTATIONS.items(), *MORE_MUTATIONS]:
+            cur, base = lifted(full), lifted(full)
+            mutate(cur, base)
             code, failed, _, out = gate(script, cur, base, tmp)
             if code != 1 or failed != {clause}:
                 errors.append(f"mutation for {clause}: exit {code}, failed "
                               f"{sorted(failed)}\n{out}")
     for e in errors:
         print(f"FAIL {e}")
-    print(f"{len(clauses)} clauses, {len(errors)} error(s)")
+    print(f"{len(clauses)} clauses, "
+          f"{len(MUTATIONS) + len(MORE_MUTATIONS)} mutations, "
+          f"{len(errors)} error(s)")
     return 1 if errors else 0
 
 

@@ -410,19 +410,40 @@ TEST(CliTest, EpochDetectorExcludesShards) {
 
 TEST(CliTest, ObservabilityExcludesSweep) {
   const std::string Msg =
-      "herd: --profile/--stats=json/--trace-json cannot be combined with "
-      "--sweep";
+      "herd: --profile/--stats/--stats=json/--trace-json cannot be combined "
+      "with --sweep";
   expectError(parse({"p.mj", "--sweep=5", "--profile"}), Msg);
   expectError(parse({"p.mj", "--sweep=5", "--stats=json"}), Msg);
   expectError(parse({"p.mj", "--sweep=5", "--trace-json=t.json"}), Msg);
-  // Human stats still sweep fine.
-  EXPECT_EQ(parse({"p.mj", "--sweep=5", "--stats"}).St,
-            HerdParse::Status::Run);
+  // The sweep prints only its summary, so human stats are refused too.
+  expectError(parse({"p.mj", "--sweep=5", "--stats"}), Msg);
 }
 
 TEST(CliTest, ProfileRequiresLiveRun) {
   expectError(parse({"p.mj", "--replay=t.trace", "--profile"}),
               "herd: --profile requires a live run, not --replay");
+}
+
+TEST(CliTest, BaselineReplaysTakeNoPipelineFlags) {
+  // A baseline replay prints racy locations only, so it would ignore
+  // each of these flags.
+  auto Msg = [](const std::string &Detector) {
+    return "herd: --detector=" + Detector +
+           " prints racy locations only and cannot be combined with "
+           "--stats/--deadlocks/--provenance=on/--shards";
+  };
+  expectError(
+      parse({"p.mj", "--replay=t.trace", "--detector=naive", "--stats"}),
+      Msg("naive"));
+  expectError(parse({"p.mj", "--replay=t.trace", "--detector=eraser",
+                     "--deadlocks"}),
+              Msg("eraser"));
+  expectError(parse({"p.mj", "--replay=t.trace", "--detector=vectorclock",
+                     "--provenance=on"}),
+              Msg("vectorclock"));
+  expectError(
+      parse({"p.mj", "--replay=t.trace", "--detector=naive", "--shards=2"}),
+      Msg("naive"));
 }
 
 TEST(CliTest, BaselineDetectorsHaveNoJsonOutputs) {

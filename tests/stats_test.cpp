@@ -285,73 +285,15 @@ TEST(MetricsTest, CounterExactValues) {
   EXPECT_EQ(Reg.counter("other").value(), 0u);
 }
 
-TEST(MetricsTest, GaugeValueAndHighWaterMark) {
-  MetricsRegistry Reg;
-  Gauge &G = Reg.gauge("depth");
-  G.set(5);
-  G.set(9);
-  G.set(3);
-  EXPECT_EQ(G.value(), 3);
-  EXPECT_EQ(G.maxSeen(), 9);
-  G.add(-10);
-  EXPECT_EQ(G.value(), -7);
-  EXPECT_EQ(G.maxSeen(), 9); // negatives never move the high-water mark
-}
-
-TEST(MetricsTest, HistogramLog2BucketEdges) {
-  // Bucket 0 holds {0}; bucket B>0 holds [2^(B-1), 2^B).
-  EXPECT_EQ(Histogram::log2Bucket(0), 0u);
-  EXPECT_EQ(Histogram::log2Bucket(1), 1u);
-  EXPECT_EQ(Histogram::log2Bucket(2), 2u);
-  EXPECT_EQ(Histogram::log2Bucket(3), 2u);
-  EXPECT_EQ(Histogram::log2Bucket(4), 3u);
-  EXPECT_EQ(Histogram::log2Bucket(7), 3u);
-  EXPECT_EQ(Histogram::log2Bucket(8), 4u);
-  EXPECT_EQ(Histogram::log2Bucket(1023), 10u);
-  EXPECT_EQ(Histogram::log2Bucket(1024), 11u);
-  EXPECT_EQ(Histogram::log2Bucket(uint64_t(1) << 63), 64u);
-  EXPECT_EQ(Histogram::log2Bucket(UINT64_MAX), 64u);
-}
-
-TEST(MetricsTest, HistogramExactValues) {
-  MetricsRegistry Reg;
-  Histogram &H = Reg.histogram("batch_size");
-  EXPECT_EQ(H.count(), 0u);
-  EXPECT_EQ(H.min(), 0u); // empty histogram reports 0, not UINT64_MAX
-  for (uint64_t V : {0ull, 1ull, 3ull, 3ull, 8ull})
-    H.record(V);
-  EXPECT_EQ(H.count(), 5u);
-  EXPECT_EQ(H.sum(), 15u);
-  EXPECT_EQ(H.min(), 0u);
-  EXPECT_EQ(H.max(), 8u);
-  EXPECT_EQ(H.bucket(0), 1u); // {0}
-  EXPECT_EQ(H.bucket(1), 1u); // {1}
-  EXPECT_EQ(H.bucket(2), 2u); // {2,3}
-  EXPECT_EQ(H.bucket(3), 0u); // [4,8)
-  EXPECT_EQ(H.bucket(4), 1u); // [8,16)
-}
-
 TEST(MetricsTest, SnapshotsAreNameSorted) {
   MetricsRegistry Reg;
   Reg.counter("zebra").add(1);
   Reg.counter("alpha").add(2);
-  Reg.gauge("mid").set(7);
-  Reg.histogram("hist").record(3);
   auto Counters = Reg.counterValues();
   ASSERT_EQ(Counters.size(), 2u);
   EXPECT_EQ(Counters[0].first, "alpha");
   EXPECT_EQ(Counters[0].second, 2u);
   EXPECT_EQ(Counters[1].first, "zebra");
-  auto Gauges = Reg.gaugeValues();
-  ASSERT_EQ(Gauges.size(), 1u);
-  EXPECT_EQ(Gauges[0].Name, "mid");
-  EXPECT_EQ(Gauges[0].Value, 7);
-  auto Hists = Reg.histogramValues();
-  ASSERT_EQ(Hists.size(), 1u);
-  EXPECT_EQ(Hists[0].Count, 1u);
-  ASSERT_EQ(Hists[0].Buckets.size(), 1u);
-  EXPECT_EQ(Hists[0].Buckets[0].first, 2u);
-  EXPECT_EQ(Hists[0].Buckets[0].second, 1u);
 }
 
 TEST(MetricsTest, SpanRecordsVirtualTime) {
@@ -495,7 +437,6 @@ TEST(GoldenTest, ChromeTraceJson) {
   }
   Reg.recordCounterSample("shard0.queue_depth", 1, 3);
   Reg.counter("run.instructions").add(1234);
-  Reg.gauge("live_threads").set(4);
   expectMatchesGolden("trace_timeline.json", renderChromeTraceJson(Reg));
 }
 
@@ -570,8 +511,6 @@ TEST(GoldenTest, StatsJsonDocument) {
   VirtualClock Clock(/*TickNanos=*/100);
   MetricsRegistry Reg(&Clock);
   Reg.counter("run.instructions").add(1000);
-  Reg.gauge("shard0.queue_depth").set(2);
-  Reg.histogram("batch_events").record(24);
 
   InterpProfiler Prof(&Clock, /*SampleEvery=*/4);
   for (int I = 0; I != 8; ++I)
@@ -590,10 +529,10 @@ TEST(GoldenTest, StatsJsonSchemaEnvelopeIsStable) {
   // The schema pair is a compatibility contract with
   // scripts/check_schema.py — bumping it is an intentional act.
   EXPECT_STREQ(StatsSchemaName, "herd-stats");
-  EXPECT_EQ(StatsSchemaVersion, 2);
+  EXPECT_EQ(StatsSchemaVersion, 3);
   PipelineResult Empty;
   std::string Doc = renderStatsJson(Empty);
-  EXPECT_EQ(Doc.find("{\"schema\":\"herd-stats\",\"version\":2,"), 0u);
+  EXPECT_EQ(Doc.find("{\"schema\":\"herd-stats\",\"version\":3,"), 0u);
   EXPECT_EQ(Doc.back(), '\n');
 }
 

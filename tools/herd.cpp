@@ -337,7 +337,8 @@ int main(int argc, char **argv) {
   }
 
   if (Opts.Sweep > 0) {
-    std::set<std::string> AllRaces;
+    // Races and deadlock findings alike: a schedule reports either.
+    std::set<std::string> AllReports;
     int SchedulesWithReports = 0;
     for (int I = 0; I != Opts.Sweep; ++I) {
       Config.Seed = Opts.Seed + uint64_t(I);
@@ -347,15 +348,17 @@ int main(int argc, char **argv) {
                      (unsigned long long)Config.Seed, R.Run.Error.c_str());
         return 1;
       }
-      if (!R.FormattedRaces.empty())
+      if (!R.FormattedRaces.empty() || !R.FormattedDeadlocks.empty())
         ++SchedulesWithReports;
-      AllRaces.insert(R.FormattedRaces.begin(), R.FormattedRaces.end());
+      AllReports.insert(R.FormattedRaces.begin(), R.FormattedRaces.end());
+      AllReports.insert(R.FormattedDeadlocks.begin(),
+                        R.FormattedDeadlocks.end());
     }
     std::printf("%d/%d schedules produced reports; distinct reports:\n",
                 SchedulesWithReports, Opts.Sweep);
-    for (const std::string &Line : AllRaces)
+    for (const std::string &Line : AllReports)
       std::printf("  %s\n", Line.c_str());
-    return AllRaces.empty() ? 0 : 1;
+    return AllReports.empty() ? 0 : 1;
   }
 
   PipelineResult R = runPipeline(Compiled.P, Config);
