@@ -18,6 +18,7 @@
 #include "ir/IRBuilder.h"
 
 #include <cstdio>
+#include <string_view>
 
 using namespace herd;
 
@@ -132,8 +133,8 @@ int main() {
     if (!R.Reports.empty())
       ++SchedulesReported;
     if (Seed == 1)
-      for (const std::string &Line : R.FormattedRaces)
-        std::printf("  %s\n", Line.c_str());
+      for (std::string_view Line : R.FormattedRaces)
+        std::printf("  %.*s\n", int(Line.size()), Line.data());
   }
   std::printf("10 schedules: race reported in %d, money actually lost or "
               "created in %d\n",

@@ -16,6 +16,7 @@
 #include "herd/Pipeline.h"
 
 #include <cstdio>
+#include <string_view>
 
 using namespace herd;
 
@@ -113,8 +114,8 @@ int main() {
   std::printf("program output: processed=%lld maxSeen=%lld\n",
               (long long)Res.Run.Output[0], (long long)Res.Run.Output[1]);
   std::printf("%zu race report(s):\n", Res.Reports.size());
-  for (const std::string &Line : Res.FormattedRaces)
-    std::printf("  %s\n", Line.c_str());
+  for (std::string_view Line : Res.FormattedRaces)
+    std::printf("  %.*s\n", int(Line.size()), Line.data());
   std::printf("\n(`L<k>` labels are MiniJ source lines: the maxSeen\n"
               "update at the unsynchronized if-statement.)\n\n");
 

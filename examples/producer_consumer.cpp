@@ -22,6 +22,7 @@
 #include "ir/IRBuilder.h"
 
 #include <cstdio>
+#include <string_view>
 
 using namespace herd;
 
@@ -173,8 +174,8 @@ void report(const char *Title, const Program &P) {
                   : 0.0,
               (unsigned long long)R.Stats.Detector.OwnedFiltered,
               R.Reports.size());
-  for (const std::string &Line : R.FormattedRaces)
-    std::printf("  %s\n", Line.c_str());
+  for (std::string_view Line : R.FormattedRaces)
+    std::printf("  %.*s\n", int(Line.size()), Line.data());
   std::printf("\n");
 }
 

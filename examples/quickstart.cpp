@@ -20,6 +20,7 @@
 #include "ir/Printer.h"
 
 #include <cstdio>
+#include <string_view>
 
 using namespace herd;
 
@@ -115,8 +116,8 @@ void runAndReport(const Program &P, const char *Title) {
               (unsigned long long)R.Stats.Detector.OwnedFiltered,
               (unsigned long long)R.Stats.Detector.WeakerFiltered,
               R.Reports.size());
-  for (const std::string &Line : R.FormattedRaces)
-    std::printf("  %s\n", Line.c_str());
+  for (std::string_view Line : R.FormattedRaces)
+    std::printf("  %.*s\n", int(Line.size()), Line.data());
   std::printf("\n");
 }
 

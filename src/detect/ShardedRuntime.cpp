@@ -132,6 +132,26 @@ const RaceReporter &ShardPool::shardReporter(uint32_t Shard) const {
   return Shards[Shard]->Reporter;
 }
 
+RaceReporter ShardPool::mergedReporter() const {
+  return mergeInto(Shards[0]->Reporter);
+}
+
+RaceReporter ShardPool::takeMergedReporter() {
+  assert(Finished && "the shard workers may still report");
+  return mergeInto(std::move(Shards[0]->Reporter));
+}
+
+RaceReporter ShardPool::mergeInto(RaceReporter Shard0) const {
+  // Semantic merge, not record re-reporting: per-shard reporters are
+  // individually capped, and a records()-only merge would lose the
+  // locations and occurrence counts a saturated shard shed past its cap.
+  // merge() carries the exact location/object sets, the group counts, and
+  // the drop counters (shard order, so deterministic).
+  for (uint32_t I = 1; I != numShards(); ++I)
+    Shard0.merge(Shards[I]->Reporter);
+  return Shard0;
+}
+
 ShardStats ShardPool::shardStats(uint32_t Shard) const {
   assert(Shard < Shards.size());
   const auto &S = *Shards[Shard];
@@ -199,28 +219,24 @@ void ShardedRuntime::onRunEnd() { finish(); }
 void ShardedRuntime::finish() { Pool.finish(); }
 
 const RaceReporter &ShardedRuntime::reporter() {
+  assert(!Taken && "the reporter was taken: the runtime is done");
   Pool.drain();
   if (!MergedValid) {
-    // Semantic merge, not record re-reporting: per-shard reporters are
-    // individually capped, and a records()-only merge would lose the
-    // locations and occurrence counts a saturated shard shed past its
-    // cap.  merge() carries the exact location/object sets, the group
-    // counts, and the drop counters (shard order, so deterministic).
-    Merged.clear();
-    for (uint32_t I = 0; I != Pool.numShards(); ++I)
-      Merged.merge(Pool.shardReporter(I));
+    Merged = Pool.mergedReporter();
     MergedValid = true;
   }
   return Merged;
 }
 
 RaceReporter ShardedRuntime::takeReporter() {
-  reporter();
-  MergedValid = false;
-  return std::exchange(Merged, RaceReporter());
+  assert(!Taken && "takeReporter() is the runtime's last call");
+  Taken = true;
+  finish(); // any later event would now trip ShardPool::submit's assert
+  return Pool.takeMergedReporter();
 }
 
 RaceRuntimeStats ShardedRuntime::stats() {
+  assert(!Taken && "the reporter was taken: the runtime is done");
   Pool.drain();
   RaceRuntimeStats S = frontEndStats();
   DetectorStats Agg = Pool.aggregateDetectorStats();
@@ -243,6 +259,7 @@ RaceRuntimeStats ShardedRuntime::stats() {
 }
 
 std::vector<ShardStats> ShardedRuntime::shardStats() {
+  assert(!Taken && "the reporter was taken: the runtime is done");
   Pool.drain();
   std::vector<ShardStats> Out;
   for (uint32_t I = 0; I != Pool.numShards(); ++I)

@@ -132,6 +132,18 @@ public:
   /// that survives per-shard record caps.  Requires a preceding drain().
   const RaceReporter &shardReporter(uint32_t Shard) const;
 
+  /// The shards' findings in one reporter (shard order, then per-shard
+  /// program order): a copy of shard 0's reporter with shards 1..N-1
+  /// merged into it.  The shards share one capacity, so this equals
+  /// merging every shard into an empty reporter.  Requires a preceding
+  /// drain().
+  RaceReporter mergedReporter() const;
+
+  /// mergedReporter() for the pool's last reader: shard 0's reporter is
+  /// moved out, not copied, and the shards are not read again.  Requires
+  /// a preceding finish().
+  RaceReporter takeMergedReporter();
+
   /// Per-shard counters.  Requires a preceding drain().
   ShardStats shardStats(uint32_t Shard) const;
 
@@ -165,6 +177,10 @@ private:
   void workerLoop(Shard &S);
   void pushOpen(Shard &S);
 
+  /// \p Shard0, shard 0's reporter copied or moved out, with shards
+  /// 1..N-1 merged into it.
+  RaceReporter mergeInto(RaceReporter Shard0) const;
+
   std::unique_ptr<LockSetInterner> OwnedInterner; ///< set iff none shared
   LockSetInterner *Locksets = nullptr;            ///< never null
   MetricsRegistry *Metrics = nullptr;             ///< null = no recording
@@ -185,12 +201,13 @@ public:
 
   void onRunEnd() override;
 
-  /// Drains the shards and returns the merged reporter (shard order, then
-  /// per-shard program order).
+  /// Drains the shards and returns the merged reporter
+  /// (ShardPool::mergedReporter), kept until the next event.
   const RaceReporter &reporter();
 
-  /// reporter(), handed over by move: for a caller done with the runtime.
-  /// A later reporter() merges the shards again.
+  /// The merged reporter for a caller done with the runtime: stops the
+  /// shard workers and moves shard 0's reporter out
+  /// (ShardPool::takeMergedReporter).  It must be the runtime's last call.
   RaceReporter takeReporter();
 
   /// Drains the shards and returns aggregate counters.  For the same
@@ -217,6 +234,7 @@ private:
   OwnershipFilter Ownership;
   RaceReporter Merged;
   bool MergedValid = false;
+  bool Taken = false; ///< takeReporter() ran: nothing may follow
   uint64_t EventsToDetector = 0; ///< post-cache events (EventsIn serially)
 };
 

@@ -162,60 +162,61 @@ void appendProvenanceDetail(std::string &Out, const Program &P,
   }
 }
 
-/// Writes one report line into a stack buffer, or into a heap buffer when
-/// the line could outgrow it, and then makes the line's string at its
-/// exact size in one allocation.  Literals are copied with their
-/// compile-time sizes and numbers are written in place, so most pieces
-/// cost a few fixed-size moves.
-class LineWriter {
-public:
-  /// Room for a line's literals and numbers: a caller bounds its line by
-  /// this plus the sizes of the names it writes with text().
-  static constexpr size_t FixedBound = 256;
+/// Room for a report line's literals and numbers: a line is bounded by
+/// this plus the sizes of the names it writes.
+constexpr size_t FixedBound = 256;
 
-  /// A writer for a line of at most \p Bound characters.
-  explicit LineWriter(size_t Bound) {
+// The pieces of a report line.  Each writes at \p At and returns the end of
+// what it wrote, so a writer keeps its cursor in a local: as a member, the
+// cursor would be reloaded after every store through a char pointer, which
+// may alias it.  Literals are copied with their compile-time sizes and
+// numbers are written in place, so most pieces cost a few fixed-size moves.
+
+template <size_t N> char *put(char *At, const char (&Text)[N]) {
+  std::memcpy(At, Text, N - 1);
+  return At + N - 1;
+}
+
+char *put(char *At, std::string_view Text) {
+  if (Text.empty())
+    return At; // a default string_view has no data to copy from
+  std::memcpy(At, Text.data(), Text.size());
+  return At + Text.size();
+}
+
+char *putNumber(char *At, uint64_t Value) {
+  return std::to_chars(At, At + 20, Value).ptr; // 2^64 - 1 has 20 digits
+}
+
+char *putAccess(char *At, AccessKind Access) {
+  return Access == AccessKind::Write ? put(At, "write") : put(At, "read");
+}
+
+/// Where report lines are written: a stack buffer, or a heap buffer for a
+/// line whose bound outgrows it.  Callers copy the line out of the view,
+/// into a TextLines block or a string of its exact size.
+class LineBuffer {
+public:
+  /// Writes \p L, which has bound() and write(char *); the view stays
+  /// valid until the next write.
+  template <typename Line> std::string_view write(const Line &L) {
+    size_t Bound = L.bound();
+    char *Begin = Stack;
     if (Bound > sizeof(Stack)) {
       Heap = std::make_unique_for_overwrite<char[]>(Bound);
-      Begin = At = Heap.get();
+      Begin = Heap.get();
     }
+    char *End = L.write(Begin);
+    assert(size_t(End - Begin) <= Bound && "a report line overran its bound");
+    return {Begin, size_t(End - Begin)};
   }
-  LineWriter(const LineWriter &) = delete;
-  LineWriter &operator=(const LineWriter &) = delete;
-
-  template <size_t N> void literal(const char (&Text)[N]) {
-    std::memcpy(At, Text, N - 1);
-    At += N - 1;
-  }
-
-  void text(std::string_view Text) {
-    if (Text.empty())
-      return; // a default string_view has no data to copy from
-    std::memcpy(At, Text.data(), Text.size());
-    At += Text.size();
-  }
-
-  void number(uint64_t Value) {
-    At = std::to_chars(At, At + 20, Value).ptr; // 2^64 - 1 has 20 digits
-  }
-
-  void access(AccessKind Access) {
-    if (Access == AccessKind::Write)
-      literal("write");
-    else
-      literal("read");
-  }
-
-  std::string str() const { return std::string(Begin, size_t(At - Begin)); }
 
 private:
   char Stack[512];
   std::unique_ptr<char[]> Heap;
-  char *Begin = Stack;
-  char *At = Stack;
 };
 
-/// The names in a race line's location part: "<kind> #<object>", then
+/// The location part of a race line: "race on <kind> #<object>", then
 /// " field <name>" when the location is a declared field.  The kind comes
 /// from the final heap when there is one (the object's class name);
 /// replay runs have no heap — the trace carries only event ids — so
@@ -240,18 +241,19 @@ struct LocationText {
     }
   }
 
-  /// The characters write() can add beyond LineWriter::FixedBound.
-  size_t names() const { return Kind.size() + Field.size(); }
+  /// The most characters write() writes.
+  size_t bound() const { return FixedBound + Kind.size() + Field.size(); }
 
-  void write(LineWriter &W) const {
-    W.literal("race on ");
-    W.text(Kind);
-    W.literal(" #");
-    W.number(Object);
+  char *write(char *At) const {
+    At = put(At, "race on ");
+    At = put(At, Kind);
+    At = put(At, " #");
+    At = putNumber(At, Object);
     if (HasField) {
-      W.literal(" field ");
-      W.text(Field);
+      At = put(At, " field ");
+      At = put(At, Field);
     }
+    return At;
   }
 
   std::string_view Kind = "object";
@@ -260,64 +262,73 @@ struct LocationText {
   std::string_view Field;
 };
 
-/// Renders one race record, whose earlier access held \p PriorLocks, using
-/// program metadata and, when available, the final heap (for object class
-/// names).
-std::string formatRace(const Program &P, const Heap *TheHeap,
-                       const RaceRecord &Rec,
-                       std::span<const LockId> PriorLocks) {
-  LocationText L(P, TheHeap, Rec.Location);
-  // A replayed trace may name sites the program does not declare; those
-  // print like an unknown site.
-  bool KnownSite =
-      Rec.CurrentSite.isValid() && Rec.CurrentSite.index() < P.numSites();
+/// One race record's line, whose earlier access held \p PriorLocks, named
+/// from program metadata and, when available, the final heap (for object
+/// class names).
+class RaceLine {
+public:
+  RaceLine(const Program &P, const Heap *TheHeap, const RaceRecord &Rec,
+           std::span<const LockId> PriorLocks)
+      : Rec(Rec), Location(P, TheHeap, Rec.Location),
+        // A replayed trace may name sites the program does not declare;
+        // those print like an unknown site.
+        KnownSite(Rec.CurrentSite.isValid() &&
+                  Rec.CurrentSite.index() < P.numSites()) {
+    if (KnownSite)
+      Site = P.Names.text(P.site(Rec.CurrentSite).Label);
+    // Dummy join locks (Section 2.3) are an implementation device; report
+    // only program locks, but surface the join ordering when present.
+    for (LockId Lock : PriorLocks) {
+      if (Lock.index() >= FirstDummyLock)
+        HasDummy = true;
+      else
+        ++RealLocks;
+    }
+  }
+
+  size_t bound() const { return Location.bound() + Site.size(); }
+
+  char *write(char *At) const {
+    At = Location.write(At);
+    At = put(At, ": ");
+    At = putAccess(At, Rec.CurrentAccess);
+    At = put(At, " by thread ");
+    At = putNumber(At, Rec.CurrentThread.index());
+    if (KnownSite) {
+      At = put(At, " at ");
+      At = put(At, Site);
+    }
+    At = put(At, " conflicts with earlier ");
+    At = putAccess(At, Rec.PriorAccess);
+    if (Rec.PriorThreadKnown) {
+      At = put(At, " by thread ");
+      At = putNumber(At, Rec.PriorThread.index());
+    } else {
+      At = put(At, " (thread unknown: multiple earlier threads)");
+    }
+    At = put(At, " holding ");
+    At = putNumber(At, RealLocks);
+    At = put(At, " lock(s)");
+    if (HasDummy)
+      At = put(At, " (+join ordering)");
+    return At;
+  }
+
+private:
+  const RaceRecord &Rec;
+  LocationText Location;
+  bool KnownSite;
   std::string_view Site;
-  if (KnownSite)
-    Site = P.Names.text(P.site(Rec.CurrentSite).Label);
-  // Dummy join locks (Section 2.3) are an implementation device; report
-  // only program locks, but surface the join ordering when present.
   size_t RealLocks = 0;
   bool HasDummy = false;
-  for (LockId Lock : PriorLocks) {
-    if (Lock.index() >= FirstDummyLock)
-      HasDummy = true;
-    else
-      ++RealLocks;
-  }
-  LineWriter W(LineWriter::FixedBound + L.names() + Site.size());
-  L.write(W);
-  W.literal(": ");
-  W.access(Rec.CurrentAccess);
-  W.literal(" by thread ");
-  W.number(Rec.CurrentThread.index());
-  if (KnownSite) {
-    W.literal(" at ");
-    W.text(Site);
-  }
-  W.literal(" conflicts with earlier ");
-  W.access(Rec.PriorAccess);
-  if (Rec.PriorThreadKnown) {
-    W.literal(" by thread ");
-    W.number(Rec.PriorThread.index());
-  } else {
-    W.literal(" (thread unknown: multiple earlier threads)");
-  }
-  W.literal(" holding ");
-  W.number(RealLocks);
-  W.literal(" lock(s)");
-  if (HasDummy)
-    W.literal(" (+join ordering)");
-  return W.str();
-}
+};
 
 } // namespace
 
 std::string herd::formatRacyLocation(const Program &P, const Heap *TheHeap,
                                      LocationKey Location) {
-  LocationText L(P, TheHeap, Location);
-  LineWriter W(LineWriter::FixedBound + L.names());
-  L.write(W);
-  return W.str();
+  LineBuffer Buf;
+  return std::string(Buf.write(LocationText(P, TheHeap, Location)));
 }
 
 namespace {
@@ -438,9 +449,10 @@ DetectorPlan configuredPlan(const ToolConfig &Config) {
 void formatRaceResults(const Program &P, const Heap *TheHeap,
                        const EpochDetector *Epoch,
                        const ProvenanceStore *Prov, PipelineResult &Result) {
+  LineBuffer Buf;
   if (Epoch) {
     for (LocationKey Loc : Epoch->reportedLocations())
-      Result.FormattedRaces.push_back(formatRacyLocation(P, TheHeap, Loc));
+      Result.FormattedRaces.push_back(Buf.write(LocationText(P, TheHeap, Loc)));
     // Entries come from the first racing access per location, which
     // carries thread/site attribution the location set cannot.
     for (const EpochDetector::RacyAccess &RA : Epoch->racyAccesses()) {
@@ -462,18 +474,23 @@ void formatRaceResults(const Program &P, const Heap *TheHeap,
   Result.FormattedRaces.reserve(Result.FormattedRaces.size() +
                                 Reports.records().size());
   for (const RaceRecord &Rec : Reports.records()) {
-    std::string Line =
-        formatRace(P, TheHeap, Rec, Reports.locks(Rec.PriorLocks));
-    if (Prov)
-      appendProvenanceDetail(Line, P, *Prov, Rec,
-                             Reports.locks(Rec.CurrentLocks));
-    Result.FormattedRaces.push_back(std::move(Line));
+    std::string_view Line =
+        Buf.write(RaceLine(P, TheHeap, Rec, Reports.locks(Rec.PriorLocks)));
+    if (!Prov) {
+      Result.FormattedRaces.push_back(Line);
+      continue;
+    }
+    std::string Detailed(Line);
+    appendProvenanceDetail(Detailed, P, *Prov, Rec,
+                           Reports.locks(Rec.CurrentLocks));
+    Result.FormattedRaces.push_back(Detailed);
   }
   for (const RaceReporter::Group &G : Reports.groups()) {
     const RaceRecord &Rec = Reports.records()[G.FirstRecord];
     ReportEntry Entry;
     Entry.EntryKind = ReportEntry::Kind::Race;
-    Entry.Message = formatRace(P, TheHeap, Rec, Reports.locks(Rec.PriorLocks));
+    Entry.Message = std::string(
+        Buf.write(RaceLine(P, TheHeap, Rec, Reports.locks(Rec.PriorLocks))));
     Entry.Fingerprint = G.Fingerprint;
     Entry.Occurrences = G.Count;
     Entry.SiteLabel = siteLabel(P, Rec.CurrentSite);
@@ -567,16 +584,19 @@ public:
     MetricsRegistry *Metrics = Config.Metrics;
     {
       Span DrainSpan(Metrics, "detect-drain");
-      // The runtime is discarded right after, so its reporter (up to 2^16
-      // records on a saturated stream) is moved out, not copied.
+      // Nothing reads the lockset runtime once its counters are taken and
+      // its reporter (up to 2^16 records on a saturated stream) is moved
+      // out, so it is freed here, before formatting allocates the lines.
       if (Sharded) {
         Sharded->finish();
         Result.Stats = Sharded->stats();
-        Result.Reports = Sharded->takeReporter();
         Result.ShardBreakdown = Sharded->shardStats();
+        Result.Reports = Sharded->takeReporter();
+        Sharded.reset();
       } else if (Serial) {
         Result.Stats = Serial->stats();
-        Result.Reports = std::exchange(Serial->reporter(), RaceReporter());
+        Result.Reports = std::move(Serial->reporter());
+        Serial.reset();
       } else {
         Result.EpochBackend = true;
         Result.Epoch = Epoch->stats();
@@ -584,6 +604,8 @@ public:
     }
     {
       Span FormatSpan(Metrics, "format-reports");
+      // Formatting reads the result and, under epoch, the detector only.
+      assert(!Serial && !Sharded && "the lockset runtime outlived its drain");
       formatRaceResults(P, TheHeap, Epoch.get(), Prov ? &*Prov : nullptr,
                         Result);
     }

@@ -29,6 +29,7 @@
 #include "detect/TraceFormat.h"
 #include "instr/Instrumenter.h"
 #include "runtime/Interpreter.h"
+#include "support/TextLines.h"
 
 #include <string>
 #include <vector>
@@ -64,8 +65,11 @@ struct ToolConfig {
 
   /// Shard count for the detection runtime: 0 runs the serial
   /// detect/RaceRuntime; N >= 1 runs detect/ShardedRuntime with N
-  /// location-hashed shard workers (docs/SHARDING.md).  Reports are
-  /// identical either way; only throughput and statistics layout change.
+  /// location-hashed shard workers (docs/SHARDING.md).  Below
+  /// RaceReporter's 65,536-record cap both report the same races (sharded
+  /// in shard order, then program order); only throughput and statistics
+  /// layout change.  Past the cap they retain different records, a known
+  /// defect: only the racy locations and the total count agree.
   uint32_t Shards = 0;
 
   /// Which detection backend consumes the event stream
@@ -188,7 +192,11 @@ struct PipelineResult {
   InstrumenterStats Instr;   ///< zeroed when Instrument was off
   double AnalysisSeconds = 0.0; ///< static analysis + instrumentation time
   double ExecSeconds = 0.0;     ///< program execution (incl. detection)
-  std::vector<std::string> FormattedRaces; ///< human-readable reports
+
+  /// Human-readable reports, one line per retained record of Reports (one
+  /// per racy location under epoch).  Each line is a view into the list's
+  /// own blocks, valid for as long as this result holds it.
+  TextLines FormattedRaces;
 
   /// Potential deadlocks (only populated with DetectDeadlocks): the
   /// dynamic lock-order cycles observed in this run, and the static

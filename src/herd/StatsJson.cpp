@@ -10,6 +10,8 @@
 #include "support/Json.h"
 #include "support/Metrics.h"
 
+#include <string_view>
+
 using namespace herd;
 
 namespace {
@@ -198,7 +200,7 @@ std::string herd::renderStatsJson(const PipelineResult &Result,
 
   W.key("races");
   W.beginArray();
-  for (const std::string &Race : Result.FormattedRaces)
+  for (std::string_view Race : Result.FormattedRaces)
     W.value(Race);
   W.endArray();
 

@@ -50,8 +50,7 @@ namespace {
 
 /// Runs \p P live under \p Config with every plan mode and expects
 /// byte-identical formatted race reports; returns the unplanned reports.
-std::vector<std::string> expectPlanInvariantLive(const Program &P,
-                                                 ToolConfig Config) {
+TextLines expectPlanInvariantLive(const Program &P, ToolConfig Config) {
   Config.Plan = ToolConfig::PlanMode::Off;
   PipelineResult Off = runPipeline(P, Config);
   EXPECT_TRUE(Off.Run.Ok) << Off.Run.Error;
@@ -100,7 +99,7 @@ TEST(PlanEquivalence, WorkloadReplicas) {
   for (Workload &W : buildAllWorkloads(1)) {
     SCOPED_TRACE(W.Name);
     ToolConfig Config = ToolConfig::full();
-    std::vector<std::string> Races = expectPlanInvariantLive(W.P, Config);
+    TextLines Races = expectPlanInvariantLive(W.P, Config);
     // The replicas' expected racy-object counts double-check that the
     // planned runs still report the full result set, not a truncation.
     (void)Races;

@@ -256,7 +256,7 @@ TEST(ReplayTest, TraceSitesTheProgramLacksPrintAsUnknown) {
   PipelineResult L = runPipeline(buildFigure2(/*SamePQ=*/false), Live);
   ASSERT_TRUE(L.Run.Ok && L.Trace.Ok) << L.Run.Error << L.Trace.Error;
   ASSERT_FALSE(L.FormattedRaces.empty());
-  const std::string &First = L.FormattedRaces.front();
+  std::string_view First = L.FormattedRaces[0];
   ASSERT_NE(First.substr(0, First.find(" conflicts")).find(" at "),
             std::string::npos);
 
@@ -276,7 +276,7 @@ TEST(ReplayTest, TraceSitesTheProgramLacksPrintAsUnknown) {
       PipelineResult R = replayTracePipeline(Empty, Replay, Path);
       ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
       ASSERT_EQ(R.FormattedRaces.size(), L.FormattedRaces.size());
-      for (const std::string &Line : R.FormattedRaces)
+      for (std::string_view Line : R.FormattedRaces)
         EXPECT_EQ(Line.substr(0, Line.find(" conflicts")).find(" at "),
                   std::string::npos)
             << Line;

@@ -974,7 +974,7 @@ TEST(RaceLineTest, LinesMatchTheConcatenatingReference) {
       const RaceRecord &Rec = Reports.records()[I];
       std::string Want =
           referenceLine(P, Rec, Reports.locks(Rec.PriorLocks));
-      const std::string &Got = R.FormattedRaces[I];
+      std::string_view Got = R.FormattedRaces[I];
       if (Cfg == &Prov) {
         // The provenance detail follows the line as continuation text.
         ASSERT_EQ(Got.substr(0, Want.size()), Want) << "record " << I;

@@ -58,14 +58,14 @@ TEST(SamplesTest, HistogramPinpointsTheTotalCounter) {
     Config.Seed = Seed;
     PipelineResult R = runPipeline(C.P, Config);
     ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
-    for (const std::string &Line : R.FormattedRaces) {
+    for (std::string_view Line : R.FormattedRaces) {
       EXPECT_NE(Line.find("total"), std::string::npos)
           << "only the total counter should race: " << Line;
       Reported = true;
     }
     // The per-bucket counts are properly locked: the shared counts array
     // must never appear.
-    for (const std::string &Line : R.FormattedRaces)
+    for (std::string_view Line : R.FormattedRaces)
       EXPECT_EQ(Line.find("counts"), std::string::npos);
   }
   EXPECT_TRUE(Reported);
@@ -92,7 +92,7 @@ TEST(SamplesTest, TspInMiniJFindsTheBoundRace) {
   PipelineResult R = runPipeline(C.P, Config);
   ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
   bool BoundRace = false;
-  for (const std::string &Line : R.FormattedRaces)
+  for (std::string_view Line : R.FormattedRaces)
     BoundRace |= Line.find("MinTourLen") != std::string::npos;
   EXPECT_TRUE(BoundRace);
   // The branch-and-bound result itself must be a sane tour length.

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -144,6 +145,123 @@ TEST(ShardedRuntimeTest, ShardPoolMatchesSerialDetectorOnRawEvents) {
               Pool.aggregateDetectorStats().RacesReported);
     EXPECT_EQ(Serial.stats().TrieNodes,
               Pool.aggregateDetectorStats().TrieNodes);
+  }
+}
+
+/// Checks every part of \p Got a reader can observe against \p Want: the
+/// records in order with their lock runs and locks, the fingerprint
+/// groups, the counts, the drops and the locations.
+void expectSameReporter(const RaceReporter &Got, const RaceReporter &Want) {
+  ASSERT_EQ(Got.records().size(), Want.records().size());
+  auto SameRun = [&](LockRun A, LockRun B) {
+    return A.First == B.First && A.Size == B.Size &&
+           std::ranges::equal(Got.locks(A), Want.locks(B));
+  };
+  for (size_t I = 0; I != Want.records().size(); ++I) {
+    const RaceRecord &G = Got.records()[I];
+    const RaceRecord &W = Want.records()[I];
+    ASSERT_TRUE(G.Location == W.Location && G.Fingerprint == W.Fingerprint &&
+                G.CurrentThread == W.CurrentThread &&
+                G.CurrentSite == W.CurrentSite &&
+                SameRun(G.CurrentLocks, W.CurrentLocks) &&
+                G.PriorThread == W.PriorThread &&
+                G.PriorSite == W.PriorSite &&
+                SameRun(G.PriorLocks, W.PriorLocks) &&
+                G.CurrentAccess == W.CurrentAccess &&
+                G.PriorAccess == W.PriorAccess &&
+                G.PriorThreadKnown == W.PriorThreadKnown)
+        << "record " << I;
+  }
+  ASSERT_EQ(Got.groups().size(), Want.groups().size());
+  for (size_t I = 0; I != Want.groups().size(); ++I) {
+    const RaceReporter::Group &G = Got.groups()[I];
+    const RaceReporter::Group &W = Want.groups()[I];
+    ASSERT_TRUE(G.Fingerprint == W.Fingerprint &&
+                G.FirstRecord == W.FirstRecord && G.Count == W.Count)
+        << "group " << I;
+  }
+  EXPECT_EQ(Got.reportedLocations(), Want.reportedLocations());
+  EXPECT_EQ(Got.countDistinctObjects(), Want.countDistinctObjects());
+  EXPECT_EQ(Got.droppedRecords(), Want.droppedRecords());
+  EXPECT_EQ(Got.totalReported(), Want.totalReported());
+  EXPECT_EQ(Got.capacity(), Want.capacity());
+}
+
+/// The shards of \p Pool merged into an empty reporter, in shard order.
+RaceReporter mergedFromEmpty(const ShardPool &Pool) {
+  RaceReporter Out;
+  for (uint32_t I = 0; I != Pool.numShards(); ++I)
+    Out.merge(Pool.shardReporter(I));
+  return Out;
+}
+
+TEST(ShardedRuntimeTest, MergedReportersEqualMergingIntoAnEmptyReporter) {
+  // Both ways a sharded runtime hands out its reporter start from shard
+  // 0's reporter (a copy mid-run, moved out at the end) and merge the
+  // other shards in.  The result must be what merging every shard into an
+  // empty reporter gives.  A reference pool with the same shard count
+  // sees the events the runtime submits, so its shards are the runtime's.
+  struct Stream {
+    const char *Name;
+    uint32_t Accesses, Objects, Sites, Locks;
+    uint64_t WriteOdds; ///< an access is a write with chance 1 in this
+    bool PastCap;       ///< reports more than RaceReporter retains
+  };
+  // An access holds one of Locks locks, or none.  With few locks most
+  // accesses are weaker than one stored before them.  With many, and
+  // writes only, nearly every access races, and the second stream reports
+  // past the 2^16-record cap with fingerprints both known and new after
+  // it.
+  for (Stream St : {Stream{"small", 3000, 48, 8, 3, 2, false},
+                    Stream{"past-cap", 84000, 4096, 256, 256, 1, true}}) {
+    for (uint32_t Shards : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(St.Name) + ", " + std::to_string(Shards) +
+                   " shards");
+      ShardedRuntimeOptions Opts;
+      Opts.NumShards = Shards;
+      Opts.UseCache = false;     // every access reaches the pool
+      Opts.UseOwnership = false; // unfiltered, like the reference's events
+      ShardedRuntime Runtime(Opts);
+      ShardPool Ref(Shards, Opts.BatchCapacity, Opts.QueueDepthBatches);
+      Rng R(St.Accesses);
+      for (uint32_t T = 1; T <= 3; ++T)
+        Runtime.onThreadCreate(ThreadId(T), ThreadId(0), ObjectId(T));
+      for (uint32_t Step = 0; Step != St.Accesses; ++Step) {
+        ThreadId T(1 + uint32_t(R.nextBelow(3)));
+        LockId Lock(uint32_t(R.nextBelow(St.Locks + 1)));
+        bool Locked = Lock.index() != St.Locks;
+        if (Locked)
+          Runtime.onMonitorEnter(T, Lock, /*Recursive=*/false);
+        LocationKey Key = LocationKey::forField(
+            ObjectId(uint32_t(R.nextBelow(St.Objects))),
+            FieldId(uint32_t(R.nextBelow(2))));
+        AccessKind Kind = R.nextChance(1, St.WriteOdds) ? AccessKind::Write
+                                                         : AccessKind::Read;
+        SiteId Site(uint32_t(R.nextBelow(St.Sites)));
+        Runtime.onAccess(T, Key, Kind, Site);
+        Ref.submit(DetectorEvent{Key, T,
+                                 Ref.interner().intern(Runtime.lockSetOf(T)),
+                                 Kind, Site});
+        if (Locked)
+          Runtime.onMonitorExit(T, Lock, /*StillHeld=*/false);
+        if (Step == St.Accesses / 2) {
+          // Mid-run, as a traced benchmark run reads it.
+          Ref.drain();
+          expectSameReporter(Runtime.reporter(), mergedFromEmpty(Ref));
+        }
+      }
+      Runtime.onRunEnd();
+      Ref.finish();
+      RaceReporter Want = mergedFromEmpty(Ref);
+      if (St.PastCap) {
+        ASSERT_GT(Want.totalReported(), RaceReporter::DefaultCapacity);
+        ASSERT_GT(Want.droppedRecords(), 0u);
+      }
+      expectSameReporter(Runtime.reporter(), Want);
+      expectSameReporter(Ref.mergedReporter(), Want);
+      expectSameReporter(Runtime.takeReporter(), Want);
+      expectSameReporter(Ref.takeMergedReporter(), Want);
+    }
   }
 }
 

@@ -8,10 +8,14 @@
 #include "support/Rng.h"
 #include "support/SortedIdSet.h"
 #include "support/StringInterner.h"
+#include "support/TextLines.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 using namespace herd;
 
@@ -172,6 +176,122 @@ TEST(LocationKeyTest, HashSpreadsKeys) {
       Hashes.insert(H(LocationKey::forField(ObjectId(Obj), FieldId(Field))));
   // 256 distinct keys should hash to (nearly) 256 distinct values.
   EXPECT_GT(Hashes.size(), 250u);
+}
+
+TEST(TextLinesTest, EmptyListHasNoLines) {
+  TextLines Lines;
+  EXPECT_EQ(Lines.size(), 0u);
+  EXPECT_TRUE(Lines.empty());
+  EXPECT_EQ(Lines.begin(), Lines.end());
+  TextLines Copy = Lines;
+  EXPECT_TRUE(Copy.empty());
+  EXPECT_EQ(Copy, Lines);
+}
+
+TEST(TextLinesTest, ManyLinesSpanManyBlocksAndReadBackExactly) {
+  // About 1.4 MB of text: the doubling blocks top out at 64 KiB, so the
+  // lines land in a few dozen blocks.
+  std::vector<std::string> Want;
+  TextLines Lines;
+  for (uint32_t I = 0; I != 100000; ++I) {
+    Want.push_back("line " + std::to_string(I) +
+                   std::string(I % 17, char('a' + I % 26)));
+    Lines.push_back(Want.back());
+  }
+  ASSERT_EQ(Lines.size(), Want.size());
+  size_t I = 0;
+  std::set<const char *> Starts;
+  for (std::string_view Line : Lines) {
+    ASSERT_EQ(Line, Want[I]) << "line " << I;
+    EXPECT_EQ(Line.data(), Lines[I].data()) << "line " << I;
+    Starts.insert(Line.data());
+    ++I;
+  }
+  EXPECT_EQ(I, Want.size());
+  EXPECT_EQ(Starts.size(), Want.size()) << "lines must not share storage";
+}
+
+TEST(TextLinesTest, EmptyLinesTakeNoRoom) {
+  TextLines Lines;
+  Lines.push_back("");
+  Lines.push_back(std::string_view());
+  Lines.push_back("hello");
+  Lines.push_back("");
+  Lines.push_back("world");
+  ASSERT_EQ(Lines.size(), 5u);
+  EXPECT_EQ(Lines[0], "");
+  EXPECT_EQ(Lines[1], "");
+  EXPECT_EQ(Lines[2], "hello");
+  EXPECT_EQ(Lines[3], "");
+  EXPECT_EQ(Lines[4], "world");
+  EXPECT_EQ(Lines[4].data(), Lines[2].data() + 5);
+}
+
+TEST(TextLinesTest, LineLongerThanABlockGetsABlockOfItsOwn) {
+  std::string Long(3 * TextLines::MaxBlockBytes, 'x');
+  Long.back() = 'y';
+  TextLines Lines;
+  Lines.push_back("before");
+  Lines.push_back(Long);
+  Lines.push_back("after");
+  ASSERT_EQ(Lines.size(), 3u);
+  EXPECT_EQ(Lines[0], "before");
+  EXPECT_EQ(Lines[1], Long);
+  EXPECT_EQ(Lines[2], "after");
+}
+
+TEST(TextLinesTest, ViewsSurviveAMoveAndACopyOwnsItsText) {
+  TextLines Lines;
+  for (uint32_t I = 0; I != 5000; ++I)
+    Lines.push_back("race " + std::to_string(I));
+  std::vector<std::string_view> Before(Lines.begin(), Lines.end());
+
+  TextLines Moved = std::move(Lines);
+  ASSERT_EQ(Moved.size(), Before.size());
+  for (size_t I = 0; I != Before.size(); ++I) {
+    EXPECT_EQ(Moved[I].data(), Before[I].data()) << "line " << I;
+    EXPECT_EQ(Moved[I], "race " + std::to_string(I));
+  }
+  TextLines Assigned;
+  Assigned.push_back("replaced");
+  Assigned = std::move(Moved);
+  EXPECT_EQ(Assigned[4999].data(), Before[4999].data());
+
+  TextLines Copy = Assigned;
+  TextLines CopyAssigned;
+  CopyAssigned = Assigned;
+  EXPECT_EQ(Copy, Assigned);
+  EXPECT_EQ(CopyAssigned, Assigned);
+  EXPECT_NE(Copy[0].data(), Assigned[0].data());
+  Assigned = TextLines(); // the copies hold text of their own
+  for (size_t I = 0; I != Before.size(); ++I) {
+    EXPECT_EQ(Copy[I], "race " + std::to_string(I));
+    EXPECT_EQ(CopyAssigned[I], Copy[I]);
+  }
+  // Appending after a copy or a move writes only into the list's blocks.
+  Copy.push_back("tail");
+  EXPECT_EQ(Copy[5000], "tail");
+  EXPECT_EQ(CopyAssigned.size(), 5000u);
+}
+
+TEST(TextLinesTest, EqualityComparesLinesNotBlocks) {
+  TextLines A, B;
+  for (std::string_view Line : {"one", "two"}) {
+    A.push_back(Line);
+    B.push_back(Line);
+  }
+  ASSERT_NE(A[0].data(), B[0].data());
+  EXPECT_EQ(A, B);
+  EXPECT_FALSE(A != B);
+  B.push_back("three");
+  EXPECT_NE(A, B);
+  A.push_back("thre");
+  EXPECT_NE(A, B);
+  TextLines C;
+  C.push_back("one");
+  C.push_back("tw");
+  C.push_back("three");
+  EXPECT_NE(B, C);
 }
 
 } // namespace

@@ -43,6 +43,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 using namespace herd;
 
@@ -236,8 +237,8 @@ int printResult(const HerdOptions &Opts, const Program &P,
     std::printf("no dataraces reported\n");
   } else {
     std::printf("-- dataraces --\n");
-    for (const std::string &Line : R.FormattedRaces)
-      std::printf("%s\n", Line.c_str());
+    for (std::string_view Line : R.FormattedRaces)
+      std::printf("%.*s\n", int(Line.size()), Line.data());
   }
   if (!R.FormattedDeadlocks.empty()) {
     std::printf("-- potential deadlocks --\n");
@@ -350,7 +351,8 @@ int main(int argc, char **argv) {
       }
       if (!R.FormattedRaces.empty() || !R.FormattedDeadlocks.empty())
         ++SchedulesWithReports;
-      AllReports.insert(R.FormattedRaces.begin(), R.FormattedRaces.end());
+      for (std::string_view Line : R.FormattedRaces)
+        AllReports.emplace(Line);
       AllReports.insert(R.FormattedDeadlocks.begin(),
                         R.FormattedDeadlocks.end());
     }
