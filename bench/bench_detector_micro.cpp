@@ -14,7 +14,9 @@
 ///     cost;
 ///   - the epoch backend's O(1) same-epoch path against the vector-clock
 ///     baseline's O(T) comparison at increasing thread counts
-///     (docs/DETECTORS.md).
+///     (docs/DETECTORS.md);
+///   - a lock change at increasing lockset depth, above or below every
+///     held lock (docs/PERFORMANCE.md).
 /// The check rows (BM_History*) time the access history the Detector
 /// ships (AccessHistory), on pre-interned lockset ids as the runtime
 /// delivers them.  The pointer-based reference trie (AccessTrie) runs in
@@ -28,6 +30,7 @@
 #include "detect/AccessCache.h"
 #include "detect/AccessHistory.h"
 #include "detect/Detector.h"
+#include "detect/RaceRuntime.h"
 #include "detect/ShardedRuntime.h"
 #include "support/Rng.h"
 
@@ -273,6 +276,46 @@ void BM_EpochReadInflationCycle(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_EpochReadInflationCycle);
+
+//===----------------------------------------------------------------------===
+// The cost of a lock change at increasing lockset depth.
+//
+// A thread holds Depth nested locks, its dummy join lock above them all,
+// and takes and releases one more lock with an access after each change,
+// as a program nesting synchronized blocks does.  The extra lock sorts
+// above every held program lock (BM_NestedLockChange, fresh objects) or
+// below them all (BM_NestedLockChangeBelow).  The runtime runs without
+// caches, so each access reaches the detector with the thread's lockset,
+// and the location stays the thread's own, so the ownership filter
+// answers it.  items_per_second counts lock changes.
+//===----------------------------------------------------------------------===
+
+void nestedLockChange(benchmark::State &State, bool Below) {
+  uint32_t Depth = uint32_t(State.range(0));
+  RaceRuntimeOptions Opts;
+  Opts.UseCache = false;
+  RaceRuntime Runtime(Opts);
+  ThreadId T(1);
+  Runtime.onThreadCreate(T, ThreadId(0), ObjectId(1));
+  for (uint32_t L = 0; L != Depth; ++L)
+    Runtime.onMonitorEnter(T, LockId(1 + L), /*Recursive=*/false);
+  LockId Extra(Below ? 0 : 1 + Depth);
+  for (auto _ : State) {
+    Runtime.onMonitorEnter(T, Extra, /*Recursive=*/false);
+    Runtime.onAccess(T, keyOf(1), AccessKind::Write, SiteId(0));
+    Runtime.onMonitorExit(T, Extra, /*StillHeld=*/false);
+    Runtime.onAccess(T, keyOf(1), AccessKind::Write, SiteId(0));
+  }
+  State.SetItemsProcessed(int64_t(State.iterations()) * 2);
+}
+void BM_NestedLockChange(benchmark::State &State) {
+  nestedLockChange(State, /*Below=*/false);
+}
+void BM_NestedLockChangeBelow(benchmark::State &State) {
+  nestedLockChange(State, /*Below=*/true);
+}
+BENCHMARK(BM_NestedLockChange)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_NestedLockChangeBelow)->Arg(16)->Arg(256)->Arg(4096);
 
 //===----------------------------------------------------------------------===
 // Serial vs sharded event throughput (docs/SHARDING.md).

@@ -10,13 +10,15 @@
 ///
 ///   access event -> per-thread cache (Section 4) -> delivery
 ///
-/// It keeps each thread's lockset, models join ordering with per-thread
-/// dummy locks S_j (Section 2.3), and evicts a location from its previous
-/// owner's caches when it becomes shared (the Section 7.2 fix).  Delivery
-/// is the runtime's own: AccessFrontEnd<Derived> calls Derived::deliver on
-/// a cache miss and Derived::syncPoint after each sync operation, bound at
-/// compile time (CRTP), so the per-access path adds no virtual or indirect
-/// call and no branch on the runtime's kind.  The interpreter may hoist a
+/// It keeps each thread's lockset as an id of its LockSetInterner, stepped
+/// when a delivered access needs it (a lock taken and released between two
+/// deliveries never reaches the interner), models join ordering with
+/// per-thread dummy locks S_j (Section 2.3), and evicts a location from its
+/// previous owner's caches when it becomes shared (the Section 7.2 fix).
+/// Delivery is the runtime's own: AccessFrontEnd<Derived> calls
+/// Derived::deliver on a cache miss and Derived::syncPoint after each sync
+/// operation, bound at compile time (CRTP), so the per-access path adds no
+/// virtual or indirect call and no branch on the runtime's kind.  The interpreter may hoist a
 /// thread's caches and probe them itself (cacheHandle, onCacheMiss).
 ///
 //===----------------------------------------------------------------------===//
@@ -32,6 +34,7 @@
 #include "support/LockSetInterner.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <memory>
 #include <vector>
@@ -114,7 +117,16 @@ public:
 
   /// The current lockset of \p Thread (dummy join locks included); exposed
   /// for tests.
-  const LockSet &lockSetOf(ThreadId Thread) const;
+  LockSet lockSetOf(ThreadId Thread) const {
+    const PerThread *T = stateOf(Thread);
+    if (!T)
+      return LockSet();
+    LockSet Set = Locksets->resolve(T->Locks);
+    for (uint32_t I = 0; I != T->NumPending; ++I)
+      T->Pending[I].Acquired ? Set.insert(T->Pending[I].Lock)
+                             : Set.erase(T->Pending[I].Lock);
+    return Set;
+  }
 
   /// The dummy lock S_j modelling ordering with thread \p Thread.  Dummy
   /// lock ids live above any heap object's lock id (FirstDummyLock).
@@ -127,15 +139,22 @@ protected:
     explicit PerThread(uint32_t CacheEntries)
         : Caches{AccessCache(CacheEntries), AccessCache(CacheEntries)} {}
 
-    LockSet Locks;                    ///< held locks incl. dummy join locks
+    /// One acquire or release of a program lock not yet in Locks.
+    struct LockChange {
+      LockId Lock;
+      bool Acquired;
+    };
+    static constexpr uint32_t MaxPending = 16;
+
+    /// Held locks incl. dummy join locks, but for the Pending changes:
+    /// dummy locks step it at once, program locks at the next delivery.
+    LockSetId Locks = LockSetInterner::emptySet();
+    /// Program-lock changes since Locks, in order, at most one per lock
+    /// (a release cancels the acquire it follows, and the reverse).
+    std::array<LockChange, MaxPending> Pending;
+    uint32_t NumPending = 0;
     std::vector<LockId> RealStack;    ///< releasable locks, by cache depth
     AccessCache Caches[2];            ///< by AccessKind: read, write
-
-    /// Interned id of Locks, refreshed lazily: locksets only change at
-    /// monitor/thread events, so the per-access cost is a dirty-bit test
-    /// instead of a SortedIdSet copy.
-    LockSetId LocksId = LockSetInterner::emptySet();
-    bool LocksDirty = false;
   };
 
   explicit AccessFrontEnd(const RaceRuntimeOptions &Opts) : Opts(Opts) {
@@ -143,11 +162,13 @@ protected:
       Threads.reserve(size_t(N) + 1); // +1: thread ids are 1-based, slot 0 main
   }
 
-  /// The detector event for a cache miss of thread \p T, interning its
-  /// lockset into \p Interner if it changed since the last miss.
-  static DetectorEvent eventFor(PerThread &T, LockSetInterner &Interner,
-                                ThreadId Thread, LocationKey Key,
-                                AccessKind Access, SiteId Site);
+  /// The detector event for a cache miss of thread \p T.
+  DetectorEvent eventFor(PerThread &T, ThreadId Thread, LocationKey Key,
+                         AccessKind Access, SiteId Site) {
+    if (T.NumPending != 0)
+      applyPending(T);
+    return DetectorEvent{Key, Thread, T.Locks, Access, Site};
+  }
 
   /// Section 7.2: a location entering the shared state must leave the
   /// caches, or a hit could suppress the first post-sharing access.  Only
@@ -162,6 +183,12 @@ protected:
   RaceRuntimeStats frontEndStats() const;
 
   RaceRuntimeOptions Opts;
+
+  /// The interner every lockset id of this runtime names: the threads'
+  /// ids here, and the detectors' entries and reports, whose reporters
+  /// share it past the runtime's end.
+  std::shared_ptr<LockSetInterner> Locksets =
+      std::make_shared<LockSetInterner>();
 
 private:
   PerThread &threadState(ThreadId Thread);
@@ -182,6 +209,33 @@ private:
   }
 
   Derived &derived() { return static_cast<Derived &>(*this); }
+
+  /// Notes that \p T acquired or released the program lock \p Lock.  A
+  /// change not yet applied cancels against the opposite change of the
+  /// same lock, and a repeat of it changes nothing.
+  void changeLock(PerThread &T, LockId Lock, bool Acquired) {
+    for (uint32_t I = T.NumPending; I-- != 0;)
+      if (T.Pending[I].Lock == Lock) {
+        if (T.Pending[I].Acquired != Acquired) {
+          std::copy(T.Pending.begin() + I + 1,
+                    T.Pending.begin() + T.NumPending, T.Pending.begin() + I);
+          --T.NumPending;
+        }
+        return;
+      }
+    if (T.NumPending == PerThread::MaxPending)
+      applyPending(T);
+    T.Pending[T.NumPending++] = {Lock, Acquired};
+  }
+
+  /// Steps \p T's lockset id through its pending changes, in order.
+  void applyPending(PerThread &T) {
+    for (uint32_t I = 0; I != T.NumPending; ++I)
+      T.Locks = T.Pending[I].Acquired
+                    ? Locksets->withLock(T.Locks, T.Pending[I].Lock)
+                    : Locksets->withoutLock(T.Locks, T.Pending[I].Lock);
+    T.NumPending = 0;
+  }
 
   std::vector<std::unique_ptr<PerThread>> Threads;
   /// Accesses seen without a cache (NoCache).  With one, every access is
@@ -206,13 +260,6 @@ AccessFrontEnd<Derived>::threadState(ThreadId Thread) {
 }
 
 template <class Derived>
-const LockSet &AccessFrontEnd<Derived>::lockSetOf(ThreadId Thread) const {
-  static const LockSet Empty;
-  const PerThread *T = stateOf(Thread);
-  return T ? T->Locks : Empty;
-}
-
-template <class Derived>
 void AccessFrontEnd<Derived>::onThreadCreate(ThreadId Child,
                                              ThreadId /*Parent*/,
                                              ObjectId /*ThreadObj*/,
@@ -222,8 +269,7 @@ void AccessFrontEnd<Derived>::onThreadCreate(ThreadId Child,
     // A dummy mon-enter(S_child) at the start of the child's execution
     // (Section 2.3).  The dummy lock is not releasable during the thread's
     // life, so it takes no cache acquisition (see AccessCache docs).
-    T.Locks.insert(dummyLockOf(Child));
-    T.LocksDirty = true;
+    T.Locks = Locksets->withLock(T.Locks, dummyLockOf(Child));
   }
   derived().syncPoint(/*Join=*/false);
 }
@@ -233,8 +279,7 @@ void AccessFrontEnd<Derived>::onThreadExit(ThreadId Dying) {
   if (Opts.ModelJoin) {
     // The dummy mon-exit(S_dying) at the end of the thread's execution.
     PerThread &T = threadState(Dying);
-    T.Locks.erase(dummyLockOf(Dying));
-    T.LocksDirty = true;
+    T.Locks = Locksets->withoutLock(T.Locks, dummyLockOf(Dying));
   }
   derived().syncPoint(/*Join=*/false);
 }
@@ -246,8 +291,7 @@ void AccessFrontEnd<Derived>::onThreadJoin(ThreadId Joiner, ThreadId Joined) {
     // joiner does from now on is ordered after the joined thread, which
     // held S_joined for its entire execution.  It is held forever.
     PerThread &T = threadState(Joiner);
-    T.Locks.insert(dummyLockOf(Joined));
-    T.LocksDirty = true;
+    T.Locks = Locksets->withLock(T.Locks, dummyLockOf(Joined));
   }
   derived().syncPoint(/*Join=*/true);
 }
@@ -259,11 +303,10 @@ void AccessFrontEnd<Derived>::onMonitorEnter(ThreadId Thread, LockId Lock,
   if (Recursive)
     return; // nested acquisitions are invisible to the detector (Sec 4.2)
   PerThread &T = threadState(Thread);
-  T.Locks.insert(Lock);
+  changeLock(T, Lock, /*Acquired=*/true);
   T.RealStack.push_back(Lock);
   for (AccessCache &Cache : T.Caches)
     Cache.acquire();
-  T.LocksDirty = true;
   derived().syncPoint(/*Join=*/false);
 }
 
@@ -280,10 +323,9 @@ void AccessFrontEnd<Derived>::onMonitorExit(ThreadId Thread, LockId Lock,
     return;
   uint32_t Depth = uint32_t(T.RealStack.rend() - Held);
   T.RealStack.erase(std::next(Held).base());
-  T.Locks.erase(Lock);
+  changeLock(T, Lock, /*Acquired=*/false);
   for (AccessCache &Cache : T.Caches)
     Cache.release(Depth);
-  T.LocksDirty = true;
   derived().syncPoint(/*Join=*/false);
 }
 
@@ -305,26 +347,6 @@ void AccessFrontEnd<Derived>::onAccess(ThreadId Thread, LocationKey Location,
   AccessCache &Cache = T.Caches[size_t(Access)];
   if (!Cache.lookup(Key))
     deliverMiss(T, Cache, Thread, Key, Access, Site);
-}
-
-template <class Derived>
-DetectorEvent AccessFrontEnd<Derived>::eventFor(PerThread &T,
-                                                LockSetInterner &Interner,
-                                                ThreadId Thread,
-                                                LocationKey Key,
-                                                AccessKind Access,
-                                                SiteId Site) {
-  if (T.LocksDirty) {
-    T.LocksId = Interner.intern(T.Locks);
-    T.LocksDirty = false;
-  }
-  DetectorEvent Event;
-  Event.Location = Key;
-  Event.Thread = Thread;
-  Event.Locks = T.LocksId;
-  Event.Access = Access;
-  Event.Site = Site;
-  return Event;
 }
 
 template <class Derived>

@@ -108,14 +108,6 @@ void HistoryStore::reserve(size_t Entries) {
 
 namespace {
 
-/// Length of the common prefix of two canonical locksets: the trie nodes
-/// their paths share below the root.
-size_t commonPrefix(const LockSet &A, const LockSet &B) {
-  return size_t(
-      std::mismatch(A.begin(), A.end(), B.begin(), B.end()).first -
-      A.begin());
-}
-
 /// The event's lockset, with the tests the steps ask of a stored entry's.
 /// A mask bit is a real member on both sides, so a mask test that fails
 /// is conclusive; a passing one is, when the side it vouches for is exact.
@@ -131,7 +123,7 @@ struct EventLocks {
       return false;
     if (Sets.isExact(E.Locks))
       return true;
-    return !Exact && Sets.resolve(E.Locks).isSubsetOf(Sets.resolve(Id));
+    return !Exact && Sets.isSubsetOf(E.Locks, Id);
   }
 
   /// Entry's lockset ⊇ the event's.
@@ -140,8 +132,7 @@ struct EventLocks {
       return false;
     if (Exact)
       return true;
-    return !Sets.isExact(E.Locks) &&
-           Sets.resolve(Id).isSubsetOf(Sets.resolve(E.Locks));
+    return !Sets.isExact(E.Locks) && Sets.isSubsetOf(Id, E.Locks);
   }
 
   /// Entry's lockset ∩ the event's = ∅.
@@ -150,7 +141,7 @@ struct EventLocks {
       return false;
     if (Exact || Sets.isExact(E.Locks))
       return true;
-    return !Sets.resolve(E.Locks).intersects(Sets.resolve(Id));
+    return !Sets.intersects(E.Locks, Id);
   }
 };
 
@@ -220,17 +211,15 @@ AccessHistory::process(HistoryStore &Store, const LockSetInterner &Locksets,
     for (uint32_t I = PruneFrom; I != Size; ++I) {
       const HistoryEntry &E = Entries[I];
       if (I != Same && Prunable(E)) {
-        const LockSet &Gone = Locksets.resolve(E.Locks);
-        size_t Shared = 0;
+        uint32_t Shared = 0;
         if (Kept != 0)
-          Shared = commonPrefix(Locksets.resolve(Entries[Kept - 1].Locks),
-                                Gone);
+          Shared = Locksets.commonPrefix(Entries[Kept - 1].Locks, E.Locks);
         if (I + 1 != Size)
           Shared = std::max(
-              Shared,
-              commonPrefix(Gone, Locksets.resolve(Entries[I + 1].Locks)));
-        Nodes -= uint32_t(Gone.size() - Shared);
-        Store.Live -= Gone.size() - Shared;
+              Shared, Locksets.commonPrefix(E.Locks, Entries[I + 1].Locks));
+        uint32_t Gone = Locksets.sizeOf(E.Locks) - Shared;
+        Nodes -= Gone;
+        Store.Live -= Gone;
         continue;
       }
       Entries[Kept++] = E;
@@ -249,7 +238,7 @@ AccessHistory::process(HistoryStore &Store, const LockSetInterner &Locksets,
 void AccessHistory::insert(HistoryStore &Store,
                            const LockSetInterner &Locksets,
                            const HistoryEntry &Fresh) {
-  const LockSet &Set = Locksets.resolve(Fresh.Locks);
+  const LockSetId Set = Fresh.Locks;
   HistoryEntry *Entries = Block != HistoryStore::None ? Store.at(Block)
                                                       : nullptr;
   // Its lexicographic position, then the nodes its path adds: those past
@@ -258,21 +247,20 @@ void AccessHistory::insert(HistoryStore &Store,
   uint32_t Pos = 0;
   for (uint32_t Count = Size; Count != 0;) {
     uint32_t Half = Count / 2;
-    if (Locksets.resolve(Entries[Pos + Half].Locks) < Set) {
+    if (Locksets.less(Entries[Pos + Half].Locks, Set)) {
       Pos += Half + 1;
       Count -= Half + 1;
     } else {
       Count = Half;
     }
   }
-  size_t Shared = 0;
+  uint32_t Shared = 0;
   if (Pos != 0)
-    Shared = commonPrefix(Locksets.resolve(Entries[Pos - 1].Locks), Set);
+    Shared = Locksets.commonPrefix(Entries[Pos - 1].Locks, Set);
   if (Pos != Size)
-    Shared = std::max(Shared,
-                      commonPrefix(Set, Locksets.resolve(Entries[Pos].Locks)));
-  size_t Added = Set.size() - Shared + (Nodes == 0 ? 1 : 0);
-  Nodes += uint32_t(Added);
+    Shared = std::max(Shared, Locksets.commonPrefix(Set, Entries[Pos].Locks));
+  uint32_t Added = Locksets.sizeOf(Set) - Shared + (Nodes == 0 ? 1 : 0);
+  Nodes += Added;
   Store.Live += Added;
 
   if (Block == HistoryStore::None) {
@@ -305,7 +293,6 @@ bool AccessHistory::checkInvariants(const HistoryStore &Store,
       Size > (uint64_t(1) << Class))
     return false; // every processed event leaves an entry behind
   const HistoryEntry *Entries = Store.at(Block);
-  const LockSet *Prev = nullptr;
   size_t Prefixes = 0;
   for (uint32_t I = 0; I != Size; ++I) {
     const HistoryEntry &E = Entries[I];
@@ -313,13 +300,13 @@ bool AccessHistory::checkInvariants(const HistoryStore &Store,
       return false; // an entry without an access, or an unknown lockset
     // Strict ascent of the canonical sets also rules out two entries with
     // one LockSetId.
-    const LockSet &Set = Locksets.resolve(E.Locks);
-    if (Prev && !(*Prev < Set))
+    if (I != 0 && !Locksets.less(Entries[I - 1].Locks, E.Locks))
       return false;
     // Sorted distinct paths: each adds the nodes past the prefix it shares
     // with its predecessor.
-    Prefixes += Set.size() - (Prev ? commonPrefix(*Prev, Set) : 0);
-    Prev = &Set;
+    Prefixes += Locksets.sizeOf(E.Locks) -
+                (I != 0 ? Locksets.commonPrefix(Entries[I - 1].Locks, E.Locks)
+                        : 0);
   }
   return Nodes == 1 + Prefixes;
 }

@@ -27,18 +27,21 @@
 /// Steps 1 and 2 are one scan, which also finds the exact-lockset entry
 /// and the first entry to prune.  The lockset tests read the interner's
 /// 64-bit membership masks: one AND or ANDN when both sets are exact, a
-/// merge of the resolved sets otherwise.  Entries do not cache the masks:
-/// a run holds few distinct locksets, so the interner's entries stay in
-/// cache, and 16-byte entries measured no slower than 24-byte ones that
+/// merge walk of the two sets otherwise.  Entries do not cache the
+/// masks: a run holds few distinct locksets, so the interner's nodes stay
+/// in cache, and 16-byte entries measured no slower than 24-byte ones that
 /// carried their mask (docs/PERFORMANCE.md).  The history reads the
-/// interner only through mask(), isExact() and resolve(), which are safe
-/// to call from the shard workers that run detectors.
+/// interner only through its queries (mask(), isExact(), sizeOf(),
+/// less(), commonPrefix(), isSubsetOf(), intersects()), which are safe to
+/// call from the shard workers that run detectors.
 ///
 /// Node count: the trie a history stands for has one node per distinct
 /// non-empty prefix of its stored locksets, plus the root once the first
 /// event arrives.  Inserting lockset L adds |L| minus the longest common
 /// prefix L shares with either lexicographic neighbour; removing K takes
-/// away |K| minus the same with its current neighbours.  So nodeCount()
+/// away |K| minus the same with its current neighbours.  The order and
+/// the common prefixes come from the interner (LockSetInterner::less and
+/// commonPrefix), with no set resolved.  So nodeCount()
 /// and HistoryStore::live() (DetectorStats::TrieNodes, the space figure of
 /// Section 8.2) are exactly the trie's.
 ///

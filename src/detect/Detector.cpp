@@ -71,20 +71,22 @@ void Detector::handleEvent(const DetectorEvent &Event) {
     return;
 
   ++Stats.RacesReported;
-  RaceRecord Record;
-  Record.Location = Event.Location;
-  Record.Fingerprint =
+  // The kept record is built in place; past the cap only the fingerprint
+  // is counted.
+  uint64_t Fingerprint =
       raceFingerprint(Event.Location, Event.Site, Event.Access,
                       Outcome.PriorSite, Outcome.PriorAccess);
-  Record.CurrentThread = Event.Thread;
-  Record.CurrentAccess = Event.Access;
-  Record.CurrentSite = Event.Site;
-  Record.PriorThreadKnown = Outcome.PriorThreadKnown;
-  Record.PriorThread = Outcome.PriorThread;
-  Record.PriorAccess = Outcome.PriorAccess;
-  Record.PriorSite = Outcome.PriorSite;
-  Reporter.report(Record, FirstAtLocation(!State->Raced),
-                  Interner->resolve(Event.Locks).items(),
-                  Interner->resolve(Outcome.PriorLocks).items());
+  if (RaceRecord *Record = Reporter.claim(Event.Location, Fingerprint,
+                                          FirstAtLocation(!State->Raced))) {
+    Record->CurrentThread = Event.Thread;
+    Record->CurrentAccess = Event.Access;
+    Record->CurrentSite = Event.Site;
+    Record->CurrentLocks = Event.Locks;
+    Record->PriorThreadKnown = Outcome.PriorThreadKnown;
+    Record->PriorThread = Outcome.PriorThread;
+    Record->PriorAccess = Outcome.PriorAccess;
+    Record->PriorSite = Outcome.PriorSite;
+    Record->PriorLocks = Outcome.PriorLocks;
+  }
   State->Raced = true;
 }

@@ -54,15 +54,16 @@ public:
 
   /// \p Locksets is the interner DetectorEvent lockset ids resolve against.
   /// When null (standalone detectors in tests and benches) the detector
-  /// owns a private one, fed through handleAccess().  Runtimes pass their
-  /// shared interner so producer-side ids resolve here.
+  /// makes a private one, fed through handleAccess().  Runtimes pass their
+  /// shared interner so producer-side ids resolve here.  \p Reporter
+  /// shares it too (RaceReporter::useLocksets): its records name the
+  /// events' lockset ids.
   Detector(RaceReporter &Reporter, Options Opts,
-           LockSetInterner *Locksets = nullptr)
-      : Reporter(Reporter), Opts(Opts), Interner(Locksets) {
-    if (!Interner) {
-      OwnedInterner = std::make_unique<LockSetInterner>();
-      Interner = OwnedInterner.get();
-    }
+           std::shared_ptr<LockSetInterner> Locksets = nullptr)
+      : Reporter(Reporter), Opts(Opts), Interner(std::move(Locksets)) {
+    if (!Interner)
+      Interner = std::make_shared<LockSetInterner>();
+    Reporter.useLocksets(Interner);
   }
 
   /// Applies capacity hints before the run: pre-sizes the location table,
@@ -113,8 +114,7 @@ private:
   RaceReporter &Reporter;
   Options Opts;
   std::function<void(LocationKey, ThreadId)> OnShared;
-  std::unique_ptr<LockSetInterner> OwnedInterner;
-  LockSetInterner *Interner; ///< never null
+  std::shared_ptr<LockSetInterner> Interner; ///< never null
   HistoryStore Histories;    ///< entry storage for Table's histories
   LocationTable<LocationState> Table;
   DetectorStats Stats;

@@ -29,11 +29,12 @@
 /// the detector flags its first report at each location, which goes on a
 /// location list whether or not its record is kept.
 ///
-/// A record is 56 bytes and trivially copyable: its two locksets are runs
-/// of a lock pool that the reporter holding it owns, read back through
-/// RaceReporter::locks().  Streams that race on nearly every event
-/// (bench_hotpath's refhot) then append, grow and free records as plain
-/// bytes, and a report past the cap copies no lock at all.
+/// A record is 48 bytes and trivially copyable: it names its two locksets
+/// by their 4-byte ids in the detection run's LockSetInterner
+/// (support/LockSetInterner.h), which the reporter holding the record
+/// shares, and reads them back through RaceReporter::locks().  Streams that
+/// race on nearly every event (bench_hotpath's refhot) then append, grow
+/// and free records as plain bytes, and no report copies a lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,12 +42,13 @@
 #define HERD_DETECT_RACEREPORT_H
 
 #include "detect/AccessEvent.h"
+#include "support/LockSetInterner.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <iterator>
-#include <new>
+#include <memory>
 #include <set>
 #include <span>
 #include <type_traits>
@@ -55,30 +57,24 @@
 
 namespace herd {
 
-/// One lockset of a race record: a run of its reporter's lock pool.
-struct LockRun {
-  uint32_t First = 0; ///< index of the run's first lock in the pool
-  uint32_t Size = 0;
-};
-
 /// One reported race.
 struct RaceRecord {
   LocationKey Location;
 
-  /// Stable identity of this race, raceFingerprint(*this); set by whoever
-  /// builds the record (Detector::handleEvent), before report().
+  /// Stable identity of this race, raceFingerprint(*this); set when the
+  /// reporter takes the record (RaceReporter::claim or report).
   uint64_t Fingerprint = 0;
 
   // The access that triggered the report (reported at the moment it
   // occurs, so a debugger could suspend the program here — Section 2.6).
   ThreadId CurrentThread;
   SiteId CurrentSite;
-  LockRun CurrentLocks; ///< resolve with RaceReporter::locks
+  LockSetId CurrentLocks = LockSetInterner::emptySet(); ///< RaceReporter::locks
 
   // What is known about the earlier conflicting access.
   ThreadId PriorThread;           ///< valid iff PriorThreadKnown
   SiteId PriorSite;               ///< invalid when the trie lost it
-  LockRun PriorLocks;             ///< resolve with RaceReporter::locks
+  LockSetId PriorLocks = LockSetInterner::emptySet(); ///< RaceReporter::locks
 
   AccessKind CurrentAccess = AccessKind::Read;
   AccessKind PriorAccess = AccessKind::Read;
@@ -87,7 +83,7 @@ struct RaceRecord {
 
 static_assert(std::is_trivially_copyable_v<RaceRecord>,
               "records grow and merge as plain bytes");
-static_assert(sizeof(RaceRecord) <= 56, "a race record is at most 56 bytes");
+static_assert(sizeof(RaceRecord) == 48, "a race record is 48 bytes");
 
 /// SplitMix64 finalizer — the mixing step of the fingerprint hash.
 inline uint64_t fingerprintMix(uint64_t X) {
@@ -138,9 +134,10 @@ enum class FirstAtLocation : bool { No, Yes };
 /// appends — the hot path on racy streams, where nearly every event can
 /// produce a report (bench_hotpath's refhot stream).
 ///
-/// The reporter owns the lock pool its records' runs index.  Copying,
-/// moving and clear() keep records and pool together, so a record is only
-/// meaningful next to the reporter it was read from.
+/// The reporter shares ownership of the interner its records' lockset ids
+/// name (useLocksets()), so the sets outlive the detection runtime that
+/// made them; copies share it too, and clear() keeps it.  A record is only
+/// meaningful next to a reporter of its interner.
 ///
 /// Queries are const but fold pending records under the hood (mutable
 /// indexes); like the detection runtimes themselves, the reporter is not
@@ -163,27 +160,57 @@ public:
   explicit RaceReporter(size_t Capacity = DefaultCapacity)
       : Capacity(Capacity) {}
 
-  /// Reports one race whose current and earlier accesses held the sorted
-  /// locksets \p Current and \p Prior.  \p Record's fingerprint must be
-  /// set and its lock runs are ignored: the locksets are copied into the
-  /// pool only when the record is retained, and past the cap nothing is.
+  /// Makes \p Sets the interner of this reporter's lockset ids.  The
+  /// reporter must hold no record of another interner's.
+  void useLocksets(std::shared_ptr<LockSetInterner> Sets) {
+    assert((!Locksets || Locksets == Sets || Records.empty()) &&
+           "records would change interner");
+    Locksets = std::move(Sets);
+  }
+
+  /// The interner of this reporter's lockset ids, or null before any set
+  /// was named.
+  const LockSetInterner *locksets() const { return Locksets.get(); }
+
+  /// Starts the report of a race at \p Location whose fingerprint is
+  /// \p Fingerprint.  Below the cap it returns the new record, with those
+  /// two fields set, for the caller to fill in place (its lockset ids from
+  /// locksets()); past the cap it counts the fingerprint and returns null.
+  RaceRecord *claim(LocationKey Location, uint64_t Fingerprint,
+                    FirstAtLocation First) {
+    // The cap bounds record *retention*, not the location list: a known
+    // fingerprint does not imply a known location (it drops the object).
+    if (First == FirstAtLocation::Yes)
+      LocationList.push_back(Location);
+    if (Records.size() >= Capacity) {
+      // Past the cap the index must be current to tell a known bug
+      // (count bump) from a novel fingerprint (honest drop counter).
+      fold();
+      count(Fingerprint, 1);
+      return nullptr;
+    }
+    ++TotalReported;
+    RaceRecord &Kept = Records.emplace_back();
+    Kept.Location = Location;
+    Kept.Fingerprint = Fingerprint;
+    return &Kept;
+  }
+
+  /// Reports \p Record, whose fingerprint is set, with the sorted locksets
+  /// \p Current and \p Prior, interned into this reporter's interner (one
+  /// is made on first need); its own lockset ids are ignored.  Producer-
+  /// side only, like interning.
   void report(const RaceRecord &Record, FirstAtLocation First,
               std::span<const LockId> Current,
               std::span<const LockId> Prior) {
     assert(Record.Fingerprint == raceFingerprint(Record) &&
            "report() needs the record's fingerprint");
-    // The cap bounds record *retention*, not the location list: a known
-    // fingerprint does not imply a known location (it drops the object).
-    if (First == FirstAtLocation::Yes)
-      LocationList.push_back(Record.Location);
-    if (Records.size() >= Capacity) {
-      // Past the cap the index must be current to tell a known bug
-      // (count bump) from a novel fingerprint (honest drop counter).
-      fold();
-      count(Record.Fingerprint, 1);
-      return;
+    RaceRecord Copy = Record; // claim() may move records(), Record's home
+    if (RaceRecord *Kept = claim(Copy.Location, Copy.Fingerprint, First)) {
+      *Kept = Copy;
+      Kept->CurrentLocks = intern(Current);
+      Kept->PriorLocks = intern(Prior);
     }
-    retain(Record, Current, Prior);
   }
 
   /// Reports a fingerprinted \p R with no locks, first at its location.
@@ -193,15 +220,23 @@ public:
   bool empty() const { return Records.empty(); }
   size_t size() const { return Records.size(); }
 
-  /// The locks of \p Run, a lockset of one of records(), in ascending
-  /// order.  Valid until this reporter next changes.
-  std::span<const LockId> locks(LockRun Run) const {
-    return {LockPool.data() + Run.First, Run.Size};
+  /// Calls \p F with each lock of \p Set, a lockset of one of
+  /// records(), in ascending order.
+  template <class Fn> void forEachLock(LockSetId Set, Fn &&F) const {
+    if (Set != LockSetInterner::emptySet())
+      Locksets->forEachLock(Set, F);
+  }
+
+  /// The locks of \p Set, a lockset of one of records(), in ascending
+  /// order.
+  std::vector<LockId> locks(LockSetId Set) const {
+    std::vector<LockId> Out;
+    forEachLock(Set, [&Out](LockId Lock) { Out.push_back(Lock); });
+    return Out;
   }
 
   void clear() {
     Records.clear();
-    LockPool.clear();
     Groups.clear();
     GroupIndex.clear();
     LocationList.clear();
@@ -240,12 +275,14 @@ public:
   /// Folds another reporter's findings into this one, preserving the
   /// bounded-retention semantics as if every one of its reports had been
   /// delivered here directly: records are retained up to this reporter's
-  /// cap, with their locksets copied into this reporter's pool; occurrence
-  /// counts carry over (including the other reporter's own past-cap
-  /// bumps), the location list gains the locations it lacks, and the
-  /// drop/total counters add up.  The sharded runtime merges its per-shard
-  /// reporters with this, so per-shard caps never truncate the merged
-  /// location set.
+  /// cap, with their lockset ids unchanged when both reporters share an
+  /// interner (as the sharded runtime's do; a reporter without one adopts
+  /// the other's) and re-interned here otherwise; occurrence counts carry
+  /// over (including the other reporter's
+  /// own past-cap bumps), the location list gains the locations it lacks,
+  /// and the drop/total counters add up.  The sharded runtime merges its
+  /// per-shard reporters with this, so per-shard caps never truncate the
+  /// merged location set.
   void merge(const RaceReporter &Other) {
     assert(&Other != this && "a reporter cannot merge itself");
     // Locations first: every record retained below must find its own.
@@ -259,11 +296,18 @@ public:
     // records (vs counted past its cap) — needed below to carry the count
     // excess without double-counting the records.
     std::vector<uint64_t> Retained(Other.Groups.size());
+    if (!Locksets)
+      Locksets = Other.Locksets;
+    const bool Shared = Other.Locksets == Locksets || !Other.Locksets;
     for (const RaceRecord &Rec : Other.Records) {
       ++Retained[Other.GroupIndex.find(Rec.Fingerprint)];
       if (Records.size() < Capacity) {
-        retain(Rec, Other.locks(Rec.CurrentLocks),
-               Other.locks(Rec.PriorLocks));
+        RaceRecord &Kept = Records.emplace_back(Rec);
+        if (!Shared) {
+          Kept.CurrentLocks = intern(Other.locks(Rec.CurrentLocks));
+          Kept.PriorLocks = intern(Other.locks(Rec.PriorLocks));
+        }
+        ++TotalReported;
       } else {
         fold();
         count(Rec.Fingerprint, 1);
@@ -292,18 +336,21 @@ public:
   size_t capacity() const { return Capacity; }
 
   /// Invariants, asserted after merge() and after every fold() that folds
-  /// records, in builds without NDEBUG: every record's lock runs lie
-  /// inside the pool and its location is listed; the fingerprint index
-  /// finds every group at its own position; and once every record is
-  /// folded, group counts plus droppedRecords() equal totalReported().
+  /// records, in builds without NDEBUG: every record carries its
+  /// fingerprint, names locksets its interner holds and has its location
+  /// listed; the fingerprint index finds every group at its own position;
+  /// and once every record is folded, group counts plus droppedRecords()
+  /// equal totalReported().
   bool checkInvariants() const {
-    auto Inside = [this](LockRun Run) {
-      return uint64_t(Run.First) + Run.Size <= LockPool.size();
+    auto Stored = [this](LockSetId Set) {
+      return Set == LockSetInterner::emptySet() ||
+             (Locksets && Set.index() < Locksets->size());
     };
     std::vector<LocationKey> Listed = LocationList;
     std::sort(Listed.begin(), Listed.end());
     for (const RaceRecord &Rec : Records)
-      if (!Inside(Rec.CurrentLocks) || !Inside(Rec.PriorLocks) ||
+      if (Rec.Fingerprint != raceFingerprint(Rec) ||
+          !Stored(Rec.CurrentLocks) || !Stored(Rec.PriorLocks) ||
           !std::binary_search(Listed.begin(), Listed.end(), Rec.Location))
         return false;
     uint64_t Counted = Dropped;
@@ -377,25 +424,17 @@ private:
     size_t Count = 0;
   };
 
-  /// Keeps \p Record, whose fingerprint is set, with its locksets.
-  void retain(const RaceRecord &Record, std::span<const LockId> Current,
-              std::span<const LockId> Prior) {
-    RaceRecord Kept = Record;
-    Kept.CurrentLocks = store(Current);
-    Kept.PriorLocks = store(Prior);
-    Records.push_back(Kept);
-    ++TotalReported;
-  }
-
-  /// Appends \p Locks to the pool and returns their run.
-  LockRun store(std::span<const LockId> Locks) {
-    // Runs index the pool with 32 bits; like HistoryStore, fail rather
-    // than wrap.
-    if (LockPool.size() + Locks.size() > UINT32_MAX)
-      throw std::bad_alloc();
-    LockRun Run{uint32_t(LockPool.size()), uint32_t(Locks.size())};
-    LockPool.insert(LockPool.end(), Locks.begin(), Locks.end());
-    return Run;
+  /// The id of the sorted set \p Locks in this reporter's interner, made
+  /// on first need.
+  LockSetId intern(std::span<const LockId> Locks) {
+    if (Locks.empty())
+      return LockSetInterner::emptySet();
+    if (!Locksets)
+      Locksets = std::make_shared<LockSetInterner>();
+    LockSetId Id = LockSetInterner::emptySet();
+    for (LockId Lock : Locks)
+      Id = Locksets->withLock(Id, Lock);
+    return Id;
   }
 
   /// Counts \p N reports of \p Fingerprint that keep no record: on its
@@ -447,7 +486,8 @@ private:
 
   size_t Capacity;
   std::vector<RaceRecord> Records;
-  std::vector<LockId> LockPool; ///< the locks of Records' runs
+  /// The interner of the records' lockset ids; null until one is named.
+  std::shared_ptr<LockSetInterner> Locksets;
   mutable std::vector<Group> Groups;
   mutable GroupTable GroupIndex; ///< fingerprint -> index into Groups
   /// Each location's first report; repeats fold away in Locations.

@@ -12,7 +12,7 @@ template class herd::AccessFrontEnd<RaceRuntime>;
 
 RaceRuntime::RaceRuntime(RaceRuntimeOptions Opts)
     : AccessFrontEnd(Opts),
-      Det(Reporter, Detector::Options{Opts.UseOwnership}, &Interner) {
+      Det(Reporter, Detector::Options{Opts.UseOwnership}, Locksets) {
   Det.applyPlan(Opts.Plan);
   Det.setOnShared(
       [this](LocationKey Key, ThreadId Owner) { evictShared(Key, Owner); });

@@ -44,13 +44,12 @@ private:
 
   void deliver(PerThread &T, ThreadId Thread, LocationKey Key,
                AccessKind Access, SiteId Site) {
-    Det.handleEvent(eventFor(T, Interner, Thread, Key, Access, Site));
+    Det.handleEvent(eventFor(T, Thread, Key, Access, Site));
   }
   void syncPoint(bool /*Join*/) {}
 
   RaceReporter Reporter;
-  LockSetInterner Interner; ///< declared before Det, which resolves into it
-  Detector Det;
+  Detector Det; ///< reads the front end's Locksets
 };
 
 extern template class AccessFrontEnd<RaceRuntime>;

@@ -19,14 +19,13 @@ using namespace herd;
 //===----------------------------------------------------------------------===
 
 ShardPool::ShardPool(uint32_t NumShards, size_t BatchCapacity,
-                     size_t QueueDepth, LockSetInterner *Locksets,
+                     size_t QueueDepth,
+                     std::shared_ptr<LockSetInterner> Locksets,
                      const DetectorPlan &Plan, MetricsRegistry *Metrics)
-    : Locksets(Locksets), Metrics(Metrics),
+    : Locksets(std::move(Locksets)), Metrics(Metrics),
       BatchCapacity(BatchCapacity == 0 ? 1 : BatchCapacity) {
-  if (!this->Locksets) {
-    OwnedInterner = std::make_unique<LockSetInterner>();
-    this->Locksets = OwnedInterner.get();
-  }
+  if (!this->Locksets)
+    this->Locksets = std::make_shared<LockSetInterner>();
   assert(NumShards <= MaxShards && "more shards than ShardPool::MaxShards");
   if (NumShards == 0)
     NumShards = 1;
@@ -41,7 +40,7 @@ ShardPool::ShardPool(uint32_t NumShards, size_t BatchCapacity,
     this->Locksets->intern(Set);
   Shards.reserve(NumShards);
   for (uint32_t I = 0; I != NumShards; ++I) {
-    Shards.push_back(std::make_unique<Shard>(QueueDepth, *this->Locksets));
+    Shards.push_back(std::make_unique<Shard>(QueueDepth, this->Locksets));
     Shards.back()->Det.applyPlan(Clamped.forShard(I, NumShards));
     Shards.back()->Open.Events.reserve(this->BatchCapacity);
     // Row 0 is the pipeline (producer) thread; shards get 1..N.
@@ -187,7 +186,7 @@ template class herd::AccessFrontEnd<ShardedRuntime>;
 ShardedRuntime::ShardedRuntime(ShardedRuntimeOptions Opts)
     : AccessFrontEnd(Opts),
       Pool(Opts.NumShards, Opts.BatchCapacity, Opts.QueueDepthBatches,
-           /*Locksets=*/nullptr, Opts.Plan, Opts.Metrics) {
+           Locksets, Opts.Plan, Opts.Metrics) {
   Ownership.reserve(Opts.Plan.clamped().ExpectedLocations);
   // Ownership runs on the producer thread, so the Section 7.2 eviction is
   // synchronous with ingest exactly as in the serial runtime.
@@ -211,7 +210,7 @@ void ShardedRuntime::deliver(PerThread &T, ThreadId Thread, LocationKey Key,
   ++EventsToDetector;
   if (Opts.UseOwnership && !Ownership.passes(Thread, Key))
     return;
-  Pool.submit(eventFor(T, Pool.interner(), Thread, Key, Access, Site));
+  Pool.submit(eventFor(T, Thread, Key, Access, Site));
 }
 
 void ShardedRuntime::onRunEnd() { finish(); }

@@ -72,8 +72,10 @@ public:
 
   /// \p Locksets is the interner batched lockset ids resolve against; when
   /// null the pool owns a private one (standalone pools in tests/benches).
-  /// Interning happens producer-side only; workers call resolve(), which
-  /// is safe for ids published through the batch queues.  \p Plan pre-sizes
+  /// Interning happens producer-side only; workers query published sets
+  /// (mask(), less(), isSubsetOf(), ...), which is safe for ids that
+  /// reached them through the batch queues.  The shard reporters share
+  /// the interner.  \p Plan pre-sizes
   /// each shard's detector (location-scaled fields sliced per shard) and
   /// the interner (reserved and pre-interned once, before workers start).
   /// \p Metrics, when set, receives one trace row per shard (tid = 1 +
@@ -81,7 +83,7 @@ public:
   /// worker processes, and "shardN.queue_depth" counter samples at every
   /// producer push.
   ShardPool(uint32_t NumShards, size_t BatchCapacity, size_t QueueDepth,
-            LockSetInterner *Locksets = nullptr,
+            std::shared_ptr<LockSetInterner> Locksets = nullptr,
             const DetectorPlan &Plan = {},
             MetricsRegistry *Metrics = nullptr);
   ~ShardPool();
@@ -168,10 +170,10 @@ private:
     uint32_t Tid = 0;
     std::string QueueDepthName;
 
-    Shard(size_t QueueDepth, LockSetInterner &Interner)
+    Shard(size_t QueueDepth, std::shared_ptr<LockSetInterner> Interner)
         : Queue(QueueDepth),
           Det(Reporter, Detector::Options{/*UseOwnership=*/false},
-              &Interner) {}
+              std::move(Interner)) {}
   };
 
   void workerLoop(Shard &S);
@@ -181,8 +183,7 @@ private:
   /// 1..N-1 merged into it.
   RaceReporter mergeInto(RaceReporter Shard0) const;
 
-  std::unique_ptr<LockSetInterner> OwnedInterner; ///< set iff none shared
-  LockSetInterner *Locksets = nullptr;            ///< never null
+  std::shared_ptr<LockSetInterner> Locksets; ///< never null
   MetricsRegistry *Metrics = nullptr;             ///< null = no recording
   std::vector<std::unique_ptr<Shard>> Shards;
   size_t BatchCapacity;

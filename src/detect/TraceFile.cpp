@@ -6,7 +6,6 @@
 
 #include "detect/TraceFile.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -131,8 +130,7 @@ TraceResult TraceReader::open(const std::string &FromPath) {
   close();
   Records = 0;
   KnownThreads = 1;
-  Held.clear();
-  Held.reserve(16);
+  Held = LocationTable<uint32_t>();
   KindCounts.fill(0);
   File = std::fopen(FromPath.c_str(), "rb");
   if (!File)
@@ -226,11 +224,9 @@ TraceResult TraceReader::admit(const EventLog::Record &R) {
   bool Enter = R.Kind == EventLog::RecordKind::MonitorEnter;
   if (!Enter && R.Kind != EventLog::RecordKind::MonitorExit)
     return TraceResult::success();
-  // Threads hold few locks at a time: a scan, latest first, beats a hash.
-  auto It = std::find_if(Held.rbegin(), Held.rend(), [&](const HeldLock &H) {
-    return H.Thread == R.Thread && H.Lock == R.Lock;
-  });
-  uint32_t Count = It == Held.rend() ? 0 : It->Count;
+  LocationKey Pair = LocationKey::fromRaw(
+      (uint64_t(R.Thread.index()) << 32) | R.Lock.index());
+  uint32_t &Count = *Held.tryEmplace(Pair).first;
   // Recursive: held before the enter.  StillHeld: held after the exit.
   bool HeldBesides = Enter ? Count != 0 : Count > 1;
   bool Unheld = !Enter && Count == 0;
@@ -242,12 +238,10 @@ TraceResult TraceReader::admit(const EventLog::Record &R) {
                 : ", held " + std::to_string(Count) + " times, " +
                       (HeldBesides ? "without" : "with") + " the " +
                       (Enter ? "recursive" : "still-held") + " flag"));
-  if (It == Held.rend())
-    Held.push_back({R.Thread, R.Lock, 1});
-  else if (Enter)
-    ++It->Count;
-  else if (--It->Count == 0)
-    Held.erase(std::next(It).base());
+  if (Enter)
+    ++Count;
+  else
+    --Count;
   return TraceResult::success();
 }
 

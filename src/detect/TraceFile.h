@@ -29,6 +29,7 @@
 #include "detect/EventLog.h"
 #include "detect/TraceFormat.h"
 #include "runtime/Hooks.h"
+#include "support/FlatTable.h"
 
 #include <array>
 #include <cstdint>
@@ -137,9 +138,13 @@ private:
   std::string Path;
   uint64_t Records = 0;
   uint32_t KnownThreads = 1; ///< threads [0, KnownThreads) exist
-  /// Every thread's held locks, in take order, with their recursion counts.
-  struct HeldLock { ThreadId Thread; LockId Lock; uint32_t Count; };
-  std::vector<HeldLock> Held;
+  /// How many times each (thread, lock) pair is held, keyed like a
+  /// location with the thread in the high word and the lock in the low
+  /// one (never the table's all-ones empty key: threads stay below
+  /// MaxThreads).  A pair stays once seen, so a stream that takes the
+  /// same locks again allocates nothing, and one that nests thousands of
+  /// locks pays one probe per monitor record instead of a scan.
+  LocationTable<uint32_t> Held;
   std::array<uint64_t, size_t(EventLog::RecordKind::Access) + 1> KindCounts{};
 };
 

@@ -262,13 +262,12 @@ struct LocationText {
   std::string_view Field;
 };
 
-/// One race record's line, whose earlier access held \p PriorLocks, named
-/// from program metadata and, when available, the final heap (for object
-/// class names).
+/// One race record of \p Reports as a line, named from program metadata
+/// and, when available, the final heap (for object class names).
 class RaceLine {
 public:
-  RaceLine(const Program &P, const Heap *TheHeap, const RaceRecord &Rec,
-           std::span<const LockId> PriorLocks)
+  RaceLine(const Program &P, const Heap *TheHeap, const RaceReporter &Reports,
+           const RaceRecord &Rec)
       : Rec(Rec), Location(P, TheHeap, Rec.Location),
         // A replayed trace may name sites the program does not declare;
         // those print like an unknown site.
@@ -278,12 +277,12 @@ public:
       Site = P.Names.text(P.site(Rec.CurrentSite).Label);
     // Dummy join locks (Section 2.3) are an implementation device; report
     // only program locks, but surface the join ordering when present.
-    for (LockId Lock : PriorLocks) {
+    Reports.forEachLock(Rec.PriorLocks, [this](LockId Lock) {
       if (Lock.index() >= FirstDummyLock)
         HasDummy = true;
       else
         ++RealLocks;
-    }
+    });
   }
 
   size_t bound() const { return Location.bound() + Site.size(); }
@@ -474,8 +473,7 @@ void formatRaceResults(const Program &P, const Heap *TheHeap,
   Result.FormattedRaces.reserve(Result.FormattedRaces.size() +
                                 Reports.records().size());
   for (const RaceRecord &Rec : Reports.records()) {
-    std::string_view Line =
-        Buf.write(RaceLine(P, TheHeap, Rec, Reports.locks(Rec.PriorLocks)));
+    std::string_view Line = Buf.write(RaceLine(P, TheHeap, Reports, Rec));
     if (!Prov) {
       Result.FormattedRaces.push_back(Line);
       continue;
@@ -489,8 +487,7 @@ void formatRaceResults(const Program &P, const Heap *TheHeap,
     const RaceRecord &Rec = Reports.records()[G.FirstRecord];
     ReportEntry Entry;
     Entry.EntryKind = ReportEntry::Kind::Race;
-    Entry.Message = std::string(
-        Buf.write(RaceLine(P, TheHeap, Rec, Reports.locks(Rec.PriorLocks))));
+    Entry.Message = std::string(Buf.write(RaceLine(P, TheHeap, Reports, Rec)));
     Entry.Fingerprint = G.Fingerprint;
     Entry.Occurrences = G.Count;
     Entry.SiteLabel = siteLabel(P, Rec.CurrentSite);

@@ -7,7 +7,10 @@
 /// \file
 /// Tests for the allocation-lean detector hot path (docs/PERFORMANCE.md):
 /// the LockSetInterner's masks against a SortedIdSet oracle (including the
-/// >64-lock inexact sets), the HistoryStore's block reuse and
+/// >64-lock inexact sets), its ids stepped by random acquires and
+/// releases and queried against the sorted sets, with readers querying
+/// published sets while the producer interns, the HistoryStore's block
+/// reuse and
 /// chunk-spanning blocks, and differential replays proving the
 /// interned/sharded paths produce the identical RaceReport stream as the
 /// original handleAccess path.
@@ -29,10 +32,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -69,6 +75,20 @@ TEST(LockSetInterner, CanonicalIds) {
   EXPECT_TRUE(Back.contains(LockId(7)));
 }
 
+/// The mask bit each lock of \p Set holds, read off its singleton set, and
+/// whether every member holds one.  Interning a singleton brings no new
+/// lock into the mask universe when \p Set's locks were all seen before.
+std::pair<uint64_t, bool> memberBits(LockSetInterner &I, const LockSet &Set) {
+  uint64_t Bits = 0;
+  bool Exact = true;
+  for (LockId Lock : Set) {
+    LockSetId One = I.intern(LockSet{Lock});
+    Bits |= I.mask(One);
+    Exact &= I.isExact(One);
+  }
+  return {Bits, Exact};
+}
+
 /// Randomized agreement of what the access history reads — mask() and
 /// isExact() — with the SortedIdSet oracle.  \p Universe controls whether
 /// sets stay inside the 64-dense-lock masks or spill past them.
@@ -82,15 +102,7 @@ void checkAgainstOracle(uint32_t Universe, uint64_t Seed) {
     for (size_t J = 0; J != Size; ++J)
       S.insert(LockId(uint32_t(R.nextBelow(Universe))));
     LockSetId Id = I.intern(S);
-    // Each member's bit, read off its singleton set: interning one brings
-    // no new lock into the universe, since S already did.
-    uint64_t MemberBits = 0;
-    bool EveryMemberHasABit = true;
-    for (LockId Lock : S) {
-      LockSetId One = I.intern(LockSet{Lock});
-      MemberBits |= I.mask(One);
-      EveryMemberHasABit &= I.isExact(One);
-    }
+    auto [MemberBits, EveryMemberHasABit] = memberBits(I, S);
     // Every mask bit is a member, and an exact mask has one per member.
     EXPECT_EQ(I.mask(Id), MemberBits);
     EXPECT_EQ(I.isExact(Id), EveryMemberHasABit);
@@ -129,7 +141,7 @@ TEST(LockSetInterner, MixedExactAndInexact) {
   // Fill the 64-slot dense universe first with 64 singleton sets.
   for (uint32_t L = 0; L != 64; ++L)
     I.intern(makeSet({L}));
-  EXPECT_EQ(I.lockUniverse(), 64u);
+  EXPECT_TRUE(I.isExact(I.intern(makeSet({63})))); // the last bit
   LockSetId Exact = I.intern(makeSet({1, 2}));
   LockSetId Inexact = I.intern(makeSet({1, 2, 900})); // 900 -> index 64
   LockSetId Other = I.intern(makeSet({900}));
@@ -142,6 +154,175 @@ TEST(LockSetInterner, MixedExactAndInexact) {
   EXPECT_EQ(I.mask(Other), 0u);
   EXPECT_TRUE(I.isExact(LockSetInterner::emptySet()));
   EXPECT_EQ(I.mask(LockSetInterner::emptySet()), 0u);
+}
+
+/// Random acquires and releases on a few threads, stepped through
+/// withLock() and withoutLock(), against each thread's SortedIdSet: the
+/// releases come innermost first or from anywhere in the stack, threads
+/// start holding their own dummy lock, and joins add the joined thread's.
+/// Every step must reach the id that interning the whole set gives.
+/// Returns every (id, set) pair seen.
+std::vector<std::pair<LockSetId, LockSet>>
+stepThreads(LockSetInterner &I, uint32_t Universe, uint64_t Seed) {
+  Rng R(Seed);
+  constexpr uint32_t Threads = 4;
+  std::vector<LockSetId> Ids(Threads, LockSetInterner::emptySet());
+  std::vector<LockSet> Sets(Threads);
+  std::vector<std::vector<LockId>> Stacks(Threads);
+  std::vector<std::pair<LockSetId, LockSet>> Seen;
+  auto Step = [&](uint32_t T, LockId Lock, bool Add) {
+    Ids[T] = Add ? I.withLock(Ids[T], Lock) : I.withoutLock(Ids[T], Lock);
+    if (Add)
+      Sets[T].insert(Lock);
+    else
+      Sets[T].erase(Lock);
+  };
+  for (uint32_t T = 1; T != Threads; ++T)
+    Step(T, RaceRuntime::dummyLockOf(ThreadId(T)), /*Add=*/true);
+  for (int N = 0; N != 3000; ++N) {
+    uint32_t T = uint32_t(R.nextBelow(Threads));
+    std::vector<LockId> &Stack = Stacks[T];
+    uint64_t Pick = R.nextBelow(16);
+    if (Pick < 8 && Stack.size() < 24) {
+      LockId Lock(uint32_t(R.nextBelow(Universe)));
+      if (Sets[T].contains(Lock))
+        continue;
+      Step(T, Lock, /*Add=*/true);
+      Stack.push_back(Lock);
+    } else if (Pick < 14 && !Stack.empty()) {
+      // Innermost first, or now and then from the middle of the stack.
+      size_t At = R.nextChance(1, 3) ? R.nextBelow(Stack.size())
+                                     : Stack.size() - 1;
+      Step(T, Stack[At], /*Add=*/false);
+      Stack.erase(Stack.begin() + long(At));
+    } else if (Pick == 14) {
+      Step(T, RaceRuntime::dummyLockOf(ThreadId(uint32_t(R.nextBelow(8)))),
+           /*Add=*/true); // a join: held for the rest of the run
+    } else {
+      // A step that changes nothing: a lock not held, or one held again.
+      LockId Lock(uint32_t(R.nextBelow(Universe)));
+      LockSetId Before = Ids[T];
+      bool Held = Sets[T].contains(Lock);
+      Step(T, Lock, /*Add=*/Held);
+      EXPECT_EQ(Ids[T], Before);
+    }
+    EXPECT_EQ(Ids[T], I.intern(Sets[T])) << "seed " << Seed << " step " << N;
+    EXPECT_EQ(I.resolve(Ids[T]), Sets[T]);
+    Seen.emplace_back(Ids[T], Sets[T]);
+  }
+  return Seen;
+}
+
+/// Every query the access history makes of two interned sets, against the
+/// SortedIdSet answers.
+::testing::AssertionResult sameAnswers(const LockSetInterner &I, LockSetId A,
+                                       const LockSet &SetA, LockSetId B,
+                                       const LockSet &SetB) {
+  auto Differs = [&](const char *Query) {
+    return ::testing::AssertionFailure()
+           << Query << " differs on sets of " << SetA.size() << " and "
+           << SetB.size() << " locks";
+  };
+  size_t Prefix = size_t(std::mismatch(SetA.begin(), SetA.end(),
+                                       SetB.begin(), SetB.end())
+                             .first -
+                         SetA.begin());
+  if (I.sizeOf(A) != SetA.size())
+    return Differs("sizeOf");
+  if (I.less(A, B) != (SetA < SetB))
+    return Differs("less");
+  if (I.commonPrefix(A, B) != Prefix)
+    return Differs("commonPrefix");
+  if (I.isSubsetOf(A, B) != SetA.isSubsetOf(SetB))
+    return Differs("isSubsetOf");
+  if (I.intersects(A, B) != SetA.intersects(SetB))
+    return Differs("intersects");
+  return ::testing::AssertionSuccess();
+}
+
+class ChainInternerTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ChainInternerTest, StepsAndQueriesMatchTheSortedSets) {
+  // Universes of 16, 64 and 200 locks: past 64, sets lose mask bits and
+  // the subset and disjointness tests walk both sets.
+  const uint32_t Universe = GetParam();
+  for (uint64_t Seed = 1; Seed != 4; ++Seed) {
+    LockSetInterner I;
+    std::vector<std::pair<LockSetId, LockSet>> Seen =
+        stepThreads(I, Universe, Seed);
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    bool SawInexact = false;
+    for (const auto &[Id, Set] : Seen) {
+      auto [Bits, Exact] = memberBits(I, Set);
+      ASSERT_EQ(I.mask(Id), Bits);
+      ASSERT_EQ(I.isExact(Id), Exact);
+      SawInexact |= !Exact;
+    }
+    // 16 locks and at most 11 dummy locks fit the 64 mask bits; 200 do not.
+    if (Universe < 32) {
+      EXPECT_FALSE(SawInexact);
+    }
+    if (Universe > 64) {
+      EXPECT_TRUE(SawInexact);
+    }
+    Rng R(Seed * 31);
+    for (int N = 0; N != 4000; ++N) {
+      size_t IA = R.nextBelow(Seen.size());
+      // Half the pairs are a few steps apart, so long common prefixes and
+      // subsets come up as well as unrelated sets.
+      size_t IB = R.nextChance(1, 2)
+                      ? R.nextBelow(Seen.size())
+                      : std::min(Seen.size() - 1, IA + R.nextBelow(8));
+      const auto &[A, SetA] = Seen[IA];
+      const auto &[B, SetB] = Seen[IB];
+      ASSERT_TRUE(sameAnswers(I, A, SetA, B, SetB)) << "seed " << Seed;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Universes, ChainInternerTest,
+                         ::testing::Values(16u, 64u, 200u));
+
+TEST(LockSetInterner, ReadersWalkPublishedChainsWhileTheProducerInterns) {
+  // The shard workers' contract: a set whose id reached a reader through a
+  // mutex reads back whole while the producer goes on interning and grows
+  // the store across chunks.  Built under TSan by the sanitize-sharded job.
+  LockSetInterner I;
+  std::mutex M;
+  std::vector<std::pair<LockSetId, LockSet>> Published;
+  std::atomic<bool> Done{false};
+  auto Reader = [&](uint64_t Seed) {
+    Rng R(Seed);
+    size_t Checked = 0;
+    while (!Done.load() || Checked < 2000) {
+      std::pair<LockSetId, LockSet> A, B;
+      {
+        std::lock_guard<std::mutex> Lock(M);
+        if (Published.empty())
+          continue;
+        A = Published[R.nextBelow(Published.size())];
+        B = Published[R.nextBelow(Published.size())];
+      }
+      EXPECT_TRUE(sameAnswers(I, A.first, A.second, B.first, B.second));
+      EXPECT_EQ(I.resolve(A.first), A.second);
+      ++Checked;
+    }
+  };
+  std::thread First(Reader, 1), Second(Reader, 2);
+  Rng R(3);
+  for (int N = 0; N != 6000; ++N) {
+    LockSet Set;
+    for (uint64_t Size = R.nextBelow(9); Set.size() != Size;)
+      Set.insert(LockId(uint32_t(R.nextBelow(100))));
+    LockSetId Id = I.intern(Set);
+    std::lock_guard<std::mutex> Lock(M);
+    Published.emplace_back(Id, std::move(Set));
+  }
+  Done.store(true);
+  First.join();
+  Second.join();
+  EXPECT_GT(I.size(), size_t(4) * LockSetInterner::ChunkSize)
+      << "the store stayed in few chunks";
 }
 
 //===----------------------------------------------------------------------===

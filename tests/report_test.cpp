@@ -30,6 +30,7 @@
 #include "herd/ReportExport.h"
 #include "ir/IRBuilder.h"
 #include "runtime/Interpreter.h"
+#include "support/LockSetInterner.h"
 #include "support/Rng.h"
 #include "support/TempPath.h"
 
@@ -246,6 +247,59 @@ TEST(RaceReporterTest, MergePreservesCountsAndSetsPastTheCap) {
   EXPECT_EQ(Full.droppedRecords(), 3u); // A, A again, and Src's own drop
 }
 
+TEST(RaceReporterTest, SharesTheInternerAndMergesWithoutCopies) {
+  // 1,000 records over three locksets of the runtime's interner: records
+  // name the interner's ids, and a merge between reporters of one
+  // interner copies them unchanged and interns nothing.
+  auto Sets = std::make_shared<LockSetInterner>();
+  const LockSetId A = Sets->intern(LockSet{LockId(1), LockId(4)});
+  const LockSetId B = Sets->intern(LockSet{LockId(1), LockId(5)});
+  const LockSetId C = Sets->intern(LockSet{LockId(2)});
+  LocationKey L = LocationKey::forField(ObjectId(1), FieldId(5));
+  auto Fill = [&](RaceReporter &To, LockSetId Current, LockSetId Prior) {
+    To.useLocksets(Sets);
+    for (uint32_t I = 0; I != 500; ++I) {
+      RaceRecord Want =
+          makeRecord(L, I % 7, AccessKind::Write, 20, AccessKind::Read);
+      RaceRecord *Kept = To.claim(L, Want.Fingerprint,
+                                  FirstAtLocation(To.totalReported() == 0));
+      ASSERT_NE(Kept, nullptr);
+      Want.CurrentLocks = Current;
+      Want.PriorLocks = Prior;
+      *Kept = Want;
+    }
+  };
+  RaceReporter Src, Dst;
+  Fill(Src, A, B);
+  Fill(Dst, C, A);
+  const size_t Nodes = Sets->size();
+  Dst.merge(Src);
+  EXPECT_EQ(Sets->size(), Nodes);
+  ASSERT_EQ(Dst.size(), 1000u);
+  const RaceRecord &Merged = Dst.records().back();
+  EXPECT_EQ(Merged.CurrentLocks, A);
+  EXPECT_EQ(Merged.PriorLocks, B);
+  EXPECT_EQ(Dst.locks(Merged.CurrentLocks),
+            (std::vector<LockId>{LockId(1), LockId(4)}));
+  EXPECT_TRUE(Dst.checkInvariants());
+
+  // A reporter without an interner adopts the other's; one with another
+  // interner (made by report() on its own) gets each set re-interned.
+  RaceReporter Fresh;
+  Fresh.merge(Src);
+  EXPECT_EQ(Fresh.locksets(), Sets.get());
+  EXPECT_EQ(Fresh.records().front().CurrentLocks, A);
+  RaceReporter Apart;
+  const std::vector<LockId> Nine{LockId(9)}, OneFive{LockId(1), LockId(5)};
+  Apart.report(makeRecord(L, 3, AccessKind::Write, 20, AccessKind::Read),
+               FirstAtLocation::Yes, Nine, OneFive);
+  ASSERT_NE(Apart.locksets(), Sets.get());
+  Dst.merge(Apart);
+  EXPECT_EQ(Dst.locks(Dst.records().back().CurrentLocks), Nine);
+  EXPECT_EQ(Dst.records().back().PriorLocks, B);
+  EXPECT_TRUE(Dst.checkInvariants());
+}
+
 TEST(RaceReporterTest, CountingQueriesAndClear) {
   RaceReporter Reporter;
   Reporter.report(makeRecord(LocationKey::forField(ObjectId(1), FieldId(5)),
@@ -341,11 +395,6 @@ struct ModelReporter {
   uint64_t Total = 0;
 };
 
-std::vector<LockId> resolved(const RaceReporter &Real, LockRun Run) {
-  std::span<const LockId> Locks = Real.locks(Run);
-  return std::vector<LockId>(Locks.begin(), Locks.end());
-}
-
 void expectMatchesModel(const RaceReporter &Real, const ModelReporter &Model,
                         const std::string &What) {
   SCOPED_TRACE(What);
@@ -361,8 +410,8 @@ void expectMatchesModel(const RaceReporter &Real, const ModelReporter &Model,
     const Reported &Want = Model.Records[I];
     EXPECT_EQ(Got.Location, Want.Record.Location);
     EXPECT_EQ(Got.Fingerprint, Want.Record.Fingerprint);
-    EXPECT_EQ(resolved(Real, Got.CurrentLocks), Want.Current) << "record " << I;
-    EXPECT_EQ(resolved(Real, Got.PriorLocks), Want.Prior) << "record " << I;
+    EXPECT_EQ(Real.locks(Got.CurrentLocks), Want.Current) << "record " << I;
+    EXPECT_EQ(Real.locks(Got.PriorLocks), Want.Prior) << "record " << I;
   }
   ASSERT_EQ(Real.groups().size(), Model.Groups.size());
   for (size_t I = 0; I != Model.Groups.size(); ++I) {
